@@ -294,6 +294,12 @@ def cmd_train(args) -> int:
     if args.resume:
         resume_state = storage.read_checkpoint(args.resume)
         _sync_config_with_meta(config, resume_state)
+        trained = int(resume_state["meta.epochs_trained"])
+        if config["epochs"] <= trained:
+            raise ConfigError(
+                f"epochs {config['epochs']} does not exceed the checkpoint's "
+                f"meta.epochs_trained {trained}; nothing to resume"
+            )
         pre = {k: v for k, v in resume_state.items() if k.startswith("pre.")}
         if not pre:
             raise FormatError(f"{args.resume}: no preprocessing constants stored")
@@ -308,7 +314,7 @@ def cmd_train(args) -> int:
 
     if resume_state is not None:
         model = _model_from_checkpoint(resume_state, config)
-        start_epoch = int(resume_state["meta.epochs_trained"])
+        start_epoch = trained
     else:
         model_config = ModelConfig(
             num_classes=num_classes,

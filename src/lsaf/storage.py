@@ -7,8 +7,10 @@ the byte-level reference and a converter recipe for common geo formats.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -180,15 +182,22 @@ def read_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name is not valid UTF-8")
         (ndim,) = struct.unpack("<B", take(1, "rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape")) if ndim else ()
         (tag,) = struct.unpack("<B", take(1, "dtype tag"))
         if tag not in _TAG_TO_DTYPE:
             raise FormatError(f"{path}: unknown dtype tag {tag} for tensor '{name}'")
         dtype = _TAG_TO_DTYPE[tag]
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        payload = take(n_bytes, f"payload of '{name}'")
+        # Sized with Python ints, so a hostile shape cannot wrap round to a
+        # small byte count. numpy also refuses a shape whose nonzero extents
+        # overflow its index type, even when a zero extent leaves no payload.
+        if math.prod(n for n in shape if n) * dtype.itemsize > sys.maxsize:
+            raise FormatError(f"{path}: tensor '{name}' declares impossible shape {shape}")
+        payload = take(math.prod(shape) * dtype.itemsize, f"payload of '{name}'")
         out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after tensor table")

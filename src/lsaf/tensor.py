@@ -10,11 +10,15 @@ Dense layouts follow the usual deep-learning conventions: convolutions take
 `(cin, *spatial)` or batched `(n, cin, *spatial)` inputs with
 `(cout, cin, *kernel)` weights, batch norm normalizes axis 1.
 
-Convolution forward passes accumulate one kernel tap at a time, in
-channel-major tap order. That keeps the per-element summation order identical
-to a naive nested-loop evaluation, so results are reproducible bit-for-bit
-and directly comparable against straight-line reference code. Gradients have
-no such ordering constraint and use BLAS contractions.
+Convolutions lower to im2col and BLAS: the forward pass is one matrix product
+per sample over a buffer of input windows, the backward pass two products
+over the same buffer. BLAS picks its own summation order, so outputs are not
+bit-equal to naive nested loops. Instead the forward pass keeps three
+promises, which the tests check: each output element lies within a
+dtype-dependent tolerance of a tap-by-tap reference sum, relative to the sum
+of the magnitudes of its products; a sample's output does not depend on which
+other samples share its batch; and a fixed seed and thread count reproduce
+every result bit for bit from run to run.
 
 Precision defaults to float64; switch to float32 with `set_default_dtype`
 when training throughput matters more than gradient-check headroom.
@@ -46,7 +50,6 @@ __all__ = [
     "conv3d",
     "batch_norm",
     "cross_entropy",
-    "backward",
     "finite_diff_check",
 ]
 
@@ -565,33 +568,25 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
     out_sp = tuple(out_sp)
 
     xp = np.pad(xd, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
-    taps = list(itertools.product(range(cin), *(range(k) for k in ksz)))
-    n_taps = len(taps)
+    n_taps = cin * int(np.prod(ksz))
     n_pos = int(np.prod(out_sp))
 
-    # im2col rows in channel-major tap order; this fixes the accumulation
-    # order of the forward pass.
-    cols = np.empty((n_taps, batch * n_pos), dtype=xd.dtype)
-    tap_slices = []
-    for row, tap in enumerate(taps):
-        ci, offsets = tap[0], tap[1:]
-        sl = (slice(None), ci) + tuple(
-            slice(o, o + s * (n - 1) + 1, s) for o, s, n in zip(offsets, strides, out_sp)
-        )
-        tap_slices.append(sl)
-        cols[row] = xp[sl].reshape(-1)
+    # im2col in one copy: rows in channel-major tap order (cin, *kernel),
+    # columns in (batch, *out_sp) order.
+    sp_axes = tuple(range(2, 2 + nsp))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, ksz, axis=sp_axes)
+    windows = windows[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in strides)]
+    cols = windows.transpose(
+        (1,) + tuple(range(2 + nsp, 2 + 2 * nsp)) + (0,) + sp_axes
+    ).reshape(n_taps, batch * n_pos)
 
+    # One GEMM per sample over a strided view of `cols`: each sample's output
+    # depends on that sample alone, whatever else shares the batch.
     w2 = np.ascontiguousarray(w.data.reshape(cout, n_taps))
-    out2 = np.zeros((cout, batch * n_pos), dtype=xd.dtype)
-    tmp = np.empty_like(out2)
-    for row in range(n_taps):
-        # one multiply and one add per element, tap by tap: the summation
-        # order per output element is exactly the naive-loop order
-        np.multiply(w2[:, row, None], cols[row], out=tmp)
-        out2 += tmp
-
-    out_data = out2.reshape(cout, batch, *out_sp).swapaxes(0, 1)
-    out_data = np.ascontiguousarray(out_data if batched else out_data[0])
+    out_data = w2 @ cols.reshape(n_taps, batch, n_pos).swapaxes(0, 1)
+    out_data = out_data.reshape((batch, cout) + out_sp)
+    if not batched:
+        out_data = out_data[0]
 
     xp_shape = xp.shape
     pad_strip = (slice(None), slice(None)) + tuple(
@@ -604,7 +599,11 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
         gw = (g2 @ cols.T).reshape(w.data.shape)
         gcols = w2.T @ g2
         gxp = np.zeros(xp_shape, dtype=xd.dtype)
-        for row, sl in enumerate(tap_slices):
+        taps = itertools.product(range(cin), *(range(k) for k in ksz))
+        for row, (ci, *offsets) in enumerate(taps):
+            sl = (slice(None), ci) + tuple(
+                slice(o, o + s * (n - 1) + 1, s) for o, s, n in zip(offsets, strides, out_sp)
+            )
             gxp[sl] += gcols[row].reshape((batch,) + out_sp)
         gx = gxp[pad_strip]
         return (gx if batched else gx[0]), gw
@@ -702,13 +701,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 # ----------------------------------------------------------------------
 # gradient verification
-
-
-def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray | None]:
-    """Run a backward sweep from `loss` and return the gradient of each
-    parameter (None where a parameter is unreachable)."""
-    loss.backward()
-    return [p.grad for p in params]
 
 
 def finite_diff_check(

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -199,6 +200,20 @@ class TestTrain:
         state = storage.read_checkpoint(out / "checkpoint.lsfw")
         assert int(state["meta.epochs_trained"]) == 1
 
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_resume_without_new_epochs_is_config_error(self, config_path, tmp_path,
+                                                      capsys, epochs):
+        assert run(["train", "--config", config_path]) == 0  # 2 epochs
+        ckpt = tmp_path / "run" / "checkpoint.lsfw"
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert run(["train", "--config", config_path, "--out", out,
+                    "--epochs", epochs, "--resume", ckpt]) == 1
+        assert "meta.epochs_trained" in capsys.readouterr().err
+        assert not (out / "checkpoint.lsfw").exists()
+        assert ckpt.read_bytes() == before
+
 
 # ----------------------------------------------------------------------
 # eval
@@ -228,6 +243,16 @@ class TestEval:
         blob[1] ^= 0xFF
         ckpt.write_bytes(bytes(blob))
         assert run(["eval", "--config", config_path, "--checkpoint", ckpt]) == 2
+
+    def test_hostile_checkpoint_shape_is_data_error(self, config_path, tmp_path, capsys):
+        # rank 8 with 2^31 in every dimension: 2^248 elements wrap to 0 in int64
+        ckpt = tmp_path / "hostile.lsfw"
+        blob = storage.CHECKPOINT_MAGIC + struct.pack("<II", storage.FORMAT_VERSION, 1)
+        blob += struct.pack("<H", 1) + b"w" + struct.pack("<B", 8)
+        blob += struct.pack("<8I", *(2**31,) * 8) + struct.pack("<B", 1)
+        ckpt.write_bytes(blob)
+        assert run(["eval", "--config", config_path, "--checkpoint", ckpt]) == 2
+        assert str(ckpt) in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_weights_are_numeric_error(self, config_path, tmp_path, capsys):

@@ -410,6 +410,27 @@ class TestForward:
                 + model.fusion.weight_lidar.data * logits_l.data + logits_f.data)
         assert np.allclose(combined.data, want, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_independent_of_batch_composition(self, dtype):
+        """A pixel's logits are the same whichever batch carries it."""
+        prev = T.default_dtype()
+        T.set_default_dtype(dtype)
+        try:
+            config = ModelConfig(num_classes=15)
+            model = LsafModel(config, seed=11)
+            h, l = self.batch(seed=12, n=128, config=config)
+            with T.no_grad():
+                whole = model.forward(h, l, training=False).data
+                chunks = [
+                    model.forward(Tensor(h.data[i:i + 37]), Tensor(l.data[i:i + 37]),
+                                  training=False).data
+                    for i in range(0, 128, 37)
+                ]
+        finally:
+            T.set_default_dtype(prev)
+        assert whole.dtype == dtype
+        assert np.array_equal(whole, np.concatenate(chunks))
+
 
 # ----------------------------------------------------------------------
 # state round trips

@@ -1,5 +1,7 @@
 """Round-trip and validation tests for the binary containers."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,27 @@ def test_ppm_round_trip(tmp_path):
     assert np.array_equal(storage.read_ppm(path), rgb)
     header = path.read_bytes()[:15]
     assert header.startswith(b"P6\n8 5\n255\n")
+
+
+def hostile_checkpoint(path, shape, name=b"w"):
+    """One float32 entry declaring `shape`, with no payload bytes at all."""
+    blob = storage.CHECKPOINT_MAGIC + struct.pack("<II", storage.FORMAT_VERSION, 1)
+    blob += struct.pack("<H", len(name)) + name
+    blob += struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
+    blob += struct.pack("<B", 1)
+    path.write_bytes(blob)
+    return path
+
+
+@pytest.mark.parametrize("shape,name,match", [
+    # 2^31 in each of 8 dimensions is 2^248 elements, 0 in int64 arithmetic
+    ((2**31,) * 8, b"w", "impossible shape"),
+    # no payload to read, yet no array of this shape exists
+    ((0,) + (2**31,) * 7, b"w", "impossible shape"),
+    ((2**20, 2**20), b"w", "truncated"),
+    ((), b"\xff\xfe", "UTF-8"),
+])
+def test_hostile_checkpoint_entry_rejected(tmp_path, shape, name, match):
+    path = hostile_checkpoint(tmp_path / "w.lsfw", shape, name)
+    with pytest.raises(FormatError, match=match):
+        storage.read_checkpoint(path)

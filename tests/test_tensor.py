@@ -1,5 +1,6 @@
 """Tensor and autodiff tests: closed-form oracles, exact conv references,
-and finite-difference batteries for every differentiable op."""
+a tolerance oracle for the library's GEMM conv, and finite-difference
+batteries for every differentiable op."""
 
 import itertools
 
@@ -72,6 +73,104 @@ def conv3d_naive(x, w, stride=1, padding=0):
     return out
 
 
+def conv_tap_order(x, w, stride=1, padding=0):
+    """Reference conv forward: accumulates one kernel tap at a time in
+    channel-major tap order, one multiply and one add per element, so every
+    output element is summed in exactly the naive-loop order. `x` is
+    `(cin, *spatial)` or `(n, cin, *spatial)`, `w` is `(cout, cin, *kernel)`."""
+    nsp = w.ndim - 2
+    batched = x.ndim == nsp + 2
+    xd = x if batched else x[None]
+    strides = (stride,) * nsp if isinstance(stride, int) else tuple(stride)
+    pads = (padding,) * nsp if isinstance(padding, int) else tuple(padding)
+    batch, cin = xd.shape[0], xd.shape[1]
+    cout = w.shape[0]
+    ksz = w.shape[2:]
+    out_sp = tuple(
+        (n + 2 * p - k) // s + 1 for n, k, s, p in zip(xd.shape[2:], ksz, strides, pads)
+    )
+
+    xp = np.pad(xd, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
+    taps = list(itertools.product(range(cin), *(range(k) for k in ksz)))
+    n_taps = len(taps)
+    n_pos = int(np.prod(out_sp))
+
+    cols = np.empty((n_taps, batch * n_pos), dtype=xd.dtype)
+    for row, tap in enumerate(taps):
+        ci, offsets = tap[0], tap[1:]
+        sl = (slice(None), ci) + tuple(
+            slice(o, o + s * (n - 1) + 1, s) for o, s, n in zip(offsets, strides, out_sp)
+        )
+        cols[row] = xp[sl].reshape(-1)
+
+    w2 = np.ascontiguousarray(w.reshape(cout, n_taps))
+    out2 = np.zeros((cout, batch * n_pos), dtype=xd.dtype)
+    tmp = np.empty_like(out2)
+    for row in range(n_taps):
+        np.multiply(w2[:, row, None], cols[row], out=tmp)
+        out2 += tmp
+
+    out = out2.reshape(cout, batch, *out_sp).swapaxes(0, 1)
+    return np.ascontiguousarray(out if batched else out[0])
+
+
+def random_conv2d_case(seed):
+    r = rng(seed)
+    cin = int(r.integers(1, 5))
+    cout = int(r.integers(1, 5))
+    h, w = (int(r.integers(2, 6)) for _ in range(2))
+    kh = int(r.integers(1, h + 1))
+    kw = int(r.integers(1, w + 1))
+    return r.normal(size=(cin, h, w)), r.normal(size=(cout, cin, kh, kw))
+
+
+def random_conv3d_case(seed):
+    r = rng(seed + 100)
+    cin = int(r.integers(1, 4))
+    cout = int(r.integers(1, 3))
+    d, h, w = (int(r.integers(2, 5)) for _ in range(3))
+    kd = int(r.integers(1, d + 1))
+    kh = int(r.integers(1, h + 1))
+    kw = int(r.integers(1, w + 1))
+    return r.normal(size=(cin, d, h, w)), r.normal(size=(cout, cin, kd, kh, kw))
+
+
+STRIDE_PADDING = [(2, 0), (1, 1), (2, 1), ((1, 2), (2, 1))]
+
+
+def strided_case():
+    r = rng(99)
+    return r.normal(size=(3, 5, 5)), r.normal(size=(2, 3, 3, 3))
+
+
+# Elementwise bound on |library - reference|, relative to the reference
+# kernel run on |x| and |w| (the sum of the magnitudes of the products).
+CONV_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+# (input shape, kernel shape, padding) of the model's seven conv blocks at
+# the paper geometry (patch 11, 30 PCA dimensions), batch 2.
+MODEL_CONV_SHAPES = [
+    ((2, 1, 30, 11, 11), (8, 1, 7, 3, 3), 0),      # hsi.block1
+    ((2, 8, 24, 9, 9), (16, 8, 5, 3, 3), 0),       # hsi.block2
+    ((2, 16, 20, 7, 7), (32, 16, 3, 3, 3), 0),     # hsi.block3
+    ((2, 576, 5, 5), (64, 576, 3, 3), 1),          # hsi.block4
+    ((2, 1, 11, 11), (16, 1, 3, 3), 0),            # lidar.block1
+    ((2, 16, 9, 9), (32, 16, 3, 3), 0),            # lidar.block2
+    ((2, 32, 7, 7), (64, 32, 3, 3), 0),            # lidar.block3
+]
+
+
+def assert_conv_within_tolerance(x, k, dtype, stride=1, padding=0):
+    x = x.astype(dtype)
+    k = k.astype(dtype)
+    conv = T.conv3d if k.ndim == 5 else T.conv2d
+    got = conv(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), stride, padding).data
+    want = conv_tap_order(x, k, stride, padding)
+    scale = conv_tap_order(np.abs(x), np.abs(k), stride, padding)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.all(np.abs(got - want) <= CONV_TOL[dtype] * scale)
+
+
 # ----------------------------------------------------------------------
 # matmul
 
@@ -142,26 +241,27 @@ class TestConv2d:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_match_with_naive_loops(self, seed):
-        r = rng(seed)
-        cin = int(r.integers(1, 5))
-        cout = int(r.integers(1, 5))
-        h, w = (int(r.integers(2, 6)) for _ in range(2))
-        kh = int(r.integers(1, h + 1))
-        kw = int(r.integers(1, w + 1))
-        x = r.normal(size=(cin, h, w))
-        k = r.normal(size=(cout, cin, kh, kw))
-        got = T.conv2d(Tensor(x), Tensor(k)).data
-        want = conv2d_naive(x, k)
+        x, k = random_conv2d_case(seed)
         # bit-for-bit, not approximately: same summation order
-        assert np.array_equal(got, want)
+        assert np.array_equal(conv_tap_order(x, k), conv2d_naive(x, k))
 
-    @pytest.mark.parametrize("stride,padding", [(2, 0), (1, 1), (2, 1), ((1, 2), (2, 1))])
+    @pytest.mark.parametrize("stride,padding", STRIDE_PADDING)
     def test_exact_match_strided_padded(self, stride, padding):
-        r = rng(99)
-        x = r.normal(size=(3, 5, 5))
-        k = r.normal(size=(2, 3, 3, 3))
-        got = T.conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
+        x, k = strided_case()
+        got = conv_tap_order(x, k, stride, padding)
         assert np.array_equal(got, conv2d_naive(x, k, stride, padding))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_within_tolerance_of_reference(self, seed, dtype):
+        x, k = random_conv2d_case(seed)
+        assert_conv_within_tolerance(x, k, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", STRIDE_PADDING)
+    def test_strided_padded_within_tolerance(self, stride, padding, dtype):
+        x, k = strided_case()
+        assert_conv_within_tolerance(x, k, dtype, stride, padding)
 
     def test_batched_equals_per_sample(self):
         r = rng(7)
@@ -193,17 +293,40 @@ class TestConv3d:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_match_with_naive_loops(self, seed):
-        r = rng(seed + 100)
-        cin = int(r.integers(1, 4))
-        cout = int(r.integers(1, 3))
-        d, h, w = (int(r.integers(2, 5)) for _ in range(3))
-        kd = int(r.integers(1, d + 1))
-        kh = int(r.integers(1, h + 1))
-        kw = int(r.integers(1, w + 1))
-        x = r.normal(size=(cin, d, h, w))
-        k = r.normal(size=(cout, cin, kd, kh, kw))
-        got = T.conv3d(Tensor(x), Tensor(k)).data
-        assert np.array_equal(got, conv3d_naive(x, k))
+        x, k = random_conv3d_case(seed)
+        assert np.array_equal(conv_tap_order(x, k), conv3d_naive(x, k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_within_tolerance_of_reference(self, seed, dtype):
+        x, k = random_conv3d_case(seed)
+        assert_conv_within_tolerance(x, k, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", [(2, 0), (1, 1), ((1, 2, 1), (0, 1, 2))])
+    def test_strided_padded_within_tolerance(self, stride, padding, dtype):
+        r = rng(98)
+        x = r.normal(size=(2, 5, 5, 5))
+        k = r.normal(size=(3, 2, 3, 3, 3))
+        assert_conv_within_tolerance(x, k, dtype, stride, padding)
+
+    def test_batched_equals_per_sample(self):
+        r = rng(8)
+        x = r.normal(size=(3, 2, 5, 4, 4))
+        k = r.normal(size=(2, 2, 3, 3, 3))
+        full = T.conv3d(Tensor(x), Tensor(k)).data
+        for i in range(3):
+            single = T.conv3d(Tensor(x[i]), Tensor(k)).data
+            assert np.array_equal(full[i], single)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,padding", MODEL_CONV_SHAPES)
+def test_model_conv_blocks_within_tolerance(x_shape, k_shape, padding, dtype):
+    r = rng(len(x_shape) * 100 + k_shape[1])
+    x = r.normal(size=x_shape)
+    k = r.normal(size=k_shape) / np.sqrt(np.prod(k_shape[1:]))
+    assert_conv_within_tolerance(x, k, dtype, padding=padding)
 
 
 # ----------------------------------------------------------------------
