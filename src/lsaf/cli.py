@@ -38,7 +38,7 @@ from .data import (
     synth_generate,
 )
 from .errors import ConfigError, ContractError, FormatError, LsafError, NumericError
-from .model import LsafModel, ModelConfig
+from .model import MODES, LsafModel, ModelConfig
 from .train import (
     Adam,
     TrainConfig,
@@ -85,7 +85,7 @@ _CONFIG_DEFAULTS: dict = {
     "pca_dims": DEFAULT_PCA_DIMS,
     "hidden": 128,
     "se_reduction": 4,
-    "mode": "full",
+    "mode": None,  # "full" for a new model; eval, map and --resume take the checkpoint's
     "dtype": "float32",
     "lr": 1e-4,
     "epochs": 110,
@@ -98,6 +98,8 @@ _CONFIG_DEFAULTS: dict = {
     "pca_on_labeled": False,
     "checkpoint_every": 0,
 }
+
+DEFAULT_MODE = "full"
 
 _STR_KEYS = {"hsi", "lidar", "labels", "out", "mode", "dtype"}
 _INT_KEYS = {"patch", "pca_dims", "hidden", "se_reduction", "epochs", "batch",
@@ -221,19 +223,51 @@ def _model_meta(model: LsafModel, config: dict, epochs_trained: int) -> dict:
         "meta.se_reduction": np.array(float(cfg.se_reduction)),
         "meta.epochs_trained": np.array(float(epochs_trained)),
         "meta.seed": np.array(float(config["seed"])),
+        "meta.mode": np.array(float(MODES.index(model.mode))),
     }
 
 
 def _sync_config_with_meta(config: dict, state: dict) -> None:
-    """Checkpoint metadata wins over config for model geometry: the stored
-    weights fix the architecture, so eval/map/resume must cut patches and
-    project spectra exactly as the training run did."""
+    """Checkpoint metadata wins over config for model geometry and mode: the
+    stored weights fix the architecture and which of them were trained, so
+    eval/map/resume must cut patches, project spectra and run the branches
+    exactly as the training run did. A config file that names another mode
+    is an error; a checkpoint older than `meta.mode` runs the config's."""
     for key in ("meta.num_classes", "meta.pca_dims", "meta.patch",
                 "meta.hidden", "meta.se_reduction", "meta.epochs_trained"):
         if key not in state:
             raise ContractError(f"checkpoint is missing '{key}'")
+        _meta_int(state, key)
     for key in ("pca_dims", "patch", "hidden", "se_reduction"):
         config[key] = int(state[f"meta.{key}"])
+    if "meta.mode" not in state:
+        config["mode"] = config["mode"] or DEFAULT_MODE
+        log.warning("checkpoint has no meta.mode; running it in the config's mode '%s'",
+                    config["mode"])
+        return
+    code = _meta_int(state, "meta.mode")
+    if not 0 <= code < len(MODES):
+        raise FormatError(f"checkpoint meta.mode {code} is not one of the mode codes "
+                          f"0-{len(MODES) - 1} ({', '.join(MODES)})")
+    mode = MODES[code]
+    if config["mode"] not in (None, mode):
+        raise ConfigError(f"config key 'mode' is '{config['mode']}', but the checkpoint "
+                          f"was trained with meta.mode '{mode}'")
+    config["mode"] = mode
+
+
+def _meta_int(state: dict, key: str) -> int:
+    value = np.asarray(state[key])
+    if value.shape != () or not np.isfinite(value) or value != int(value):
+        raise FormatError(f"checkpoint {key} must be an integer scalar, got {value.tolist()!r}")
+    return int(value)
+
+
+def _stored_preprocessing(state: dict, path: str) -> dict:
+    pre = {k: v for k, v in state.items() if k.startswith("pre.")}
+    if not pre:
+        raise FormatError(f"{path}: no preprocessing constants stored")
+    return pre
 
 
 def _model_from_checkpoint(state: dict, config: dict) -> LsafModel:
@@ -252,6 +286,25 @@ def _model_from_checkpoint(state: dict, config: dict) -> LsafModel:
 def _load_scene(config: dict) -> RasterPair:
     _require_paths(config)
     return load_raster(config["hsi"], config["lidar"], config["labels"])
+
+
+def _run_config(args) -> dict:
+    """The command's configuration, with its dtype set and output directory made."""
+    config = load_config(args.config, _overrides(args))
+    T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
+    os.makedirs(config["out"], exist_ok=True)
+    return config
+
+
+def _restore(args):
+    """What eval and map start from: (config, scene, preprocessing constants,
+    model), the config adopting the checkpoint's geometry and mode."""
+    config = _run_config(args)
+    state = storage.read_checkpoint(args.checkpoint)
+    _sync_config_with_meta(config, state)
+    pair = _load_scene(config)
+    pre = _stored_preprocessing(state, args.checkpoint)
+    return config, pair, pre, _model_from_checkpoint(state, config)
 
 
 # ----------------------------------------------------------------------
@@ -279,10 +332,8 @@ def _prepare_patches(config: dict, pair: RasterPair, pre: dict):
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
+    config = _run_config(args)
     out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.lsfw")
 
     pair = _load_scene(config)
@@ -300,9 +351,7 @@ def cmd_train(args) -> int:
                 f"epochs {config['epochs']} does not exceed the checkpoint's "
                 f"meta.epochs_trained {trained}; nothing to resume"
             )
-        pre = {k: v for k, v in resume_state.items() if k.startswith("pre.")}
-        if not pre:
-            raise FormatError(f"{args.resume}: no preprocessing constants stored")
+        pre = _stored_preprocessing(resume_state, args.resume)
         log.info("resuming from %s", args.resume)
     else:
         pre = _fit_preprocessing(pair, config)
@@ -323,7 +372,8 @@ def cmd_train(args) -> int:
             hidden=config["hidden"],
             se_reduction=config["se_reduction"],
         )
-        model = LsafModel(model_config, seed=config["seed"], mode=config["mode"])
+        model = LsafModel(model_config, seed=config["seed"],
+                          mode=config["mode"] or DEFAULT_MODE)
         start_epoch = 0
     log.info("model mode=%s, %d parameters", model.mode, model.num_params)
 
@@ -360,48 +410,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
-    out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
-
-    state = storage.read_checkpoint(args.checkpoint)
-    _sync_config_with_meta(config, state)
-    pair = _load_scene(config)
-    pre = {k: v for k, v in state.items() if k.startswith("pre.")}
-    if not pre:
-        raise FormatError(f"{args.checkpoint}: no preprocessing constants stored")
-    model = _model_from_checkpoint(state, config)
-
+    config, pair, pre, model = _restore(args)
     patches = _prepare_patches(config, pair, pre)
     _, test_set = split(patches, config["train_fraction"], config["seed"])
     report = evaluate(model, test_set)
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), report)
+    write_metrics_csv(os.path.join(config["out"], "metrics.csv"), report)
     print(render_report(report))
     return EXIT_OK
 
 
 def cmd_map(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
-    out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
-
-    state = storage.read_checkpoint(args.checkpoint)
-    _sync_config_with_meta(config, state)
-    pair = _load_scene(config)
-    pre = {k: v for k, v in state.items() if k.startswith("pre.")}
-    if not pre:
-        raise FormatError(f"{args.checkpoint}: no preprocessing constants stored")
-    model = _model_from_checkpoint(state, config)
-
+    config, pair, pre, model = _restore(args)
     patches = _prepare_patches(config, pair, pre)
     image = np.zeros((pair.height, pair.width, 3), dtype=np.uint8)
     if len(patches):
         preds = predict(model, patches)
         for (row, col), label in zip(patches.pixels, preds):
             image[row, col] = palette_color(int(label))
-    out_path = os.path.join(out_dir, "map.ppm")
+    out_path = os.path.join(config["out"], "map.ppm")
     storage.write_ppm(out_path, image)
     print(f"map: {out_path} ({pair.width}x{pair.height})")
     return EXIT_OK

@@ -8,7 +8,7 @@ parallel implementations of any step must preserve that ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,14 +182,28 @@ def normalize(raster: np.ndarray) -> np.ndarray:
     return scaled.reshape(raster.shape)
 
 
+@dataclass(frozen=True)
+class PaddedScene:
+    """The mirror-padded rasters that patches are cut from: the s×s patch
+    centred on pixel (row, col) is `hsi[:, row:row + s, col:col + s]`."""
+
+    hsi: np.ndarray  # (r, H + s - 1, W + s - 1)
+    lidar: np.ndarray  # (1, H + s - 1, W + s - 1)
+
+
 @dataclass
 class PatchSet:
-    """Centered patches for every labeled pixel, in row-major pixel order."""
+    """Centered patches for every labeled pixel, in row-major pixel order.
+
+    `scene` is the padded scene the patches were cut from, when known; it is
+    shared, not copied, by every subset that `take` and `split` make.
+    """
 
     hsi: np.ndarray  # (n, r, s, s)
     lidar: np.ndarray  # (n, 1, s, s)
     labels: np.ndarray  # (n,) values in 1..K
     pixels: np.ndarray  # (n, 2) source (row, col) of each patch center
+    scene: PaddedScene | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.labels.shape[0]
@@ -206,7 +220,8 @@ class PatchSet:
         return self.hsi.shape[-1]
 
     def take(self, idx: np.ndarray) -> "PatchSet":
-        return PatchSet(self.hsi[idx], self.lidar[idx], self.labels[idx], self.pixels[idx])
+        return PatchSet(self.hsi[idx], self.lidar[idx], self.labels[idx], self.pixels[idx],
+                        self.scene)
 
 
 def extract_patches(pair: RasterPair, s: int = DEFAULT_PATCH) -> PatchSet:
@@ -228,7 +243,8 @@ def extract_patches(pair: RasterPair, s: int = DEFAULT_PATCH) -> PatchSet:
         hsi_patches[i] = hsi_pad[:, row : row + s, col : col + s]
         lidar_patches[i] = lidar_pad[:, row : row + s, col : col + s]
     labels = pair.labels[coords[:, 0], coords[:, 1]].astype(np.int64)
-    return PatchSet(hsi=hsi_patches, lidar=lidar_patches, labels=labels, pixels=coords)
+    return PatchSet(hsi=hsi_patches, lidar=lidar_patches, labels=labels, pixels=coords,
+                    scene=PaddedScene(hsi=hsi_pad, lidar=lidar_pad))
 
 
 def _check_patch_size(s: int, height: int, width: int) -> None:

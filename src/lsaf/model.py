@@ -19,10 +19,22 @@ tensor per spatial position with a softmax, and recalibrates the
 concatenated features with a squeeze-and-excite bottleneck. The decision
 head classifies each path separately and sums the three logit vectors with
 two learned scalar weights on the single-modality paths.
+
+The extractors run over `Windows`: a batch of tiles plus the top-left corner
+of each patch window in them. HSI blocks 1-3 and the LiDAR blocks are valid
+convolutions, so they run once over each tile; a gather then cuts every
+window's (s−6)×(s−6) feature map, and HSI block4 (zero-padded per window),
+the attention and the heads run per window. A plain patch batch is the
+degenerate case, one tile per patch and one window covering it, and that is
+what training runs. Inference may instead pass whole scene tiles
+(`train.predict` picks per tile by `tile_conv_flops`); its logits then agree
+with per-patch inference within the convolution tolerance of `tensor.py`,
+not bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +185,35 @@ class ConvBlock:
 # feature extractors
 
 
+@dataclass(frozen=True)
+class Windows:
+    """Patch windows in a batch of tiles: `tiles` is (t, bands, h, w), and
+    row i of the (m, 3) `index` is the (tile, row, col) of window i's
+    top-left corner. Each window is patch×patch."""
+
+    tiles: Tensor
+    index: np.ndarray
+
+    @classmethod
+    def of_patches(cls, patches: Tensor) -> "Windows":
+        """One tile per patch, holding one window that covers it."""
+        index = np.zeros((patches.shape[0], 3), dtype=np.intp)
+        index[:, 0] = np.arange(patches.shape[0])
+        return cls(patches, index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+def _valid_convs_flops(blocks, spatial: tuple) -> int:
+    """Forward FLOPs of a stack of unpadded conv blocks on one input."""
+    flops = 0
+    for block in blocks:
+        spatial = block.out_spatial(spatial)
+        flops += 2 * block.kernels.size * math.prod(spatial)
+    return flops
+
+
 class HsiExtractor:
     """Spectral-spatial stack: three 3-D conv blocks, then one 2-D block
     after folding the spectral axis into channels."""
@@ -188,20 +229,22 @@ class HsiExtractor:
             spectral, side, _ = block.out_spatial((spectral, side, side))
         self.folded_channels = 32 * spectral
         self.block2d = ConvBlock(rng, self.folded_channels, FEATURE_CHANNELS, (3, 3), padding=1)
+        self._window_side = side
         self._out_side = self.block2d.out_spatial((side, side))[0]
 
     def output_shape(self) -> tuple:
         return (FEATURE_CHANNELS, self._out_side, self._out_side)
 
-    def __call__(self, patches: Tensor, training: bool) -> Tensor:
-        if patches.ndim != 4:
-            raise ShapeError(f"expected (n, bands, s, s) patches, got {patches.shape}")
-        n, bands, s, _ = patches.shape
-        x = patches.reshape(n, 1, bands, s, s)
+    def __call__(self, windows: Windows, training: bool) -> Tensor:
+        tiles = windows.tiles
+        if tiles.ndim != 4:
+            raise ShapeError(f"expected (n, bands, h, w) tiles, got {tiles.shape}")
+        n, bands, h, w = tiles.shape
+        x = tiles.reshape(n, 1, bands, h, w)
         for block in self.blocks3d:
             x = block(x, training)
         n_, c, d, h, w = x.shape
-        x = x.reshape(n_, c * d, h, w)
+        x = T.gather_windows(x.reshape(n_, c * d, h, w), windows.index, self._window_side)
         return self.block2d(x, training)
 
     def named_params(self, prefix: str) -> dict:
@@ -236,13 +279,13 @@ class LidarExtractor:
     def output_shape(self) -> tuple:
         return (FEATURE_CHANNELS, self._out_side, self._out_side)
 
-    def __call__(self, patches: Tensor, training: bool) -> Tensor:
-        if patches.ndim != 4 or patches.shape[1] != 1:
-            raise ShapeError(f"expected (n, 1, s, s) patches, got {patches.shape}")
-        x = patches
+    def __call__(self, windows: Windows, training: bool) -> Tensor:
+        x = windows.tiles
+        if x.ndim != 4 or x.shape[1] != 1:
+            raise ShapeError(f"expected (n, 1, h, w) tiles, got {x.shape}")
         for block in self.blocks:
             x = block(x, training)
-        return x
+        return T.gather_windows(x, windows.index, self._out_side)
 
     def named_params(self, prefix: str) -> dict:
         out: dict = {}
@@ -456,32 +499,29 @@ class LsafModel:
 
     # -- plumbing ------------------------------------------------------
 
-    def extract_features(self, hsi_patches: Tensor, lidar_patches: Tensor, training: bool = False):
+    def extract_features(self, hsi, lidar, training: bool = False):
         """Run both extractors and flatten the maps to (n, c, hw)."""
-        map_h = self.hsi_extractor(hsi_patches, training)
-        map_l = self.lidar_extractor(lidar_patches, training)
+        map_h = self.hsi_extractor(self._windows(hsi, training), training)
+        map_l = self.lidar_extractor(self._windows(lidar, training), training)
         n, c = map_h.shape[0], map_h.shape[1]
         hw = map_h.shape[2] * map_h.shape[3]
         return map_h.reshape(n, c, hw), map_l.reshape(n, c, hw)
 
-    def forward(self, hsi_patches, lidar_patches, training: bool = False) -> Tensor:
-        """Class logits (n, K) for a batch of co-located patch pairs."""
-        hsi_patches = self._as_tensor(hsi_patches)
-        lidar_patches = self._as_tensor(lidar_patches)
+    def forward(self, hsi, lidar, training: bool = False) -> Tensor:
+        """Class logits (n, K) for a batch of co-located patch pairs, or for
+        the windows of co-located scene tiles (`Windows`, eval only)."""
         if self.mode == "hsi":
-            feat = self.hsi_extractor(hsi_patches, training)
+            feat = self.hsi_extractor(self._windows(hsi, training), training)
             return self.fusion.head_hsi(feat.reshape(feat.shape[0], -1))
         if self.mode == "lidar":
-            feat = self.lidar_extractor(lidar_patches, training)
+            feat = self.lidar_extractor(self._windows(lidar, training), training)
             return self.fusion.head_lidar(feat.reshape(feat.shape[0], -1))
-        combined, _, _, _ = self.forward_parts(hsi_patches, lidar_patches, training)
+        combined, _, _, _ = self.forward_parts(hsi, lidar, training)
         return combined
 
-    def forward_parts(self, hsi_patches, lidar_patches, training: bool = False):
+    def forward_parts(self, hsi, lidar, training: bool = False):
         """Full-path forward returning (combined, hsi, lidar, fused) logits."""
-        hsi_patches = self._as_tensor(hsi_patches)
-        lidar_patches = self._as_tensor(lidar_patches)
-        feat_h, feat_l = self.extract_features(hsi_patches, lidar_patches, training)
+        feat_h, feat_l = self.extract_features(hsi, lidar, training)
         fused = self.attention(feat_h, feat_l)
         n = fused.shape[0]
         return self.fusion(
@@ -490,9 +530,34 @@ class LsafModel:
             fused.reshape(n, -1),
         )
 
-    @staticmethod
-    def _as_tensor(x) -> Tensor:
-        return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+    def _windows(self, x, training: bool) -> Windows:
+        """Patches as the degenerate `Windows`; tile windows pass through."""
+        if isinstance(x, Windows):
+            if training:
+                raise ContractError(
+                    "scene tiles are eval-only: training batch norm would take its "
+                    "statistics over whole tiles instead of patches"
+                )
+            return x
+        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+        side = self.config.patch
+        if x.ndim != 4 or x.shape[2:] != (side, side):
+            raise ShapeError(f"expected (n, bands, {side}, {side}) patches, got {x.shape}")
+        return Windows.of_patches(x)
+
+    def tile_conv_flops(self, height: int, width: int) -> int:
+        """Forward FLOPs of the convolutions a scene tile shares between its
+        windows (HSI blocks 1-3 and the LiDAR blocks, for the branches
+        `mode` runs), over a tile of height×width window positions. A single
+        patch is the 1×1 tile."""
+        rim = self.config.patch - 1
+        flops = 0
+        if self.mode != "lidar":
+            flops += _valid_convs_flops(
+                self.hsi_extractor.blocks3d, (self.config.pca_dims, height + rim, width + rim))
+        if self.mode != "hsi":
+            flops += _valid_convs_flops(self.lidar_extractor.blocks, (height + rim, width + rim))
+        return flops
 
     # -- parameter access ----------------------------------------------
 

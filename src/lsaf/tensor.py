@@ -48,6 +48,7 @@ __all__ = [
     "softmax",
     "conv2d",
     "conv3d",
+    "gather_windows",
     "batch_norm",
     "cross_entropy",
     "finite_diff_check",
@@ -609,6 +610,46 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
         return (gx if batched else gx[0]), gw
 
     return _node(out_data, (x, w), f"conv{nsp}d", grad_fn)
+
+
+# ----------------------------------------------------------------------
+# window gather
+
+
+def gather_windows(x: Tensor, index, size: int) -> Tensor:
+    """Square windows cut from `(t, c, h, w)` maps: `(m, c, size, size)`.
+
+    Row i of the `(m, 3)` integer `index` is `(tile, row, col)`, and output
+    i is `x[tile, :, row:row + size, col:col + size]`. Windows may overlap
+    or repeat; the backward pass sums their gradients back into the maps.
+    When window i is map i whole, for every i, `x` itself is returned.
+    """
+    index = np.asarray(index)
+    if x.ndim != 4:
+        raise ShapeError(f"gather_windows expects (t, c, h, w) maps, got {x.shape}")
+    if index.ndim != 2 or index.shape[1] != 3 or not np.issubdtype(index.dtype, np.integer):
+        raise ShapeError(f"window index must be (m, 3) integers, got {index.shape} {index.dtype}")
+    t, _, h, w = x.shape
+    tile, row, col = index.T
+    if size < 1 or index.size and (
+        tile.min() < 0 or tile.max() >= t or row.min() < 0 or col.min() < 0
+        or row.max() + size > h or col.max() + size > w
+    ):
+        raise ShapeError(f"windows of side {size} fall outside maps of shape {x.shape}")
+    if size == h == w and np.array_equal(tile, np.arange(t)):
+        # Window i is map i whole (a patch batch): the maps are the windows,
+        # with no copy and no tape node (whose gradient would be a copy too).
+        return x
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, (size, size), axis=(2, 3))
+    data = windows[tile, :, row, col]
+
+    def grad_fn(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        for i, (ti, r, c) in enumerate(index.tolist()):
+            gx[ti, :, r:r + size, c:c + size] += g[i]
+        return (gx,)
+
+    return _node(data, (x,), "gather_windows", grad_fn)
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,23 @@ reproducible without replaying epochs 0..k-1.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import tensor as T
 from .data import PatchSet
-from .errors import ConfigError, ContractError, NumericError
-from .model import LsafModel
+from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .model import LsafModel, Windows
 from .tensor import Tensor
+
+# Side, in pixels, of the square scene tiles that `predict` may convolve
+# whole. It bounds the largest im2col buffer of a tile's forward: HSI
+# block4's over the tile's 121 windows, 5,184 taps by 3,025 columns at the
+# paper geometry, about 60 MiB of float32.
+TILE = 11
 
 
 @dataclass
@@ -228,16 +236,92 @@ def evaluate(model: LsafModel, test_set: PatchSet, batch: int = 256) -> MetricsR
     )
 
 
+class Tile(NamedTuple):
+    """A scene tile: its top-left pixel, its extent, and which pixels of the
+    predicted set lie inside it (indices into the set, in set order)."""
+
+    row: int
+    col: int
+    height: int
+    width: int
+    members: np.ndarray
+
+
+def plan_tiles(pixels: np.ndarray, height: int, width: int,
+               tile_flops: Callable[[int, int], int]):
+    """Choose, per scene tile, between shared and per-patch inference.
+
+    The height×width scene is cut into TILE×TILE tiles, the last row and
+    column ragged. A tile holding n of `pixels` is shared when convolving it
+    whole costs fewer FLOPs than n single patches do:
+    `tile_flops(h, w) < n · tile_flops(1, 1)`. Returns the shared tiles and,
+    in set order, the indices of all other pixels.
+    """
+    pixels = np.asarray(pixels, dtype=np.int64).reshape(-1, 2)
+    tile_flops = functools.lru_cache(maxsize=None)(tile_flops)  # 4 tile shapes at most
+    tile_cols = -(-width // TILE)
+    tile_of = (pixels[:, 0] // TILE) * tile_cols + pixels[:, 1] // TILE
+    order = np.argsort(tile_of, kind="stable")
+    ids, starts, counts = np.unique(tile_of[order], return_index=True, return_counts=True)
+    patch_flops = tile_flops(1, 1)
+    shared = []
+    per_patch = np.ones(len(pixels), dtype=bool)
+    for tile_id, start, count in zip(ids.tolist(), starts.tolist(), counts.tolist()):
+        row, col = tile_id // tile_cols * TILE, tile_id % tile_cols * TILE
+        h, w = min(TILE, height - row), min(TILE, width - col)
+        if tile_flops(h, w) < count * patch_flops:
+            members = order[start:start + count]
+            shared.append(Tile(row, col, h, w, members))
+            per_patch[members] = False
+    return shared, np.flatnonzero(per_patch)
+
+
 def predict(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.ndarray:
-    """Predicted labels (1..K) for every patch, in the set's order."""
+    """Predicted labels (1..K) for every patch, in the set's order.
+
+    When the set knows the padded scene it was cut from, inference may
+    convolve scene tiles once and gather each pixel's window from them:
+    `plan_tiles` picks per tile by a FLOP count from layer shapes. A shared
+    tile is one forward over the whole tile, whose valid convolutions run
+    once before each pixel's window of features is gathered. The pixels of
+    all other tiles go through ordinary per-patch batches of `batch`, pooled
+    across tiles. The logits agree with per-patch inference within the
+    convolution tolerance of `tensor.py`, not bit for bit, so a label can
+    differ only at a near-tie; repeated calls agree bit for bit.
+    """
+    return predict_logits(model, patches, batch).argmax(axis=1) + 1
+
+
+def predict_logits(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.ndarray:
+    """Class logits (n, K) for every patch, in the set's order: the scores
+    behind `predict`, computed the same way."""
+    if patches.patch != model.config.patch:
+        raise ShapeError(
+            f"patches are {patches.patch}x{patches.patch}, model expects {model.config.patch}"
+        )
     dtype = T.default_dtype()
-    out = np.empty(len(patches), dtype=np.int64)
+    out = np.empty((len(patches), model.config.num_classes))  # float64 holds either dtype
+    scene = patches.scene
+    rim = patches.patch - 1
+    if scene is None:
+        shared, per_patch = [], np.arange(len(patches))
+    else:
+        _, height, width = scene.lidar.shape
+        shared, per_patch = plan_tiles(patches.pixels, height - rim, width - rim,
+                                       model.tile_conv_flops)
     with T.no_grad():
-        for start in range(0, len(patches), batch):
-            idx = np.arange(start, min(start + batch, len(patches)))
+        for start in range(0, len(per_patch), batch):
+            idx = per_patch[start : start + batch]
             hsi, lidar, _ = _batch_tensors(patches, idx, dtype)
-            logits = model.forward(hsi, lidar, training=False)
-            out[idx] = logits.data.argmax(axis=1) + 1
+            out[idx] = model.forward(hsi, lidar, training=False).data
+        for tile in shared:
+            area = (slice(None), slice(tile.row, tile.row + tile.height + rim),
+                    slice(tile.col, tile.col + tile.width + rim))
+            index = np.zeros((len(tile.members), 3), dtype=np.intp)
+            index[:, 1:] = patches.pixels[tile.members] - (tile.row, tile.col)
+            hsi = Windows(Tensor(scene.hsi[area][None].astype(dtype)), index)
+            lidar = Windows(Tensor(scene.lidar[area][None].astype(dtype)), index)
+            out[tile.members] = model.forward(hsi, lidar, training=False).data
     return out
 
 

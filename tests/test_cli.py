@@ -336,3 +336,84 @@ class TestMap:
             assert run(["map", "--config", config_path, "--checkpoint", ckpt,
                         "--out", d]) == 0
         assert (dirs[0] / "map.ppm").read_bytes() == (dirs[1] / "map.ppm").read_bytes()
+
+
+# ----------------------------------------------------------------------
+# the checkpoint fixes the mode
+
+
+def with_keys(config_path, name, **keys):
+    config = json.loads(config_path.read_text())
+    config.update(keys)
+    path = config_path.parent / name
+    path.write_text(json.dumps(config))
+    return path
+
+
+class TestCheckpointMode:
+    @pytest.fixture()
+    def hsi_run(self, config_path, tmp_path, capsys):
+        """An hsi-mode training run: its output directory."""
+        out = tmp_path / "hsi"
+        path = with_keys(config_path, "hsi.json", mode="hsi", out=str(out))
+        assert run(["train", "--config", path]) == 0
+        capsys.readouterr()
+        return out
+
+    def test_train_writes_mode(self, hsi_run):
+        state = storage.read_checkpoint(hsi_run / "checkpoint.lsfw")
+        assert float(state["meta.mode"]) == 1.0  # code 1 = hsi
+
+    def test_eval_map_and_resume_adopt_it(self, hsi_run, config_path, tmp_path):
+        ckpt = hsi_run / "checkpoint.lsfw"
+        eval_dir = tmp_path / "eval"
+        assert run(["eval", "--config", config_path, "--checkpoint", ckpt,
+                    "--out", eval_dir]) == 0
+        assert (eval_dir / "metrics.csv").read_bytes() == \
+            (hsi_run / "metrics.csv").read_bytes()
+        assert run(["map", "--config", config_path, "--checkpoint", ckpt,
+                    "--out", tmp_path / "map"]) == 0
+        resumed = tmp_path / "resumed"
+        assert run(["train", "--config", config_path, "--resume", ckpt,
+                    "--epochs", 3, "--out", resumed]) == 0
+        state = storage.read_checkpoint(resumed / "checkpoint.lsfw")
+        assert float(state["meta.mode"]) == 1.0
+        assert not any(name.startswith("opt.m.lidar") for name in state)
+
+    @pytest.mark.parametrize("command", ["eval", "map", "train"])
+    def test_conflicting_config_mode_is_config_error(self, hsi_run, config_path, tmp_path,
+                                                      capsys, command):
+        path = with_keys(config_path, "full.json", mode="full", out=str(tmp_path / "x"))
+        flag = "--resume" if command == "train" else "--checkpoint"
+        argv = [command, "--config", path, flag, hsi_run / "checkpoint.lsfw"]
+        assert run(argv + (["--epochs", 3] if command == "train" else [])) == 1
+        err = capsys.readouterr().err
+        assert "'mode'" in err and "hsi" in err
+        assert not (tmp_path / "x" / "checkpoint.lsfw").exists()
+
+    def test_legacy_checkpoint_runs_config_mode(self, config_path, tmp_path, capsys, caplog):
+        assert run(["train", "--config", config_path]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.lsfw"
+        state = storage.read_checkpoint(ckpt)
+        del state["meta.mode"]
+        storage.write_checkpoint(ckpt, state)
+        capsys.readouterr()
+        eval_dir = tmp_path / "eval"
+        with caplog.at_level("WARNING", logger="lsaf"):
+            assert run(["eval", "--config", config_path, "--checkpoint", ckpt,
+                        "--out", eval_dir]) == 0
+        assert "meta.mode" in caplog.text
+        assert (eval_dir / "metrics.csv").read_bytes() == \
+            (tmp_path / "run" / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("key,value", [
+        ("meta.mode", 3.0), ("meta.mode", 0.5), ("meta.mode", np.nan),
+        ("meta.mode", [1.0, 1.0]), ("meta.patch", [7.0, 7.0]), ("meta.epochs_trained", np.inf),
+    ])
+    def test_malformed_meta_entry_is_data_error(self, hsi_run, config_path, capsys, key, value):
+        ckpt = hsi_run / "checkpoint.lsfw"
+        state = storage.read_checkpoint(ckpt)
+        state[key] = np.array(value)
+        storage.write_checkpoint(ckpt, state)
+        assert run(["eval", "--config", config_path, "--checkpoint", ckpt]) == 2
+        assert key in capsys.readouterr().err

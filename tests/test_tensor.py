@@ -463,6 +463,29 @@ class TestStructural:
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 3))).transpose((0, 0))
 
+    def test_gather_windows_equals_slicing(self):
+        x = rng(6).normal(size=(3, 2, 6, 7))
+        index = np.array([[0, 0, 0], [2, 3, 4], [1, 1, 2], [2, 3, 4]])
+        out = T.gather_windows(Tensor(x), index, 3).data
+        assert out.shape == (4, 2, 3, 3)
+        for got, (t, r, c) in zip(out, index):
+            assert np.array_equal(got, x[t, :, r:r + 3, c:c + 3])
+
+    def test_gather_windows_whole_maps_is_identity(self):
+        x = Tensor(rng(7).normal(size=(4, 3, 5, 5)), requires_grad=True)
+        weights = rng(8).normal(size=(4, 3, 5, 5))
+        index = np.zeros((4, 3), dtype=int)
+        index[:, 0] = np.arange(4)
+        out = T.gather_windows(x, index, 5)
+        assert np.array_equal(out.data, x.data)
+        (out * Tensor(weights)).sum().backward()
+        assert np.array_equal(x.grad, weights)
+
+    @pytest.mark.parametrize("index", [[[0, 0, 4]], [[0, 4, 0]], [[2, 0, 0]], [[0, -1, 0]]])
+    def test_gather_windows_outside_maps_rejected(self, index):
+        with pytest.raises(ShapeError):
+            T.gather_windows(Tensor(np.zeros((2, 1, 6, 6))), np.array(index), 3)
+
 
 # ----------------------------------------------------------------------
 # backward
@@ -574,6 +597,21 @@ class TestFiniteDiff:
         theta = Tensor(r.normal(size=(4, 5)), requires_grad=True)
         labels = r.integers(0, 5, size=4)
         err = T.finite_diff_check(lambda t: T.cross_entropy(t, labels), theta)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gather_windows_battery(self, seed):
+        """Overlapping and repeated windows sum their gradients."""
+        r = rng(seed + 300)
+        theta = Tensor(r.normal(size=(2, 3, 5, 6)), requires_grad=True)
+        index = np.stack([r.integers(0, 2, 9), r.integers(0, 3, 9), r.integers(0, 4, 9)], axis=1)
+        index[-1] = index[0]
+        weights = Tensor(r.normal(size=(9, 3, 3, 3)))
+
+        def f(t):
+            return (T.gather_windows(t * t, index, 3) * weights).sum()
+
+        err = T.finite_diff_check(f, theta)
         assert err < 1e-4
 
     def test_div_pow_battery(self):

@@ -1,0 +1,226 @@
+"""Shared scene-tile inference against per-patch inference, and the rule that
+picks between them per tile."""
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+
+from lsaf import tensor as T
+from lsaf.data import RasterPair, extract_patches, normalize, synth_generate
+from lsaf.errors import ContractError
+from lsaf.model import LsafModel, ModelConfig, Windows
+from lsaf.tensor import Tensor
+
+# `lsaf.train` the attribute is the train() function.
+train_mod = importlib.import_module("lsaf.train")
+plan_tiles, predict, predict_logits = (
+    train_mod.plan_tiles, train_mod.predict, train_mod.predict_logits)
+TILE = train_mod.TILE
+
+# The conv oracle's tolerances (tests/test_tensor.py), here relative to the
+# sum of the magnitudes of each pixel's reference logits.
+TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+PAPER = dict(pca_dims=30, patch=11)
+ACCEPTANCE = dict(pca_dims=13, patch=7)
+
+
+@pytest.fixture()
+def dtype_switch():
+    prev = T.default_dtype()
+    yield T.set_default_dtype
+    T.set_default_dtype(prev)
+
+
+def scene_patches(height, width, geometry, seed=0, keep=None):
+    """Patches of a normalized synthetic scene, labels zeroed where `keep`
+    (an (H, W) bool mask) is False."""
+    pair = synth_generate(4, height, width, geometry["pca_dims"], seed=seed)
+    labels = pair.labels if keep is None else np.where(keep, pair.labels, 0)
+    scaled = RasterPair(hsi=normalize(pair.hsi).astype(np.float32),
+                        lidar=normalize(pair.lidar).astype(np.float32), labels=labels)
+    return extract_patches(scaled, s=geometry["patch"])
+
+
+def per_patch_logits(model, patches, dtype, chunk=32):
+    """Today's inference: `model.forward` on the cut patches, in small
+    batches (a sample's logits do not depend on its batch)."""
+    with T.no_grad():
+        return np.concatenate([
+            model.forward(Tensor(patches.hsi[i:i + chunk].astype(dtype)),
+                          Tensor(patches.lidar[i:i + chunk].astype(dtype))).data
+            for i in range(0, len(patches), chunk)
+        ])
+
+
+def assert_close_to_per_patch(model, patches, dtype):
+    got = predict_logits(model, patches)
+    want = per_patch_logits(model, patches, dtype)
+    scale = np.abs(want).sum(axis=1, keepdims=True)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= TOL[dtype] * scale)
+
+
+def tile_plan(model, patches):
+    """(shared tiles, per-patch indices) as `predict` plans them."""
+    rim = patches.patch - 1
+    _, height, width = patches.scene.lidar.shape
+    return plan_tiles(patches.pixels, height - rim, width - rim, model.tile_conv_flops)
+
+
+# ----------------------------------------------------------------------
+# shared against per-patch logits
+
+
+CASES = {
+    # several tiles, the last row and column of tiles ragged (14 = 11 + 3)
+    "paper-ragged": (14, 13, PAPER, "full"),
+    "acceptance-ragged": (25, 30, ACCEPTANCE, "full"),
+    "smaller-than-a-tile": (8, 9, ACCEPTANCE, "full"),
+    # reflect padding reaches across the whole scene
+    "smaller-than-the-patch-paper": (6, 6, PAPER, "full"),
+    "smaller-than-the-patch-acceptance": (4, 5, ACCEPTANCE, "full"),
+    "hsi-mode": (14, 16, ACCEPTANCE, "hsi"),
+    "lidar-mode": (14, 16, ACCEPTANCE, "lidar"),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_shared_tiles_match_per_patch_logits(case, dtype, dtype_switch):
+    height, width, geometry, mode = CASES[case]
+    dtype_switch(dtype)
+    model = LsafModel(ModelConfig(4, **geometry), seed=1, mode=mode)
+    patches = scene_patches(height, width, geometry, seed=2)
+    shared, per_patch = tile_plan(model, patches)
+    # every pixel is labelled, so every tile runs shared, ragged ones too
+    assert len(per_patch) == 0
+    assert len(shared) == math.ceil(height / TILE) * math.ceil(width / TILE)
+    border = ((patches.pixels == 0) | (patches.pixels == (height - 1, width - 1))).any(axis=1)
+    assert border.sum() == 2 * (height + width) - 4
+    assert_close_to_per_patch(model, patches, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mixed_shared_and_per_patch_tiles(dtype, dtype_switch):
+    """A scene labelled densely on the left and sparsely on the right runs
+    both paths in one call."""
+    dtype_switch(dtype)
+    height, width = 22, 33
+    keep = np.zeros((height, width), dtype=bool)
+    keep[:, :TILE] = True
+    keep[::5, TILE::7] = True
+    model = LsafModel(ModelConfig(4, **ACCEPTANCE), seed=3)
+    patches = scene_patches(height, width, ACCEPTANCE, seed=4, keep=keep)
+    shared, per_patch = tile_plan(model, patches)
+    assert len(shared) == 2 and len(per_patch) > 0
+    assert_close_to_per_patch(model, patches, dtype)
+
+
+def test_subsets_keep_the_scene(dtype_switch):
+    dtype_switch(np.float64)
+    model = LsafModel(ModelConfig(4, **ACCEPTANCE), seed=5)
+    patches = scene_patches(20, 20, ACCEPTANCE, seed=6)
+    subset = patches.take(np.arange(0, len(patches), 2))
+    assert subset.scene is patches.scene
+    assert tile_plan(model, subset)[0]
+    assert_close_to_per_patch(model, subset, np.float64)
+
+
+def test_predict_labels_repeat_exactly(dtype_switch):
+    dtype_switch(np.float32)
+    model = LsafModel(ModelConfig(4, **PAPER), seed=7)
+    patches = scene_patches(14, 13, PAPER, seed=8)
+    assert np.array_equal(predict(model, patches), predict(model, patches))
+
+
+def test_tile_windows_are_eval_only():
+    model = LsafModel(ModelConfig(4, **ACCEPTANCE), seed=0)
+    tiles = Tensor(np.zeros((1, 13, 9, 9)))
+    windows = Windows(tiles, np.array([[0, 1, 2]]))
+    lidar = Windows(Tensor(np.zeros((1, 1, 9, 9))), windows.index)
+    assert model.forward(windows, lidar, training=False).shape == (1, 4)
+    with pytest.raises(ContractError):
+        model.forward(windows, lidar, training=True)
+
+
+# ----------------------------------------------------------------------
+# the tile rule
+
+
+def paper_model():
+    return LsafModel(ModelConfig(15, **PAPER), seed=0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scattered_sparse_mask_stays_per_patch(seed):
+    """0.2% of a Houston-sized grid, labelled uniformly at random."""
+    height, width = 349, 1905
+    flat = np.random.default_rng(seed).choice(height * width, size=round(0.002 * height * width),
+                                              replace=False)
+    pixels = np.stack(np.unravel_index(np.sort(flat), (height, width)), axis=1)
+    shared, per_patch = plan_tiles(pixels, height, width, paper_model().tile_conv_flops)
+    assert shared == []
+    assert np.array_equal(per_patch, np.arange(len(pixels)))
+
+
+def test_fully_labelled_map_shares_every_full_tile():
+    height, width = 349, 1905
+    pixels = np.argwhere(np.ones((height, width), dtype=bool))
+    shared, per_patch = plan_tiles(pixels, height, width, paper_model().tile_conv_flops)
+    full = [t for t in shared if t.height == t.width == TILE]
+    assert len(full) == (height // TILE) * (width // TILE)
+    assert sum(len(t.members) for t in shared) + len(per_patch) == len(pixels)
+    for tile in shared:
+        rows, cols = pixels[tile.members].T
+        assert len(tile.members) == tile.height * tile.width
+        assert rows.min() == tile.row and rows.max() == tile.row + tile.height - 1
+        assert cols.min() == tile.col and cols.max() == tile.col + tile.width - 1
+
+
+def test_rule_compares_tile_flops_with_patch_flops():
+    """Shared exactly when the tile costs less than its pixels as patches."""
+    model = paper_model()
+    cost = model.tile_conv_flops(TILE, TILE) / model.tile_conv_flops(1, 1)
+    needed = math.floor(cost) + 1
+    tile_pixels = np.argwhere(np.ones((TILE, TILE), dtype=bool))
+    for n, want in ((needed - 1, 0), (needed, 1)):
+        shared, _ = plan_tiles(tile_pixels[:n], TILE, TILE, model.tile_conv_flops)
+        assert len(shared) == want
+
+
+def test_tile_flops_count_the_branches_a_mode_runs():
+    full, hsi, lidar = (LsafModel(ModelConfig(4, **PAPER), mode=m) for m in ("full", "hsi", "lidar"))
+    for h, w in ((1, 1), (TILE, 3)):
+        assert full.tile_conv_flops(h, w) == hsi.tile_conv_flops(h, w) + lidar.tile_conv_flops(h, w)
+    # one patch: HSI block1 is 8 kernels of 7x3x3 taps at 24x9x9 positions
+    assert hsi.tile_conv_flops(1, 1) == 2 * (8 * 63 * 24 * 81 + 16 * 360 * 20 * 49
+                                              + 32 * 432 * 18 * 25)
+
+
+def test_per_patch_pixels_pool_across_tiles(dtype_switch):
+    """Scattered pixels of many per-patch tiles share ceil(n/256) batches."""
+    dtype_switch(np.float32)
+    height, width = 60, 60
+    rng = np.random.default_rng(9)
+    keep = np.zeros(height * width, dtype=bool)
+    keep[rng.choice(height * width, size=300, replace=False)] = True
+    model = LsafModel(ModelConfig(4, **ACCEPTANCE), seed=10)
+    patches = scene_patches(height, width, ACCEPTANCE, seed=11, keep=keep.reshape(height, width))
+    shared, per_patch = tile_plan(model, patches)
+    assert shared == [] and len(per_patch) == len(patches)
+    touched = {(r // TILE, c // TILE) for r, c in patches.pixels}
+    assert len(touched) > 30
+
+    calls = []
+    forward = model.forward
+
+    def counting_forward(hsi, lidar, training=False):
+        calls.append(hsi.shape[0])
+        return forward(hsi, lidar, training)
+
+    model.forward = counting_forward
+    predict(model, patches)
+    assert calls == [256, len(patches) - 256]
