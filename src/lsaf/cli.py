@@ -15,6 +15,7 @@ WARNING, ERROR).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -25,13 +26,10 @@ import numpy as np
 from . import storage
 from . import tensor as T
 from .data import (
-    DEFAULT_PATCH,
-    DEFAULT_PCA_DIMS,
     PcaModel,
     RasterPair,
     extract_patches,
     load_raster,
-    normalize,
     pca_fit,
     pca_transform,
     split,
@@ -81,11 +79,13 @@ _CONFIG_DEFAULTS: dict = {
     "lidar": None,
     "labels": None,
     "out": ".",
-    "patch": DEFAULT_PATCH,
-    "pca_dims": DEFAULT_PCA_DIMS,
-    "hidden": 128,
-    "se_reduction": 4,
-    "mode": None,  # "full" for a new model; eval, map and --resume take the checkpoint's
+    # Geometry and mode: None takes ModelConfig's default (mode "full") for a
+    # new model, and the checkpoint's value in eval, map and --resume.
+    "patch": None,
+    "pca_dims": None,
+    "hidden": None,
+    "se_reduction": None,
+    "mode": None,
     "dtype": "float32",
     "lr": 1e-4,
     "epochs": 110,
@@ -100,6 +100,10 @@ _CONFIG_DEFAULTS: dict = {
 }
 
 DEFAULT_MODE = "full"
+
+# The `meta.*` geometry entries, in checkpoint order, and those a config sets.
+_GEOMETRY = tuple(field.name for field in dataclasses.fields(ModelConfig))
+_CONFIG_GEOMETRY = tuple(key for key in _GEOMETRY if key in _CONFIG_DEFAULTS)
 
 _STR_KEYS = {"hsi", "lidar", "labels", "out", "mode", "dtype"}
 _INT_KEYS = {"patch", "pca_dims", "hidden", "se_reduction", "epochs", "batch",
@@ -214,46 +218,57 @@ def _apply_preprocessing(pair: RasterPair, pre: dict) -> RasterPair:
 
 
 def _model_meta(model: LsafModel, config: dict, epochs_trained: int) -> dict:
-    cfg = model.config
-    return {
-        "meta.num_classes": np.array(float(cfg.num_classes)),
-        "meta.pca_dims": np.array(float(cfg.pca_dims)),
-        "meta.patch": np.array(float(cfg.patch)),
-        "meta.hidden": np.array(float(cfg.hidden)),
-        "meta.se_reduction": np.array(float(cfg.se_reduction)),
-        "meta.epochs_trained": np.array(float(epochs_trained)),
-        "meta.seed": np.array(float(config["seed"])),
-        "meta.mode": np.array(float(MODES.index(model.mode))),
-    }
+    meta = {f"meta.{key}": getattr(model.config, key) for key in _GEOMETRY}
+    meta["meta.epochs_trained"] = epochs_trained
+    meta["meta.seed"] = config["seed"]
+    meta["meta.mode"] = MODES.index(model.mode)
+    return {key: np.array(float(value)) for key, value in meta.items()}
 
 
-def _sync_config_with_meta(config: dict, state: dict) -> None:
-    """Checkpoint metadata wins over config for model geometry and mode: the
+def _new_geometry(config: dict, num_classes: int) -> ModelConfig:
+    """A new model's geometry: the config's keys, ModelConfig's defaults for
+    the unset ones, which the config then holds too."""
+    geometry = ModelConfig(num_classes=num_classes, **{
+        key: config[key] for key in _CONFIG_GEOMETRY if config[key] is not None})
+    for key in _CONFIG_GEOMETRY:
+        config[key] = getattr(geometry, key)
+    return geometry
+
+
+def _adopt(config: dict, key: str, stored) -> None:
+    if config[key] not in (None, stored):
+        raise ConfigError(f"config key '{key}' is {config[key]!r}, but the checkpoint "
+                          f"was trained with meta.{key} {stored!r}")
+    config[key] = stored
+
+
+def _sync_config_with_meta(config: dict, state: dict) -> ModelConfig:
+    """The checkpoint's geometry, which the config adopts with its mode: the
     stored weights fix the architecture and which of them were trained, so
     eval/map/resume must cut patches, project spectra and run the branches
-    exactly as the training run did. A config file that names another mode
-    is an error; a checkpoint older than `meta.mode` runs the config's."""
-    for key in ("meta.num_classes", "meta.pca_dims", "meta.patch",
-                "meta.hidden", "meta.se_reduction", "meta.epochs_trained"):
-        if key not in state:
-            raise ContractError(f"checkpoint is missing '{key}'")
-        _meta_int(state, key)
-    for key in ("pca_dims", "patch", "hidden", "se_reduction"):
-        config[key] = int(state[f"meta.{key}"])
+    exactly as the training run did. A config key or flag that names another
+    value is an error; a checkpoint older than `meta.mode` runs the config's."""
+    for key in _GEOMETRY + ("epochs_trained",):
+        if f"meta.{key}" not in state:
+            raise ContractError(f"checkpoint is missing 'meta.{key}'")
+    _meta_int(state, "meta.epochs_trained")
+    try:
+        geometry = ModelConfig(**{key: _meta_int(state, f"meta.{key}") for key in _GEOMETRY})
+    except ConfigError as e:
+        raise FormatError(f"checkpoint meta.{e.key} is invalid: {e}")
+    for key in _CONFIG_GEOMETRY:
+        _adopt(config, key, getattr(geometry, key))
     if "meta.mode" not in state:
         config["mode"] = config["mode"] or DEFAULT_MODE
         log.warning("checkpoint has no meta.mode; running it in the config's mode '%s'",
                     config["mode"])
-        return
+        return geometry
     code = _meta_int(state, "meta.mode")
     if not 0 <= code < len(MODES):
         raise FormatError(f"checkpoint meta.mode {code} is not one of the mode codes "
                           f"0-{len(MODES) - 1} ({', '.join(MODES)})")
-    mode = MODES[code]
-    if config["mode"] not in (None, mode):
-        raise ConfigError(f"config key 'mode' is '{config['mode']}', but the checkpoint "
-                          f"was trained with meta.mode '{mode}'")
-    config["mode"] = mode
+    _adopt(config, "mode", MODES[code])
+    return geometry
 
 
 def _meta_int(state: dict, key: str) -> int:
@@ -268,19 +283,6 @@ def _stored_preprocessing(state: dict, path: str) -> dict:
     if not pre:
         raise FormatError(f"{path}: no preprocessing constants stored")
     return pre
-
-
-def _model_from_checkpoint(state: dict, config: dict) -> LsafModel:
-    model_config = ModelConfig(
-        num_classes=int(state["meta.num_classes"]),
-        pca_dims=int(state["meta.pca_dims"]),
-        patch=int(state["meta.patch"]),
-        hidden=int(state["meta.hidden"]),
-        se_reduction=int(state["meta.se_reduction"]),
-    )
-    model = LsafModel(model_config, seed=config["seed"], mode=config["mode"])
-    model.load_state(state)
-    return model
 
 
 def _load_scene(config: dict) -> RasterPair:
@@ -301,10 +303,12 @@ def _restore(args):
     model), the config adopting the checkpoint's geometry and mode."""
     config = _run_config(args)
     state = storage.read_checkpoint(args.checkpoint)
-    _sync_config_with_meta(config, state)
+    geometry = _sync_config_with_meta(config, state)
     pair = _load_scene(config)
     pre = _stored_preprocessing(state, args.checkpoint)
-    return config, pair, pre, _model_from_checkpoint(state, config)
+    model = LsafModel(geometry, seed=config["seed"], mode=config["mode"])
+    model.load_state(state)
+    return config, pair, pre, model
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +348,7 @@ def cmd_train(args) -> int:
     resume_state = None
     if args.resume:
         resume_state = storage.read_checkpoint(args.resume)
-        _sync_config_with_meta(config, resume_state)
+        geometry = _sync_config_with_meta(config, resume_state)
         trained = int(resume_state["meta.epochs_trained"])
         if config["epochs"] <= trained:
             raise ConfigError(
@@ -354,6 +358,7 @@ def cmd_train(args) -> int:
         pre = _stored_preprocessing(resume_state, args.resume)
         log.info("resuming from %s", args.resume)
     else:
+        geometry = _new_geometry(config, num_classes)
         pre = _fit_preprocessing(pair, config)
 
     patches = _prepare_patches(config, pair, pre)
@@ -361,20 +366,11 @@ def cmd_train(args) -> int:
     log.info("scene %dx%d, %d classes, %d train / %d test patches",
              pair.height, pair.width, num_classes, len(train_set), len(test_set))
 
+    model = LsafModel(geometry, seed=config["seed"], mode=config["mode"] or DEFAULT_MODE)
+    start_epoch = 0
     if resume_state is not None:
-        model = _model_from_checkpoint(resume_state, config)
+        model.load_state(resume_state)
         start_epoch = trained
-    else:
-        model_config = ModelConfig(
-            num_classes=num_classes,
-            pca_dims=config["pca_dims"],
-            patch=config["patch"],
-            hidden=config["hidden"],
-            se_reduction=config["se_reduction"],
-        )
-        model = LsafModel(model_config, seed=config["seed"],
-                          mode=config["mode"] or DEFAULT_MODE)
-        start_epoch = 0
     log.info("model mode=%s, %d parameters", model.mode, model.num_params)
 
     train_cfg = _train_config(config)

@@ -10,7 +10,12 @@ class ShapeError(LsafError):
 
 
 class ConfigError(LsafError):
-    """A hyperparameter or layer configuration is invalid."""
+    """A hyperparameter or layer configuration is invalid; `key` names the
+    setting at fault where there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ContractError(LsafError):

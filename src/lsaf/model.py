@@ -30,6 +30,13 @@ what training runs. Inference may instead pass whole scene tiles
 (`train.predict` picks per tile by `tile_conv_flops`); its logits then agree
 with per-patch inference within the convolution tolerance of `tensor.py`,
 not bit for bit.
+
+Every layer is a `Module`, which names the tensors it holds by attribute
+path (`attention.se.fc1.weight`, `fusion.weight_hsi`). Only the extractors
+and `LsafModel` rename what they hold: the conv stacks become `block1`,
+`block2`, ... and the two extractors `hsi` and `lidar`. These names are the
+checkpoint names, and `LsafModel.params` selects a mode's trainable tensors
+by their prefixes.
 """
 
 from __future__ import annotations
@@ -58,22 +65,22 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
+            raise ConfigError(f"need at least 2 classes, got {self.num_classes}",
+                              key="num_classes")
         if self.patch % 2 == 0 or self.patch < 7:
             raise ConfigError(
-                f"patch size must be odd and >= 7 (three 3x3 reductions), got {self.patch}"
-            )
+                f"patch size must be odd and >= 7 (three 3x3 reductions), got {self.patch}",
+                key="patch")
         if self.pca_dims < 13:
             raise ConfigError(
                 "spectral depth must be >= 13: the three spectral kernels (7, 5, 3) "
-                f"consume 12 bands, got {self.pca_dims}"
-            )
+                f"consume 12 bands, got {self.pca_dims}", key="pca_dims")
         if self.hidden < 1:
-            raise ConfigError(f"hidden width must be positive, got {self.hidden}")
+            raise ConfigError(f"hidden width must be positive, got {self.hidden}", key="hidden")
         if self.se_reduction < 1 or (2 * FEATURE_CHANNELS) % self.se_reduction:
             raise ConfigError(
-                f"squeeze-excite reduction {self.se_reduction} must divide {2 * FEATURE_CHANNELS}"
-            )
+                f"squeeze-excite reduction {self.se_reduction} must divide "
+                f"{2 * FEATURE_CHANNELS}", key="se_reduction")
 
     @property
     def feature_side(self) -> int:
@@ -94,7 +101,37 @@ def kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.n
 # layers
 
 
-class Linear:
+class Module:
+    """Names the tensors a layer holds by attribute path.
+
+    `tensors` walks the layer's attributes in definition order: a trainable
+    `Tensor` is a parameter, an `np.ndarray` is state (batch-norm running
+    statistics), and a `Module` nests under its attribute name. A layer that
+    holds its sublayers under other names overrides `_children`.
+    """
+
+    def _children(self):
+        """(name, value) pairs to walk, in checkpoint order."""
+        return vars(self).items()
+
+    def tensors(self, prefix: str = ""):
+        """Yield (dotted name, Tensor or ndarray) for everything this layer
+        and its sublayers hold, depth first."""
+        for name, value in self._children():
+            if isinstance(value, Module):
+                yield from value.tensors(f"{prefix}{name}.")
+            elif isinstance(value, np.ndarray) or (
+                isinstance(value, Tensor) and value.requires_grad
+            ):
+                yield f"{prefix}{name}", value
+
+
+def _numbered(blocks) -> list:
+    """Checkpoint names of a block stack: block1, block2, ..."""
+    return [(f"block{i}", block) for i, block in enumerate(blocks, start=1)]
+
+
+class Linear(Module):
     """y = x @ weight + bias over the trailing axis."""
 
     def __init__(self, rng, in_features: int, out_features: int):
@@ -111,11 +148,8 @@ class Linear:
             )
         return x @ self.weight + self.bias
 
-    def named_params(self, prefix: str) -> dict:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
-
-class BatchNorm:
+class BatchNorm(Module):
     """Channel-axis batch normalization with running statistics."""
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -138,17 +172,8 @@ class BatchNorm:
             eps=self.eps,
         )
 
-    def named_params(self, prefix: str) -> dict:
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
 
-    def named_state(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.running_mean": self.running_mean,
-            f"{prefix}.running_var": self.running_var,
-        }
-
-
-class ConvBlock:
+class ConvBlock(Module):
     """Convolution (2-D or 3-D by kernel rank) + batch norm + ReLU."""
 
     def __init__(self, rng, in_channels: int, out_channels: int, kernel: tuple, padding=0):
@@ -172,13 +197,7 @@ class ConvBlock:
             n + 2 * p - k + 1 for n, k, p in zip(in_spatial, self.kernel, pads)
         )
 
-    def named_params(self, prefix: str) -> dict:
-        out = {f"{prefix}.kernels": self.kernels}
-        out.update(self.bn.named_params(f"{prefix}.bn"))
-        return out
 
-    def named_state(self, prefix: str) -> dict:
-        return self.bn.named_state(f"{prefix}.bn")
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +233,7 @@ def _valid_convs_flops(blocks, spatial: tuple) -> int:
     return flops
 
 
-class HsiExtractor:
+class HsiExtractor(Module):
     """Spectral-spatial stack: three 3-D conv blocks, then one 2-D block
     after folding the spectral axis into channels."""
 
@@ -247,22 +266,11 @@ class HsiExtractor:
         x = T.gather_windows(x.reshape(n_, c * d, h, w), windows.index, self._window_side)
         return self.block2d(x, training)
 
-    def named_params(self, prefix: str) -> dict:
-        out: dict = {}
-        for i, block in enumerate(self.blocks3d, start=1):
-            out.update(block.named_params(f"{prefix}.block{i}"))
-        out.update(self.block2d.named_params(f"{prefix}.block4"))
-        return out
-
-    def named_state(self, prefix: str) -> dict:
-        out: dict = {}
-        for i, block in enumerate(self.blocks3d, start=1):
-            out.update(block.named_state(f"{prefix}.block{i}"))
-        out.update(self.block2d.named_state(f"{prefix}.block4"))
-        return out
+    def _children(self):
+        return _numbered(self.blocks3d + [self.block2d])
 
 
-class LidarExtractor:
+class LidarExtractor(Module):
     """Three 2-D conv blocks over the single-band elevation patch."""
 
     def __init__(self, rng, config: ModelConfig):
@@ -287,17 +295,10 @@ class LidarExtractor:
             x = block(x, training)
         return T.gather_windows(x, windows.index, self._out_side)
 
-    def named_params(self, prefix: str) -> dict:
-        out: dict = {}
-        for i, block in enumerate(self.blocks, start=1):
-            out.update(block.named_params(f"{prefix}.block{i}"))
-        return out
+    def _children(self):
+        return _numbered(self.blocks)
 
-    def named_state(self, prefix: str) -> dict:
-        out: dict = {}
-        for i, block in enumerate(self.blocks, start=1):
-            out.update(block.named_state(f"{prefix}.block{i}"))
-        return out
+
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +328,7 @@ def spatial_attention(recalibrated: Tensor, fused: Tensor) -> Tensor:
     return recalibrated * T.softmax(fused, axis=-1)
 
 
-class SqueezeExcite:
+class SqueezeExcite(Module):
     """Global-average squeeze, bottleneck excitation, sigmoid channel gate."""
 
     def __init__(self, rng, channels: int, reduction: int):
@@ -342,13 +343,8 @@ class SqueezeExcite:
         n, c = excite.shape
         return x * excite.reshape(n, c, 1)
 
-    def named_params(self, prefix: str) -> dict:
-        out = self.fc1.named_params(f"{prefix}.fc1")
-        out.update(self.fc2.named_params(f"{prefix}.fc2"))
-        return out
 
-
-class LinearSelfAttention:
+class LinearSelfAttention(Module):
     """Channel gating + spatial softmax weighting over the fused features.
 
     All inputs and outputs are (n, c, hw) maps. The channel gate is computed
@@ -398,23 +394,13 @@ class LinearSelfAttention:
         recalibrated = self.se(joint)
         return spatial_attention(recalibrated, fused)
 
-    def named_params(self, prefix: str) -> dict:
-        out: dict = {}
-        out.update(self.pre_hsi.named_params(f"{prefix}.pre_hsi"))
-        out.update(self.pre_lidar.named_params(f"{prefix}.pre_lidar"))
-        out.update(self.pre_joint.named_params(f"{prefix}.pre_joint"))
-        out.update(self.gate_hsi.named_params(f"{prefix}.gate_hsi"))
-        out.update(self.gate_lidar.named_params(f"{prefix}.gate_lidar"))
-        out.update(self.gate_out.named_params(f"{prefix}.gate_out"))
-        out.update(self.se.named_params(f"{prefix}.se"))
-        return out
 
 
 # ----------------------------------------------------------------------
 # classifier heads and fusion
 
 
-class LinearBlock:
+class LinearBlock(Module):
     """flatten → linear → ReLU → linear → class logits."""
 
     def __init__(self, rng, in_features: int, hidden: int, num_classes: int):
@@ -425,13 +411,8 @@ class LinearBlock:
         flat = x.reshape(x.shape[0], -1)
         return self.fc2(T.relu(self.fc1(flat)))
 
-    def named_params(self, prefix: str) -> dict:
-        out = self.fc1.named_params(f"{prefix}.fc1")
-        out.update(self.fc2.named_params(f"{prefix}.fc2"))
-        return out
 
-
-class DecisionFusion:
+class DecisionFusion(Module):
     """Three per-path classifiers whose logits are summed with learned
     scalar weights on the two single-modality paths."""
 
@@ -450,24 +431,23 @@ class DecisionFusion:
         combined = self.weight_hsi * logits_h + self.weight_lidar * logits_l + logits_f
         return combined, logits_h, logits_l, logits_f
 
-    def named_params(self, prefix: str) -> dict:
-        out: dict = {}
-        out.update(self.head_hsi.named_params(f"{prefix}.head_hsi"))
-        out.update(self.head_lidar.named_params(f"{prefix}.head_lidar"))
-        out.update(self.head_fused.named_params(f"{prefix}.head_fused"))
-        out[f"{prefix}.weight_hsi"] = self.weight_hsi
-        out[f"{prefix}.weight_lidar"] = self.weight_lidar
-        return out
 
 
 # ----------------------------------------------------------------------
 # the full model
 
 
-MODES = ("full", "hsi", "lidar")
+# Name prefixes of the tensors each mode trains; the key order fixes the
+# `meta.mode` codes.
+MODE_PARAMS = {
+    "full": ("",),
+    "hsi": ("hsi.", "fusion.head_hsi."),
+    "lidar": ("lidar.", "fusion.head_lidar."),
+}
+MODES = tuple(MODE_PARAMS)
 
 
-class LsafModel:
+class LsafModel(Module):
     """The complete network, or a single-branch ablation of it.
 
     `mode` selects what `forward` computes and which parameters train:
@@ -559,77 +539,44 @@ class LsafModel:
             flops += _valid_convs_flops(self.lidar_extractor.blocks, (height + rim, width + rim))
         return flops
 
-    # -- parameter access ----------------------------------------------
+    # -- tensor access -------------------------------------------------
+
+    def _children(self):
+        return [("hsi", self.hsi_extractor), ("lidar", self.lidar_extractor),
+                ("attention", self.attention), ("fusion", self.fusion)]
 
     def params(self) -> dict:
         """Trainable tensors for the current mode, name → Tensor."""
-        if self.mode == "hsi":
-            out = self.hsi_extractor.named_params("hsi")
-            out.update(self.fusion.head_hsi.named_params("fusion.head_hsi"))
-            return out
-        if self.mode == "lidar":
-            out = self.lidar_extractor.named_params("lidar")
-            out.update(self.fusion.head_lidar.named_params("fusion.head_lidar"))
-            return out
-        out = self.hsi_extractor.named_params("hsi")
-        out.update(self.lidar_extractor.named_params("lidar"))
-        out.update(self.attention.named_params("attention"))
-        out.update(self.fusion.named_params("fusion"))
-        return out
-
-    def param_groups(self) -> dict:
-        """Coarse grouping used by diagnostics: name → list of tensor names."""
-        groups: dict[str, list[str]] = {}
-        for name in self.params():
-            groups.setdefault(name.split(".")[0], []).append(name)
-        return groups
+        trained = MODE_PARAMS[self.mode]
+        return {name: t for name, t in self.tensors()
+                if isinstance(t, Tensor) and name.startswith(trained)}
 
     @property
     def num_params(self) -> int:
         return sum(p.size for p in self.params().values())
 
     def state_dict(self) -> dict:
-        """All weights plus batch-norm running statistics, name → array."""
-        out = {name: p.data for name, p in self._all_params().items()}
-        out.update(self.hsi_extractor.named_state("hsi"))
-        out.update(self.lidar_extractor.named_state("lidar"))
-        return out
-
-    def _all_params(self) -> dict:
-        out = self.hsi_extractor.named_params("hsi")
-        out.update(self.lidar_extractor.named_params("lidar"))
-        out.update(self.attention.named_params("attention"))
-        out.update(self.fusion.named_params("fusion"))
-        return out
+        """All weights, then the batch-norm running statistics, name → array."""
+        held = list(self.tensors())
+        weights = {name: t.data for name, t in held if isinstance(t, Tensor)}
+        stats = {name: t for name, t in held if not isinstance(t, Tensor)}
+        return {**weights, **stats}
 
     def load_state(self, state: dict) -> None:
         """Load weights saved by `state_dict`; extra keys (preprocessing,
-        optimizer state) are ignored, missing or mis-shaped model keys fail
+        optimizer state) are ignored, a missing or mis-shaped model key fails
         naming the first offending tensor."""
-        own_params = self._all_params()
-        own_state = {name: arr for name, arr in self.state_dict().items()
-                     if name not in own_params}
-        for name in list(own_params) + list(own_state):
+        for name, held in self.tensors():
             if name not in state:
                 raise ContractError(f"checkpoint is missing tensor '{name}'")
-        for name, param in own_params.items():
             incoming = np.asarray(state[name])
-            if tuple(incoming.shape) != tuple(param.shape):
+            if incoming.shape != held.shape:
                 raise ShapeError(
-                    f"checkpoint tensor '{name}' has shape {tuple(incoming.shape)}, "
-                    f"model expects {tuple(param.shape)}"
+                    f"checkpoint tensor '{name}' has shape {incoming.shape}, "
+                    f"model expects {held.shape}"
                 )
-            param.data = incoming.astype(param.data.dtype)
-            param.grad = None
-        for name, arr in own_state.items():
-            incoming = np.asarray(state[name])
-            if incoming.shape != arr.shape:
-                raise ShapeError(
-                    f"checkpoint tensor '{name}' has shape {tuple(incoming.shape)}, "
-                    f"model expects {tuple(arr.shape)}"
-                )
-            arr[...] = incoming.astype(arr.dtype)
-
-    def zero_grads(self) -> None:
-        for p in self._all_params().values():
-            p.grad = None
+            if isinstance(held, Tensor):
+                held.data = incoming.astype(held.data.dtype)
+                held.grad = None
+            else:
+                held[...] = incoming.astype(held.dtype)

@@ -380,15 +380,22 @@ class TestCheckpointMode:
         assert float(state["meta.mode"]) == 1.0
         assert not any(name.startswith("opt.m.lidar") for name in state)
 
-    @pytest.mark.parametrize("command", ["eval", "map", "train"])
+    @pytest.mark.parametrize("command,key,value,stored", [
+        pytest.param(command, key, value, stored,
+                     id=command if key == "mode" else f"{command}-{key}")
+        for key, value, stored in [("mode", "full", "'hsi'"), ("patch", 9, "7"),
+                                   ("pca_dims", 20, "13"), ("hidden", 32, "16"),
+                                   ("se_reduction", 8, "4")]
+        for command in ["eval", "map", "train"]
+    ])
     def test_conflicting_config_mode_is_config_error(self, hsi_run, config_path, tmp_path,
-                                                      capsys, command):
-        path = with_keys(config_path, "full.json", mode="full", out=str(tmp_path / "x"))
+                                                      capsys, command, key, value, stored):
+        path = with_keys(config_path, "other.json", **{key: value}, out=str(tmp_path / "x"))
         flag = "--resume" if command == "train" else "--checkpoint"
         argv = [command, "--config", path, flag, hsi_run / "checkpoint.lsfw"]
         assert run(argv + (["--epochs", 3] if command == "train" else [])) == 1
         err = capsys.readouterr().err
-        assert "'mode'" in err and "hsi" in err
+        assert f"'{key}'" in err and f"meta.{key} {stored}" in err
         assert not (tmp_path / "x" / "checkpoint.lsfw").exists()
 
     def test_legacy_checkpoint_runs_config_mode(self, config_path, tmp_path, capsys, caplog):
@@ -409,6 +416,7 @@ class TestCheckpointMode:
     @pytest.mark.parametrize("key,value", [
         ("meta.mode", 3.0), ("meta.mode", 0.5), ("meta.mode", np.nan),
         ("meta.mode", [1.0, 1.0]), ("meta.patch", [7.0, 7.0]), ("meta.epochs_trained", np.inf),
+        ("meta.patch", 8.0), ("meta.num_classes", 1.0), ("meta.se_reduction", 0.0),
     ])
     def test_malformed_meta_entry_is_data_error(self, hsi_run, config_path, capsys, key, value):
         ckpt = hsi_run / "checkpoint.lsfw"
