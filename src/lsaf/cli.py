@@ -29,9 +29,11 @@ from .data import (
     PcaModel,
     RasterPair,
     extract_patches,
+    fit_minmax,
     load_raster,
     pca_fit,
     pca_transform,
+    rescale,
     split,
     synth_generate,
 )
@@ -180,19 +182,17 @@ def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
     """PCA + min-max constants, keyed for checkpoint storage."""
     labels = pair.labels if config["pca_on_labeled"] else None
     pca = pca_fit(pair.hsi, config["pca_dims"], labels=labels)
-    reduced = pca_transform(pca, pair.hsi)
-    flat_h = reduced.reshape(reduced.shape[0], -1)
-    flat_l = pair.lidar.reshape(1, -1).astype(np.float64)
-    pre = {
+    hsi_min, hsi_span = fit_minmax(pca_transform(pca, pair.hsi))
+    lidar_min, lidar_span = fit_minmax(pair.lidar)
+    return {
         "pre.pca.mean": pca.mean,
         "pre.pca.components": pca.components,
         "pre.pca.explained_variance": pca.explained_variance,
-        "pre.norm.hsi_min": flat_h.min(axis=1),
-        "pre.norm.hsi_span": flat_h.max(axis=1) - flat_h.min(axis=1),
-        "pre.norm.lidar_min": flat_l.min(axis=1),
-        "pre.norm.lidar_span": flat_l.max(axis=1) - flat_l.min(axis=1),
+        "pre.norm.hsi_min": hsi_min,
+        "pre.norm.hsi_span": hsi_span,
+        "pre.norm.lidar_min": lidar_min,
+        "pre.norm.lidar_span": lidar_span,
     }
-    return pre
 
 
 def _apply_preprocessing(pair: RasterPair, pre: dict) -> RasterPair:
@@ -202,17 +202,8 @@ def _apply_preprocessing(pair: RasterPair, pre: dict) -> RasterPair:
         components=pre["pre.pca.components"].astype(np.float64),
         explained_variance=pre["pre.pca.explained_variance"].astype(np.float64),
     )
-    reduced = pca_transform(pca, pair.hsi)
-
-    def scale(cube, lo, span):
-        flat = cube.reshape(cube.shape[0], -1)
-        safe = np.where(span > 0, span, 1.0)[:, None]
-        out = np.where(span[:, None] > 0, (flat - lo[:, None]) / safe, 0.0)
-        return out.reshape(cube.shape)
-
-    hsi = scale(reduced, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
-    lidar = scale(pair.lidar.astype(np.float64),
-                  pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
+    hsi = rescale(pca_transform(pca, pair.hsi), pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
+    lidar = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
     return RasterPair(hsi=hsi.astype(np.float32), lidar=lidar.astype(np.float32),
                       labels=pair.labels)
 
@@ -251,9 +242,10 @@ def _sync_config_with_meta(config: dict, state: dict) -> ModelConfig:
     for key in _GEOMETRY + ("epochs_trained",):
         if f"meta.{key}" not in state:
             raise ContractError(f"checkpoint is missing 'meta.{key}'")
-    _meta_int(state, "meta.epochs_trained")
+    storage.checkpoint_count(state, "meta.epochs_trained")
     try:
-        geometry = ModelConfig(**{key: _meta_int(state, f"meta.{key}") for key in _GEOMETRY})
+        geometry = ModelConfig(**{key: storage.checkpoint_count(state, f"meta.{key}")
+                                  for key in _GEOMETRY})
     except ConfigError as e:
         raise FormatError(f"checkpoint meta.{e.key} is invalid: {e}")
     for key in _CONFIG_GEOMETRY:
@@ -263,25 +255,29 @@ def _sync_config_with_meta(config: dict, state: dict) -> ModelConfig:
         log.warning("checkpoint has no meta.mode; running it in the config's mode '%s'",
                     config["mode"])
         return geometry
-    code = _meta_int(state, "meta.mode")
-    if not 0 <= code < len(MODES):
+    code = storage.checkpoint_count(state, "meta.mode")
+    if code >= len(MODES):
         raise FormatError(f"checkpoint meta.mode {code} is not one of the mode codes "
                           f"0-{len(MODES) - 1} ({', '.join(MODES)})")
     _adopt(config, "mode", MODES[code])
     return geometry
 
 
-def _meta_int(state: dict, key: str) -> int:
-    value = np.asarray(state[key])
-    if value.shape != () or not np.isfinite(value) or value != int(value):
-        raise FormatError(f"checkpoint {key} must be an integer scalar, got {value.tolist()!r}")
-    return int(value)
-
-
-def _stored_preprocessing(state: dict, path: str) -> dict:
-    pre = {k: v for k, v in state.items() if k.startswith("pre.")}
-    if not pre:
-        raise FormatError(f"{path}: no preprocessing constants stored")
+def _stored_preprocessing(state: dict, path: str, dims: int) -> dict:
+    """The checkpoint's `pre.*` constants, each checked for the shape that a
+    projection of its bands to `dims` PCA dimensions needs."""
+    keys = ("pre.pca.mean", "pre.pca.components", "pre.pca.explained_variance",
+            "pre.norm.hsi_min", "pre.norm.hsi_span", "pre.norm.lidar_min", "pre.norm.lidar_span")
+    for key in keys:
+        if key not in state:
+            raise FormatError(f"{path}: checkpoint is missing '{key}'")
+    pre = {key: state[key] for key in keys}
+    bands = pre["pre.pca.components"].shape[:1]
+    shapes = (bands, bands + (dims,), (dims,), (dims,), (dims,), (1,), (1,))
+    for (key, value), shape in zip(pre.items(), shapes):
+        if value.shape != shape:
+            raise FormatError(f"{path}: checkpoint {key} has shape {value.shape}, "
+                              f"expected {shape}")
     return pre
 
 
@@ -305,7 +301,7 @@ def _restore(args):
     state = storage.read_checkpoint(args.checkpoint)
     geometry = _sync_config_with_meta(config, state)
     pair = _load_scene(config)
-    pre = _stored_preprocessing(state, args.checkpoint)
+    pre = _stored_preprocessing(state, args.checkpoint, geometry.pca_dims)
     model = LsafModel(geometry, seed=config["seed"], mode=config["mode"])
     model.load_state(state)
     return config, pair, pre, model
@@ -355,7 +351,7 @@ def cmd_train(args) -> int:
                 f"epochs {config['epochs']} does not exceed the checkpoint's "
                 f"meta.epochs_trained {trained}; nothing to resume"
             )
-        pre = _stored_preprocessing(resume_state, args.resume)
+        pre = _stored_preprocessing(resume_state, args.resume, geometry.pca_dims)
         log.info("resuming from %s", args.resume)
     else:
         geometry = _new_geometry(config, num_classes)
@@ -421,8 +417,8 @@ def cmd_map(args) -> int:
     image = np.zeros((pair.height, pair.width, 3), dtype=np.uint8)
     if len(patches):
         preds = predict(model, patches)
-        for (row, col), label in zip(patches.pixels, preds):
-            image[row, col] = palette_color(int(label))
+        rows, cols = patches.pixels.T
+        image[rows, cols] = np.array(PALETTE, dtype=np.uint8)[(preds - 1) % len(PALETTE)]
     out_path = os.path.join(config["out"], "map.ppm")
     storage.write_ppm(out_path, image)
     print(f"map: {out_path} ({pair.width}x{pair.height})")

@@ -1,22 +1,21 @@
-"""Scene loading, PCA spectral reduction, patch extraction, splitting, and
-synthetic scene generation.
+"""Scene loading, PCA spectral reduction, min-max scaling, patch sets,
+splitting, and synthetic scene generation.
 
 Everything here is a pure function over numpy arrays; autodiff tensors only
-appear once patches reach the model. Pixel order is row-major throughout, so
-parallel implementations of any step must preserve that ordering.
+appear once patches reach the model, cut from the padded scene per batch.
+Pixel order is row-major throughout, so parallel implementations of any step
+must preserve that ordering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import storage
 from .errors import ConfigError, RegistrationError, ShapeError
-
-DEFAULT_PATCH = 11
-DEFAULT_PCA_DIMS = 30
 
 
 # ----------------------------------------------------------------------
@@ -156,95 +155,91 @@ def pca_transform(model: PcaModel, hsi: np.ndarray) -> np.ndarray:
     return projected.T.reshape((model.dims,) + spatial)
 
 
-def pca_inverse(model: PcaModel, reduced: np.ndarray) -> np.ndarray:
-    """Map a (r, H, W) projection back to band space."""
-    if reduced.shape[0] != model.dims:
-        raise ShapeError(
-            f"pca model produces {model.dims} dims, input has {reduced.shape[0]}"
-        )
-    spatial = reduced.shape[1:]
-    pixels = reduced.reshape(model.dims, -1).T.astype(np.float64)
-    restored = pixels @ model.components.T + model.mean
-    return restored.T.reshape((model.bands,) + spatial)
-
-
 # ----------------------------------------------------------------------
-# normalization and patches
+# min-max scaling and patches
+
+
+def fit_minmax(raster: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-band (lo, span) of a (bands, ...) raster, in float64."""
+    flat = raster.reshape(raster.shape[0], -1).astype(np.float64, copy=False)
+    lo = flat.min(axis=1)
+    return lo, flat.max(axis=1) - lo
+
+
+def rescale(raster: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Map each band of a (bands, ...) raster from [lo, lo + span] to [0, 1]
+    in float64; a band of zero span maps to zero."""
+    flat = raster.reshape(raster.shape[0], -1).astype(np.float64, copy=False)
+    live = span > 0
+    out = (flat - lo[:, None]) / np.where(live, span, 1.0)[:, None]
+    out[~live] = 0.0
+    return out.reshape(raster.shape)
 
 
 def normalize(raster: np.ndarray) -> np.ndarray:
     """Min-max scale each band of a (bands, H, W) raster to [0, 1];
     constant bands map to zero."""
-    flat = raster.reshape(raster.shape[0], -1).astype(np.float64)
-    lo = flat.min(axis=1, keepdims=True)
-    span = flat.max(axis=1, keepdims=True) - lo
-    scaled = np.where(span > 0, (flat - lo) / np.where(span > 0, span, 1.0), 0.0)
-    return scaled.reshape(raster.shape)
-
-
-@dataclass(frozen=True)
-class PaddedScene:
-    """The mirror-padded rasters that patches are cut from: the s×s patch
-    centred on pixel (row, col) is `hsi[:, row:row + s, col:col + s]`."""
-
-    hsi: np.ndarray  # (r, H + s - 1, W + s - 1)
-    lidar: np.ndarray  # (1, H + s - 1, W + s - 1)
+    return rescale(raster, *fit_minmax(raster))
 
 
 @dataclass
 class PatchSet:
-    """Centered patches for every labeled pixel, in row-major pixel order.
+    """Labelled pixels of one mirror-padded scene, in row-major pixel order.
 
-    `scene` is the padded scene the patches were cut from, when known; it is
-    shared, not copied, by every subset that `take` and `split` make.
+    `hsi` and `lidar` are the scene padded by s // 2 on every side, so the
+    s×s patch centred on pixel (row, col) is `hsi[:, row:row + s, col:col + s]`.
+    `cut` copies out the patches a batch needs; subsets made by `take` and
+    `split` share the padded rasters and copy only `labels` and `pixels`.
     """
 
-    hsi: np.ndarray  # (n, r, s, s)
-    lidar: np.ndarray  # (n, 1, s, s)
+    hsi: np.ndarray  # (r, H + s - 1, W + s - 1)
+    lidar: np.ndarray  # (1, H + s - 1, W + s - 1)
     labels: np.ndarray  # (n,) values in 1..K
-    pixels: np.ndarray  # (n, 2) source (row, col) of each patch center
-    scene: PaddedScene | None = field(default=None, repr=False, compare=False)
+    pixels: np.ndarray  # (n, 2) scene (row, col) of each patch centre
+    patch: int  # s
 
     def __post_init__(self):
         n = self.labels.shape[0]
-        if self.hsi.shape[0] != n or self.lidar.shape[0] != n or self.pixels.shape[0] != n:
+        if self.pixels.shape != (n, 2):
             raise ShapeError("patch arrays disagree on sample count")
+        grid = np.array(self.hsi.shape[1:]) - (self.patch - 1)
+        if n and (self.pixels.min() < 0 or np.any(self.pixels.max(axis=0) >= grid)):
+            raise ShapeError(f"patch centres must lie on the {grid[0]}x{grid[1]} scene")
         if n and self.labels.min() < 1:
             raise ShapeError("patch labels must be in 1..K; unlabeled pixels are not samples")
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
-    @property
-    def patch(self) -> int:
-        return self.hsi.shape[-1]
-
     def take(self, idx: np.ndarray) -> "PatchSet":
-        return PatchSet(self.hsi[idx], self.lidar[idx], self.labels[idx], self.pixels[idx],
-                        self.scene)
+        return PatchSet(self.hsi, self.lidar, self.labels[idx], self.pixels[idx], self.patch)
+
+    def cut(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """C-contiguous (k, r, s, s) HSI and (k, 1, s, s) LiDAR patches of the
+        k samples `idx` selects, in its order."""
+        rows, cols = self.pixels[idx].T
+        s = self.patch
+        windows = (sliding_window_view(raster, (s, s), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+                   for raster in (self.hsi, self.lidar))
+        # numpy leaves the layout of a fancy index's result unspecified
+        return tuple(np.ascontiguousarray(w[rows, cols]) for w in windows)
 
 
-def extract_patches(pair: RasterPair, s: int = DEFAULT_PATCH) -> PatchSet:
-    """Cut one s×s patch per labeled pixel, mirror-padded at scene borders.
+def extract_patches(pair: RasterPair, s: int) -> PatchSet:
+    """The labelled pixels of a scene as a PatchSet of s×s patches,
+    mirror-padded at scene borders.
 
     HSI and LiDAR patches come from identical coordinates; sample order is
     row-major over the label map.
     """
     _check_patch_size(s, pair.height, pair.width)
     half = s // 2
+    pad = ((0, 0), (half, half), (half, half))
     coords = np.argwhere(pair.labels != 0)
-    hsi_pad = np.pad(pair.hsi, ((0, 0), (half, half), (half, half)), mode="reflect")
-    lidar_pad = np.pad(pair.lidar, ((0, 0), (half, half), (half, half)), mode="reflect")
-
-    n = coords.shape[0]
-    hsi_patches = np.empty((n, pair.bands, s, s), dtype=pair.hsi.dtype)
-    lidar_patches = np.empty((n, 1, s, s), dtype=pair.lidar.dtype)
-    for i, (row, col) in enumerate(coords):
-        hsi_patches[i] = hsi_pad[:, row : row + s, col : col + s]
-        lidar_patches[i] = lidar_pad[:, row : row + s, col : col + s]
     labels = pair.labels[coords[:, 0], coords[:, 1]].astype(np.int64)
-    return PatchSet(hsi=hsi_patches, lidar=lidar_patches, labels=labels, pixels=coords,
-                    scene=PaddedScene(hsi=hsi_pad, lidar=lidar_pad))
+    return PatchSet(hsi=np.pad(pair.hsi, pad, mode="reflect"),
+                    lidar=np.pad(pair.lidar, pad, mode="reflect"),
+                    labels=labels, pixels=coords, patch=s)
 
 
 def _check_patch_size(s: int, height: int, width: int) -> None:

@@ -204,6 +204,16 @@ def read_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
     return out
 
 
+def checkpoint_count(state: dict, key: str) -> int:
+    """A checkpoint entry that stores a count or a code: a non-negative
+    integer scalar, written as a float."""
+    value = np.asarray(state[key])
+    if value.shape != () or not np.isfinite(value) or value < 0 or value != int(value):
+        raise FormatError(f"checkpoint {key} must be a non-negative integer scalar, "
+                          f"got {value.tolist()!r}")
+    return int(value)
+
+
 # ----------------------------------------------------------------------
 # images
 

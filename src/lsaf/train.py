@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import storage
 from . import tensor as T
 from .data import PatchSet
 from .errors import ConfigError, ContractError, NumericError, ShapeError
@@ -96,7 +97,7 @@ class Adam:
     def load_state(self, state: dict) -> None:
         if "opt.steps" not in state:
             raise ContractError("checkpoint carries no optimizer state to resume from")
-        self.steps = int(state["opt.steps"])
+        self.steps = storage.checkpoint_count(state, "opt.steps")
         for name in self.params:
             for table, key in ((self.moment1, f"opt.m.{name}"), (self.moment2, f"opt.v.{name}")):
                 if key not in state:
@@ -115,8 +116,7 @@ class Adam:
 
 
 def _batch_tensors(patches: PatchSet, idx: np.ndarray, dtype):
-    hsi = Tensor(patches.hsi[idx].astype(dtype, copy=False))
-    lidar = Tensor(patches.lidar[idx].astype(dtype, copy=False))
+    hsi, lidar = (Tensor(a.astype(dtype, copy=False)) for a in patches.cut(idx))
     labels = patches.labels[idx].astype(np.int64) - 1  # classes 1..K → 0..K-1
     return hsi, lidar, labels
 
@@ -279,15 +279,15 @@ def plan_tiles(pixels: np.ndarray, height: int, width: int,
 def predict(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.ndarray:
     """Predicted labels (1..K) for every patch, in the set's order.
 
-    When the set knows the padded scene it was cut from, inference may
-    convolve scene tiles once and gather each pixel's window from them:
-    `plan_tiles` picks per tile by a FLOP count from layer shapes. A shared
-    tile is one forward over the whole tile, whose valid convolutions run
-    once before each pixel's window of features is gathered. The pixels of
-    all other tiles go through ordinary per-patch batches of `batch`, pooled
-    across tiles. The logits agree with per-patch inference within the
-    convolution tolerance of `tensor.py`, not bit for bit, so a label can
-    differ only at a near-tie; repeated calls agree bit for bit.
+    Inference may convolve scene tiles once and gather each pixel's window
+    from them: `plan_tiles` picks per tile by a FLOP count from layer shapes.
+    A shared tile is one forward over the whole tile, whose valid
+    convolutions run once before each pixel's window of features is
+    gathered. The pixels of all other tiles go through ordinary per-patch
+    batches of `batch`, pooled across tiles. The logits agree with per-patch
+    inference within the convolution tolerance of `tensor.py`, not bit for
+    bit, so a label can differ only at a near-tie; repeated calls agree bit
+    for bit.
     """
     return predict_logits(model, patches, batch).argmax(axis=1) + 1
 
@@ -301,14 +301,10 @@ def predict_logits(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.
         )
     dtype = T.default_dtype()
     out = np.empty((len(patches), model.config.num_classes))  # float64 holds either dtype
-    scene = patches.scene
     rim = patches.patch - 1
-    if scene is None:
-        shared, per_patch = [], np.arange(len(patches))
-    else:
-        _, height, width = scene.lidar.shape
-        shared, per_patch = plan_tiles(patches.pixels, height - rim, width - rim,
-                                       model.tile_conv_flops)
+    _, height, width = patches.lidar.shape
+    shared, per_patch = plan_tiles(patches.pixels, height - rim, width - rim,
+                                   model.tile_conv_flops)
     with T.no_grad():
         for start in range(0, len(per_patch), batch):
             idx = per_patch[start : start + batch]
@@ -319,8 +315,8 @@ def predict_logits(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.
                     slice(tile.col, tile.col + tile.width + rim))
             index = np.zeros((len(tile.members), 3), dtype=np.intp)
             index[:, 1:] = patches.pixels[tile.members] - (tile.row, tile.col)
-            hsi = Windows(Tensor(scene.hsi[area][None].astype(dtype)), index)
-            lidar = Windows(Tensor(scene.lidar[area][None].astype(dtype)), index)
+            hsi = Windows(Tensor(patches.hsi[area][None].astype(dtype)), index)
+            lidar = Windows(Tensor(patches.lidar[area][None].astype(dtype)), index)
             out[tile.members] = model.forward(hsi, lidar, training=False).data
     return out
 

@@ -311,6 +311,20 @@ class TestMap:
         seen = {tuple(px) for px in image.reshape(-1, 3)}
         assert seen <= allowed
 
+    def test_pixels_take_palette_color_of_their_label(self, config_path, tmp_path, capsys,
+                                                       monkeypatch):
+        """Labels past the 20 palette entries wrap round."""
+        assert run(["train", "--config", config_path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "predict", lambda model, patches: np.arange(len(patches)) % 25 + 1)
+        map_dir = tmp_path / "map"
+        assert run(["map", "--config", config_path,
+                    "--checkpoint", tmp_path / "run" / "checkpoint.lsfw", "--out", map_dir]) == 0
+        image = storage.read_ppm(map_dir / "map.ppm")
+        labels = storage.read_labels(tmp_path / "scene" / "labels.lsaf")
+        for i, (row, col) in enumerate(np.argwhere(labels != 0)):
+            assert tuple(image[row, col]) == cli.palette_color(i % 25 + 1)
+
     def test_unlabeled_pixels_black(self, config_path, tmp_path, capsys):
         assert run(["train", "--config", config_path]) == 0
         capsys.readouterr()
@@ -417,11 +431,24 @@ class TestCheckpointMode:
         ("meta.mode", 3.0), ("meta.mode", 0.5), ("meta.mode", np.nan),
         ("meta.mode", [1.0, 1.0]), ("meta.patch", [7.0, 7.0]), ("meta.epochs_trained", np.inf),
         ("meta.patch", 8.0), ("meta.num_classes", 1.0), ("meta.se_reduction", 0.0),
+        ("pre.pca.components", None), ("pre.norm.hsi_min", np.zeros(5)),
+        ("opt.steps", [2.0, 2.0]), ("opt.steps", np.nan),
     ])
-    def test_malformed_meta_entry_is_data_error(self, hsi_run, config_path, capsys, key, value):
+    def test_malformed_meta_entry_is_data_error(self, hsi_run, config_path, tmp_path, capsys,
+                                                key, value):
+        """A malformed meta.*, pre.* or opt.* entry (None: a missing one) exits
+        2 naming it; only --resume reads opt.*."""
         ckpt = hsi_run / "checkpoint.lsfw"
         state = storage.read_checkpoint(ckpt)
-        state[key] = np.array(value)
+        if value is None:
+            del state[key]
+        else:
+            state[key] = np.array(value)
         storage.write_checkpoint(ckpt, state)
-        assert run(["eval", "--config", config_path, "--checkpoint", ckpt]) == 2
+        if key.startswith("opt."):
+            argv = ["train", "--config", config_path, "--resume", ckpt, "--epochs", 3,
+                    "--out", tmp_path / "resumed"]
+        else:
+            argv = ["eval", "--config", config_path, "--checkpoint", ckpt]
+        assert run(argv) == 2
         assert key in capsys.readouterr().err

@@ -11,8 +11,8 @@ from lsaf.data import (
     extract_patches,
     normalize,
     pca_fit,
-    pca_inverse,
     pca_transform,
+    rescale,
     split,
     split_indices,
     synth_generate,
@@ -151,12 +151,9 @@ class TestPca:
         with pytest.raises(ConfigError):
             pca_fit(cube, r=0)
 
-    def test_default_dims_constant(self):
-        assert data.DEFAULT_PCA_DIMS == 30
-
     def test_default_reduction_from_144_bands(self):
         cube = rng(4).normal(size=(144, 6, 7)).astype(np.float32)
-        model = pca_fit(cube, r=data.DEFAULT_PCA_DIMS)
+        model = pca_fit(cube, r=30)
         out = pca_transform(model, cube)
         assert out.shape == (30, 6, 7)
 
@@ -177,12 +174,6 @@ class TestPcaTransform:
         model = pca_fit(cube, r=3)
         out = pca_transform(model, model.mean.reshape(5, 1, 1))
         assert np.allclose(out, 0.0, atol=1e-10)
-
-    def test_full_rank_round_trip(self):
-        cube = rng(1).normal(size=(4, 7, 7))
-        model = pca_fit(cube, r=4)
-        back = pca_inverse(model, pca_transform(model, cube))
-        assert np.allclose(back, cube, atol=1e-8)
 
     def test_projected_variance_matches_explained(self):
         r = rng(2)
@@ -228,6 +219,13 @@ class TestNormalize:
         out = normalize(rng(0).normal(size=(4, 6, 6)) * 100)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
+    def test_rescale_applies_fitted_constants_to_another_raster(self):
+        lo, span = np.array([2.0, 5.0]), np.array([4.0, 0.0])
+        raster = np.array([[[0.0, 4.0, 10.0]], [[1.0, 5.0, 9.0]]], dtype=np.float32)
+        out = rescale(raster, lo, span)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, [[[-0.5, 0.5, 2.0]], [[0.0, 0.0, 0.0]]])
+
 
 # ----------------------------------------------------------------------
 # patches
@@ -240,15 +238,16 @@ class TestExtractPatches:
         pair.labels[4, 5] = 2
         out = extract_patches(pair, s=3)
         assert len(out) == 1
-        assert np.array_equal(out.hsi[0], pair.hsi[:, 3:6, 4:7])
-        assert np.array_equal(out.lidar[0], pair.lidar[:, 3:6, 4:7])
+        hsi, lidar = out.cut([0])
+        assert np.array_equal(hsi[0], pair.hsi[:, 3:6, 4:7])
+        assert np.array_equal(lidar[0], pair.lidar[:, 3:6, 4:7])
         assert out.labels[0] == 2
 
     def test_corner_mirror_reflection(self):
         pair = make_pair(seed=2)
         pair.labels[:] = 0
         pair.labels[0, 0] = 1
-        patch = extract_patches(pair, s=3).hsi[0]
+        patch = extract_patches(pair, s=3).cut([0])[0][0]
         # reflection: index -1 maps to row/col 1, and (-1,-1) to (1,1)
         assert np.array_equal(patch[:, 0, 0], pair.hsi[:, 1, 1])
         assert np.array_equal(patch[:, 0, 1], pair.hsi[:, 1, 0])
@@ -270,10 +269,37 @@ class TestExtractPatches:
         pair = make_pair(seed=seed + 20, height=10, width=10)
         s, half = 5, 2
         out = extract_patches(pair, s=s)
+        hsi, _ = out.cut(np.arange(len(out)))
         for i, (row, col) in enumerate(out.pixels):
             if half <= row < 10 - half and half <= col < 10 - half:
                 want = pair.hsi[:, row - half : row + half + 1, col - half : col + half + 1]
-                assert np.array_equal(out.hsi[i], want)
+                assert np.array_equal(hsi[i], want)
+
+    def test_cut_matches_naive_reflect_pad_and_slice(self):
+        """Every pixel of a 6×6 scene at s=11, so every window reaches past
+        all four borders; the patches come back in the order asked for."""
+        pair = make_pair(seed=5, height=6, width=6)
+        pair.labels[:] = 1
+        s, half = 11, 5
+        out = extract_patches(pair, s=s)
+        order = np.random.default_rng(0).permutation(len(out))
+        hsi, lidar = out.cut(order)
+        assert hsi.shape == (36, 5, s, s) and lidar.shape == (36, 1, s, s)
+        assert hsi.flags.c_contiguous and lidar.flags.c_contiguous
+        for raster, got in ((pair.hsi, hsi), (pair.lidar, lidar)):
+            padded = np.pad(raster, ((0, 0), (half, half), (half, half)), mode="reflect")
+            for k, i in enumerate(order):
+                row, col = out.pixels[i]
+                assert np.array_equal(got[k], padded[:, row:row + s, col:col + s])
+
+    def test_set_holds_the_padded_scene_once(self):
+        pair = make_pair(seed=6)
+        out = extract_patches(pair, s=5)
+        assert out.patch == 5
+        assert out.hsi.shape == (5, 12, 13) and out.lidar.shape == (1, 12, 13)
+        subset = out.take(np.array([2, 0]))
+        assert subset.hsi is out.hsi and subset.lidar is out.lidar
+        assert np.array_equal(subset.cut([0, 1])[0], out.cut([2, 0])[0])
 
     def test_even_patch_rejected(self):
         with pytest.raises(ConfigError):
@@ -282,9 +308,6 @@ class TestExtractPatches:
     def test_oversize_patch_rejected(self):
         with pytest.raises(ConfigError):
             extract_patches(make_pair(height=8, width=9), s=17)
-
-    def test_default_patch_constant(self):
-        assert data.DEFAULT_PATCH == 11
 
     def test_unlabeled_scene_yields_empty_set(self):
         pair = make_pair(seed=4)
@@ -424,8 +447,21 @@ def test_raster_pair_checks_grid():
 def test_patchset_rejects_zero_labels():
     with pytest.raises(ShapeError):
         PatchSet(
-            hsi=np.zeros((2, 3, 3, 3)),
-            lidar=np.zeros((2, 1, 3, 3)),
+            hsi=np.zeros((3, 5, 5)),
+            lidar=np.zeros((1, 5, 5)),
             labels=np.array([1, 0]),
             pixels=np.zeros((2, 2), dtype=int),
+            patch=3,
+        )
+
+
+@pytest.mark.parametrize("pixels", [[[0, 0], [3, 0]], [[0, -1], [1, 1]]])
+def test_patchset_rejects_centres_off_the_scene(pixels):
+    with pytest.raises(ShapeError, match="3x3 scene"):
+        PatchSet(
+            hsi=np.zeros((3, 5, 5)),
+            lidar=np.zeros((1, 5, 5)),
+            labels=np.array([1, 2]),
+            pixels=np.array(pixels),
+            patch=3,
         )

@@ -45,14 +45,14 @@ def scene_patches(height, width, geometry, seed=0, keep=None):
 
 
 def per_patch_logits(model, patches, dtype, chunk=32):
-    """Today's inference: `model.forward` on the cut patches, in small
+    """Per-patch inference: `model.forward` on the cut patches, in small
     batches (a sample's logits do not depend on its batch)."""
+    logits = []
     with T.no_grad():
-        return np.concatenate([
-            model.forward(Tensor(patches.hsi[i:i + chunk].astype(dtype)),
-                          Tensor(patches.lidar[i:i + chunk].astype(dtype))).data
-            for i in range(0, len(patches), chunk)
-        ])
+        for i in range(0, len(patches), chunk):
+            hsi, lidar = patches.cut(np.arange(i, min(i + chunk, len(patches))))
+            logits.append(model.forward(Tensor(hsi.astype(dtype)), Tensor(lidar.astype(dtype))).data)
+    return np.concatenate(logits)
 
 
 def assert_close_to_per_patch(model, patches, dtype):
@@ -66,7 +66,7 @@ def assert_close_to_per_patch(model, patches, dtype):
 def tile_plan(model, patches):
     """(shared tiles, per-patch indices) as `predict` plans them."""
     rim = patches.patch - 1
-    _, height, width = patches.scene.lidar.shape
+    _, height, width = patches.lidar.shape
     return plan_tiles(patches.pixels, height - rim, width - rim, model.tile_conv_flops)
 
 
@@ -124,7 +124,7 @@ def test_subsets_keep_the_scene(dtype_switch):
     model = LsafModel(ModelConfig(4, **ACCEPTANCE), seed=5)
     patches = scene_patches(20, 20, ACCEPTANCE, seed=6)
     subset = patches.take(np.arange(0, len(patches), 2))
-    assert subset.scene is patches.scene
+    assert subset.hsi is patches.hsi and subset.lidar is patches.lidar
     assert tile_plan(model, subset)[0]
     assert_close_to_per_patch(model, subset, np.float64)
 

@@ -202,8 +202,7 @@ class TestTrainLoop:
         model = tiny_model(seed=8)
         patches = tiny_patches(seed=8)
         idx = np.arange(min(16, len(patches)))
-        hsi = Tensor(patches.hsi[idx])
-        lidar = Tensor(patches.lidar[idx])
+        hsi, lidar = (Tensor(a) for a in patches.cut(idx))
         labels = patches.labels[idx] - 1
         loss = T.cross_entropy(model.forward(hsi, lidar, training=True), labels)
         loss.backward()
