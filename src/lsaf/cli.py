@@ -1,15 +1,19 @@
 """Command-line entry point: `lsaf synth | train | eval | map`.
 
 Configuration comes from a JSON file (`--config`); the command-line flags
-override file keys. Unknown config keys and unknown flags are errors.
+override file keys. Every command accepts every config key, but takes only
+the flags it reads: `train` --seed --epochs --lr --batch, `eval` --seed,
+and all three --patch --pca-dims --out. Unknown config keys and unknown
+flags are errors, and so is a non-finite number.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data or format
-problem (unreadable files, bad headers, incompatible checkpoints, I/O), 3
-numeric failure (non-finite values during compute).
+problem (unreadable files, bad headers, non-finite rasters, incompatible
+checkpoints, I/O), 3 numeric failure (non-finite values during compute).
 
 Environment: `LSAF_THREADS` caps the linear-algebra thread pools (read at
 package import), `LSAF_LOG_LEVEL` sets logging verbosity (DEBUG, INFO,
-WARNING, ERROR).
+WARNING, ERROR), and `LSAF_CHECKED=1` asserts that every tensor operation
+yields finite values (read at import of `lsaf.tensor`).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -34,6 +39,7 @@ from .data import (
     pca_fit,
     pca_transform,
     rescale,
+    save_raster,
     split,
     synth_generate,
 )
@@ -89,13 +95,7 @@ _CONFIG_DEFAULTS: dict = {
     "se_reduction": None,
     "mode": None,
     "dtype": "float32",
-    "lr": 1e-4,
-    "epochs": 110,
-    "batch": 128,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "seed": 0,
+    **{field.name: field.default for field in dataclasses.fields(TrainConfig)},
     "train_fraction": 0.2,
     "pca_on_labeled": False,
     "checkpoint_every": 0,
@@ -152,7 +152,12 @@ def _validate_key(key: str, value):
     elif key in _FLOAT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"config key '{key}' must be a finite number, got {value!r}")
     return value
 
 
@@ -162,16 +167,9 @@ def _require_paths(config: dict) -> None:
             raise ConfigError(f"config is missing required data path '{key}'")
 
 
-def _train_config(config: dict, epochs: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        lr=config["lr"],
-        epochs=config["epochs"] if epochs is None else epochs,
-        batch=config["batch"],
-        beta1=config["beta1"],
-        beta2=config["beta2"],
-        eps=config["eps"],
-        seed=config["seed"],
-    )
+def _train_config(config: dict) -> TrainConfig:
+    return TrainConfig(**{field.name: config[field.name]
+                          for field in dataclasses.fields(TrainConfig)})
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +316,7 @@ def cmd_synth(args) -> int:
                           seed=args.seed)
     paths = {name: os.path.join(out_dir, f"{name}.lsaf")
              for name in ("hsi", "lidar", "labels")}
-    storage.write_raster(paths["hsi"], pair.hsi)
-    storage.write_raster(paths["lidar"], pair.lidar)
-    storage.write_labels(paths["labels"], pair.labels)
+    save_raster(pair, *paths.values())
     for name, path in paths.items():
         print(f"{name}: {path}")
     return EXIT_OK
@@ -438,23 +434,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _overrides(args) -> dict:
-    return {
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "batch": args.batch,
-        "patch": args.patch,
-        "pca_dims": args.pca_dims,
-        "out": args.out,
-    }
+    """The config keys the subcommand's flags set."""
+    return {key: value for key, value in vars(args).items() if key in _CONFIG_DEFAULTS}
 
 
 def _add_common_flags(parser) -> None:
+    """The flags of every model command: config file, geometry, output."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--epochs", type=int, help="training epochs")
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--batch", type=int, help="mini-batch size")
     parser.add_argument("--patch", type=int, help="patch size (odd)")
     parser.add_argument("--pca-dims", dest="pca_dims", type=int,
                         help="spectral dimensions kept by PCA")
@@ -477,11 +463,16 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="train a model")
     _add_common_flags(p_train)
+    p_train.add_argument("--seed", type=int, help="random seed (weights, split, shuffles)")
+    p_train.add_argument("--epochs", type=int, help="training epochs")
+    p_train.add_argument("--lr", type=float, help="learning rate")
+    p_train.add_argument("--batch", type=int, help="mini-batch size")
     p_train.add_argument("--resume", help="checkpoint to continue from")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_common_flags(p_eval)
+    p_eval.add_argument("--seed", type=int, help="seed of the train/test split")
     p_eval.add_argument("--checkpoint", required=True, help="trained checkpoint")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -9,8 +9,8 @@ Layer layout (patch size s, spectral depth r after PCA):
   LiDAR branch  conv2d 1→16 (3,3) → conv2d 16→32 → conv2d 32→64
 
 Every conv is followed by batch norm and ReLU. Both branches emit
-64×(s−6)×(s−6) maps; that equality is asserted when the model is built, so a
-configuration that would desynchronize the branches never constructs.
+64×(s−6)×(s−6) maps, `ModelConfig.feature_side` being s−6: the two stacks are
+fixed, and `ModelConfig` accepts only a patch and spectral depth they fit.
 
 The attention module gates channels with a sigmoid gate shared between the
 two modalities (their transposed features pass through per-modality inner
@@ -84,11 +84,8 @@ class ModelConfig:
 
     @property
     def feature_side(self) -> int:
+        """Side of both extractors' output maps: three valid 3x3 convs."""
         return self.patch - 6
-
-    @property
-    def feature_pixels(self) -> int:
-        return self.feature_side ** 2
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -152,25 +149,15 @@ class Linear(Module):
 class BatchNorm(Module):
     """Channel-axis batch normalization with running statistics."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=T.default_dtype())
         self.running_var = np.ones(channels, dtype=T.default_dtype())
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return T.batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            running_mean=self.running_mean,
-            running_var=self.running_var,
-            training=training,
-            momentum=self.momentum,
-            eps=self.eps,
-        )
+        return T.batch_norm(x, self.gamma, self.beta, running_mean=self.running_mean,
+                            running_var=self.running_var, training=training)
 
 
 class ConvBlock(Module):
@@ -192,12 +179,7 @@ class ConvBlock(Module):
         return T.relu(self.bn(out, training))
 
     def out_spatial(self, in_spatial: tuple) -> tuple:
-        pads = (self.padding,) * len(self.kernel) if isinstance(self.padding, int) else self.padding
-        return tuple(
-            n + 2 * p - k + 1 for n, k, p in zip(in_spatial, self.kernel, pads)
-        )
-
-
+        return tuple(n + 2 * self.padding - k + 1 for n, k in zip(in_spatial, self.kernel))
 
 
 # ----------------------------------------------------------------------
@@ -243,16 +225,9 @@ class HsiExtractor(Module):
             ConvBlock(rng, 8, 16, (5, 3, 3)),
             ConvBlock(rng, 16, 32, (3, 3, 3)),
         ]
-        spectral, side = config.pca_dims, config.patch
-        for block in self.blocks3d:
-            spectral, side, _ = block.out_spatial((spectral, side, side))
-        self.folded_channels = 32 * spectral
-        self.block2d = ConvBlock(rng, self.folded_channels, FEATURE_CHANNELS, (3, 3), padding=1)
-        self._window_side = side
-        self._out_side = self.block2d.out_spatial((side, side))[0]
-
-    def output_shape(self) -> tuple:
-        return (FEATURE_CHANNELS, self._out_side, self._out_side)
+        spectral = config.pca_dims - sum(block.kernel[0] - 1 for block in self.blocks3d)
+        self.block2d = ConvBlock(rng, 32 * spectral, FEATURE_CHANNELS, (3, 3), padding=1)
+        self._side = config.feature_side
 
     def __call__(self, windows: Windows, training: bool) -> Tensor:
         tiles = windows.tiles
@@ -263,7 +238,7 @@ class HsiExtractor(Module):
         for block in self.blocks3d:
             x = block(x, training)
         n_, c, d, h, w = x.shape
-        x = T.gather_windows(x.reshape(n_, c * d, h, w), windows.index, self._window_side)
+        x = T.gather_windows(x.reshape(n_, c * d, h, w), windows.index, self._side)
         return self.block2d(x, training)
 
     def _children(self):
@@ -279,13 +254,7 @@ class LidarExtractor(Module):
             ConvBlock(rng, 16, 32, (3, 3)),
             ConvBlock(rng, 32, FEATURE_CHANNELS, (3, 3)),
         ]
-        side = config.patch
-        for block in self.blocks:
-            side = block.out_spatial((side, side))[0]
-        self._out_side = side
-
-    def output_shape(self) -> tuple:
-        return (FEATURE_CHANNELS, self._out_side, self._out_side)
+        self._side = config.feature_side
 
     def __call__(self, windows: Windows, training: bool) -> Tensor:
         x = windows.tiles
@@ -293,12 +262,10 @@ class LidarExtractor(Module):
             raise ShapeError(f"expected (n, 1, h, w) tiles, got {x.shape}")
         for block in self.blocks:
             x = block(x, training)
-        return T.gather_windows(x, windows.index, self._out_side)
+        return T.gather_windows(x, windows.index, self._side)
 
     def _children(self):
         return _numbered(self.blocks)
-
-
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +362,6 @@ class LinearSelfAttention(Module):
         return spatial_attention(recalibrated, fused)
 
 
-
 # ----------------------------------------------------------------------
 # classifier heads and fusion
 
@@ -423,14 +389,12 @@ class DecisionFusion(Module):
         self.weight_hsi = Tensor(np.array(1.0), requires_grad=True)
         self.weight_lidar = Tensor(np.array(1.0), requires_grad=True)
 
-    def __call__(self, feat_h: Tensor, feat_l: Tensor, feat_fused: Tensor):
-        """Returns (combined, hsi, lidar, fused) logits."""
+    def __call__(self, feat_h: Tensor, feat_l: Tensor, feat_fused: Tensor) -> Tensor:
+        """Combined logits: weight_hsi·hsi + weight_lidar·lidar + fused."""
         logits_h = self.head_hsi(feat_h)
         logits_l = self.head_lidar(feat_l)
         logits_f = self.head_fused(feat_fused)
-        combined = self.weight_hsi * logits_h + self.weight_lidar * logits_l + logits_f
-        return combined, logits_h, logits_l, logits_f
-
+        return self.weight_hsi * logits_h + self.weight_lidar * logits_l + logits_f
 
 
 # ----------------------------------------------------------------------
@@ -463,29 +427,9 @@ class LsafModel(Module):
         rng = np.random.default_rng(seed)
         self.hsi_extractor = HsiExtractor(rng, config)
         self.lidar_extractor = LidarExtractor(rng, config)
-
-        shape_h = self.hsi_extractor.output_shape()
-        shape_l = self.lidar_extractor.output_shape()
-        if shape_h != shape_l:
-            raise ContractError(
-                f"extractor outputs must agree; hsi {shape_h} vs lidar {shape_l}"
-            )
-        channels, side, _ = shape_h
-        self.feature_shape = shape_h
-        self.feature_size = channels * side * side
-
-        self.attention = LinearSelfAttention(rng, channels, config.se_reduction)
-        self.fusion = DecisionFusion(rng, self.feature_size, config.hidden, config.num_classes)
-
-    # -- plumbing ------------------------------------------------------
-
-    def extract_features(self, hsi, lidar, training: bool = False):
-        """Run both extractors and flatten the maps to (n, c, hw)."""
-        map_h = self.hsi_extractor(self._windows(hsi, training), training)
-        map_l = self.lidar_extractor(self._windows(lidar, training), training)
-        n, c = map_h.shape[0], map_h.shape[1]
-        hw = map_h.shape[2] * map_h.shape[3]
-        return map_h.reshape(n, c, hw), map_l.reshape(n, c, hw)
+        self.attention = LinearSelfAttention(rng, FEATURE_CHANNELS, config.se_reduction)
+        self.fusion = DecisionFusion(rng, FEATURE_CHANNELS * config.feature_side ** 2,
+                                     config.hidden, config.num_classes)
 
     def forward(self, hsi, lidar, training: bool = False) -> Tensor:
         """Class logits (n, K) for a batch of co-located patch pairs, or for
@@ -496,19 +440,12 @@ class LsafModel(Module):
         if self.mode == "lidar":
             feat = self.lidar_extractor(self._windows(lidar, training), training)
             return self.fusion.head_lidar(feat.reshape(feat.shape[0], -1))
-        combined, _, _, _ = self.forward_parts(hsi, lidar, training)
-        return combined
-
-    def forward_parts(self, hsi, lidar, training: bool = False):
-        """Full-path forward returning (combined, hsi, lidar, fused) logits."""
-        feat_h, feat_l = self.extract_features(hsi, lidar, training)
+        map_h = self.hsi_extractor(self._windows(hsi, training), training)
+        map_l = self.lidar_extractor(self._windows(lidar, training), training)
+        n, c, h, w = map_h.shape
+        feat_h, feat_l = map_h.reshape(n, c, h * w), map_l.reshape(n, c, h * w)
         fused = self.attention(feat_h, feat_l)
-        n = fused.shape[0]
-        return self.fusion(
-            feat_h.reshape(n, -1),
-            feat_l.reshape(n, -1),
-            fused.reshape(n, -1),
-        )
+        return self.fusion(feat_h.reshape(n, -1), feat_l.reshape(n, -1), fused.reshape(n, -1))
 
     def _windows(self, x, training: bool) -> Windows:
         """Patches as the degenerate `Windows`; tile windows pass through."""

@@ -112,7 +112,8 @@ def probe_raster(path: str | os.PathLike) -> dict:
 
 
 def read_raster(path: str | os.PathLike) -> np.ndarray:
-    """Read a float32 raster back as a `(bands, H, W)` array."""
+    """Read a float32 raster back as a `(bands, H, W)` array; every value
+    must be finite."""
     info = probe_raster(path)
     if info["dtype"] != np.dtype("<f4"):
         raise FormatError(f"{path}: expected a float32 raster, found {info['dtype']}")
@@ -120,6 +121,13 @@ def read_raster(path: str | os.PathLike) -> np.ndarray:
     with open(path, "rb") as f:
         f.seek(_RASTER_HEADER.size)
         data = np.frombuffer(f.read(), dtype="<f4")
+    # A float64 sum of float32 values cannot overflow, so it is finite exactly
+    # when every value is, and unlike np.isfinite it needs no scene-sized mask.
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        total = data.sum(dtype=np.float64)
+    if not np.isfinite(total):
+        bad = np.count_nonzero(~np.isfinite(data))
+        raise FormatError(f"{path}: raster holds {bad} non-finite value(s) (NaN or Inf)")
     return data.reshape(shape).copy()
 
 

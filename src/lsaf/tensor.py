@@ -164,9 +164,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     # ------------------------------------------------------------------
     # autodiff driver
 
@@ -215,9 +212,6 @@ class Tensor:
 
         return _node(data, (self, other), "sub", grad_fn)
 
-    def __rsub__(self, other):
-        return _wrap(other, self.data.dtype) - self
-
     def __mul__(self, other):
         other = _wrap(other, self.data.dtype)
         data = _combine(self.data, other.data, np.multiply, "mul")
@@ -232,27 +226,6 @@ class Tensor:
         return _node(data, (a, b), "mul", grad_fn)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _wrap(other, self.data.dtype)
-        data = _combine(self.data, other.data, np.divide, "div")
-        a, b = self, other
-
-        def grad_fn(g):
-            ga = _unbroadcast(g / b.data, a.data.shape)
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            return ga, gb
-
-        return _node(data, (a, b), "div", grad_fn)
-
-    def __rtruediv__(self, other):
-        return _wrap(other, self.data.dtype) / self
-
-    def __neg__(self):
-        def grad_fn(g):
-            return (-g,)
-
-        return _node(-self.data, (self,), "neg", grad_fn)
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
@@ -303,7 +276,7 @@ class Tensor:
         return _node(data, (self,), "transpose", grad_fn)
 
     # ------------------------------------------------------------------
-    # reductions and pointwise functions
+    # reductions
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -323,30 +296,6 @@ class Tensor:
             return (_spread(g, shape, axis, keepdims) / count,)
 
         return _node(data, (self,), "mean", grad_fn)
-
-    def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-
-        def grad_fn(g):
-            return (g * 0.5 / data,)
-
-        return _node(data, (self,), "sqrt", grad_fn)
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def grad_fn(g):
-            return (g * data,)
-
-        return _node(data, (self,), "exp", grad_fn)
-
-    def log(self) -> "Tensor":
-        x = self
-
-        def grad_fn(g):
-            return (g / x.data,)
-
-        return _node(np.log(self.data), (x,), "log", grad_fn)
 
 
 def _wrap(value, dtype) -> Tensor:

@@ -28,6 +28,9 @@ from .tensor import Tensor
 # paper geometry, about 60 MiB of float32.
 TILE = 11
 
+# Patches per forward in inference (`evaluate`, `predict`).
+BATCH = 256
+
 
 @dataclass
 class TrainConfig:
@@ -226,11 +229,11 @@ class MetricsReport:
         return self.confusion.shape[0]
 
 
-def evaluate(model: LsafModel, test_set: PatchSet, batch: int = 256) -> MetricsReport:
+def evaluate(model: LsafModel, test_set: PatchSet) -> MetricsReport:
     """Argmax predictions over the test set, tallied into a MetricsReport."""
     if len(test_set) == 0:
         raise ConfigError("evaluation set is empty")
-    preds = predict(model, test_set, batch=batch)
+    preds = predict(model, test_set)
     return MetricsReport(
         confusion=confusion_matrix(test_set.labels, preds, model.config.num_classes)
     )
@@ -276,7 +279,7 @@ def plan_tiles(pixels: np.ndarray, height: int, width: int,
     return shared, np.flatnonzero(per_patch)
 
 
-def predict(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.ndarray:
+def predict(model: LsafModel, patches: PatchSet) -> np.ndarray:
     """Predicted labels (1..K) for every patch, in the set's order.
 
     Inference may convolve scene tiles once and gather each pixel's window
@@ -284,15 +287,15 @@ def predict(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.ndarray
     A shared tile is one forward over the whole tile, whose valid
     convolutions run once before each pixel's window of features is
     gathered. The pixels of all other tiles go through ordinary per-patch
-    batches of `batch`, pooled across tiles. The logits agree with per-patch
+    batches of `BATCH`, pooled across tiles. The logits agree with per-patch
     inference within the convolution tolerance of `tensor.py`, not bit for
     bit, so a label can differ only at a near-tie; repeated calls agree bit
     for bit.
     """
-    return predict_logits(model, patches, batch).argmax(axis=1) + 1
+    return predict_logits(model, patches).argmax(axis=1) + 1
 
 
-def predict_logits(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.ndarray:
+def predict_logits(model: LsafModel, patches: PatchSet) -> np.ndarray:
     """Class logits (n, K) for every patch, in the set's order: the scores
     behind `predict`, computed the same way."""
     if patches.patch != model.config.patch:
@@ -306,8 +309,8 @@ def predict_logits(model: LsafModel, patches: PatchSet, batch: int = 256) -> np.
     shared, per_patch = plan_tiles(patches.pixels, height - rim, width - rim,
                                    model.tile_conv_flops)
     with T.no_grad():
-        for start in range(0, len(per_patch), batch):
-            idx = per_patch[start : start + batch]
+        for start in range(0, len(per_patch), BATCH):
+            idx = per_patch[start : start + BATCH]
             hsi, lidar, _ = _batch_tensors(patches, idx, dtype)
             out[idx] = model.forward(hsi, lidar, training=False).data
         for tile in shared:
@@ -342,12 +345,9 @@ def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, k: int) -> 
 # reporting
 
 
-def render_report(report: MetricsReport, class_names=None) -> str:
+def render_report(report: MetricsReport) -> str:
     """Per-class accuracy table plus the three summary rows."""
-    k = report.num_classes
-    names = list(class_names) if class_names else [f"Class {i}" for i in range(1, k + 1)]
-    if len(names) != k:
-        raise ConfigError(f"{len(names)} class names for {k} classes")
+    names = [f"Class {i}" for i in range(1, report.num_classes + 1)]
     width = max(len(n) for n in names + ["Class"])
     lines = [f"{'No.':>3}  {'Class':<{width}}  {'Accuracy':>8}"]
     lines.append("-" * len(lines[0]))
@@ -360,15 +360,13 @@ def render_report(report: MetricsReport, class_names=None) -> str:
     return "\n".join(lines)
 
 
-def write_metrics_csv(path, report: MetricsReport, class_names=None) -> None:
-    k = report.num_classes
-    names = list(class_names) if class_names else [f"Class {i}" for i in range(1, k + 1)]
+def write_metrics_csv(path, report: MetricsReport) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["class", "accuracy_percent", "support"])
         support = report.confusion.sum(axis=1)
-        for i in range(k):
-            writer.writerow([names[i], f"{report.per_class[i]:.4f}", int(support[i])])
+        for i in range(report.num_classes):
+            writer.writerow([f"Class {i + 1}", f"{report.per_class[i]:.4f}", int(support[i])])
         writer.writerow(["OA", f"{report.oa:.4f}", int(report.confusion.sum())])
         writer.writerow(["AA", f"{report.aa:.4f}", ""])
         writer.writerow(["kappa", f"{report.kappa:.6f}", ""])

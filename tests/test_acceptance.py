@@ -29,6 +29,7 @@ from lsaf.model import (
     LsafModel,
     ModelConfig,
     SqueezeExcite,
+    Windows,
     concat_transpose,
     spatial_attention,
 )
@@ -172,17 +173,19 @@ def test_equation_oracles(float64):
         feat_l = rng.normal(size=(n, c * hw))
         feat_f = rng.normal(size=(n, 2 * c * hw))
         got = fusion(Tensor(feat_h), Tensor(feat_l), Tensor(feat_f))
+        heads = (fusion.head_hsi, fusion.head_lidar, fusion.head_fused)
+        feats = (feat_h, feat_l, feat_f)
 
         def head(block, x):
             return dense(block.fc2, np.maximum(dense(block.fc1, x), 0.0))
 
-        refs = (head(fusion.head_hsi, feat_h), head(fusion.head_lidar, feat_l),
-                head(fusion.head_fused, feat_f))
+        refs = [head(block, x) for block, x in zip(heads, feats)]
         ref_combined = 0.7 * refs[0] + 1.3 * refs[1] + refs[2]
         errs["decision_fusion"] = max(
             errs["decision_fusion"],
-            np.abs(got[0].data - ref_combined).max(),
-            max(np.abs(g.data - r).max() for g, r in zip(got[1:], refs)),
+            np.abs(got.data - ref_combined).max(),
+            max(np.abs(block(Tensor(x)).data - r).max()
+                for block, x, r in zip(heads, feats, refs)),
         )
 
     worst = max(errs.values())
@@ -198,17 +201,17 @@ def test_shape_contract():
     forward pass."""
     agreed = []
     for patch in (9, 11, 13):
-        model = LsafModel(ModelConfig(5, pca_dims=16, patch=patch, hidden=8), seed=0)
-        shape_h = model.hsi_extractor.output_shape()
-        shape_l = model.lidar_extractor.output_shape()
+        config = ModelConfig(5, pca_dims=16, patch=patch, hidden=8)
+        model = LsafModel(config, seed=0)
         rng = np.random.default_rng(patch)
-        feat_h, feat_l = model.extract_features(
-            Tensor(rng.normal(size=(2, 16, patch, patch)).astype(np.float32)),
-            Tensor(rng.normal(size=(2, 1, patch, patch)).astype(np.float32)),
-        )
+        map_h = model.hsi_extractor(Windows.of_patches(
+            Tensor(rng.normal(size=(2, 16, patch, patch)).astype(np.float32))), False)
+        map_l = model.lidar_extractor(Windows.of_patches(
+            Tensor(rng.normal(size=(2, 1, patch, patch)).astype(np.float32))), False)
+        side = config.feature_side
         agreed.append(
-            shape_h == shape_l == (64, patch - 6, patch - 6)
-            and feat_h.shape == feat_l.shape == (2, 64, (patch - 6) ** 2)
+            side == patch - 6
+            and map_h.shape == map_l.shape == (2, 64, side, side)
         )
 
     with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -13,6 +14,14 @@ from lsaf import cli, storage
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def with_keys(config_path, name, **keys):
+    config = json.loads(config_path.read_text())
+    config.update(keys)
+    path = config_path.parent / name
+    path.write_text(json.dumps(config))
+    return path
 
 
 @pytest.fixture()
@@ -86,6 +95,34 @@ class TestArgs:
                      "--patch", "--pca-dims", "--out", "--resume"):
             assert flag in text
 
+    @pytest.mark.parametrize("command,flag,value", [
+        (command, flag, value)
+        for command, flags in [("eval", ["--epochs", "--lr", "--batch"]),
+                               ("map", ["--epochs", "--lr", "--batch", "--seed"])]
+        for flag, value in [("--epochs", 3), ("--lr", 1e-3), ("--batch", 8), ("--seed", 1)]
+        if flag in flags
+    ])
+    def test_eval_and_map_reject_flags_they_do_not_read(self, config_path, tmp_path, capsys,
+                                                        command, flag, value):
+        """Training flags would be ignored by eval and map, and map's split
+        needs no seed; their config-file keys stay accepted."""
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", config_path, "--checkpoint", tmp_path / "c.lsfw",
+                 flag, value])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("eval", ["--config", "--seed", "--patch", "--pca-dims", "--out", "--checkpoint"]),
+        ("map", ["--config", "--patch", "--pca-dims", "--out", "--checkpoint"]),
+    ])
+    def test_help_lists_exactly_the_flags_read(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == set(flags)
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--frobnicate"])
@@ -132,6 +169,24 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text("{not json")
         assert run(["train", "--config", path]) == 1
+
+    @pytest.mark.parametrize("keys,flags", [
+        ({}, ["--lr", "nan"]),
+        ({}, ["--lr", "inf"]),
+        ({}, ["--lr=-inf"]),
+        ({"eps": float("nan")}, []),
+        ({"beta1": float("inf")}, []),
+        ({"train_fraction": 10 ** 400}, []),
+    ], ids=["lr-nan-flag", "lr-inf-flag", "lr-neg-inf-flag", "eps-nan", "beta1-inf",
+            "train_fraction-huge-int"])
+    def test_nonfinite_number_rejected(self, tmp_path, config_path, capsys, keys, flags):
+        """A non-finite float key is a config error naming it, before any
+        training step."""
+        path = with_keys(config_path, "nonfinite.json", **keys, out=str(tmp_path / "nf"))
+        assert run(["train", "--config", path, *flags]) == 1
+        key = next(iter(keys), "lr")
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "nf" / "checkpoint.lsfw").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run(["train", "--config", tmp_path / "absent.json"]) == 1
@@ -353,15 +408,31 @@ class TestMap:
 
 
 # ----------------------------------------------------------------------
+# non-finite rasters
+
+
+class TestNonFiniteRaster:
+    @pytest.mark.parametrize("command", ["train", "eval", "map"])
+    @pytest.mark.parametrize("raster,value", [("hsi", np.nan), ("lidar", np.inf)])
+    def test_is_data_error_naming_the_file(self, config_path, tmp_path, capsys,
+                                           command, raster, value):
+        assert run(["train", "--config", config_path]) == 0
+        path = tmp_path / "scene" / f"{raster}.lsaf"
+        cube = storage.read_raster(path)
+        cube[0, 3, 4] = value
+        storage.write_raster(path, cube)
+        capsys.readouterr()
+        out = tmp_path / "after"
+        argv = [command, "--config", config_path, "--out", out]
+        if command != "train":
+            argv += ["--checkpoint", tmp_path / "run" / "checkpoint.lsfw"]
+        assert run(argv) == 2
+        assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+# ----------------------------------------------------------------------
 # the checkpoint fixes the mode
-
-
-def with_keys(config_path, name, **keys):
-    config = json.loads(config_path.read_text())
-    config.update(keys)
-    path = config_path.parent / name
-    path.write_text(json.dumps(config))
-    return path
 
 
 class TestCheckpointMode:

@@ -13,6 +13,7 @@ from lsaf.model import (
     LsafModel,
     ModelConfig,
     SqueezeExcite,
+    Windows,
     concat_transpose,
     spatial_attention,
 )
@@ -33,6 +34,12 @@ def small_config(**kw):
     return ModelConfig(**defaults)
 
 
+def feature_maps(model, h, l, training=True):
+    """Both extractors' output maps for a batch of patches."""
+    return (model.hsi_extractor(Windows.of_patches(h), training),
+            model.lidar_extractor(Windows.of_patches(l), training))
+
+
 # ----------------------------------------------------------------------
 # configuration and shape contract
 
@@ -41,13 +48,20 @@ class TestShapeContract:
     @pytest.mark.parametrize("patch", [9, 11, 13])
     def test_branches_agree_for_supported_patches(self, patch):
         model = LsafModel(ModelConfig(num_classes=4, pca_dims=16, patch=patch), seed=0)
-        assert model.hsi_extractor.output_shape() == model.lidar_extractor.output_shape()
-        assert model.feature_shape == (FEATURE_CHANNELS, patch - 6, patch - 6)
+        side = model.config.feature_side
+        assert side == patch - 6
+        h = Tensor(rng(patch).normal(size=(2, 16, patch, patch)))
+        l = Tensor(rng(patch + 1).normal(size=(2, 1, patch, patch)))
+        map_h, map_l = feature_maps(model, h, l)
+        assert map_h.shape == map_l.shape == (2, FEATURE_CHANNELS, side, side)
+        assert model.forward(h, l, training=True).shape == (2, 4)
 
     def test_default_config_feature_geometry(self):
         model = LsafModel(ModelConfig(num_classes=15), seed=0)
         assert model.config.pca_dims == 30 and model.config.patch == 11
-        assert model.feature_shape == (64, 5, 5)
+        assert model.config.feature_side == 5
+        assert model.fusion.head_hsi.fc1.weight.shape == (64 * 5 * 5, 128)
+        assert model.fusion.head_fused.fc1.weight.shape == (2 * 64 * 5 * 5, 128)
 
     def test_construction_rejects_small_patch(self):
         with pytest.raises(ConfigError):
@@ -66,15 +80,16 @@ class TestShapeContract:
         model = LsafModel(config, seed=1)
         h = Tensor(rng(0).normal(size=(2, 13, 7, 7)))
         l = Tensor(rng(1).normal(size=(2, 1, 7, 7)))
-        feat_h, feat_l = model.extract_features(h, l, training=True)
-        assert feat_h.shape == feat_l.shape == (2, 64, 1)
+        map_h, map_l = feature_maps(model, h, l)
+        assert map_h.shape == map_l.shape == (2, 64, 1, 1)
+        assert model.forward(h, l, training=True).shape == (2, 3)
 
     def test_zero_patches_give_zero_features(self):
         model = LsafModel(small_config(), seed=2)
         h = Tensor(np.zeros((2, 13, 7, 7)))
         l = Tensor(np.zeros((2, 1, 7, 7)))
-        feat_h, feat_l = model.extract_features(h, l, training=True)
-        assert not feat_h.data.any() and not feat_l.data.any()
+        map_h, map_l = feature_maps(model, h, l)
+        assert not map_h.data.any() and not map_l.data.any()
 
 
 # ----------------------------------------------------------------------
@@ -301,30 +316,32 @@ class TestDecisionFusion:
         fusion = self.make()
         fusion.weight_hsi.data = np.array(0.0)
         fusion.weight_lidar.data = np.array(0.0)
-        combined, _, _, logits_f = fusion(*self.inputs())
-        assert np.allclose(combined.data, logits_f.data)
+        in_h, in_l, in_f = self.inputs()
+        assert np.allclose(fusion(in_h, in_l, in_f).data, fusion.head_fused(in_f).data)
 
     def test_single_path_identity(self):
         fusion = self.make(seed=2)
         fusion.weight_lidar.data = np.array(0.0)
         fusion.head_fused.fc2.weight.data[:] = 0.0
         fusion.head_fused.fc2.bias.data[:] = 0.0
-        combined, logits_h, _, logits_f = fusion(*self.inputs(seed=3))
-        assert not logits_f.data.any()
-        assert np.allclose(combined.data, logits_h.data)
+        in_h, in_l, in_f = self.inputs(seed=3)
+        assert not fusion.head_fused(in_f).data.any()
+        assert np.allclose(fusion(in_h, in_l, in_f).data, fusion.head_hsi(in_h).data)
 
     def test_weighted_sum_formula(self):
         fusion = self.make(seed=4)
         fusion.weight_hsi.data = np.array(0.3)
         fusion.weight_lidar.data = np.array(0.7)
-        combined, logits_h, logits_l, logits_f = fusion(*self.inputs(seed=5))
-        want = 0.3 * logits_h.data + 0.7 * logits_l.data + logits_f.data
-        assert np.allclose(combined.data, want, atol=1e-12)
+        in_h, in_l, in_f = self.inputs(seed=5)
+        want = (0.3 * fusion.head_hsi(in_h).data + 0.7 * fusion.head_lidar(in_l).data
+                + fusion.head_fused(in_f).data)
+        assert np.allclose(fusion(in_h, in_l, in_f).data, want, atol=1e-12)
 
     def test_matches_straight_line_heads(self):
         fusion = self.make(seed=6)
         in_h, in_l, in_f = self.inputs(seed=7)
-        combined, logits_h, _, _ = fusion(in_h, in_l, in_f)
+        combined = fusion(in_h, in_l, in_f)
+        logits_h = fusion.head_hsi(in_h)
 
         def head(x, block):
             hidden = np.maximum(x @ block.fc1.weight.data + block.fc1.bias.data, 0.0)
@@ -339,7 +356,7 @@ class TestDecisionFusion:
 
     def test_fusion_weights_receive_gradients(self):
         fusion = self.make(seed=8)
-        combined, *_ = fusion(*self.inputs(seed=9))
+        combined = fusion(*self.inputs(seed=9))
         (combined * combined).sum().backward()
         assert fusion.weight_hsi.grad is not None and fusion.weight_hsi.grad.any()
         assert fusion.weight_lidar.grad is not None and fusion.weight_lidar.grad.any()
@@ -403,12 +420,19 @@ class TestForward:
             LsafModel(small_config(), mode="both")
 
     def test_parts_sum_matches_forward(self):
+        """Forward is the extractors, the attention and the weighted sum of
+        the three heads, each head run on its own path's features."""
         model = LsafModel(small_config(), seed=9)
         h, l = self.batch(seed=10)
-        combined, logits_h, logits_l, logits_f = model.forward_parts(h, l, training=False)
-        want = (model.fusion.weight_hsi.data * logits_h.data
-                + model.fusion.weight_lidar.data * logits_l.data + logits_f.data)
-        assert np.allclose(combined.data, want, atol=1e-12)
+        map_h, map_l = feature_maps(model, h, l, training=False)
+        n, c = map_h.shape[:2]
+        feat_h, feat_l = map_h.reshape(n, c, -1), map_l.reshape(n, c, -1)
+        fused = model.attention(feat_h, feat_l)
+        fusion = model.fusion
+        want = (fusion.weight_hsi.data * fusion.head_hsi(feat_h).data
+                + fusion.weight_lidar.data * fusion.head_lidar(feat_l).data
+                + fusion.head_fused(fused).data)
+        assert np.allclose(model.forward(h, l, training=False).data, want, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_logits_independent_of_batch_composition(self, dtype):

@@ -25,6 +25,26 @@ def test_zero_raster_loads_as_zeros(tmp_path):
     assert not storage.read_raster(path).any()
 
 
+@pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+def test_nonfinite_raster_rejected_naming_the_file(tmp_path, values):
+    cube = np.full((2, 3, 3), np.finfo(np.float32).max, dtype=np.float32)
+    cube.reshape(-1)[:len(values)] = values
+    path = tmp_path / "bad.lsaf"
+    storage.write_raster(path, cube)
+    with pytest.raises(FormatError, match=f"bad.lsaf: raster holds {len(values)} non-finite"):
+        storage.read_raster(path)
+
+
+def test_largest_finite_values_load(tmp_path):
+    """Summing float32 extremes in float64 cannot overflow to a false alarm."""
+    big = np.finfo(np.float32).max
+    cube = np.full((4, 16, 16), big, dtype=np.float32)
+    cube[1] = -big
+    path = tmp_path / "big.lsaf"
+    storage.write_raster(path, cube)
+    assert np.array_equal(storage.read_raster(path), cube)
+
+
 def test_labels_round_trip(tmp_path):
     labels = np.random.default_rng(1).integers(0, 16, size=(7, 9)).astype(np.uint16)
     path = tmp_path / "gt.lsaf"

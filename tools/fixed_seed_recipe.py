@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Run the fixed-seed recipe and print the sha256 of every file it writes.
+
+    python3 tools/fixed_seed_recipe.py
+
+A refactor that must not change behaviour should leave every printed hash
+as it was. In a temporary directory, at one BLAS thread, with the `lsaf`
+package of this checkout, it runs:
+- `synth`: a 24×24 scene of 4 classes and 48 bands, seed 0 (`scene/`);
+- `train`: 2 epochs, batch 64, seed 0, paper geometry (`run1/`);
+- `train --resume` from run1 to 3 epochs (`run2/`);
+- `train` in hsi mode, patch 7, 13 PCA dims, hidden width 16 (`hsi/`);
+- `eval` and `map` of run1's checkpoint (`eval/`, `map/`).
+
+The trained outputs depend on the BLAS build and the CPU, so compare hashes
+only between runs on the same machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"  # before numpy loads its BLAS
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from lsaf import cli  # noqa: E402
+
+
+def _lsaf(*argv) -> None:
+    code = cli.main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"lsaf {argv[0]} exited {code}")
+
+
+def _write_config(path: str, scene: str, **keys) -> str:
+    config = {name: os.path.join(scene, f"{name}.lsaf") for name in ("hsi", "lidar", "labels")}
+    config.update(epochs=2, batch=64, seed=0, **keys)
+    with open(path, "w") as f:
+        json.dump(config, f)
+    return path
+
+
+def run(work: str) -> None:
+    scene = os.path.join(work, "scene")
+    _lsaf("synth", "--classes", 4, "--height", 24, "--width", 24, "--bands", 48,
+          "--seed", 0, "--out", scene)
+    config = _write_config(os.path.join(work, "run.json"), scene)
+    hsi_config = _write_config(os.path.join(work, "hsi.json"), scene, mode="hsi", patch=7,
+                               pca_dims=13, hidden=16)
+    run1 = os.path.join(work, "run1", "checkpoint.lsfw")
+    _lsaf("train", "--config", config, "--out", os.path.join(work, "run1"))
+    _lsaf("train", "--config", config, "--epochs", 3, "--resume", run1,
+          "--out", os.path.join(work, "run2"))
+    _lsaf("train", "--config", hsi_config, "--out", os.path.join(work, "hsi"))
+    _lsaf("eval", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "eval"))
+    _lsaf("map", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "map"))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        stdout = sys.stdout
+        sys.stdout = open(os.devnull, "w")  # the commands' reports
+        try:
+            run(work)
+        finally:
+            sys.stdout.close()
+            sys.stdout = stdout
+        for directory, _, files in sorted(os.walk(work)):
+            for name in sorted(files):
+                path = os.path.join(directory, name)
+                if name.endswith(".json"):
+                    continue
+                with open(path, "rb") as f:
+                    digest = hashlib.sha256(f.read()).hexdigest()
+                print(f"{digest}  {os.path.relpath(path, work)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
