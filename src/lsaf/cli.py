@@ -4,7 +4,8 @@ Configuration comes from a JSON file (`--config`); the command-line flags
 override file keys. Every command accepts every config key, but takes only
 the flags it reads: `train` --seed --epochs --lr --batch, `eval` --seed,
 and all three --patch --pca-dims --out. Unknown config keys and unknown
-flags are errors, and so is a non-finite number.
+flags (abbreviations of known ones included) are errors, and so is a
+non-finite number.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data or format
 problem (unreadable files, bad headers, non-finite rasters, incompatible
@@ -426,7 +427,12 @@ def cmd_map(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with the documented usage code."""
+    """argparse that exits with the documented usage code and takes flags
+    only as spelt in full, so an abbreviation is an unknown flag (the
+    subcommand parsers are of this class too)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -117,10 +117,7 @@ def read_raster(path: str | os.PathLike) -> np.ndarray:
     info = probe_raster(path)
     if info["dtype"] != np.dtype("<f4"):
         raise FormatError(f"{path}: expected a float32 raster, found {info['dtype']}")
-    shape = (info["bands"], info["height"], info["width"])
-    with open(path, "rb") as f:
-        f.seek(_RASTER_HEADER.size)
-        data = np.frombuffer(f.read(), dtype="<f4")
+    data = _read_payload(path, info)
     # A float64 sum of float32 values cannot overflow, so it is finite exactly
     # when every value is, and unlike np.isfinite it needs no scene-sized mask.
     with np.errstate(invalid="ignore"):  # inf + -inf
@@ -128,7 +125,7 @@ def read_raster(path: str | os.PathLike) -> np.ndarray:
     if not np.isfinite(total):
         bad = np.count_nonzero(~np.isfinite(data))
         raise FormatError(f"{path}: raster holds {bad} non-finite value(s) (NaN or Inf)")
-    return data.reshape(shape).copy()
+    return data
 
 
 def read_labels(path: str | os.PathLike) -> np.ndarray:
@@ -138,10 +135,18 @@ def read_labels(path: str | os.PathLike) -> np.ndarray:
         raise FormatError(f"{path}: expected a uint16 label map, found {info['dtype']}")
     if info["bands"] != 1:
         raise FormatError(f"{path}: label map must be single-band, found {info['bands']}")
-    with open(path, "rb") as f:
-        f.seek(_RASTER_HEADER.size)
-        data = np.frombuffer(f.read(), dtype="<u2")
-    return data.reshape(info["height"], info["width"]).copy()
+    return _read_payload(path, info)[0]
+
+
+def _read_payload(path: str | os.PathLike, info: dict) -> np.ndarray:
+    """The `(bands, H, W)` payload of a probed raster, read straight into one
+    writable array: the file's bytes are never held a second time."""
+    shape = (info["bands"], info["height"], info["width"])
+    count = math.prod(shape)
+    data = np.fromfile(path, dtype=info["dtype"], count=count, offset=_RASTER_HEADER.size)
+    if data.size != count:
+        raise FormatError(f"{path}: payload ends after {data.size} of {count} values")
+    return data.reshape(shape)
 
 
 # ----------------------------------------------------------------------

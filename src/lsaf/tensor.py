@@ -10,15 +10,15 @@ Dense layouts follow the usual deep-learning conventions: convolutions take
 `(cin, *spatial)` or batched `(n, cin, *spatial)` inputs with
 `(cout, cin, *kernel)` weights, batch norm normalizes axis 1.
 
-Convolutions lower to im2col and BLAS: the forward pass is one matrix product
-per sample over a buffer of input windows, the backward pass two products
-over the same buffer. BLAS picks its own summation order, so outputs are not
-bit-equal to naive nested loops. Instead the forward pass keeps three
-promises, which the tests check: each output element lies within a
-dtype-dependent tolerance of a tap-by-tap reference sum, relative to the sum
-of the magnitudes of its products; a sample's output does not depend on which
-other samples share its batch; and a fixed seed and thread count reproduce
-every result bit for bit from run to run.
+Convolutions lower to BLAS over the two spatial axes only, and add up one
+batched matrix product per spectral kernel offset (see `_conv`). BLAS picks
+its own summation order, so results are not bit-equal to naive nested loops.
+Instead convolutions keep three promises, which the tests check: each output
+element, and each element of both gradients, lies within a dtype-dependent
+tolerance of a reference computation, relative to the same computation on
+magnitudes; a sample's output does not depend on which other samples share
+its batch; and a fixed seed and thread count reproduce every result bit for
+bit from run to run.
 
 Precision defaults to float64; switch to float32 with `set_default_dtype`
 when training throughput matters more than gradient-check headroom.
@@ -26,7 +26,6 @@ when training throughput matters more than gradient-check headroom.
 
 from __future__ import annotations
 
-import itertools
 import os
 from typing import Callable, Sequence
 
@@ -479,7 +478,24 @@ def _tupled(value, n: int, name: str) -> tuple:
     return value
 
 
+def _reach(offset: int, stride: int, n: int) -> slice:
+    """The `n` input positions that kernel offset `offset` meets at `stride`."""
+    return slice(offset, offset + stride * (n - 1) + 1, stride)
+
+
 def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
+    """Cross-correlation of `x` with `w` over the last `nsp` axes.
+
+    A 2-D conv runs as the depth-1, `kd = 1` case of a 3-D one. Only the two
+    spatial axes are lowered: `cols` holds each `kh×kw` window once, rows in
+    `(cin, kh, kw)` order and one column block of `ho·wo` per (sample, padded
+    depth). Spectral offset `a` of the kernel then reads the depth-shifted
+    column blocks `a, a + sd, …`, so the output is the sum over the `kd`
+    offsets of `w[:, :, a] @ cols[shifted]`, each a batched GEMM with one
+    product per sample. The backward stacks the `kd` depth-shifted copies of
+    the output gradient into one matrix, which turns the kernel gradient and
+    the column gradient into one GEMM each; col2im is then `kh·kw` slice-adds.
+    """
     if w.ndim != nsp + 2:
         raise ShapeError(f"conv{nsp}d kernels must be {nsp + 2}-D, got {w.shape}")
     if x.ndim == nsp + 1:
@@ -517,45 +533,62 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
         out_sp.append(span // s + 1)
     out_sp = tuple(out_sp)
 
-    xp = np.pad(xd, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
-    n_taps = cin * int(np.prod(ksz))
-    n_pos = int(np.prod(out_sp))
+    # Give a 2-D conv a depth axis of 1: from here on, everything is 3-D.
+    lift = (1,) * (3 - nsp)
+    sd, sh, sw = lift + strides
+    pd, ph, pw = (0,) * (3 - nsp) + pads
+    kd, kh, kw = lift + ksz
+    do, ho, wo = lift + out_sp
+    xp = np.pad(xd.reshape((batch, cin) + lift + in_sp),
+                ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    depth, hp, wp = xp.shape[2:]
+    rows = cin * kh * kw
+    npos = ho * wo
 
-    # im2col in one copy: rows in channel-major tap order (cin, *kernel),
-    # columns in (batch, *out_sp) order.
-    sp_axes = tuple(range(2, 2 + nsp))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, ksz, axis=sp_axes)
-    windows = windows[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in strides)]
-    cols = windows.transpose(
-        (1,) + tuple(range(2 + nsp, 2 + 2 * nsp)) + (0,) + sp_axes
-    ).reshape(n_taps, batch * n_pos)
+    # The spatial lowering in one copy: (cin, kh, kw) rows, (batch, depth,
+    # ho, wo) columns.
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(3, 4))
+    windows = windows[:, :, :, ::sh, ::sw]
+    cols = windows.transpose(1, 5, 6, 0, 2, 3, 4).reshape(rows, batch, depth, npos)
 
-    # One GEMM per sample over a strided view of `cols`: each sample's output
-    # depends on that sample alone, whatever else shares the batch.
-    w2 = np.ascontiguousarray(w.data.reshape(cout, n_taps))
-    out_data = w2 @ cols.reshape(n_taps, batch, n_pos).swapaxes(0, 1)
+    def shifted(a: int) -> np.ndarray:
+        """The columns spectral offset `a` reads: `(rows, batch, do·npos)`,
+        a view unless the depth stride makes numpy copy."""
+        return cols[:, :, _reach(a, sd, do)].reshape(rows, batch, do * npos)
+
+    # wk[a] is w[:, :, a] as a (cout, rows) matrix. Batched GEMMs over the
+    # (batch, rows, columns) view keep one product per sample, so a sample's
+    # output does not depend on what else shares its batch.
+    wk = np.ascontiguousarray(
+        w.data.reshape((cout, cin) + lift + ksz).transpose(2, 0, 1, 3, 4)
+    ).reshape(kd, cout, rows)
+    out_data = wk[0] @ shifted(0).swapaxes(0, 1)
+    for a in range(1, kd):
+        out_data += wk[a] @ shifted(a).swapaxes(0, 1)
     out_data = out_data.reshape((batch, cout) + out_sp)
     if not batched:
         out_data = out_data[0]
 
-    xp_shape = xp.shape
-    pad_strip = (slice(None), slice(None)) + tuple(
-        slice(p, p + n) for p, n in zip(pads, in_sp)
-    )
-
     def grad_fn(g):
-        gb = g if batched else g[None]
-        g2 = np.ascontiguousarray(gb.swapaxes(0, 1).reshape(cout, batch * n_pos))
-        gw = (g2 @ cols.T).reshape(w.data.shape)
-        gcols = w2.T @ g2
-        gxp = np.zeros(xp_shape, dtype=xd.dtype)
-        taps = itertools.product(range(cin), *(range(k) for k in ksz))
-        for row, (ci, *offsets) in enumerate(taps):
-            sl = (slice(None), ci) + tuple(
-                slice(o, o + s * (n - 1) + 1, s) for o, s, n in zip(offsets, strides, out_sp)
-            )
-            gxp[sl] += gcols[row].reshape((batch,) + out_sp)
-        gx = gxp[pad_strip]
+        # Block a of gs is the output gradient placed at depth offset a, so
+        # `gs @ colsᵀ` stacks the kd kernel-gradient slices and `wkᵀ @ gs` sums
+        # the kd offsets' contributions to each column.
+        gb = g.reshape((batch, cout, do, npos)).swapaxes(0, 1)
+        gs = np.zeros((kd, cout, batch, depth, npos), dtype=g.dtype)
+        for a in range(kd):
+            gs[a, :, :, _reach(a, sd, do)] = gb
+        gs = gs.reshape(kd * cout, batch * depth * npos)
+        gw = (gs @ cols.reshape(rows, -1).T).reshape(kd, cout, cin, kh, kw)
+        gw = gw.transpose(1, 2, 0, 3, 4).reshape(w.shape)
+        if not x.requires_grad:
+            return None, gw
+        gcols = (wk.reshape(kd * cout, rows).T @ gs).reshape(cin, kh, kw, batch, depth, ho, wo)
+        gxp = np.zeros((cin, batch, depth, hp, wp), dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, :, _reach(i, sh, ho), _reach(j, sw, wo)] += gcols[:, i, j]
+        gx = gxp.swapaxes(0, 1)[:, :, pd:depth - pd, ph:hp - ph, pw:wp - pw]
+        gx = gx.reshape(xd.shape)
         return (gx if batched else gx[0]), gw
 
     return _node(out_data, (x, w), f"conv{nsp}d", grad_fn)

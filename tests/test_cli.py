@@ -128,6 +128,15 @@ class TestArgs:
             run(["train", "--frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [["--epoch", 1], ["--pca", 20], ["--see", 3]])
+    def test_abbreviated_flag_is_usage_error(self, capsys, argv):
+        """A prefix of a flag is not that flag: a later flag sharing the
+        prefix cannot silently change what a command line means."""
+        with pytest.raises(SystemExit) as exc:
+            run(["train"] + argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run([])

@@ -1,6 +1,7 @@
 """Round-trip and validation tests for the binary containers."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,44 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "gt.lsaf"
     storage.write_labels(path, labels)
     assert np.array_equal(storage.read_labels(path), labels)
+
+
+@pytest.mark.parametrize("kind", ["raster", "labels"])
+def test_payload_is_held_once(tmp_path, kind):
+    """Reading peaks at no more than 1.1 times the payload: the bytes go
+    straight into the returned array, with no second copy."""
+    path = tmp_path / "p.lsaf"
+    if kind == "raster":
+        storage.write_raster(path, np.ones((16, 128, 128), dtype=np.float32))
+        read = storage.read_raster
+    else:
+        storage.write_labels(path, np.ones((512, 1024), dtype=np.uint16))
+        read = storage.read_labels
+    payload = path.stat().st_size - storage._RASTER_HEADER.size
+    tracemalloc.start()
+    try:
+        data = read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.nbytes == payload and data.flags.writeable
+    assert peak <= 1.1 * payload
+
+
+@pytest.mark.parametrize("kind", ["raster", "labels"])
+def test_short_payload_read_rejected(tmp_path, monkeypatch, kind):
+    """A file that shrinks between the header check and the payload read is
+    a format error, not a short array."""
+    path = tmp_path / "s.lsaf"
+    if kind == "raster":
+        storage.write_raster(path, np.ones((2, 3, 3), dtype=np.float32))
+    else:
+        storage.write_labels(path, np.ones((3, 3), dtype=np.uint16))
+    info = storage.probe_raster(path)
+    monkeypatch.setattr(storage, "probe_raster", lambda p: dict(info, height=4))
+    read = storage.read_raster if kind == "raster" else storage.read_labels
+    with pytest.raises(FormatError, match="payload ends after"):
+        read(path)
 
 
 def test_truncated_file_rejected(tmp_path):

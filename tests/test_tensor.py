@@ -1,8 +1,9 @@
 """Tensor and autodiff tests: closed-form oracles, exact conv references,
-a tolerance oracle for the library's GEMM conv, and finite-difference
-batteries for every differentiable op."""
+tolerance oracles for the library's GEMM conv forward and backward, and
+finite-difference batteries for every differentiable op."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,47 @@ def conv_tap_order(x, w, stride=1, padding=0):
 
     out = out2.reshape(cout, batch, *out_sp).swapaxes(0, 1)
     return np.ascontiguousarray(out if batched else out[0])
+
+
+def conv_backward_reference(x, w, g, stride=1, padding=0):
+    """Reference conv backward: the full im2col over every kernel tap (rows
+    in channel-major tap order), the kernel gradient `g @ colsᵀ` and the
+    column gradient `wᵀ @ g` as one GEMM each, then the column gradient
+    scattered back into the input one tap at a time. Returns `(gx, gw)` for
+    the output gradient `g` of `conv(x, w, stride, padding)`."""
+    nsp = w.ndim - 2
+    batched = x.ndim == nsp + 2
+    xd = x if batched else x[None]
+    gb = g if batched else g[None]
+    strides = (stride,) * nsp if isinstance(stride, int) else tuple(stride)
+    pads = (padding,) * nsp if isinstance(padding, int) else tuple(padding)
+    batch, cin = xd.shape[0], xd.shape[1]
+    cout = w.shape[0]
+    ksz = w.shape[2:]
+    out_sp = gb.shape[2:]
+    taps = list(itertools.product(range(cin), *(range(k) for k in ksz)))
+    n_pos = int(np.prod(out_sp))
+
+    xp = np.pad(xd, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
+    sp_axes = tuple(range(2, 2 + nsp))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, ksz, axis=sp_axes)
+    windows = windows[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in strides)]
+    cols = windows.transpose(
+        (1,) + tuple(range(2 + nsp, 2 + 2 * nsp)) + (0,) + sp_axes
+    ).reshape(len(taps), batch * n_pos)
+
+    w2 = np.ascontiguousarray(w.reshape(cout, len(taps)))
+    g2 = np.ascontiguousarray(gb.swapaxes(0, 1).reshape(cout, batch * n_pos))
+    gw = (g2 @ cols.T).reshape(w.shape)
+    gcols = w2.T @ g2
+    gxp = np.zeros(xp.shape, dtype=xd.dtype)
+    for row, (ci, *offsets) in enumerate(taps):
+        sl = (slice(None), ci) + tuple(
+            slice(o, o + s * (n - 1) + 1, s) for o, s, n in zip(offsets, strides, out_sp)
+        )
+        gxp[sl] += gcols[row].reshape((batch,) + out_sp)
+    gx = gxp[(slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(pads, xd.shape[2:]))]
+    return (gx if batched else gx[0]), gw
 
 
 def random_conv2d_case(seed):
@@ -327,6 +369,111 @@ def test_model_conv_blocks_within_tolerance(x_shape, k_shape, padding, dtype):
     x = r.normal(size=x_shape)
     k = r.normal(size=k_shape) / np.sqrt(np.prod(k_shape[1:]))
     assert_conv_within_tolerance(x, k, dtype, padding=padding)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,padding", MODEL_CONV_SHAPES)
+def test_model_conv_backward_within_tolerance(x_shape, k_shape, padding, dtype):
+    """Both gradients lie within the forward's tolerance of the reference
+    backward, relative to that backward run on |g|, |x| and |w|."""
+    r = rng(len(x_shape) * 100 + k_shape[1] + 7)
+    conv = T.conv3d if len(k_shape) == 5 else T.conv2d
+    x = r.normal(size=x_shape).astype(dtype)
+    k = (r.normal(size=k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
+    g = r.normal(size=conv(Tensor(x), Tensor(k), padding=padding).shape).astype(dtype)
+    xt = Tensor(x, requires_grad=True, dtype=dtype)
+    kt = Tensor(k, requires_grad=True, dtype=dtype)
+    (conv(xt, kt, padding=padding) * Tensor(g, dtype=dtype)).sum().backward()
+    got = xt.grad, kt.grad
+    want = conv_backward_reference(x, k, g, padding=padding)
+    scale = conv_backward_reference(np.abs(x), np.abs(k), np.abs(g), padding=padding)
+    for a, b, s in zip(got, want, scale):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert np.all(np.abs(a - b) <= CONV_TOL[dtype] * s)
+
+
+# (input shape, kernel shape, stride, padding): 2-D and 3-D, spectral kernels
+# of depth 1 to 7 on deeper inputs, strides, mixed strides, padding, and the
+# unbatched path.
+CONV_GRAD_CASES = [
+    ((2, 2, 5, 6), (3, 2, 3, 2), 1, 0),
+    ((2, 2, 5, 5), (2, 2, 3, 3), 2, 1),
+    ((2, 2, 5, 7), (2, 2, 3, 3), (2, 1), (0, 1)),
+    ((2, 4, 4), (3, 2, 3, 3), 1, 1),
+] + [
+    ((2, 2, kd + 2, 4, 4), (2, 2, kd, 3, 3), 1, 0) for kd in range(1, 8)
+] + [
+    ((2, 2, 5, 5, 5), (2, 2, 3, 3, 3), 2, 0),
+    ((2, 2, 7, 5, 5), (3, 2, 3, 2, 3), (2, 1, 2), (1, 0, 1)),
+    ((2, 9, 4, 4), (2, 2, 5, 3, 3), (2, 1, 1), (1, 1, 0)),
+]
+
+
+def conv_case_id(case):
+    x_shape, k_shape, stride, padding = case
+    kernel = "x".join(map(str, k_shape[2:]))
+    return f"x{'x'.join(map(str, x_shape))}-k{kernel}-s{stride}-p{padding}".replace(" ", "")
+
+
+@pytest.mark.parametrize("wrt", ["input", "kernel"])
+@pytest.mark.parametrize("x_shape,k_shape,stride,padding", CONV_GRAD_CASES,
+                         ids=[conv_case_id(c) for c in CONV_GRAD_CASES])
+def test_conv_gradient_battery(x_shape, k_shape, stride, padding, wrt):
+    r = rng(13)
+    conv = T.conv3d if len(k_shape) == 5 else T.conv2d
+    x = Tensor(r.normal(size=x_shape), requires_grad=True)
+    k = Tensor(r.normal(size=k_shape) * 0.4, requires_grad=True)
+    weights = Tensor(r.normal(size=conv(x, k, stride, padding).shape))
+
+    def loss(c):
+        return (c * weights).sum() + (c * c).mean()
+
+    if wrt == "input":
+        err = T.finite_diff_check(lambda t: loss(conv(t, k, stride, padding)), x,
+                                  max_coords=60, seed=1)
+    else:
+        err = T.finite_diff_check(lambda t: loss(conv(x, t, stride, padding)), k,
+                                  max_coords=60, seed=2)
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("x_shape,k_shape", [((2, 3, 7, 5, 5), (4, 3, 3, 3, 3)),
+                                             ((2, 3, 5, 5), (4, 3, 3, 3))])
+def test_input_without_gradient_gets_none(x_shape, k_shape):
+    """A conv whose input needs no gradient leaves `x.grad` unset, with the
+    same kernel gradient bit for bit as when the input needs one."""
+    r = rng(11)
+    conv = T.conv3d if len(k_shape) == 5 else T.conv2d
+    x = r.normal(size=x_shape)
+    k = r.normal(size=k_shape)
+    g = r.normal(size=conv(Tensor(x), Tensor(k), padding=1).shape)
+    grads = {}
+    for needs in (True, False):
+        xt = Tensor(x, requires_grad=needs)
+        kt = Tensor(k, requires_grad=True)
+        (conv(xt, kt, padding=1) * Tensor(g)).sum().backward()
+        grads[needs] = xt.grad, kt.grad
+    assert grads[True][0] is not None and grads[False][0] is None
+    assert np.array_equal(grads[True][1], grads[False][1])
+
+
+def test_conv3d_forward_holds_a_compact_lowering():
+    """At HSI block2's paper shape (batch 128, float32), what one forward
+    leaves allocated, the output plus the buffer its tape keeps for the
+    backward, stays within 64 MiB. A lowering over all kd·kh·kw taps holds
+    180 MiB."""
+    r = rng(12)
+    x = Tensor(r.standard_normal((128, 8, 24, 9, 9), dtype=np.float32), dtype=np.float32)
+    k = Tensor(r.standard_normal((16, 8, 5, 3, 3), dtype=np.float32), requires_grad=True,
+               dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = T.conv3d(x, k)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (128, 16, 20, 7, 7)
+    assert held <= 64 * 2 ** 20
 
 
 # ----------------------------------------------------------------------
