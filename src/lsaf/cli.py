@@ -45,7 +45,7 @@ from .data import (
     synth_generate,
 )
 from .errors import ConfigError, ContractError, FormatError, LsafError, NumericError
-from .model import MODES, LsafModel, ModelConfig
+from .model import MODES, LsafModel, ModelConfig, check_state_geometry
 from .train import (
     Adam,
     TrainConfig,
@@ -108,6 +108,11 @@ DEFAULT_MODE = "full"
 _GEOMETRY = tuple(field.name for field in dataclasses.fields(ModelConfig))
 _CONFIG_GEOMETRY = tuple(key for key in _GEOMETRY if key in _CONFIG_DEFAULTS)
 
+# The `pre.*` constants in checkpoint order: `PcaModel`'s fields, then the
+# min-max scaling of the projected bands and of the LiDAR band.
+_PRE_KEYS = ("pre.pca.mean", "pre.pca.components", "pre.pca.explained_variance",
+             "pre.norm.hsi_min", "pre.norm.hsi_span", "pre.norm.lidar_min", "pre.norm.lidar_span")
+
 _STR_KEYS = {"hsi", "lidar", "labels", "out", "mode", "dtype"}
 _INT_KEYS = {"patch", "pca_dims", "hidden", "se_reduction", "epochs", "batch",
              "seed", "checkpoint_every"}
@@ -150,6 +155,8 @@ def _validate_key(key: str, value):
     elif key in _INT_KEYS:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
+        if key == "seed" and value < 0:
+            raise ConfigError(f"config key 'seed' must be a non-negative integer, got {value}")
     elif key in _FLOAT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
@@ -162,12 +169,6 @@ def _validate_key(key: str, value):
     return value
 
 
-def _require_paths(config: dict) -> None:
-    for key in ("hsi", "lidar", "labels"):
-        if not config[key]:
-            raise ConfigError(f"config is missing required data path '{key}'")
-
-
 def _train_config(config: dict) -> TrainConfig:
     return TrainConfig(**{field.name: config[field.name]
                           for field in dataclasses.fields(TrainConfig)})
@@ -178,30 +179,21 @@ def _train_config(config: dict) -> TrainConfig:
 
 
 def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
-    """PCA + min-max constants, keyed for checkpoint storage."""
+    """A new model's PCA, as its `pre.pca.*` constants."""
     labels = pair.labels if config["pca_on_labeled"] else None
     pca = pca_fit(pair.hsi, config["pca_dims"], labels=labels)
-    hsi_min, hsi_span = fit_minmax(pca_transform(pca, pair.hsi))
-    lidar_min, lidar_span = fit_minmax(pair.lidar)
-    return {
-        "pre.pca.mean": pca.mean,
-        "pre.pca.components": pca.components,
-        "pre.pca.explained_variance": pca.explained_variance,
-        "pre.norm.hsi_min": hsi_min,
-        "pre.norm.hsi_span": hsi_span,
-        "pre.norm.lidar_min": lidar_min,
-        "pre.norm.lidar_span": lidar_span,
-    }
+    return dict(zip(_PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
 
 
 def _apply_preprocessing(pair: RasterPair, pre: dict) -> RasterPair:
-    """Project and scale a scene with stored constants."""
-    pca = PcaModel(
-        mean=pre["pre.pca.mean"].astype(np.float64),
-        components=pre["pre.pca.components"].astype(np.float64),
-        explained_variance=pre["pre.pca.explained_variance"].astype(np.float64),
-    )
-    hsi = rescale(pca_transform(pca, pair.hsi), pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
+    """Project and scale a scene with the `pre.*` constants. A new model's
+    `pre` holds the PCA only: the min-max constants are then fitted on the
+    projection and added to `pre`, so the scene is projected once."""
+    pca = PcaModel(*(pre[key].astype(np.float64) for key in _PRE_KEYS[:3]))
+    hsi = pca_transform(pca, pair.hsi)
+    if "pre.norm.hsi_min" not in pre:
+        pre.update(zip(_PRE_KEYS[3:], fit_minmax(hsi) + fit_minmax(pair.lidar)))
+    hsi = rescale(hsi, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
     lidar = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
     return RasterPair(hsi=hsi.astype(np.float32), lidar=lidar.astype(np.float32),
                       labels=pair.labels)
@@ -213,16 +205,6 @@ def _model_meta(model: LsafModel, config: dict, epochs_trained: int) -> dict:
     meta["meta.seed"] = config["seed"]
     meta["meta.mode"] = MODES.index(model.mode)
     return {key: np.array(float(value)) for key, value in meta.items()}
-
-
-def _new_geometry(config: dict, num_classes: int) -> ModelConfig:
-    """A new model's geometry: the config's keys, ModelConfig's defaults for
-    the unset ones, which the config then holds too."""
-    geometry = ModelConfig(num_classes=num_classes, **{
-        key: config[key] for key in _CONFIG_GEOMETRY if config[key] is not None})
-    for key in _CONFIG_GEOMETRY:
-        config[key] = getattr(geometry, key)
-    return geometry
 
 
 def _adopt(config: dict, key: str, stored) -> None:
@@ -247,6 +229,7 @@ def _sync_config_with_meta(config: dict, state: dict) -> ModelConfig:
                                   for key in _GEOMETRY})
     except ConfigError as e:
         raise FormatError(f"checkpoint meta.{e.key} is invalid: {e}")
+    check_state_geometry(geometry, state)
     for key in _CONFIG_GEOMETRY:
         _adopt(config, key, getattr(geometry, key))
     if "meta.mode" not in state:
@@ -262,48 +245,64 @@ def _sync_config_with_meta(config: dict, state: dict) -> ModelConfig:
     return geometry
 
 
-def _stored_preprocessing(state: dict, path: str, dims: int) -> dict:
-    """The checkpoint's `pre.*` constants, each checked for the shape that a
-    projection of its bands to `dims` PCA dimensions needs."""
-    keys = ("pre.pca.mean", "pre.pca.components", "pre.pca.explained_variance",
-            "pre.norm.hsi_min", "pre.norm.hsi_span", "pre.norm.lidar_min", "pre.norm.lidar_span")
-    for key in keys:
-        if key not in state:
-            raise FormatError(f"{path}: checkpoint is missing '{key}'")
-    pre = {key: state[key] for key in keys}
-    bands = pre["pre.pca.components"].shape[:1]
-    shapes = (bands, bands + (dims,), (dims,), (dims,), (dims,), (1,), (1,))
-    for (key, value), shape in zip(pre.items(), shapes):
-        if value.shape != shape:
-            raise FormatError(f"{path}: checkpoint {key} has shape {value.shape}, "
-                              f"expected {shape}")
-    return pre
+def _setup(args, checkpoint: str | None):
+    """What train, eval and map start from: (config, scene, patch set, `pre.*`
+    constants, model, checkpoint state or None).
 
-
-def _load_scene(config: dict) -> RasterPair:
-    _require_paths(config)
-    return load_raster(config["hsi"], config["lidar"], config["labels"])
-
-
-def _run_config(args) -> dict:
-    """The command's configuration, with its dtype set and output directory made."""
+    With a checkpoint, the config adopts its geometry and mode, the stored
+    `pre.*` constants are checked for the shapes that geometry needs, and the
+    model loads the stored weights. Without one, the geometry is new and the
+    constants are fitted. Either way the scene is read and projected once,
+    after every check on the checkpoint."""
     config = load_config(args.config, _overrides(args))
     T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
     os.makedirs(config["out"], exist_ok=True)
-    return config
-
-
-def _restore(args):
-    """What eval and map start from: (config, scene, preprocessing constants,
-    model), the config adopting the checkpoint's geometry and mode."""
-    config = _run_config(args)
-    state = storage.read_checkpoint(args.checkpoint)
-    geometry = _sync_config_with_meta(config, state)
-    pair = _load_scene(config)
-    pre = _stored_preprocessing(state, args.checkpoint, geometry.pca_dims)
+    for key in ("hsi", "lidar", "labels"):
+        if not config[key]:
+            raise ConfigError(f"config is missing required data path '{key}'")
+    state = None
+    if checkpoint is not None:
+        state = storage.read_checkpoint(checkpoint)
+        geometry = _sync_config_with_meta(config, state)
+        trained = int(state["meta.epochs_trained"])
+        if args.command == "train" and config["epochs"] <= trained:
+            raise ConfigError(f"epochs {config['epochs']} does not exceed the checkpoint's "
+                              f"meta.epochs_trained {trained}; nothing to resume")
+        # The seed draws the train/test split, which eval scores and resume
+        # trains on; meta.seed is not adopted, only reported.
+        if args.command != "map" and "meta.seed" in state:
+            stored_seed = storage.checkpoint_count(state, "meta.seed")
+            if stored_seed != config["seed"]:
+                log.warning("seed %d differs from the checkpoint's meta.seed %d: this run "
+                            "splits the scene unlike the run that trained it",
+                            config["seed"], stored_seed)
+        for key in _PRE_KEYS:
+            if key not in state:
+                raise FormatError(f"{checkpoint}: checkpoint is missing '{key}'")
+        pre = {key: state[key] for key in _PRE_KEYS}
+        bands, dims = pre["pre.pca.components"].shape[:1], geometry.pca_dims
+        shapes = (bands, bands + (dims,), (dims,), (dims,), (dims,), (1,), (1,))
+        for (key, value), shape in zip(pre.items(), shapes):
+            if value.shape != shape:
+                raise FormatError(f"{checkpoint}: checkpoint {key} has shape {value.shape}, "
+                                  f"expected {shape}")
+    pair = load_raster(config["hsi"], config["lidar"], config["labels"])
+    if args.command == "train" and pair.num_classes < 2:
+        raise ConfigError(f"scene has {pair.num_classes} labeled class(es); need at least 2")
+    if state is None:
+        # The config's geometry keys, ModelConfig's defaults for the unset
+        # ones, which the config then holds too.
+        geometry = ModelConfig(num_classes=pair.num_classes, **{
+            key: config[key] for key in _CONFIG_GEOMETRY if config[key] is not None})
+        for key in _CONFIG_GEOMETRY:
+            config[key] = getattr(geometry, key)
+        config["mode"] = config["mode"] or DEFAULT_MODE
+        pre = _fit_preprocessing(pair, config)
     model = LsafModel(geometry, seed=config["seed"], mode=config["mode"])
-    model.load_state(state)
-    return config, pair, pre, model
+    if state is not None:
+        model.load_state(state)
+    patches = extract_patches(_apply_preprocessing(pair, pre), s=config["patch"])
+    return config, pair, patches, pre, model, state
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +310,7 @@ def _restore(args):
 
 
 def cmd_synth(args) -> int:
+    _validate_key("seed", args.seed)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     pair = synth_generate(args.classes, args.height, args.width, args.bands,
@@ -323,60 +323,30 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _prepare_patches(config: dict, pair: RasterPair, pre: dict):
-    scaled = _apply_preprocessing(pair, pre)
-    return extract_patches(scaled, s=config["patch"])
-
-
 def cmd_train(args) -> int:
-    config = _run_config(args)
+    config, pair, patches, pre, model, state = _setup(args, args.resume)
     out_dir = config["out"]
     checkpoint_path = os.path.join(out_dir, "checkpoint.lsfw")
-
-    pair = _load_scene(config)
-    num_classes = pair.num_classes
-    if num_classes < 2:
-        raise ConfigError(f"scene has {num_classes} labeled class(es); need at least 2")
-
-    resume_state = None
-    if args.resume:
-        resume_state = storage.read_checkpoint(args.resume)
-        geometry = _sync_config_with_meta(config, resume_state)
-        trained = int(resume_state["meta.epochs_trained"])
-        if config["epochs"] <= trained:
-            raise ConfigError(
-                f"epochs {config['epochs']} does not exceed the checkpoint's "
-                f"meta.epochs_trained {trained}; nothing to resume"
-            )
-        pre = _stored_preprocessing(resume_state, args.resume, geometry.pca_dims)
-        log.info("resuming from %s", args.resume)
-    else:
-        geometry = _new_geometry(config, num_classes)
-        pre = _fit_preprocessing(pair, config)
-
-    patches = _prepare_patches(config, pair, pre)
     train_set, test_set = split(patches, config["train_fraction"], config["seed"])
     log.info("scene %dx%d, %d classes, %d train / %d test patches",
-             pair.height, pair.width, num_classes, len(train_set), len(test_set))
-
-    model = LsafModel(geometry, seed=config["seed"], mode=config["mode"] or DEFAULT_MODE)
+             pair.height, pair.width, pair.num_classes, len(train_set), len(test_set))
     start_epoch = 0
-    if resume_state is not None:
-        model.load_state(resume_state)
-        start_epoch = trained
+    if state is not None:
+        start_epoch = int(state["meta.epochs_trained"])
+        log.info("resuming from %s", args.resume)
     log.info("model mode=%s, %d parameters", model.mode, model.num_params)
 
     train_cfg = _train_config(config)
     optimizer = Adam(model.params(), train_cfg)
-    if resume_state is not None and "opt.steps" in resume_state:
-        optimizer.load_state(resume_state)
+    if state is not None and "opt.steps" in state:
+        optimizer.load_state(state)
 
     def save_checkpoint(epochs_done: int) -> None:
-        state = dict(model.state_dict())
-        state.update(pre)
-        state.update(optimizer.state_dict())
-        state.update(_model_meta(model, config, epochs_done))
-        storage.write_checkpoint(checkpoint_path, state)
+        entries = dict(model.state_dict())
+        entries.update(pre)
+        entries.update(optimizer.state_dict())
+        entries.update(_model_meta(model, config, epochs_done))
+        storage.write_checkpoint(checkpoint_path, entries)
 
     callbacks = [lambda epoch, m, loss: log.info("epoch %d loss %.6f", epoch, loss)]
     every = config["checkpoint_every"]
@@ -399,8 +369,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, pair, pre, model = _restore(args)
-    patches = _prepare_patches(config, pair, pre)
+    # [:5] keeps no reference to the checkpoint state once the model holds it
+    config, _, patches, _, model = _setup(args, args.checkpoint)[:5]
     _, test_set = split(patches, config["train_fraction"], config["seed"])
     report = evaluate(model, test_set)
     write_metrics_csv(os.path.join(config["out"], "metrics.csv"), report)
@@ -409,8 +379,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_map(args) -> int:
-    config, pair, pre, model = _restore(args)
-    patches = _prepare_patches(config, pair, pre)
+    # [:5] keeps no reference to the checkpoint state once the model holds it
+    config, pair, patches, _, model = _setup(args, args.checkpoint)[:5]
     image = np.zeros((pair.height, pair.width, 3), dtype=np.uint8)
     if len(patches):
         preds = predict(model, patches)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .tensor import Tensor
 
 FEATURE_CHANNELS = 64
@@ -517,3 +517,27 @@ class LsafModel(Module):
                 held.grad = None
             else:
                 held[...] = incoming.astype(held.dtype)
+
+
+def check_state_geometry(config: ModelConfig, state: dict) -> None:
+    """Raise FormatError unless each geometry value equals the dimension it
+    fixes in a stored tensor of `state`. Checked before a model is built
+    from `config`, so that a hostile value (a `hidden` of 1e12) fails here
+    instead of allocating weights no checkpoint could hold."""
+    features = FEATURE_CHANNELS * config.feature_side ** 2
+    spectral = config.pca_dims - 12  # depth left by the (7, 5, 3) spectral kernels
+    dims = (
+        ("num_classes", "fusion.head_fused.fc2.weight", 1, config.num_classes),
+        ("pca_dims", "hsi.block4.kernels", 1, 32 * spectral),  # 32 maps per depth
+        ("patch", "fusion.head_hsi.fc1.weight", 0, features),
+        ("hidden", "fusion.head_hsi.fc1.weight", 1, config.hidden),
+        ("se_reduction", "attention.se.fc1.weight", 1,
+         2 * FEATURE_CHANNELS // config.se_reduction),
+    )
+    for key, name, axis, size in dims:
+        if name not in state:
+            raise FormatError(f"checkpoint is missing tensor '{name}'")
+        shape = np.shape(state[name])
+        if len(shape) <= axis or shape[axis] != size:
+            raise FormatError(f"checkpoint meta.{key} {getattr(config, key)} does not match "
+                              f"tensor '{name}' of shape {shape}")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lsaf import cli, storage
+from lsaf.model import LsafModel, ModelConfig
 
 
 def run(argv):
@@ -197,6 +198,25 @@ class TestConfig:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "nf" / "checkpoint.lsfw").exists()
 
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ["--seed", -1]),
+        ("eval", ["--seed", -1, "--checkpoint", "absent.lsfw"]),
+        ("train", []),  # "seed": -1 in the config file
+        ("synth", ["--seed", -2]),
+    ], ids=["train-flag", "eval-flag", "config-key", "synth-flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, config_path, capsys, command,
+                                           flags):
+        """A seed below zero, which numpy's generators refuse, is a config
+        error naming it, before any file is read."""
+        argv = [command, *flags, "--out", tmp_path / "neg"]
+        if command != "synth":
+            argv += ["--config", config_path if flags else
+                     with_keys(config_path, "seed.json", seed=-1)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'seed'" in err
+        assert not (tmp_path / "neg" / "checkpoint.lsfw").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run(["train", "--config", tmp_path / "absent.json"]) == 1
 
@@ -263,6 +283,42 @@ class TestTrain:
         assert run(["train", "--config", path, "--epochs", 1]) == 0
         state = storage.read_checkpoint(out / "checkpoint.lsfw")
         assert int(state["meta.epochs_trained"]) == 1
+
+    def test_checkpoint_entry_order(self, config_path, tmp_path):
+        """Weights and running statistics, the seven `pre.*` constants in the
+        order docs/formats.md gives, `opt.*`, then `meta.*`."""
+        assert run(["train", "--config", config_path, "--epochs", 1]) == 0
+        names = list(storage.read_checkpoint(tmp_path / "run" / "checkpoint.lsfw"))
+        model = LsafModel(ModelConfig(num_classes=4, pca_dims=13, patch=7, hidden=16))
+        weights = list(model.state_dict())
+        pre = ["pre.pca.mean", "pre.pca.components", "pre.pca.explained_variance",
+               "pre.norm.hsi_min", "pre.norm.hsi_span", "pre.norm.lidar_min",
+               "pre.norm.lidar_span"]
+        rest = names[len(weights) + len(pre):]
+        opt = [name for name in rest if name.startswith("opt.")]
+        meta = [name for name in rest if name.startswith("meta.")]
+        assert names[:len(weights)] == weights
+        assert names[len(weights):len(weights) + len(pre)] == pre
+        assert rest == opt + meta
+        assert opt[0] == "opt.steps" and len(opt) == 1 + 2 * len(model.params())
+
+    def test_each_command_projects_the_scene_once(self, config_path, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return transform(*args, **kwargs)
+
+        transform = cli.pca_transform
+        monkeypatch.setattr(cli, "pca_transform", counted)
+        ckpt = tmp_path / "run" / "checkpoint.lsfw"
+        for out, argv in [("run", ["train"]),
+                          ("resumed", ["train", "--epochs", 3, "--resume", ckpt]),
+                          ("eval", ["eval", "--checkpoint", ckpt]),
+                          ("map", ["map", "--checkpoint", ckpt])]:
+            calls.clear()
+            assert run(argv + ["--config", config_path, "--out", tmp_path / out]) == 0
+            assert len(calls) == 1, argv
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_resume_without_new_epochs_is_config_error(self, config_path, tmp_path,
@@ -532,3 +588,40 @@ class TestCheckpointMode:
             argv = ["eval", "--config", config_path, "--checkpoint", ckpt]
         assert run(argv) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("meta.hidden", 1e12), ("meta.patch", 1e12 + 1), ("meta.num_classes", 1e12),
+    ])
+    def test_hostile_geometry_is_data_error(self, hsi_run, config_path, tmp_path, key, value):
+        """A geometry entry that disagrees with the stored tensor dimension it
+        fixes exits 2 before any weights are allocated, without a traceback."""
+        ckpt = hsi_run / "checkpoint.lsfw"
+        state = storage.read_checkpoint(ckpt)
+        state[key] = np.array(value)
+        storage.write_checkpoint(ckpt, state)
+        config = json.loads(config_path.read_text())
+        for unset in ("patch", "pca_dims", "hidden"):
+            del config[unset]
+        path = tmp_path / "unset.json"
+        path.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsaf.cli", "eval", "--config", str(path),
+             "--checkpoint", str(ckpt)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert key in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command,seed,warns", [
+        ("eval", 1, False), ("eval", 2, True), ("train", 2, True), ("map", 2, False),
+    ])
+    def test_seed_other_than_meta_seed_warns(self, hsi_run, config_path, tmp_path, caplog,
+                                             command, seed, warns):
+        """eval and resume split the scene by the run's seed, which meta.seed
+        does not override; a differing one is logged. map splits nothing."""
+        path = with_keys(config_path, "seed.json", seed=seed, out=str(tmp_path / "x"))
+        flag = "--resume" if command == "train" else "--checkpoint"
+        argv = [command, "--config", path, flag, hsi_run / "checkpoint.lsfw"]
+        with caplog.at_level("WARNING", logger="lsaf"):
+            assert run(argv + (["--epochs", 3] if command == "train" else [])) == 0
+        assert ("meta.seed" in caplog.text) == warns
