@@ -4,8 +4,8 @@ Configuration comes from a JSON file (`--config`); the command-line flags
 override file keys. Every command accepts every config key, but takes only
 the flags it reads: `train` --seed --epochs --lr --batch, `eval` --seed,
 and all three --patch --pca-dims --out. Unknown config keys and unknown
-flags (abbreviations of known ones included) are errors, and so is a
-non-finite number.
+flags (abbreviations of known ones included) are errors, and so are a
+non-finite number and a seed outside 0..2**53.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data or format
 problem (unreadable files, bad headers, non-finite rasters, incompatible
@@ -155,8 +155,9 @@ def _validate_key(key: str, value):
     elif key in _INT_KEYS:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
-        if key == "seed" and value < 0:
-            raise ConfigError(f"config key 'seed' must be a non-negative integer, got {value}")
+        # meta.seed stores the seed as a float64, exact up to 2**53
+        if key == "seed" and not 0 <= value <= 2**53:
+            raise ConfigError(f"config key 'seed' must be an integer in 0..2**53, got {value}")
     elif key in _FLOAT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
@@ -186,17 +187,21 @@ def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
 
 
 def _apply_preprocessing(pair: RasterPair, pre: dict) -> RasterPair:
-    """Project and scale a scene with the `pre.*` constants. A new model's
-    `pre` holds the PCA only: the min-max constants are then fitted on the
-    projection and added to `pre`, so the scene is projected once."""
+    """Project and scale a scene with the `pre.*` constants. Stored min-max
+    constants are applied chunk by chunk as the scene is projected straight
+    into float32. A new model's `pre` holds the PCA only: the min-max
+    constants are then fitted on the float64 projection and added to `pre`,
+    so the scene is projected once either way."""
     pca = PcaModel(*(pre[key].astype(np.float64) for key in _PRE_KEYS[:3]))
-    hsi = pca_transform(pca, pair.hsi)
-    if "pre.norm.hsi_min" not in pre:
+    if "pre.norm.hsi_min" in pre:
+        hsi = pca_transform(pca, pair.hsi, scale=(pre["pre.norm.hsi_min"],
+                                                  pre["pre.norm.hsi_span"]))
+    else:
+        hsi = pca_transform(pca, pair.hsi)
         pre.update(zip(_PRE_KEYS[3:], fit_minmax(hsi) + fit_minmax(pair.lidar)))
-    hsi = rescale(hsi, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
+        hsi = rescale(hsi, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"]).astype(np.float32)
     lidar = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
-    return RasterPair(hsi=hsi.astype(np.float32), lidar=lidar.astype(np.float32),
-                      labels=pair.labels)
+    return RasterPair(hsi=hsi, lidar=lidar.astype(np.float32), labels=pair.labels)
 
 
 def _model_meta(model: LsafModel, config: dict, epochs_trained: int) -> dict:
@@ -246,8 +251,8 @@ def _sync_config_with_meta(config: dict, state: dict) -> ModelConfig:
 
 
 def _setup(args, checkpoint: str | None):
-    """What train, eval and map start from: (config, scene, patch set, `pre.*`
-    constants, model, checkpoint state or None).
+    """What train, eval and map start from: (config, projected scene, patch
+    set, `pre.*` constants, model, checkpoint state or None).
 
     With a checkpoint, the config adopts its geometry and mode, the stored
     `pre.*` constants are checked for the shapes that geometry needs, and the
@@ -301,7 +306,9 @@ def _setup(args, checkpoint: str | None):
     model = LsafModel(geometry, seed=config["seed"], mode=config["mode"])
     if state is not None:
         model.load_state(state)
-    patches = extract_patches(_apply_preprocessing(pair, pre), s=config["patch"])
+    # rebinding `pair` frees the raw cube before the projection is padded
+    pair = _apply_preprocessing(pair, pre)
+    patches = extract_patches(pair, s=config["patch"])
     return config, pair, patches, pre, model, state
 
 

@@ -86,6 +86,10 @@ def save_raster(pair: RasterPair, hsi_path, lidar_path, labels_path) -> None:
 # ----------------------------------------------------------------------
 # PCA
 
+# Pixels per chunk of rows that `pca_transform` projects at once (one row
+# at least): 4.5 MiB of float64 for 144 bands, whatever the scene width.
+CHUNK_PIXELS = 1 << 12
+
 
 @dataclass
 class PcaModel:
@@ -117,7 +121,7 @@ def pca_fit(hsi: np.ndarray, r: int, labels: np.ndarray | None = None) -> PcaMod
     bands = hsi.shape[0]
     if not 1 <= r <= bands:
         raise ConfigError(f"pca dimensions must lie in 1..{bands}, got {r}")
-    pixels = hsi.reshape(bands, -1).T.astype(np.float64)
+    pixels = hsi.reshape(bands, -1).T
     if labels is not None:
         mask = np.asarray(labels).reshape(-1) != 0
         if not mask.any():
@@ -126,9 +130,11 @@ def pca_fit(hsi: np.ndarray, r: int, labels: np.ndarray | None = None) -> PcaMod
     if pixels.shape[0] < 2:
         raise ConfigError("pca fit needs at least 2 pixels")
 
+    # the one float64 copy of the fitted pixels, centred in place
+    pixels = pixels.astype(np.float64)
     mean = pixels.mean(axis=0)
-    centered = pixels - mean
-    cov = centered.T @ centered / (pixels.shape[0] - 1)
+    pixels -= mean
+    cov = pixels.T @ pixels / (pixels.shape[0] - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1][:r]
     components = eigenvectors[:, order]
@@ -143,16 +149,36 @@ def pca_fit(hsi: np.ndarray, r: int, labels: np.ndarray | None = None) -> PcaMod
                     explained_variance=variance)
 
 
-def pca_transform(model: PcaModel, hsi: np.ndarray) -> np.ndarray:
-    """Project a (bands, H, W) cube to (r, H, W)."""
+def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None) -> np.ndarray:
+    """Project a (bands, H, W) cube to (r, H, W): float64 by default, or,
+    given `scale=(lo, span)`, rescaled by those per-band constants (see
+    `rescale`) and cast to float32.
+
+    The cube is projected in chunks of rows of about `CHUNK_PIXELS` pixels,
+    each written straight into the output, so no float64 copy of the whole
+    cube exists. Each pixel's row of the projection GEMM depends on that
+    pixel alone, so the bytes equal a whole-cube projection's whatever the
+    chunk size (`tests/test_data.py` pins this).
+    """
     if hsi.shape[0] != model.bands:
         raise ShapeError(
             f"pca model fitted on {model.bands} bands, input has {hsi.shape[0]}"
         )
-    spatial = hsi.shape[1:]
+    height, width = hsi.shape[1:]
+    out = np.empty((model.dims, height, width),
+                   dtype=np.float64 if scale is None else np.float32)
+    step = max(1, CHUNK_PIXELS // max(width, 1))
+    for top in range(0, height, step):
+        rows = _project(model, hsi[:, top:top + step])
+        out[:, top:top + step] = rows if scale is None else rescale(rows, *scale)
+    return out
+
+
+def _project(model: PcaModel, hsi: np.ndarray) -> np.ndarray:
+    """The float64 (r, h, W) projection of a (bands, h, W) block of rows."""
     pixels = hsi.reshape(model.bands, -1).T.astype(np.float64)
-    projected = (pixels - model.mean) @ model.components
-    return projected.T.reshape((model.dims,) + spatial)
+    pixels -= model.mean
+    return (pixels @ model.components).T.reshape((model.dims,) + hsi.shape[1:])
 
 
 # ----------------------------------------------------------------------

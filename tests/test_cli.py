@@ -5,11 +5,12 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lsaf import cli, storage
+from lsaf import cli, data, storage
 from lsaf.model import LsafModel, ModelConfig
 
 
@@ -217,6 +218,38 @@ class TestConfig:
         assert "config error" in err and "'seed'" in err
         assert not (tmp_path / "neg" / "checkpoint.lsfw").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "synth", "config-key"])
+    def test_seed_past_2_pow_53_is_config_error(self, tmp_path, config_path, capsys, command):
+        """meta.seed is a float64, which holds every seed up to 2**53 exactly
+        and not 2**53 + 1, so a larger seed is a config error naming it."""
+        seed = 2**53 + 1
+        if command == "config-key":
+            argv = ["train", "--config", with_keys(config_path, "seed.json", seed=seed)]
+        else:
+            argv = [command, "--seed", seed]
+            if command != "synth":
+                argv += ["--config", config_path]
+            if command == "eval":
+                argv += ["--checkpoint", "absent.lsfw"]
+        assert run(argv + ["--out", tmp_path / "big"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'seed'" in err
+        assert not (tmp_path / "big").exists()
+
+    def test_seed_2_pow_53_round_trips_meta_seed(self, tmp_path, config_path, caplog):
+        """The largest seed trains, is stored exactly, and eval with it logs
+        no meta.seed mismatch."""
+        seed = 2**53
+        out = tmp_path / "big"
+        assert run(["train", "--config", config_path, "--epochs", 1, "--seed", seed,
+                    "--out", out]) == 0
+        state = storage.read_checkpoint(out / "checkpoint.lsfw")
+        assert int(state["meta.seed"]) == seed
+        caplog.clear()
+        assert run(["eval", "--config", config_path, "--seed", seed, "--checkpoint",
+                    out / "checkpoint.lsfw", "--out", tmp_path / "eval"]) == 0
+        assert "meta.seed" not in caplog.text
+
     def test_missing_config_file(self, tmp_path):
         assert run(["train", "--config", tmp_path / "absent.json"]) == 1
 
@@ -337,6 +370,31 @@ class TestTrain:
 
 # ----------------------------------------------------------------------
 # eval
+
+
+class TestPreprocessing:
+    def test_stored_constants_project_in_chunks(self):
+        """With stored `pre.*`, the scene is projected chunk by chunk straight
+        into float32: the peak is the output plus one chunk's float64 pixels,
+        projection and rescale temporaries, not float64 copies of the cube."""
+        bands, dims, height, width = 144, 30, 128, 256
+        r = np.random.default_rng(0)
+        pair = data.RasterPair(hsi=r.random((bands, height, width), dtype=np.float32),
+                               lidar=r.random((1, height, width), dtype=np.float32),
+                               labels=np.ones((height, width), dtype=np.int64))
+        pca = data.pca_fit(pair.hsi, dims)
+        pre = dict(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
+        cli._apply_preprocessing(pair, pre)  # fits the pre.norm.* constants
+        assert height * width >= 4 * data.CHUNK_PIXELS
+        chunk = data.CHUNK_PIXELS * (bands + 3 * dims) * 8
+        tracemalloc.start()
+        try:
+            scaled = cli._apply_preprocessing(pair, pre)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scaled.hsi.dtype == np.float32
+        assert peak <= 1.25 * (scaled.hsi.nbytes + scaled.lidar.nbytes + chunk)
 
 
 class TestEval:

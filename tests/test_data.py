@@ -1,6 +1,8 @@
 """Data pipeline tests: loading, PCA against a brute-force eigen oracle,
 normalization, patch extraction, splitting, and synthetic scenes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lsaf.data import (
     extract_patches,
     normalize,
     pca_fit,
+    fit_minmax,
     pca_transform,
     rescale,
     split,
@@ -168,7 +171,65 @@ class TestPca:
         assert np.allclose(np.abs(masked.components), np.abs(manual.components))
 
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "labeled"])
+    def test_matches_the_two_copy_fit_exactly(self, masked):
+        """Centring in place, and masking before the float64 cast, keep
+        the bytes of a fit that casts the whole cube and centres a copy."""
+        r = rng(7)
+        cube = (r.normal(size=(12, 30, 40)) * r.uniform(0.5, 3.0, (12, 1, 1))).astype(np.float32)
+        labels = r.integers(0, 3, size=(30, 40)) if masked else None
+        pixels = cube.reshape(12, -1).T.astype(np.float64)
+        if masked:
+            pixels = pixels[labels.reshape(-1) != 0]
+        mean = pixels.mean(axis=0)
+        centered = pixels - mean
+        vals, vecs = np.linalg.eigh(centered.T @ centered / (pixels.shape[0] - 1))
+        order = np.argsort(vals)[::-1][:5]
+        vecs = vecs[:, order]
+        vecs = vecs * np.sign(vecs[np.abs(vecs).argmax(axis=0), np.arange(5)])
+        model = pca_fit(cube, r=5, labels=labels)
+        assert np.array_equal(model.mean, mean)
+        assert np.array_equal(model.explained_variance, np.maximum(vals[order], 0.0))
+        assert np.array_equal(model.components, vecs)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "labeled"])
+    def test_fit_holds_one_float64_copy(self, masked):
+        """The fit's peak is the float64 copy of the pixels it fits (and,
+        with labels, their float32 selection), not two float64 copies."""
+        cube = rng(8).normal(size=(64, 128, 128)).astype(np.float32)
+        labels = np.zeros((128, 128), dtype=np.int64)
+        labels[::2] = 1
+        fitted = int((labels != 0).sum()) if masked else labels.size
+        copies = fitted * cube.shape[0] * (8 + (4 if masked else 0))
+        tracemalloc.start()
+        try:
+            pca_fit(cube, r=30, labels=labels if masked else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * copies
+
+
 class TestPcaTransform:
+    # chunks of 1, 7, 16 and 33 rows, and one chunk for the whole scene
+    @pytest.mark.parametrize("rows", [1, 7, 16, 33, 50])
+    def test_chunked_projection_is_byte_identical(self, monkeypatch, rows):
+        """Projecting row chunks of a 50-row scene writes the bytes the
+        whole-scene formula gives, rescaled and cast to float32 or not."""
+        r = rng(9)
+        cube = (r.normal(size=(144, 50, 23)) * r.uniform(0.5, 3.0, (144, 1, 1))).astype(np.float32)
+        model = pca_fit(cube, r=30)
+        pixels = cube.reshape(144, -1).T.astype(np.float64)
+        whole = ((pixels - model.mean) @ model.components).T.reshape(30, 50, 23)
+        lo, span = fit_minmax(whole)
+        span[3] = 0.0  # a constant band rescales to zero
+        monkeypatch.setattr(data, "CHUNK_PIXELS", rows * 23)
+        projected = pca_transform(model, cube)
+        scaled = pca_transform(model, cube, scale=(lo, span))
+        assert projected.dtype == np.float64 and np.array_equal(projected, whole)
+        assert scaled.dtype == np.float32
+        assert np.array_equal(scaled, rescale(whole, lo, span).astype(np.float32))
+
     def test_mean_pixel_maps_to_zero(self):
         cube = rng(0).normal(size=(5, 6, 6))
         model = pca_fit(cube, r=3)
