@@ -199,7 +199,8 @@ def _apply_preprocessing(pair: RasterPair, pre: dict) -> RasterPair:
     else:
         hsi = pca_transform(pca, pair.hsi)
         pre.update(zip(_PRE_KEYS[3:], fit_minmax(hsi) + fit_minmax(pair.lidar)))
-        hsi = rescale(hsi, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"]).astype(np.float32)
+        hsi = rescale(hsi, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"],
+                      in_place=True).astype(np.float32)
     lidar = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
     return RasterPair(hsi=hsi, lidar=lidar.astype(np.float32), labels=pair.labels)
 

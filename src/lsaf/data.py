@@ -170,7 +170,7 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None) -> np.ndarray:
     step = max(1, CHUNK_PIXELS // max(width, 1))
     for top in range(0, height, step):
         rows = _project(model, hsi[:, top:top + step])
-        out[:, top:top + step] = rows if scale is None else rescale(rows, *scale)
+        out[:, top:top + step] = rows if scale is None else rescale(rows, *scale, in_place=True)
     return out
 
 
@@ -192,14 +192,18 @@ def fit_minmax(raster: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, flat.max(axis=1) - lo
 
 
-def rescale(raster: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+def rescale(raster: np.ndarray, lo: np.ndarray, span: np.ndarray,
+            in_place: bool = False) -> np.ndarray:
     """Map each band of a (bands, ...) raster from [lo, lo + span] to [0, 1]
-    in float64; a band of zero span maps to zero."""
-    flat = raster.reshape(raster.shape[0], -1).astype(np.float64, copy=False)
+    in float64; a band of zero span maps to zero. With `in_place`, a float64
+    `raster` is overwritten and returned; otherwise a float64 copy is."""
+    out = raster if in_place else raster.astype(np.float64)
     live = span > 0
-    out = (flat - lo[:, None]) / np.where(live, span, 1.0)[:, None]
+    per_band = (-1,) + (1,) * (out.ndim - 1)
+    out -= lo.reshape(per_band)
+    out /= np.where(live, span, 1.0).reshape(per_band)
     out[~live] = 0.0
-    return out.reshape(raster.shape)
+    return out
 
 
 def normalize(raster: np.ndarray) -> np.ndarray:

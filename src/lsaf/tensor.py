@@ -10,9 +10,15 @@ Dense layouts follow the usual deep-learning conventions: convolutions take
 `(cin, *spatial)` or batched `(n, cin, *spatial)` inputs with
 `(cout, cin, *kernel)` weights, batch norm normalizes axis 1.
 
-Convolutions lower to BLAS over the two spatial axes only, and add up one
-batched matrix product per spectral kernel offset (see `_conv`). BLAS picks
-its own summation order, so results are not bit-equal to naive nested loops.
+Convolutions lower to BLAS over the two spatial axes only, in one of two
+forms that `_conv` picks from shapes alone. The gather form copies each
+kernel tap's input slice into a column buffer and multiplies after, adding
+one batched matrix product per spectral kernel offset. The scatter form, for
+convs with a depth-1 kernel, multiplies first and adds each tap's shifted
+slice of the products; it is taken when its product buffer is smaller than
+the column buffer, as for a conv that narrows many channels to few. BLAS
+picks its own summation order, so results are not bit-equal to naive nested
+loops.
 Instead convolutions keep three promises, which the tests check: each output
 element, and each element of both gradients, lies within a dtype-dependent
 tolerance of a reference computation, relative to the same computation on
@@ -483,18 +489,65 @@ def _reach(offset: int, stride: int, n: int) -> slice:
     return slice(offset, offset + stride * (n - 1) + 1, stride)
 
 
+def _links(k: int, stride: int, pad: int, n: int, m: int) -> list:
+    """Along one axis, kernel offset `i` links output `o` to unpadded input
+    `o·stride + i − pad`. For each offset whose links are not all padding:
+    `(i, outputs, inputs)`, the slice of the `m` outputs whose input lies
+    inside the `n` inputs and the slice of those inputs."""
+    links = []
+    for i in range(k):
+        lo = max(0, -((i - pad) // stride))
+        hi = min(m, (n - 1 + pad - i) // stride + 1)
+        if hi > lo:
+            links.append((i, slice(lo, hi), _reach(lo * stride + i - pad, stride, hi - lo)))
+    return links
+
+
+def _spread_taps(dst: np.ndarray, src: np.ndarray, taps: list) -> None:
+    """`dst[i, j][..., to] = src[..., frm]` for every tap `(i, j, to, frm)`:
+    one slice of `src` per tap, into a zeroed `dst` with the taps leading."""
+    for i, j, to, frm in taps:
+        dst[(i, j, Ellipsis) + to] = src[(Ellipsis,) + frm]
+
+
+def _fold_taps(dst: np.ndarray, src: np.ndarray, taps: list) -> None:
+    """`dst[..., to] += src[i, j][..., frm]` for every tap `(i, j, to, frm)`,
+    in tap order: the adjoint of `_spread_taps`."""
+    for i, j, to, frm in taps:
+        dst[(Ellipsis,) + to] += src[(i, j, Ellipsis) + frm]
+
+
 def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
     """Cross-correlation of `x` with `w` over the last `nsp` axes.
 
-    A 2-D conv runs as the depth-1, `kd = 1` case of a 3-D one. Only the two
-    spatial axes are lowered: `cols` holds each `kh×kw` window once, rows in
-    `(cin, kh, kw)` order and one column block of `ho·wo` per (sample, padded
-    depth). Spectral offset `a` of the kernel then reads the depth-shifted
-    column blocks `a, a + sd, …`, so the output is the sum over the `kd`
-    offsets of `w[:, :, a] @ cols[shifted]`, each a batched GEMM with one
-    product per sample. The backward stacks the `kd` depth-shifted copies of
-    the output gradient into one matrix, which turns the kernel gradient and
-    the column gradient into one GEMM each; col2im is then `kh·kw` slice-adds.
+    A 2-D conv runs as the depth-1, `kd = 1` case of a 3-D one, and only the
+    two spatial axes are lowered, in one of two forms. Both are built from
+    the same two tap loops over unpadded positions: `_spread_taps` copies one
+    slice per `kh×kw` tap into a buffer with the taps as rows, and `_fold_taps`
+    adds the taps' slices back up.
+
+    The gather form spreads the input into `cols`, rows in `(cin, kh, kw)`
+    order and one column block of `ho·wo` per (sample, padded depth).
+    Spectral offset `a` of the kernel then reads the depth-shifted column
+    blocks `a, a + sd, …`, so the output is the sum over the `kd` offsets of
+    `w[:, :, a] @ cols[shifted]`, each a batched GEMM with one product per
+    sample. The backward stacks the `kd` depth-shifted copies of the output
+    gradient into one matrix, which turns the kernel gradient and the column
+    gradient into one GEMM each; the column gradient is then folded onto the
+    input's `cin` channels.
+
+    The scatter form multiplies first: one GEMM per sample,
+    `(kh·kw·cout, cin) @ (cin, h·w)`, gives every tap's products at every
+    input position, and folding them yields the output. Its backward spreads
+    the output gradient over the taps, so all tap shifting happens on `cout`
+    channels: the input gradient is one GEMM per sample from it and the
+    kernel gradient one GEMM over the batch.
+
+    The choice follows from shapes alone. A conv with `kd = 1` and no depth
+    stride or padding takes the scatter form when its product buffer
+    (`kh·kw·cout·n·d·h·w`) is smaller than the gather form's column buffer
+    (`cin·kh·kw·n·d·ho·wo`), as it is for a conv that narrows many channels
+    to few at the same size (HSI block4).
     """
     if w.ndim != nsp + 2:
         raise ShapeError(f"conv{nsp}d kernels must be {nsp + 2}-D, got {w.shape}")
@@ -539,58 +592,84 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
     pd, ph, pw = (0,) * (3 - nsp) + pads
     kd, kh, kw = lift + ksz
     do, ho, wo = lift + out_sp
-    xp = np.pad(xd.reshape((batch, cin) + lift + in_sp),
-                ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    depth, hp, wp = xp.shape[2:]
-    rows = cin * kh * kw
-    npos = ho * wo
+    x5 = xd.reshape((batch, cin) + lift + in_sp)
+    h, wd = in_sp[-2:]
+    # (i, j, output slices, input slices) of every tap that meets the input.
+    taps = [(i, j, (oi, oj), (si, sj))
+            for i, oi, si in _links(kh, sh, ph, h, ho)
+            for j, oj, sj in _links(kw, sw, pw, wd, wo)]
+    inward = [(i, j, frm, to) for i, j, to, frm in taps]
 
-    # The spatial lowering in one copy: (cin, kh, kw) rows, (batch, depth,
-    # ho, wo) columns.
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(3, 4))
-    windows = windows[:, :, :, ::sh, ::sw]
-    cols = windows.transpose(1, 5, 6, 0, 2, 3, 4).reshape(rows, batch, depth, npos)
+    if kd == sd == 1 and pd == 0 and cout * h * wd < cin * ho * wo:
+        depth = x5.shape[2]
+        prod_rows = kh * kw * cout
+        wt = np.ascontiguousarray(
+            w.data.reshape(cout, cin, kh, kw).transpose(2, 3, 0, 1)
+        ).reshape(prod_rows, cin)
+        # Batched GEMMs over the (batch, cin, positions) input keep one product
+        # per sample, and the fold adds within a sample, so a sample's output
+        # does not depend on what else shares its batch.
+        prods = (wt @ x5.reshape(batch, cin, -1)).reshape(batch, kh, kw, cout, depth, h, wd)
+        out_data = np.zeros((batch, cout, depth, ho, wo), dtype=prods.dtype)
+        _fold_taps(out_data, prods.transpose(1, 2, 0, 3, 4, 5, 6), taps)
 
-    def shifted(a: int) -> np.ndarray:
-        """The columns spectral offset `a` reads: `(rows, batch, do·npos)`,
-        a view unless the depth stride makes numpy copy."""
-        return cols[:, :, _reach(a, sd, do)].reshape(rows, batch, do * npos)
+        def grad_fn(g):
+            gp = np.zeros((kh, kw, cout, batch, depth, h, wd), dtype=g.dtype)
+            _spread_taps(gp, g.reshape((batch, cout, depth, ho, wo)).swapaxes(0, 1), inward)
+            xc = x5.reshape(batch, cin, -1).swapaxes(0, 1).reshape(cin, -1)
+            gw = (gp.reshape(prod_rows, -1) @ xc.T).reshape(kh, kw, cout, cin)
+            gw = gw.transpose(2, 3, 0, 1).reshape(w.shape)
+            if not x.requires_grad:
+                return None, gw
+            gx = (wt.T @ gp.reshape(prod_rows, batch, -1).swapaxes(0, 1)).reshape(xd.shape)
+            return (gx if batched else gx[0]), gw
+    else:
+        if pd:
+            x5 = np.pad(x5, ((0, 0), (0, 0), (pd, pd), (0, 0), (0, 0)))
+        depth = x5.shape[2]
+        rows = cin * kh * kw
+        npos = ho * wo
+        cols = np.zeros((cin, kh, kw, batch, depth, ho, wo), dtype=x5.dtype)
+        _spread_taps(cols.transpose(1, 2, 0, 3, 4, 5, 6), x5.swapaxes(0, 1), taps)
+        cols = cols.reshape(rows, batch, depth, npos)
 
-    # wk[a] is w[:, :, a] as a (cout, rows) matrix. Batched GEMMs over the
-    # (batch, rows, columns) view keep one product per sample, so a sample's
-    # output does not depend on what else shares its batch.
-    wk = np.ascontiguousarray(
-        w.data.reshape((cout, cin) + lift + ksz).transpose(2, 0, 1, 3, 4)
-    ).reshape(kd, cout, rows)
-    out_data = wk[0] @ shifted(0).swapaxes(0, 1)
-    for a in range(1, kd):
-        out_data += wk[a] @ shifted(a).swapaxes(0, 1)
+        def shifted(a: int) -> np.ndarray:
+            """The columns spectral offset `a` reads: `(rows, batch, do·npos)`,
+            a view unless the depth stride makes numpy copy."""
+            return cols[:, :, _reach(a, sd, do)].reshape(rows, batch, do * npos)
+
+        # wk[a] is w[:, :, a] as a (cout, rows) matrix. Batched GEMMs over the
+        # (batch, rows, columns) view keep one product per sample, so a
+        # sample's output does not depend on what else shares its batch.
+        wk = np.ascontiguousarray(
+            w.data.reshape((cout, cin) + lift + ksz).transpose(2, 0, 1, 3, 4)
+        ).reshape(kd, cout, rows)
+        out_data = wk[0] @ shifted(0).swapaxes(0, 1)
+        for a in range(1, kd):
+            out_data += wk[a] @ shifted(a).swapaxes(0, 1)
+
+        def grad_fn(g):
+            # Block a of gs is the output gradient placed at depth offset a, so
+            # `gs @ colsᵀ` stacks the kd kernel-gradient slices and `wkᵀ @ gs`
+            # sums the kd offsets' contributions to each column.
+            gb = g.reshape((batch, cout, do, npos)).swapaxes(0, 1)
+            gs = np.zeros((kd, cout, batch, depth, npos), dtype=g.dtype)
+            for a in range(kd):
+                gs[a, :, :, _reach(a, sd, do)] = gb
+            gs = gs.reshape(kd * cout, batch * depth * npos)
+            gw = (gs @ cols.reshape(rows, -1).T).reshape(kd, cout, cin, kh, kw)
+            gw = gw.transpose(1, 2, 0, 3, 4).reshape(w.shape)
+            if not x.requires_grad:
+                return None, gw
+            gcols = (wk.reshape(kd * cout, rows).T @ gs).reshape(cin, kh, kw, batch, depth, ho, wo)
+            gxd = np.zeros((cin, batch, depth, h, wd), dtype=g.dtype)
+            _fold_taps(gxd, gcols.transpose(1, 2, 0, 3, 4, 5, 6), inward)
+            gx = gxd.swapaxes(0, 1)[:, :, pd:depth - pd].reshape(xd.shape)
+            return (gx if batched else gx[0]), gw
+
     out_data = out_data.reshape((batch, cout) + out_sp)
     if not batched:
         out_data = out_data[0]
-
-    def grad_fn(g):
-        # Block a of gs is the output gradient placed at depth offset a, so
-        # `gs @ colsᵀ` stacks the kd kernel-gradient slices and `wkᵀ @ gs` sums
-        # the kd offsets' contributions to each column.
-        gb = g.reshape((batch, cout, do, npos)).swapaxes(0, 1)
-        gs = np.zeros((kd, cout, batch, depth, npos), dtype=g.dtype)
-        for a in range(kd):
-            gs[a, :, :, _reach(a, sd, do)] = gb
-        gs = gs.reshape(kd * cout, batch * depth * npos)
-        gw = (gs @ cols.reshape(rows, -1).T).reshape(kd, cout, cin, kh, kw)
-        gw = gw.transpose(1, 2, 0, 3, 4).reshape(w.shape)
-        if not x.requires_grad:
-            return None, gw
-        gcols = (wk.reshape(kd * cout, rows).T @ gs).reshape(cin, kh, kw, batch, depth, ho, wo)
-        gxp = np.zeros((cin, batch, depth, hp, wp), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, :, _reach(i, sh, ho), _reach(j, sw, wo)] += gcols[:, i, j]
-        gx = gxp.swapaxes(0, 1)[:, :, pd:depth - pd, ph:hp - ph, pw:wp - pw]
-        gx = gx.reshape(xd.shape)
-        return (gx if batched else gx[0]), gw
-
     return _node(out_data, (x, w), f"conv{nsp}d", grad_fn)
 
 

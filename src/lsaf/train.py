@@ -23,9 +23,10 @@ from .model import LsafModel, Windows
 from .tensor import Tensor
 
 # Side, in pixels, of the square scene tiles that `predict` may convolve
-# whole. It bounds the largest im2col buffer of a tile's forward: HSI
-# block4's over the tile's 121 windows, 5,184 taps by 3,025 columns at the
-# paper geometry, about 60 MiB of float32.
+# whole. It bounds the largest buffers of a tile's forward: HSI block4's
+# gathered windows and its tap products, each 576 rows by the 3,025
+# positions of the tile's 121 windows at the paper geometry, about 7 MiB of
+# float32.
 TILE = 11
 
 # Patches per forward in inference (`evaluate`, `predict`).

@@ -396,6 +396,31 @@ class TestPreprocessing:
         assert scaled.hsi.dtype == np.float32
         assert peak <= 1.25 * (scaled.hsi.nbytes + scaled.lidar.nbytes + chunk)
 
+    def test_fresh_constants_rescale_in_place(self):
+        """A new model's `pre` holds the PCA only: the scene is projected once
+        to float64, min-max is fitted on it, and it is rescaled in place
+        before the float32 cast. The peak is that one projection plus one
+        chunk's temporaries, with no float64 rescale copies of the scene."""
+        bands, dims, height, width = 144, 30, 128, 256
+        r = np.random.default_rng(0)
+        pair = data.RasterPair(hsi=r.random((bands, height, width), dtype=np.float32),
+                               lidar=r.random((1, height, width), dtype=np.float32),
+                               labels=np.ones((height, width), dtype=np.int64))
+        pca = data.pca_fit(pair.hsi, dims)
+        pre = dict(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
+        projection = dims * height * width * 8
+        chunk = data.CHUNK_PIXELS * (bands + 3 * dims) * 8
+        tracemalloc.start()
+        try:
+            scaled = cli._apply_preprocessing(pair, pre)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "pre.norm.hsi_min" in pre and scaled.hsi.dtype == np.float32
+        stored = cli._apply_preprocessing(pair, pre)
+        assert np.array_equal(scaled.hsi, stored.hsi)
+        assert peak <= 1.1 * (projection + chunk)
+
 
 class TestEval:
     def test_reproduces_train_time_metrics(self, config_path, tmp_path, capsys):

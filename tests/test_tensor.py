@@ -200,6 +200,8 @@ MODEL_CONV_SHAPES = [
     ((2, 16, 9, 9), (32, 16, 3, 3), 0),            # lidar.block2
     ((2, 32, 7, 7), (64, 32, 3, 3), 0),            # lidar.block3
 ]
+MODEL_CONV_BLOCKS = ([f"hsi.block{i}" for i in range(1, 5)]
+                     + [f"lidar.block{i}" for i in range(1, 4)])
 
 
 def assert_conv_within_tolerance(x, k, dtype, stride=1, padding=0):
@@ -211,6 +213,21 @@ def assert_conv_within_tolerance(x, k, dtype, stride=1, padding=0):
     scale = conv_tap_order(np.abs(x), np.abs(k), stride, padding)
     assert got.dtype == dtype and got.shape == want.shape
     assert np.all(np.abs(got - want) <= CONV_TOL[dtype] * scale)
+
+
+def assert_conv_backward_within_tolerance(x, k, g, dtype, stride=1, padding=0):
+    """Both gradients of the conv for output gradient `g` lie within the
+    forward's tolerance of the reference backward, relative to that backward
+    run on |g|, |x| and |w|."""
+    conv = T.conv3d if k.ndim == 5 else T.conv2d
+    xt = Tensor(x, requires_grad=True, dtype=dtype)
+    kt = Tensor(k, requires_grad=True, dtype=dtype)
+    (conv(xt, kt, stride, padding) * Tensor(g, dtype=dtype)).sum().backward()
+    want = conv_backward_reference(x, k, g, stride, padding)
+    scale = conv_backward_reference(np.abs(x), np.abs(k), np.abs(g), stride, padding)
+    for a, b, s in zip((xt.grad, kt.grad), want, scale):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert np.all(np.abs(a - b) <= CONV_TOL[dtype] * s)
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +379,88 @@ class TestConv3d:
             assert np.array_equal(full[i], single)
 
 
+# (input shape, kernel shape, stride, padding) of convs that narrow cin to
+# fewer cout at about the same size, so they take the scatter form: strided,
+# padded by different amounts per axis, and a 3-D conv with a depth-1 kernel.
+SCATTER_CASES = [
+    ((8, 48, 7, 7), (4, 48, 3, 3), 2, 1),
+    ((8, 48, 7, 6), (6, 48, 3, 2), 1, (1, 0)),
+    ((8, 48, 7, 8), (4, 48, 3, 3), (2, 1), (0, 2)),
+    ((8, 48, 3, 5, 5), (4, 48, 1, 3, 3), 1, (0, 1, 1)),
+]
+
+
+def column_bytes(x_shape, k_shape, stride, padding, itemsize):
+    """Bytes of the gather form's column buffer, cin·kh·kw × n·d·ho·wo."""
+    nsp = len(k_shape) - 2
+    strides = (stride,) * nsp if isinstance(stride, int) else stride
+    pads = (padding,) * nsp if isinstance(padding, int) else padding
+    out_sp = [(n + 2 * p - k) // s + 1
+              for n, k, s, p in zip(x_shape[2:], k_shape[2:], strides, pads)]
+    depth = x_shape[2] + 2 * pads[0] if nsp == 3 else 1
+    return (x_shape[0] * x_shape[1] * int(np.prod(k_shape[-2:])) * depth
+            * int(np.prod(out_sp[-2:])) * itemsize)
+
+
+def forward_peak(x, k, stride=1, padding=0):
+    """Peak bytes allocated while one conv forward runs."""
+    conv = T.conv3d if k.ndim == 5 else T.conv2d
+    xt, kt = Tensor(x, dtype=x.dtype), Tensor(k, requires_grad=True, dtype=k.dtype)
+    tracemalloc.start()
+    try:
+        conv(xt, kt, stride, padding)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,stride,padding", SCATTER_CASES,
+                         ids=lambda case: str(case).replace(" ", ""))
+def test_scatter_form_within_tolerance(x_shape, k_shape, stride, padding, dtype):
+    """The scatter form's output and both its gradients lie within the
+    tolerance oracle of the references, and no column buffer is built."""
+    r = rng(31)
+    x = r.normal(size=x_shape).astype(dtype)
+    k = (r.normal(size=k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
+    assert forward_peak(x, k, stride, padding) < column_bytes(
+        x_shape, k_shape, stride, padding, np.dtype(dtype).itemsize)
+    assert_conv_within_tolerance(x, k, dtype, stride, padding)
+    conv = T.conv3d if len(k_shape) == 5 else T.conv2d
+    g = r.normal(size=conv(Tensor(x), Tensor(k), stride, padding).shape).astype(dtype)
+    assert_conv_backward_within_tolerance(x, k, g, dtype, stride, padding)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_form_batched_equals_per_sample(dtype):
+    """At HSI block4's shape, a sample's output is the same bytes in a batch
+    of 37 as alone."""
+    r = rng(33)
+    x = r.normal(size=(37, 576, 5, 5)).astype(dtype)
+    k = (r.normal(size=(64, 576, 3, 3)) / 48).astype(dtype)
+    full = T.conv2d(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), padding=1).data
+    for i in range(37):
+        single = T.conv2d(Tensor(x[i], dtype=dtype), Tensor(k, dtype=dtype), padding=1).data
+        assert np.array_equal(full[i], single)
+
+
+@pytest.mark.parametrize("block,x_shape,k_shape,padding",
+                         [(name,) + shape
+                          for name, shape in zip(MODEL_CONV_BLOCKS, MODEL_CONV_SHAPES)],
+                         ids=MODEL_CONV_BLOCKS)
+def test_only_hsi_block4_takes_the_scatter_form(block, x_shape, k_shape, padding):
+    """The form follows from shapes: at batch 37, only HSI block4 (576
+    channels to 64) runs its forward without the gather form's column
+    buffer; every other block builds one."""
+    r = rng(34)
+    x_shape = (37,) + x_shape[1:]
+    x = r.standard_normal(x_shape, dtype=np.float32)
+    k = r.standard_normal(k_shape, dtype=np.float32)
+    cols = column_bytes(x_shape, k_shape, 1, padding, 4)
+    assert (forward_peak(x, k, padding=padding) < cols) == (block == "hsi.block4")
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("x_shape,k_shape,padding", MODEL_CONV_SHAPES)
 def test_model_conv_blocks_within_tolerance(x_shape, k_shape, padding, dtype):
@@ -374,22 +473,13 @@ def test_model_conv_blocks_within_tolerance(x_shape, k_shape, padding, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("x_shape,k_shape,padding", MODEL_CONV_SHAPES)
 def test_model_conv_backward_within_tolerance(x_shape, k_shape, padding, dtype):
-    """Both gradients lie within the forward's tolerance of the reference
-    backward, relative to that backward run on |g|, |x| and |w|."""
+    """Both gradients lie within the tolerance oracle of the reference backward."""
     r = rng(len(x_shape) * 100 + k_shape[1] + 7)
     conv = T.conv3d if len(k_shape) == 5 else T.conv2d
     x = r.normal(size=x_shape).astype(dtype)
     k = (r.normal(size=k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
     g = r.normal(size=conv(Tensor(x), Tensor(k), padding=padding).shape).astype(dtype)
-    xt = Tensor(x, requires_grad=True, dtype=dtype)
-    kt = Tensor(k, requires_grad=True, dtype=dtype)
-    (conv(xt, kt, padding=padding) * Tensor(g, dtype=dtype)).sum().backward()
-    got = xt.grad, kt.grad
-    want = conv_backward_reference(x, k, g, padding=padding)
-    scale = conv_backward_reference(np.abs(x), np.abs(k), np.abs(g), padding=padding)
-    for a, b, s in zip(got, want, scale):
-        assert a.dtype == dtype and a.shape == b.shape
-        assert np.all(np.abs(a - b) <= CONV_TOL[dtype] * s)
+    assert_conv_backward_within_tolerance(x, k, g, dtype, padding=padding)
 
 
 # (input shape, kernel shape, stride, padding): 2-D and 3-D, spectral kernels
@@ -406,6 +496,9 @@ CONV_GRAD_CASES = [
     ((2, 2, 5, 5, 5), (2, 2, 3, 3, 3), 2, 0),
     ((2, 2, 7, 5, 5), (3, 2, 3, 2, 3), (2, 1, 2), (1, 0, 1)),
     ((2, 9, 4, 4), (2, 2, 5, 3, 3), (2, 1, 1), (1, 1, 0)),
+] + [
+    ((2, 6, 5, 5), (2, 6, 3, 3), 2, 1),                  # scatter form
+    ((2, 6, 3, 5, 5), (2, 6, 1, 3, 3), 1, (0, 1, 1)),    # scatter form, 3-D
 ]
 
 
@@ -474,6 +567,25 @@ def test_conv3d_forward_holds_a_compact_lowering():
         tracemalloc.stop()
     assert out.shape == (128, 16, 20, 7, 7)
     assert held <= 64 * 2 ** 20
+
+
+def test_conv2d_block4_forward_holds_no_column_buffer():
+    """At HSI block4's paper shape (batch 128, float32), what one forward
+    leaves allocated stays within 16 MiB: the scatter form's tape keeps no
+    buffer beyond its (576, 576) kernel matrix. The gather form's column
+    buffer alone is 66 MiB."""
+    r = rng(35)
+    x = Tensor(r.standard_normal((128, 576, 5, 5), dtype=np.float32), dtype=np.float32)
+    k = Tensor(r.standard_normal((64, 576, 3, 3), dtype=np.float32), requires_grad=True,
+               dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, k, padding=1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (128, 64, 5, 5) and out.requires_grad
+    assert held <= 16 * 2 ** 20
 
 
 # ----------------------------------------------------------------------
