@@ -22,14 +22,15 @@ two learned scalar weights on the single-modality paths.
 
 The extractors run over `Windows`: a batch of tiles plus the top-left corner
 of each patch window in them. HSI blocks 1-3 and the LiDAR blocks are valid
-convolutions, so they run once over each tile; a gather then cuts every
-window's (s−6)×(s−6) feature map, and HSI block4 (zero-padded per window),
-the attention and the heads run per window. A plain patch batch is the
-degenerate case, one tile per patch and one window covering it, and that is
-what training runs. Inference may instead pass whole scene tiles
-(`train.predict` picks per tile by `tile_conv_flops`); its logits then agree
-with per-patch inference within the convolution tolerance of `tensor.py`,
-not bit for bit.
+convolutions, so they run once over each tile. HSI block4 runs its tap
+products once over the tile too, then sums each window's (s−6)×(s−6) output
+from them as if the window were zero-padded on its own (`tensor.MapWindows`);
+a gather cuts each window's LiDAR features, and the attention and the heads
+run per window. A plain patch batch is the degenerate case, one tile per
+patch and one window covering it, and that is what training runs. Inference
+may instead pass whole scene tiles (`train.predict` picks per tile by
+`tile_conv_flops`); its logits then agree with per-patch inference within
+the convolution tolerance of `tensor.py`, not bit for bit.
 
 Every layer is a `Module`, which names the tensors it holds by attribute
 path (`attention.se.fc1.weight`, `fusion.weight_hsi`). Only the extractors
@@ -238,8 +239,8 @@ class HsiExtractor(Module):
         for block in self.blocks3d:
             x = block(x, training)
         n_, c, d, h, w = x.shape
-        x = T.gather_windows(x.reshape(n_, c * d, h, w), windows.index, self._side)
-        return self.block2d(x, training)
+        return self.block2d(T.MapWindows(x.reshape(n_, c * d, h, w), windows.index, self._side),
+                            training)
 
     def _children(self):
         return _numbered(self.blocks3d + [self.block2d])
@@ -433,7 +434,14 @@ class LsafModel(Module):
 
     def forward(self, hsi, lidar, training: bool = False) -> Tensor:
         """Class logits (n, K) for a batch of co-located patch pairs, or for
-        the windows of co-located scene tiles (`Windows`, eval only)."""
+        the windows of co-located scene tiles (`Windows`: eval only, and run
+        without a tape, since the shared-map ops record none)."""
+        if isinstance(hsi, Windows) or isinstance(lidar, Windows):
+            with T.no_grad():
+                return self._logits(hsi, lidar, training)
+        return self._logits(hsi, lidar, training)
+
+    def _logits(self, hsi, lidar, training: bool) -> Tensor:
         if self.mode == "hsi":
             feat = self.hsi_extractor(self._windows(hsi, training), training)
             return self.fusion.head_hsi(feat.reshape(feat.shape[0], -1))
@@ -464,14 +472,19 @@ class LsafModel(Module):
 
     def tile_conv_flops(self, height: int, width: int) -> int:
         """Forward FLOPs of the convolutions a scene tile shares between its
-        windows (HSI blocks 1-3 and the LiDAR blocks, for the branches
-        `mode` runs), over a tile of height×width window positions. A single
-        patch is the 1×1 tile."""
+        windows, for the branches `mode` runs, over a tile of height×width
+        window positions: HSI blocks 1-3 and the LiDAR blocks, and HSI
+        block4's tap GEMM over the (height + side − 1)×(width + side − 1)
+        positions of the block3 maps, `side` being `feature_side`. A single
+        patch is the 1×1 tile, its block4 GEMM over side×side positions."""
         rim = self.config.patch - 1
         flops = 0
         if self.mode != "lidar":
+            hsi = self.hsi_extractor
             flops += _valid_convs_flops(
-                self.hsi_extractor.blocks3d, (self.config.pca_dims, height + rim, width + rim))
+                hsi.blocks3d, (self.config.pca_dims, height + rim, width + rim))
+            reach = self.config.feature_side - 1
+            flops += 2 * hsi.block2d.kernels.size * (height + reach) * (width + reach)
         if self.mode != "hsi":
             flops += _valid_convs_flops(self.lidar_extractor.blocks, (height + rim, width + rim))
         return flops

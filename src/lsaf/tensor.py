@@ -16,9 +16,13 @@ kernel tap's input slice into a column buffer and multiplies after, adding
 one batched matrix product per spectral kernel offset. The scatter form, for
 convs with a depth-1 kernel, multiplies first and adds each tap's shifted
 slice of the products; it is taken when its product buffer is smaller than
-the column buffer, as for a conv that narrows many channels to few. BLAS
-picks its own summation order, so results are not bit-equal to naive nested
-loops.
+the column buffer, as for a conv that narrows many channels to few.
+`conv2d` also takes `MapWindows`, overlapping windows of shared maps, each
+zero-padded on its own: it runs the scatter form's GEMM once over the maps
+and sums each window's output from the products, with no gathered windows.
+That conv and `gather_windows` over shared maps serve inference only and
+record no tape. BLAS picks its own summation order, so results are not
+bit-equal to naive nested loops.
 Instead convolutions keep three promises, which the tests check: each output
 element, and each element of both gradients, lies within a dtype-dependent
 tolerance of a reference computation, relative to the same computation on
@@ -33,6 +37,7 @@ when training throughput matters more than gradient-check headroom.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +58,7 @@ __all__ = [
     "softmax",
     "conv2d",
     "conv3d",
+    "MapWindows",
     "gather_windows",
     "batch_norm",
     "cross_entropy",
@@ -463,9 +469,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # convolution
 
 
-def conv2d(x: Tensor, kernels: Tensor, stride=1, padding=0) -> Tensor:
+def conv2d(x: Tensor | MapWindows, kernels: Tensor, stride=1, padding=0) -> Tensor:
     """2-D cross-correlation of `(cin, h, w)` or `(n, cin, h, w)` inputs with
-    `(cout, cin, kh, kw)` kernels, zero padding."""
+    `(cout, cin, kh, kw)` kernels, zero padding. `x` may also be `MapWindows`,
+    each window padded on its own (see `_windows_conv`)."""
+    if isinstance(x, MapWindows):
+        return _windows_conv(x, kernels, stride, padding)
     return _conv(x, kernels, stride, padding, nsp=2)
 
 
@@ -538,7 +547,9 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
 
     The scatter form multiplies first: one GEMM per sample,
     `(kh·kw·cout, cin) @ (cin, h·w)`, gives every tap's products at every
-    input position, and folding them yields the output. Its backward spreads
+    input position, and folding them yields the output. Products depend on
+    input position alone, so `_windows_conv` runs the same GEMM once over
+    maps that many padded windows share. Its backward spreads
     the output gradient over the taps, so all tap shifting happens on `cout`
     channels: the input gradient is one GEMM per sample from it and the
     kernel gradient one GEMM over the batch.
@@ -674,20 +685,32 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# window gather
+# map windows
 
 
-def gather_windows(x: Tensor, index, size: int) -> Tensor:
-    """Square windows cut from `(t, c, h, w)` maps: `(m, c, size, size)`.
+@dataclass(frozen=True)
+class MapWindows:
+    """Square windows of side `size` in `(t, c, h, w)` maps, left uncut: row i
+    of the `(m, 3)` integer `index` is the (tile, row, col) of window i's
+    top-left corner. `conv2d` convolves them as it would
+    `gather_windows(maps, index, size)`."""
 
-    Row i of the `(m, 3)` integer `index` is `(tile, row, col)`, and output
-    i is `x[tile, :, row:row + size, col:col + size]`. Windows may overlap
-    or repeat; the backward pass sums their gradients back into the maps.
-    When window i is map i whole, for every i, `x` itself is returned.
-    """
+    maps: Tensor
+    index: np.ndarray
+    size: int
+
+    @property
+    def shape(self) -> tuple:
+        """The shape of the gathered windows, `(m, c, size, size)`."""
+        return (len(self.index), self.maps.shape[1], self.size, self.size)
+
+
+def _check_windows(x: Tensor, index, size: int) -> tuple:
+    """`(index, whole)`: the index as an array, once every window lies inside
+    the maps, and whether window i is map i whole, for every i."""
     index = np.asarray(index)
     if x.ndim != 4:
-        raise ShapeError(f"gather_windows expects (t, c, h, w) maps, got {x.shape}")
+        raise ShapeError(f"windows need (t, c, h, w) maps, got {x.shape}")
     if index.ndim != 2 or index.shape[1] != 3 or not np.issubdtype(index.dtype, np.integer):
         raise ShapeError(f"window index must be (m, 3) integers, got {index.shape} {index.dtype}")
     t, _, h, w = x.shape
@@ -697,20 +720,70 @@ def gather_windows(x: Tensor, index, size: int) -> Tensor:
         or row.max() + size > h or col.max() + size > w
     ):
         raise ShapeError(f"windows of side {size} fall outside maps of shape {x.shape}")
-    if size == h == w and np.array_equal(tile, np.arange(t)):
-        # Window i is map i whole (a patch batch): the maps are the windows,
-        # with no copy and no tape node (whose gradient would be a copy too).
+    return index, size == h == w and np.array_equal(tile, np.arange(t))
+
+
+def _refuse_grad(what: str, *inputs: Tensor) -> None:
+    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+        raise ContractError(f"{what} over windows of shared maps is inference-only: "
+                            f"run it under no_grad, on inputs that need no gradient")
+
+
+def gather_windows(x: Tensor, index, size: int) -> Tensor:
+    """Square windows cut from `(t, c, h, w)` maps: `(m, c, size, size)`.
+
+    Row i of the `(m, 3)` integer `index` is `(tile, row, col)`, and output
+    i is `x[tile, :, row:row + size, col:col + size]`. Windows may overlap
+    or repeat. When window i is map i whole, for every i (a patch batch),
+    `x` itself is returned, gradient and all. Any other gather is
+    inference-only: it records no tape node, and it raises `ContractError`
+    if gradients are enabled and `x` needs one.
+    """
+    index, whole = _check_windows(x, index, size)
+    if whole:
         return x
+    _refuse_grad("gather_windows", x)
+    tile, row, col = index.T
     windows = np.lib.stride_tricks.sliding_window_view(x.data, (size, size), axis=(2, 3))
-    data = windows[tile, :, row, col]
+    return _node(windows[tile, :, row, col], (x,), "gather_windows", None)
 
-    def grad_fn(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        for i, (ti, r, c) in enumerate(index.tolist()):
-            gx[ti, :, r:r + size, c:c + size] += g[i]
-        return (gx,)
 
-    return _node(data, (x,), "gather_windows", grad_fn)
+def _windows_conv(x: MapWindows, w: Tensor, stride, padding) -> Tensor:
+    """`conv2d(gather_windows(x.maps, x.index, x.size), w, stride, padding)`
+    without the gather. Whole maps (a patch batch) go through `_conv`.
+    Otherwise one GEMM per map, `(h·w, cin) @ (cin, kh·kw·cout)`, gives
+    every tap's products at every map position, `cout` last, and each
+    window's output adds, tap by tap, the products at its shifted positions
+    where the tap reads inside the window: the taps dropped are exactly the
+    window's zero padding. Stride 1 and inference only, like
+    `gather_windows`.
+    """
+    index, whole = _check_windows(x.maps, x.index, x.size)
+    if whole:
+        return _conv(x.maps, w, stride, padding, nsp=2)
+    _refuse_grad("conv2d", x.maps, w)
+    t, cin, h, wd = x.maps.shape
+    if w.ndim != 4 or w.shape[1] != cin:
+        raise ShapeError(f"conv2d kernels {w.shape} do not fit windows of shape {x.shape}")
+    cout, _, kh, kw = w.shape
+    ph, pw = _tupled(padding, 2, "padding")
+    ho, wo = x.size + 2 * ph - kh + 1, x.size + 2 * pw - kw + 1
+    if _tupled(stride, 2, "stride") != (1, 1) or min(ph, pw) < 0 or min(ho, wo) < 1:
+        raise ConfigError(f"window conv2d needs stride 1 and kernels {w.shape[2:]} within "
+                          f"windows of side {x.size}; got stride {stride}, padding {padding}")
+
+    wt = np.ascontiguousarray(w.data.transpose(1, 2, 3, 0)).reshape(cin, kh * kw * cout)
+    prods = (x.maps.data.reshape(t, cin, h * wd).swapaxes(1, 2) @ wt).reshape(t * h * wd, -1)
+    tile, row, col = index.T
+    corner = (tile * h + row) * wd + col
+    out = np.zeros((len(index), ho, wo, cout), dtype=prods.dtype)
+    for i, oi, si in _links(kh, 1, ph, x.size, ho):
+        for j, oj, sj in _links(kw, 1, pw, x.size, wo):
+            at = (corner[:, None, None] + np.arange(si.start, si.stop)[:, None] * wd
+                  + np.arange(sj.start, sj.stop))
+            tap = (i * kw + j) * cout
+            out[:, oi, oj] += prods[at, tap:tap + cout]
+    return _node(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x.maps, w), "conv2d", None)
 
 
 # ----------------------------------------------------------------------

@@ -23,10 +23,11 @@ from .model import LsafModel, Windows
 from .tensor import Tensor
 
 # Side, in pixels, of the square scene tiles that `predict` may convolve
-# whole. It bounds the largest buffers of a tile's forward: HSI block4's
-# gathered windows and its tap products, each 576 rows by the 3,025
-# positions of the tile's 121 windows at the paper geometry, about 7 MiB of
-# float32.
+# whole. It bounds the largest buffers of a tile's forward, the column
+# buffers of HSI blocks 2 and 3: block3's is 144 rows by the 20×15×15
+# positions of a full tile at the paper geometry, about 2.5 MiB of float32.
+# HSI block4's tap products are 576 rows by the tile's 15×15 map positions,
+# not by its 121 windows' 3,025.
 TILE = 11
 
 # Patches per forward in inference (`evaluate`, `predict`).
@@ -283,15 +284,16 @@ def plan_tiles(pixels: np.ndarray, height: int, width: int,
 def predict(model: LsafModel, patches: PatchSet) -> np.ndarray:
     """Predicted labels (1..K) for every patch, in the set's order.
 
-    Inference may convolve scene tiles once and gather each pixel's window
-    from them: `plan_tiles` picks per tile by a FLOP count from layer shapes.
-    A shared tile is one forward over the whole tile, whose valid
-    convolutions run once before each pixel's window of features is
-    gathered. The pixels of all other tiles go through ordinary per-patch
-    batches of `BATCH`, pooled across tiles. The logits agree with per-patch
-    inference within the convolution tolerance of `tensor.py`, not bit for
-    bit, so a label can differ only at a near-tie; repeated calls agree bit
-    for bit.
+    Inference may convolve scene tiles once and share the results between
+    pixels: `plan_tiles` picks per tile by a FLOP count from layer shapes.
+    A shared tile is one forward over the whole tile. Its valid
+    convolutions run once, and so does HSI block4's tap GEMM, whose products
+    each pixel's window then sums as if zero-padded on its own; the LiDAR
+    features are gathered per window. The pixels of all other tiles go
+    through ordinary per-patch batches of `BATCH`, pooled across tiles. The
+    logits agree with per-patch inference within the convolution tolerance
+    of `tensor.py`, not bit for bit, so a label can differ only at a
+    near-tie; repeated calls agree bit for bit.
     """
     return predict_logits(model, patches).argmax(axis=1) + 1
 

@@ -3,6 +3,7 @@ picks between them per tile."""
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,28 @@ def test_tile_windows_are_eval_only():
         model.forward(windows, lidar, training=True)
 
 
+def test_full_paper_tile_gathers_no_block4_windows(dtype_switch):
+    """One full tile's HSI forward at the paper geometry, in float32, peaks
+    below the 121x576x5x5 buffer (6.7 MiB) that gathering HSI block4's input
+    windows would take alone."""
+    dtype_switch(np.float32)
+    model = LsafModel(ModelConfig(4, **PAPER), seed=12)
+    side = TILE + PAPER["patch"] - 1
+    tiles = Tensor(np.random.default_rng(13).standard_normal(
+        (1, PAPER["pca_dims"], side, side), dtype=np.float32))
+    index = np.zeros((TILE * TILE, 3), dtype=np.intp)
+    index[:, 1], index[:, 2] = np.divmod(np.arange(TILE * TILE), TILE)
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            out = model.hsi_extractor(Windows(tiles, index), training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (TILE * TILE, 64, 5, 5) and out.dtype == np.float32
+    assert peak < TILE * TILE * 576 * 5 * 5 * 4
+
+
 # ----------------------------------------------------------------------
 # the tile rule
 
@@ -195,9 +218,10 @@ def test_tile_flops_count_the_branches_a_mode_runs():
     full, hsi, lidar = (LsafModel(ModelConfig(4, **PAPER), mode=m) for m in ("full", "hsi", "lidar"))
     for h, w in ((1, 1), (TILE, 3)):
         assert full.tile_conv_flops(h, w) == hsi.tile_conv_flops(h, w) + lidar.tile_conv_flops(h, w)
-    # one patch: HSI block1 is 8 kernels of 7x3x3 taps at 24x9x9 positions
+    # one patch: HSI block1 is 8 kernels of 7x3x3 taps at 24x9x9 positions,
+    # and block4's tap GEMM is 64 kernels of 576x3x3 taps at 5x5 positions
     assert hsi.tile_conv_flops(1, 1) == 2 * (8 * 63 * 24 * 81 + 16 * 360 * 20 * 49
-                                              + 32 * 432 * 18 * 25)
+                                              + 32 * 432 * 18 * 25 + 64 * 5184 * 25)
 
 
 def test_per_patch_pixels_pool_across_tiles(dtype_switch):
