@@ -162,7 +162,8 @@ class BatchNorm(Module):
 
 
 class ConvBlock(Module):
-    """Convolution (2-D or 3-D by kernel rank) + batch norm + ReLU."""
+    """Convolution (2-D or 3-D by kernel rank, stride 1, `padding` zeros on h
+    and w only) + batch norm + ReLU."""
 
     def __init__(self, rng, in_channels: int, out_channels: int, kernel: tuple, padding=0):
         self.kernel = tuple(kernel)
@@ -176,11 +177,8 @@ class ConvBlock(Module):
         self._conv = T.conv3d if len(self.kernel) == 3 else T.conv2d
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        out = self._conv(x, self.kernels, stride=1, padding=self.padding)
+        out = self._conv(x, self.kernels, padding=self.padding)
         return T.relu(self.bn(out, training))
-
-    def out_spatial(self, in_spatial: tuple) -> tuple:
-        return tuple(n + 2 * self.padding - k + 1 for n, k in zip(in_spatial, self.kernel))
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +209,7 @@ def _valid_convs_flops(blocks, spatial: tuple) -> int:
     """Forward FLOPs of a stack of unpadded conv blocks on one input."""
     flops = 0
     for block in blocks:
-        spatial = block.out_spatial(spatial)
+        spatial = tuple(n - k + 1 for n, k in zip(spatial, block.kernel))
         flops += 2 * block.kernels.size * math.prod(spatial)
     return flops
 

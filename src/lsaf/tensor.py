@@ -7,8 +7,8 @@ order. Tensors are plain values and safe to pass between threads; the tape
 itself is built and consumed on a single thread.
 
 Dense layouts follow the usual deep-learning conventions: convolutions take
-`(cin, *spatial)` or batched `(n, cin, *spatial)` inputs with
-`(cout, cin, *kernel)` weights, batch norm normalizes axis 1.
+batched `(n, cin, *spatial)` inputs with `(cout, cin, *kernel)` weights, at
+stride 1 and zero-padded on h and w only; batch norm normalizes axis 1.
 
 Convolutions lower to BLAS over the two spatial axes only, in one of two
 forms that `_conv` picks from shapes alone. The gather form copies each
@@ -269,16 +269,13 @@ class Tensor:
 
         return _node(data, (self,), "reshape", grad_fn)
 
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        if axes is not None:
-            axes = tuple(axes)
-            if sorted(axes) != list(range(self.ndim)):
-                raise ShapeError(
-                    f"transpose axes {axes} are not a permutation for ndim {self.ndim}"
-                )
-            inverse = tuple(np.argsort(axes))
-        else:
-            inverse = None
+    def transpose(self, axes: Sequence[int]) -> "Tensor":
+        axes = tuple(axes)
+        if sorted(axes) != list(range(self.ndim)):
+            raise ShapeError(
+                f"transpose axes {axes} are not a permutation for ndim {self.ndim}"
+            )
+        inverse = tuple(np.argsort(axes))
         data = self.data.transpose(axes)
 
         def grad_fn(g):
@@ -470,45 +467,45 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def conv2d(x: Tensor | MapWindows, kernels: Tensor, stride=1, padding=0) -> Tensor:
-    """2-D cross-correlation of `(cin, h, w)` or `(n, cin, h, w)` inputs with
-    `(cout, cin, kh, kw)` kernels, zero padding. `x` may also be `MapWindows`,
-    each window padded on its own (see `_windows_conv`)."""
+    """2-D cross-correlation of `(n, cin, h, w)` inputs with `(cout, cin, kh, kw)`
+    kernels, stride 1, zero-padded by the int `padding` on h and w. `x` may also
+    be `MapWindows`, each window padded on its own (see `_windows_conv`).
+    `stride` stays only because `perfbench/spans.py` passes it; 1 is all that runs."""
     if isinstance(x, MapWindows):
         return _windows_conv(x, kernels, stride, padding)
     return _conv(x, kernels, stride, padding, nsp=2)
 
 
 def conv3d(x: Tensor, kernels: Tensor, stride=1, padding=0) -> Tensor:
-    """3-D cross-correlation of `(cin, d, h, w)` or `(n, cin, d, h, w)` inputs
-    with `(cout, cin, kd, kh, kw)` kernels, zero padding."""
+    """3-D cross-correlation of `(n, cin, d, h, w)` inputs with `(cout, cin,
+    kd, kh, kw)` kernels, stride 1, zero-padded by the int `padding` on h and
+    w; depth is never padded. `stride` is kept as in `conv2d`."""
     return _conv(x, kernels, stride, padding, nsp=3)
 
 
-def _tupled(value, n: int, name: str) -> tuple:
-    if isinstance(value, int):
-        return (value,) * n
-    value = tuple(value)
-    if len(value) != n:
-        raise ConfigError(f"{name} must be an int or a {n}-tuple, got {value}")
-    return value
+def _out_spatial(nsp: int, in_sp: tuple, ksz: tuple, stride, padding) -> tuple:
+    """Output extent of a stride-1 conv that zero-pads the last two axes by
+    `padding`: `n + 2·padding − k + 1`, and `n − k + 1` on a 3-D depth."""
+    if stride != 1 or not isinstance(padding, int) or padding < 0:
+        raise ConfigError(f"conv{nsp}d runs stride 1 with one int padding >= 0 for h and w; "
+                          f"got stride {stride}, padding {padding}")
+    pads = (0,) * (len(in_sp) - 2) + (padding, padding)
+    out_sp = tuple(n + 2 * p - k + 1 for n, k, p in zip(in_sp, ksz, pads))
+    if min(out_sp) < 1:
+        raise ConfigError(f"conv{nsp}d kernel {ksz} exceeds input {in_sp} padded by {padding}")
+    return out_sp
 
 
-def _reach(offset: int, stride: int, n: int) -> slice:
-    """The `n` input positions that kernel offset `offset` meets at `stride`."""
-    return slice(offset, offset + stride * (n - 1) + 1, stride)
-
-
-def _links(k: int, stride: int, pad: int, n: int, m: int) -> list:
+def _links(k: int, pad: int, n: int, m: int) -> list:
     """Along one axis, kernel offset `i` links output `o` to unpadded input
-    `o·stride + i − pad`. For each offset whose links are not all padding:
+    `o + i − pad`. For each offset whose links are not all padding:
     `(i, outputs, inputs)`, the slice of the `m` outputs whose input lies
     inside the `n` inputs and the slice of those inputs."""
     links = []
     for i in range(k):
-        lo = max(0, -((i - pad) // stride))
-        hi = min(m, (n - 1 + pad - i) // stride + 1)
+        lo, hi = max(0, pad - i), min(m, n + pad - i)
         if hi > lo:
-            links.append((i, slice(lo, hi), _reach(lo * stride + i - pad, stride, hi - lo)))
+            links.append((i, slice(lo, hi), slice(lo + i - pad, hi + i - pad)))
     return links
 
 
@@ -527,7 +524,8 @@ def _fold_taps(dst: np.ndarray, src: np.ndarray, taps: list) -> None:
 
 
 def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
-    """Cross-correlation of `x` with `w` over the last `nsp` axes.
+    """Stride-1 cross-correlation of batched `x` with `w` over the last `nsp`
+    axes, zero-padded on the last two.
 
     A 2-D conv runs as the depth-1, `kd = 1` case of a 3-D one, and only the
     two spatial axes are lowered, in one of two forms. Both are built from
@@ -536,14 +534,14 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
     adds the taps' slices back up.
 
     The gather form spreads the input into `cols`, rows in `(cin, kh, kw)`
-    order and one column block of `ho·wo` per (sample, padded depth).
-    Spectral offset `a` of the kernel then reads the depth-shifted column
-    blocks `a, a + sd, …`, so the output is the sum over the `kd` offsets of
-    `w[:, :, a] @ cols[shifted]`, each a batched GEMM with one product per
-    sample. The backward stacks the `kd` depth-shifted copies of the output
-    gradient into one matrix, which turns the kernel gradient and the column
-    gradient into one GEMM each; the column gradient is then folded onto the
-    input's `cin` channels.
+    order and one column block of `ho·wo` per (sample, depth). Spectral
+    offset `a` of the kernel then reads the column blocks `a … a + do − 1`,
+    so the output is the sum over the `kd` offsets of `w[:, :, a]` times
+    those columns, each a batched GEMM with one product per sample. The
+    backward stacks the `kd` depth-shifted copies of the output gradient
+    into one matrix, which turns the kernel gradient and the column gradient
+    into one GEMM each; the column gradient is then folded onto the input's
+    `cin` channels.
 
     The scatter form multiplies first: one GEMM per sample,
     `(kh·kw·cout, cin) @ (cin, h·w)`, gives every tap's products at every
@@ -554,65 +552,35 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
     channels: the input gradient is one GEMM per sample from it and the
     kernel gradient one GEMM over the batch.
 
-    The choice follows from shapes alone. A conv with `kd = 1` and no depth
-    stride or padding takes the scatter form when its product buffer
-    (`kh·kw·cout·n·d·h·w`) is smaller than the gather form's column buffer
-    (`cin·kh·kw·n·d·ho·wo`), as it is for a conv that narrows many channels
-    to few at the same size (HSI block4).
+    The choice follows from shapes alone. A conv with `kd = 1` takes the
+    scatter form when its product buffer (`kh·kw·cout·n·d·h·w`) is smaller
+    than the gather form's column buffer (`cin·kh·kw·n·d·ho·wo`), as it is
+    for a conv that narrows many channels to few at the same size (HSI
+    block4).
     """
     if w.ndim != nsp + 2:
         raise ShapeError(f"conv{nsp}d kernels must be {nsp + 2}-D, got {w.shape}")
-    if x.ndim == nsp + 1:
-        batched = False
-    elif x.ndim == nsp + 2:
-        batched = True
-    else:
-        raise ShapeError(f"conv{nsp}d input must be {nsp + 1}-D or {nsp + 2}-D, got {x.shape}")
-
-    strides = _tupled(stride, nsp, "stride")
-    pads = _tupled(padding, nsp, "padding")
-    if any(s < 1 for s in strides) or any(p < 0 for p in pads):
-        raise ConfigError(f"invalid stride {strides} / padding {pads}")
-
-    xd = x.data if batched else x.data[None]
-    batch, cin = xd.shape[0], xd.shape[1]
+    if x.ndim != nsp + 2:
+        raise ShapeError(f"conv{nsp}d input must be batched (n, cin, ...), got {x.shape}")
+    batch, cin = x.shape[0], x.shape[1]
     cout, wcin = w.shape[0], w.shape[1]
     if wcin != cin:
         raise ShapeError(f"conv{nsp}d channel mismatch: input {cin}, kernels {wcin}")
-    in_sp = xd.shape[2:]
-    ksz = w.shape[2:]
-
-    out_sp = []
-    for size, k, s, p in zip(in_sp, ksz, strides, pads):
-        span = size + 2 * p - k
-        if span < 0:
-            raise ConfigError(
-                f"conv{nsp}d kernel {ksz} exceeds padded input {tuple(in_sp)} (padding {pads})"
-            )
-        if span % s != 0:
-            raise ConfigError(
-                f"conv{nsp}d: non-integral output size for input {size}, "
-                f"kernel {k}, stride {s}, padding {p}"
-            )
-        out_sp.append(span // s + 1)
-    out_sp = tuple(out_sp)
+    out_sp = _out_spatial(nsp, x.shape[2:], w.shape[2:], stride, padding)
 
     # Give a 2-D conv a depth axis of 1: from here on, everything is 3-D.
     lift = (1,) * (3 - nsp)
-    sd, sh, sw = lift + strides
-    pd, ph, pw = (0,) * (3 - nsp) + pads
-    kd, kh, kw = lift + ksz
+    kd, kh, kw = lift + w.shape[2:]
     do, ho, wo = lift + out_sp
-    x5 = xd.reshape((batch, cin) + lift + in_sp)
-    h, wd = in_sp[-2:]
+    x5 = x.data.reshape((batch, cin) + lift + x.shape[2:])
+    depth, h, wd = x5.shape[2:]
     # (i, j, output slices, input slices) of every tap that meets the input.
     taps = [(i, j, (oi, oj), (si, sj))
-            for i, oi, si in _links(kh, sh, ph, h, ho)
-            for j, oj, sj in _links(kw, sw, pw, wd, wo)]
+            for i, oi, si in _links(kh, padding, h, ho)
+            for j, oj, sj in _links(kw, padding, wd, wo)]
     inward = [(i, j, frm, to) for i, j, to, frm in taps]
 
-    if kd == sd == 1 and pd == 0 and cout * h * wd < cin * ho * wo:
-        depth = x5.shape[2]
+    if kd == 1 and cout * h * wd < cin * ho * wo:
         prod_rows = kh * kw * cout
         wt = np.ascontiguousarray(
             w.data.reshape(cout, cin, kh, kw).transpose(2, 3, 0, 1)
@@ -632,32 +600,24 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
             gw = gw.transpose(2, 3, 0, 1).reshape(w.shape)
             if not x.requires_grad:
                 return None, gw
-            gx = (wt.T @ gp.reshape(prod_rows, batch, -1).swapaxes(0, 1)).reshape(xd.shape)
-            return (gx if batched else gx[0]), gw
+            return (wt.T @ gp.reshape(prod_rows, batch, -1).swapaxes(0, 1)).reshape(x.shape), gw
     else:
-        if pd:
-            x5 = np.pad(x5, ((0, 0), (0, 0), (pd, pd), (0, 0), (0, 0)))
-        depth = x5.shape[2]
         rows = cin * kh * kw
         npos = ho * wo
         cols = np.zeros((cin, kh, kw, batch, depth, ho, wo), dtype=x5.dtype)
         _spread_taps(cols.transpose(1, 2, 0, 3, 4, 5, 6), x5.swapaxes(0, 1), taps)
         cols = cols.reshape(rows, batch, depth, npos)
 
-        def shifted(a: int) -> np.ndarray:
-            """The columns spectral offset `a` reads: `(rows, batch, do·npos)`,
-            a view unless the depth stride makes numpy copy."""
-            return cols[:, :, _reach(a, sd, do)].reshape(rows, batch, do * npos)
-
-        # wk[a] is w[:, :, a] as a (cout, rows) matrix. Batched GEMMs over the
-        # (batch, rows, columns) view keep one product per sample, so a
-        # sample's output does not depend on what else shares its batch.
+        # wk[a] is w[:, :, a] as a (cout, rows) matrix; offset a reads column
+        # blocks a … a + do − 1, a (rows, batch, do·npos) view. Batched GEMMs
+        # over that view keep one product per sample, so a sample's output
+        # does not depend on what else shares its batch.
         wk = np.ascontiguousarray(
-            w.data.reshape((cout, cin) + lift + ksz).transpose(2, 0, 1, 3, 4)
+            w.data.reshape((cout, cin, kd, kh, kw)).transpose(2, 0, 1, 3, 4)
         ).reshape(kd, cout, rows)
-        out_data = wk[0] @ shifted(0).swapaxes(0, 1)
+        out_data = wk[0] @ cols[:, :, :do].reshape(rows, batch, -1).swapaxes(0, 1)
         for a in range(1, kd):
-            out_data += wk[a] @ shifted(a).swapaxes(0, 1)
+            out_data += wk[a] @ cols[:, :, a:a + do].reshape(rows, batch, -1).swapaxes(0, 1)
 
         def grad_fn(g):
             # Block a of gs is the output gradient placed at depth offset a, so
@@ -666,7 +626,7 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
             gb = g.reshape((batch, cout, do, npos)).swapaxes(0, 1)
             gs = np.zeros((kd, cout, batch, depth, npos), dtype=g.dtype)
             for a in range(kd):
-                gs[a, :, :, _reach(a, sd, do)] = gb
+                gs[a, :, :, a:a + do] = gb
             gs = gs.reshape(kd * cout, batch * depth * npos)
             gw = (gs @ cols.reshape(rows, -1).T).reshape(kd, cout, cin, kh, kw)
             gw = gw.transpose(1, 2, 0, 3, 4).reshape(w.shape)
@@ -675,12 +635,9 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
             gcols = (wk.reshape(kd * cout, rows).T @ gs).reshape(cin, kh, kw, batch, depth, ho, wo)
             gxd = np.zeros((cin, batch, depth, h, wd), dtype=g.dtype)
             _fold_taps(gxd, gcols.transpose(1, 2, 0, 3, 4, 5, 6), inward)
-            gx = gxd.swapaxes(0, 1)[:, :, pd:depth - pd].reshape(xd.shape)
-            return (gx if batched else gx[0]), gw
+            return gxd.swapaxes(0, 1).reshape(x.shape), gw
 
     out_data = out_data.reshape((batch, cout) + out_sp)
-    if not batched:
-        out_data = out_data[0]
     return _node(out_data, (x, w), f"conv{nsp}d", grad_fn)
 
 
@@ -755,8 +712,7 @@ def _windows_conv(x: MapWindows, w: Tensor, stride, padding) -> Tensor:
     every tap's products at every map position, `cout` last, and each
     window's output adds, tap by tap, the products at its shifted positions
     where the tap reads inside the window: the taps dropped are exactly the
-    window's zero padding. Stride 1 and inference only, like
-    `gather_windows`.
+    window's zero padding. Inference only, like `gather_windows`.
     """
     index, whole = _check_windows(x.maps, x.index, x.size)
     if whole:
@@ -766,19 +722,15 @@ def _windows_conv(x: MapWindows, w: Tensor, stride, padding) -> Tensor:
     if w.ndim != 4 or w.shape[1] != cin:
         raise ShapeError(f"conv2d kernels {w.shape} do not fit windows of shape {x.shape}")
     cout, _, kh, kw = w.shape
-    ph, pw = _tupled(padding, 2, "padding")
-    ho, wo = x.size + 2 * ph - kh + 1, x.size + 2 * pw - kw + 1
-    if _tupled(stride, 2, "stride") != (1, 1) or min(ph, pw) < 0 or min(ho, wo) < 1:
-        raise ConfigError(f"window conv2d needs stride 1 and kernels {w.shape[2:]} within "
-                          f"windows of side {x.size}; got stride {stride}, padding {padding}")
+    ho, wo = _out_spatial(2, (x.size, x.size), (kh, kw), stride, padding)
 
     wt = np.ascontiguousarray(w.data.transpose(1, 2, 3, 0)).reshape(cin, kh * kw * cout)
     prods = (x.maps.data.reshape(t, cin, h * wd).swapaxes(1, 2) @ wt).reshape(t * h * wd, -1)
     tile, row, col = index.T
     corner = (tile * h + row) * wd + col
     out = np.zeros((len(index), ho, wo, cout), dtype=prods.dtype)
-    for i, oi, si in _links(kh, 1, ph, x.size, ho):
-        for j, oj, sj in _links(kw, 1, pw, x.size, wo):
+    for i, oi, si in _links(kh, padding, x.size, ho):
+        for j, oj, sj in _links(kw, padding, x.size, wo):
             at = (corner[:, None, None] + np.arange(si.start, si.stop)[:, None] * wd
                   + np.arange(sj.start, sj.stop))
             tap = (i * kw + j) * cout

@@ -3,6 +3,7 @@ tolerance oracles for the library's GEMM conv forward and backward, and
 finite-difference batteries for every differentiable op."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -204,27 +205,34 @@ MODEL_CONV_BLOCKS = ([f"hsi.block{i}" for i in range(1, 5)]
                      + [f"lidar.block{i}" for i in range(1, 4)])
 
 
-def assert_conv_within_tolerance(x, k, dtype, stride=1, padding=0):
+def reference_padding(k, padding):
+    """The library pads h and w only; the references take one padding per axis."""
+    return (0, padding, padding) if k.ndim == 5 else padding
+
+
+def assert_conv_within_tolerance(x, k, dtype, padding=0):
     x = x.astype(dtype)
     k = k.astype(dtype)
     conv = T.conv3d if k.ndim == 5 else T.conv2d
-    got = conv(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), stride, padding).data
-    want = conv_tap_order(x, k, stride, padding)
-    scale = conv_tap_order(np.abs(x), np.abs(k), stride, padding)
+    got = conv(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), padding=padding).data
+    ref_padding = reference_padding(k, padding)
+    want = conv_tap_order(x, k, padding=ref_padding)
+    scale = conv_tap_order(np.abs(x), np.abs(k), padding=ref_padding)
     assert got.dtype == dtype and got.shape == want.shape
     assert np.all(np.abs(got - want) <= CONV_TOL[dtype] * scale)
 
 
-def assert_conv_backward_within_tolerance(x, k, g, dtype, stride=1, padding=0):
+def assert_conv_backward_within_tolerance(x, k, g, dtype, padding=0):
     """Both gradients of the conv for output gradient `g` lie within the
     forward's tolerance of the reference backward, relative to that backward
     run on |g|, |x| and |w|."""
     conv = T.conv3d if k.ndim == 5 else T.conv2d
     xt = Tensor(x, requires_grad=True, dtype=dtype)
     kt = Tensor(k, requires_grad=True, dtype=dtype)
-    (conv(xt, kt, stride, padding) * Tensor(g, dtype=dtype)).sum().backward()
-    want = conv_backward_reference(x, k, g, stride, padding)
-    scale = conv_backward_reference(np.abs(x), np.abs(k), np.abs(g), stride, padding)
+    (conv(xt, kt, padding=padding) * Tensor(g, dtype=dtype)).sum().backward()
+    ref_padding = reference_padding(k, padding)
+    want = conv_backward_reference(x, k, g, padding=ref_padding)
+    scale = conv_backward_reference(np.abs(x), np.abs(k), np.abs(g), padding=ref_padding)
     for a, b, s in zip((xt.grad, kt.grad), want, scale):
         assert a.dtype == dtype and a.shape == b.shape
         assert np.all(np.abs(a - b) <= CONV_TOL[dtype] * s)
@@ -268,35 +276,29 @@ class TestMatmul:
 
 class TestConv2d:
     def test_unit_kernel_identity(self):
-        x = Tensor(rng(0).normal(size=(1, 4, 4)))
+        x = Tensor(rng(0).normal(size=(1, 1, 4, 4)))
         k = Tensor(np.ones((1, 1, 1, 1)))
         assert np.array_equal(T.conv2d(x, k).data, x.data)
 
     def test_summation_oracle(self):
-        x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+        x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
         k = Tensor(np.ones((1, 1, 2, 2)))
         out = T.conv2d(x, k)
-        assert out.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 10.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out.data[0, 0, 0, 0] == 10.0
 
     def test_zero_input(self):
-        x = Tensor(np.zeros((2, 5, 5)))
+        x = Tensor(np.zeros((1, 2, 5, 5)))
         k = Tensor(rng(3).normal(size=(3, 2, 3, 3)))
         assert not T.conv2d(x, k).data.any()
 
-    def test_non_integral_output_rejected(self):
-        x = Tensor(np.zeros((1, 5, 5)))
-        k = Tensor(np.zeros((1, 1, 2, 2)))
-        with pytest.raises(ConfigError):
-            T.conv2d(x, k, stride=2)
-
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ConfigError):
-            T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
+            T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))))
+            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_match_with_naive_loops(self, seed):
@@ -314,13 +316,13 @@ class TestConv2d:
     @pytest.mark.parametrize("seed", range(12))
     def test_within_tolerance_of_reference(self, seed, dtype):
         x, k = random_conv2d_case(seed)
-        assert_conv_within_tolerance(x, k, dtype)
+        assert_conv_within_tolerance(x[None], k, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("stride,padding", STRIDE_PADDING)
-    def test_strided_padded_within_tolerance(self, stride, padding, dtype):
+    @pytest.mark.parametrize("padding", [1, 2])
+    def test_padded_within_tolerance(self, padding, dtype):
         x, k = strided_case()
-        assert_conv_within_tolerance(x, k, dtype, stride, padding)
+        assert_conv_within_tolerance(x[None], k, dtype, padding)
 
     def test_batched_equals_per_sample(self):
         r = rng(7)
@@ -328,25 +330,25 @@ class TestConv2d:
         k = r.normal(size=(2, 2, 3, 3))
         full = T.conv2d(Tensor(x), Tensor(k)).data
         for i in range(3):
-            single = T.conv2d(Tensor(x[i]), Tensor(k)).data
-            assert np.array_equal(full[i], single)
+            single = T.conv2d(Tensor(x[i:i + 1]), Tensor(k)).data
+            assert np.array_equal(full[i:i + 1], single)
 
 
 class TestConv3d:
     def test_unit_kernel_identity(self):
-        x = Tensor(rng(0).normal(size=(1, 3, 3, 3)))
+        x = Tensor(rng(0).normal(size=(1, 1, 3, 3, 3)))
         k = Tensor(np.ones((1, 1, 1, 1, 1)))
         assert np.array_equal(T.conv3d(x, k).data, x.data)
 
     def test_summation_oracle(self):
-        x = Tensor(np.ones((1, 2, 2, 2)))
+        x = Tensor(np.ones((1, 1, 2, 2, 2)))
         k = Tensor(np.ones((1, 1, 2, 2, 2)))
         out = T.conv3d(x, k)
-        assert out.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == 8.0
+        assert out.shape == (1, 1, 1, 1, 1)
+        assert out.data[0, 0, 0, 0, 0] == 8.0
 
     def test_zero_input(self):
-        x = Tensor(np.zeros((1, 3, 4, 4)))
+        x = Tensor(np.zeros((1, 1, 3, 4, 4)))
         k = Tensor(rng(1).normal(size=(2, 1, 2, 3, 3)))
         assert not T.conv3d(x, k).data.any()
 
@@ -359,15 +361,16 @@ class TestConv3d:
     @pytest.mark.parametrize("seed", range(8))
     def test_within_tolerance_of_reference(self, seed, dtype):
         x, k = random_conv3d_case(seed)
-        assert_conv_within_tolerance(x, k, dtype)
+        assert_conv_within_tolerance(x[None], k, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("stride,padding", [(2, 0), (1, 1), ((1, 2, 1), (0, 1, 2))])
-    def test_strided_padded_within_tolerance(self, stride, padding, dtype):
+    @pytest.mark.parametrize("padding", [1, 2])
+    def test_padded_within_tolerance(self, padding, dtype):
+        """Padding reaches h and w only; depth is never padded."""
         r = rng(98)
-        x = r.normal(size=(2, 5, 5, 5))
+        x = r.normal(size=(1, 2, 5, 5, 5))
         k = r.normal(size=(3, 2, 3, 3, 3))
-        assert_conv_within_tolerance(x, k, dtype, stride, padding)
+        assert_conv_within_tolerance(x, k, dtype, padding)
 
     def test_batched_equals_per_sample(self):
         r = rng(8)
@@ -375,40 +378,36 @@ class TestConv3d:
         k = r.normal(size=(2, 2, 3, 3, 3))
         full = T.conv3d(Tensor(x), Tensor(k)).data
         for i in range(3):
-            single = T.conv3d(Tensor(x[i]), Tensor(k)).data
-            assert np.array_equal(full[i], single)
+            single = T.conv3d(Tensor(x[i:i + 1]), Tensor(k)).data
+            assert np.array_equal(full[i:i + 1], single)
 
 
-# (input shape, kernel shape, stride, padding) of convs that narrow cin to
-# fewer cout at about the same size, so they take the scatter form: strided,
-# padded by different amounts per axis, and a 3-D conv with a depth-1 kernel.
+# (input shape, kernel shape, padding) of convs that narrow cin to fewer cout
+# at about the same size, so they take the scatter form: padded by 0 to 2, a
+# 3x2 kernel, and a 3-D conv with a depth-1 kernel.
 SCATTER_CASES = [
-    ((8, 48, 7, 7), (4, 48, 3, 3), 2, 1),
-    ((8, 48, 7, 6), (6, 48, 3, 2), 1, (1, 0)),
-    ((8, 48, 7, 8), (4, 48, 3, 3), (2, 1), (0, 2)),
-    ((8, 48, 3, 5, 5), (4, 48, 1, 3, 3), 1, (0, 1, 1)),
+    ((8, 48, 7, 7), (4, 48, 3, 3), 1),
+    ((8, 48, 7, 6), (6, 48, 3, 2), 2),
+    ((8, 48, 7, 8), (4, 48, 3, 3), 0),
+    ((8, 48, 3, 5, 5), (4, 48, 1, 3, 3), 1),
 ]
 
 
-def column_bytes(x_shape, k_shape, stride, padding, itemsize):
+def column_bytes(x_shape, k_shape, padding, itemsize):
     """Bytes of the gather form's column buffer, cin·kh·kw × n·d·ho·wo."""
-    nsp = len(k_shape) - 2
-    strides = (stride,) * nsp if isinstance(stride, int) else stride
-    pads = (padding,) * nsp if isinstance(padding, int) else padding
-    out_sp = [(n + 2 * p - k) // s + 1
-              for n, k, s, p in zip(x_shape[2:], k_shape[2:], strides, pads)]
-    depth = x_shape[2] + 2 * pads[0] if nsp == 3 else 1
+    out_hw = [n + 2 * padding - k + 1 for n, k in zip(x_shape[-2:], k_shape[-2:])]
+    depth = x_shape[2] if len(k_shape) == 5 else 1
     return (x_shape[0] * x_shape[1] * int(np.prod(k_shape[-2:])) * depth
-            * int(np.prod(out_sp[-2:])) * itemsize)
+            * int(np.prod(out_hw)) * itemsize)
 
 
-def forward_peak(x, k, stride=1, padding=0):
+def forward_peak(x, k, padding=0):
     """Peak bytes allocated while one conv forward runs."""
     conv = T.conv3d if k.ndim == 5 else T.conv2d
     xt, kt = Tensor(x, dtype=x.dtype), Tensor(k, requires_grad=True, dtype=k.dtype)
     tracemalloc.start()
     try:
-        conv(xt, kt, stride, padding)
+        conv(xt, kt, padding=padding)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -416,20 +415,20 @@ def forward_peak(x, k, stride=1, padding=0):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("x_shape,k_shape,stride,padding", SCATTER_CASES,
+@pytest.mark.parametrize("x_shape,k_shape,padding", SCATTER_CASES,
                          ids=lambda case: str(case).replace(" ", ""))
-def test_scatter_form_within_tolerance(x_shape, k_shape, stride, padding, dtype):
+def test_scatter_form_within_tolerance(x_shape, k_shape, padding, dtype):
     """The scatter form's output and both its gradients lie within the
     tolerance oracle of the references, and no column buffer is built."""
     r = rng(31)
     x = r.normal(size=x_shape).astype(dtype)
     k = (r.normal(size=k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
-    assert forward_peak(x, k, stride, padding) < column_bytes(
-        x_shape, k_shape, stride, padding, np.dtype(dtype).itemsize)
-    assert_conv_within_tolerance(x, k, dtype, stride, padding)
+    assert forward_peak(x, k, padding) < column_bytes(
+        x_shape, k_shape, padding, np.dtype(dtype).itemsize)
+    assert_conv_within_tolerance(x, k, dtype, padding)
     conv = T.conv3d if len(k_shape) == 5 else T.conv2d
-    g = r.normal(size=conv(Tensor(x), Tensor(k), stride, padding).shape).astype(dtype)
-    assert_conv_backward_within_tolerance(x, k, g, dtype, stride, padding)
+    g = r.normal(size=conv(Tensor(x), Tensor(k), padding=padding).shape).astype(dtype)
+    assert_conv_backward_within_tolerance(x, k, g, dtype, padding)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -441,8 +440,8 @@ def test_scatter_form_batched_equals_per_sample(dtype):
     k = (r.normal(size=(64, 576, 3, 3)) / 48).astype(dtype)
     full = T.conv2d(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), padding=1).data
     for i in range(37):
-        single = T.conv2d(Tensor(x[i], dtype=dtype), Tensor(k, dtype=dtype), padding=1).data
-        assert np.array_equal(full[i], single)
+        single = T.conv2d(Tensor(x[i:i + 1], dtype=dtype), Tensor(k, dtype=dtype), padding=1).data
+        assert np.array_equal(full[i:i + 1], single)
 
 
 @pytest.mark.parametrize("block,x_shape,k_shape,padding",
@@ -457,7 +456,7 @@ def test_only_hsi_block4_takes_the_scatter_form(block, x_shape, k_shape, padding
     x_shape = (37,) + x_shape[1:]
     x = r.standard_normal(x_shape, dtype=np.float32)
     k = r.standard_normal(k_shape, dtype=np.float32)
-    cols = column_bytes(x_shape, k_shape, 1, padding, 4)
+    cols = column_bytes(x_shape, k_shape, padding, 4)
     assert (forward_peak(x, k, padding=padding) < cols) == (block == "hsi.block4")
 
 
@@ -482,52 +481,95 @@ def test_model_conv_backward_within_tolerance(x_shape, k_shape, padding, dtype):
     assert_conv_backward_within_tolerance(x, k, g, dtype, padding=padding)
 
 
-# (input shape, kernel shape, stride, padding): 2-D and 3-D, spectral kernels
-# of depth 1 to 7 on deeper inputs, strides, mixed strides, padding, and the
-# unbatched path.
+# (input shape, kernel shape, padding): 2-D and 3-D, spectral kernels of
+# depth 1 to 7 on deeper inputs, padding 0 to 2 on h and w, batches of one,
+# and the scatter form.
 CONV_GRAD_CASES = [
-    ((2, 2, 5, 6), (3, 2, 3, 2), 1, 0),
-    ((2, 2, 5, 5), (2, 2, 3, 3), 2, 1),
-    ((2, 2, 5, 7), (2, 2, 3, 3), (2, 1), (0, 1)),
-    ((2, 4, 4), (3, 2, 3, 3), 1, 1),
+    ((2, 2, 5, 6), (3, 2, 3, 2), 0),
+    ((2, 2, 5, 5), (2, 2, 3, 3), 1),
+    ((2, 2, 5, 7), (2, 2, 3, 3), 2),
+    ((1, 2, 4, 4), (3, 2, 3, 3), 1),
 ] + [
-    ((2, 2, kd + 2, 4, 4), (2, 2, kd, 3, 3), 1, 0) for kd in range(1, 8)
+    ((2, 2, kd + 2, 4, 4), (2, 2, kd, 3, 3), 0) for kd in range(1, 8)
 ] + [
-    ((2, 2, 5, 5, 5), (2, 2, 3, 3, 3), 2, 0),
-    ((2, 2, 7, 5, 5), (3, 2, 3, 2, 3), (2, 1, 2), (1, 0, 1)),
-    ((2, 9, 4, 4), (2, 2, 5, 3, 3), (2, 1, 1), (1, 1, 0)),
+    ((2, 2, 5, 5, 5), (2, 2, 3, 3, 3), 1),
+    ((2, 2, 7, 5, 5), (3, 2, 3, 2, 3), 2),
+    ((1, 2, 9, 4, 4), (2, 2, 5, 3, 3), 1),
 ] + [
-    ((2, 6, 5, 5), (2, 6, 3, 3), 2, 1),                  # scatter form
-    ((2, 6, 3, 5, 5), (2, 6, 1, 3, 3), 1, (0, 1, 1)),    # scatter form, 3-D
+    ((2, 6, 5, 5), (2, 6, 3, 3), 1),                  # scatter form
+    ((2, 6, 3, 5, 5), (2, 6, 1, 3, 3), 1),            # scatter form, 3-D
 ]
 
 
 def conv_case_id(case):
-    x_shape, k_shape, stride, padding = case
+    """`x<input>-k<kernel>-s1-p<padding>`: every conv runs at stride 1."""
+    x_shape, k_shape, padding = case
     kernel = "x".join(map(str, k_shape[2:]))
-    return f"x{'x'.join(map(str, x_shape))}-k{kernel}-s{stride}-p{padding}".replace(" ", "")
+    return f"x{'x'.join(map(str, x_shape))}-k{kernel}-s1-p{padding}"
 
 
 @pytest.mark.parametrize("wrt", ["input", "kernel"])
-@pytest.mark.parametrize("x_shape,k_shape,stride,padding", CONV_GRAD_CASES,
+@pytest.mark.parametrize("x_shape,k_shape,padding", CONV_GRAD_CASES,
                          ids=[conv_case_id(c) for c in CONV_GRAD_CASES])
-def test_conv_gradient_battery(x_shape, k_shape, stride, padding, wrt):
+def test_conv_gradient_battery(x_shape, k_shape, padding, wrt):
     r = rng(13)
     conv = T.conv3d if len(k_shape) == 5 else T.conv2d
     x = Tensor(r.normal(size=x_shape), requires_grad=True)
     k = Tensor(r.normal(size=k_shape) * 0.4, requires_grad=True)
-    weights = Tensor(r.normal(size=conv(x, k, stride, padding).shape))
+    weights = Tensor(r.normal(size=conv(x, k, padding=padding).shape))
 
     def loss(c):
         return (c * weights).sum() + (c * c).mean()
 
     if wrt == "input":
-        err = T.finite_diff_check(lambda t: loss(conv(t, k, stride, padding)), x,
+        err = T.finite_diff_check(lambda t: loss(conv(t, k, padding=padding)), x,
                                   max_coords=60, seed=1)
     else:
-        err = T.finite_diff_check(lambda t: loss(conv(x, t, stride, padding)), k,
+        err = T.finite_diff_check(lambda t: loss(conv(x, t, padding=padding)), k,
                                   max_coords=60, seed=2)
     assert err < 1e-4
+
+
+def zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+def shared_windows():
+    """Two overlapping 5x5 windows of one 2-channel 7x7 map."""
+    return T.MapWindows(zeros(1, 2, 7, 7), np.array([[0, 0, 0], [0, 1, 2]]), 5)
+
+
+# Calls outside the convs' contract, and the error and text each must raise:
+# stride 1 only, batched inputs only, one int padding >= 0 for h and w.
+REFUSED_CONVS = {
+    "conv2d-stride-2": (lambda: T.conv2d(zeros(1, 2, 5, 5), zeros(3, 2, 3, 3), stride=2),
+                        ConfigError, "stride 2"),
+    "conv3d-stride-2": (lambda: T.conv3d(zeros(1, 2, 5, 5, 5), zeros(3, 2, 3, 3, 3), stride=2),
+                        ConfigError, "stride 2"),
+    "map-windows-stride-2": (
+        lambda: T.conv2d(shared_windows(), zeros(3, 2, 3, 3), stride=2, padding=1),
+        ConfigError, "stride 2"),
+    "conv2d-unbatched": (lambda: T.conv2d(zeros(2, 5, 5), zeros(3, 2, 3, 3)),
+                         ShapeError, "(2, 5, 5)"),
+    "conv3d-unbatched": (lambda: T.conv3d(zeros(2, 5, 5, 5), zeros(3, 2, 3, 3, 3)),
+                         ShapeError, "(2, 5, 5, 5)"),
+    "conv2d-negative-padding": (
+        lambda: T.conv2d(zeros(1, 2, 5, 5), zeros(3, 2, 3, 3), padding=-1),
+        ConfigError, "padding -1"),
+    "conv3d-negative-padding": (
+        lambda: T.conv3d(zeros(1, 2, 5, 5, 5), zeros(3, 2, 3, 3, 3), padding=-1),
+        ConfigError, "padding -1"),
+    "map-windows-negative-padding": (
+        lambda: T.conv2d(shared_windows(), zeros(3, 2, 3, 3), padding=-1),
+        ConfigError, "padding -1"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_CONVS))
+def test_conv_refuses_calls_outside_its_contract(case):
+    call, error, text = REFUSED_CONVS[case]
+    with pytest.raises(error, match=re.escape(text)):
+        call()
 
 
 @pytest.mark.parametrize("x_shape,k_shape", [((2, 3, 7, 5, 5), (4, 3, 3, 3, 3)),
@@ -646,7 +688,7 @@ def test_map_windows_of_whole_maps_are_the_plain_conv():
 
 def test_map_windows_conv_is_inference_only():
     """The shared-map conv records no tape: it refuses kernels that need a
-    gradient unless gradients are off, and runs stride 1 only."""
+    gradient unless gradients are off."""
     r = rng(43)
     maps = Tensor(r.normal(size=(1, 6, 7, 7)))
     k = Tensor(r.normal(size=(4, 6, 3, 3)), requires_grad=True)
@@ -655,8 +697,6 @@ def test_map_windows_conv_is_inference_only():
         T.conv2d(windows, k, padding=1)
     with T.no_grad():
         assert not T.conv2d(windows, k, padding=1).requires_grad
-        with pytest.raises(ConfigError):
-            T.conv2d(windows, k, stride=2, padding=1)
 
 
 # ----------------------------------------------------------------------
