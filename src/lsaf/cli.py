@@ -180,9 +180,10 @@ def _train_config(config: dict) -> TrainConfig:
 
 
 def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
-    """A new model's PCA, as its `pre.pca.*` constants."""
+    """A new model's PCA, as its `pre.pca.*` constants. The fit reads the
+    whole cube, which is freed on return."""
     labels = pair.labels if config["pca_on_labeled"] else None
-    pca = pca_fit(pair.hsi, config["pca_dims"], labels=labels)
+    pca = pca_fit(pair.hsi[:, :], config["pca_dims"], labels=labels)
     return dict(zip(_PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
 
 
@@ -252,14 +253,16 @@ def _sync_config_with_meta(config: dict, state: dict) -> ModelConfig:
 
 
 def _setup(args, checkpoint: str | None):
-    """What train, eval and map start from: (config, projected scene, patch
-    set, `pre.*` constants, model, checkpoint state or None).
+    """What train, eval and map start from: (config, label map, patch set,
+    `pre.*` constants, model, checkpoint state or None).
 
     With a checkpoint, the config adopts its geometry and mode, the stored
     `pre.*` constants are checked for the shapes that geometry needs, and the
     model loads the stored weights. Without one, the geometry is new and the
-    constants are fitted. Either way the scene is read and projected once,
-    after every check on the checkpoint."""
+    constants are fitted. Either way the scene is projected once, after every
+    check on the checkpoint, from HSI row blocks read from the file as the
+    projection needs them. A new model's PCA fit reads the cube whole first.
+    Only the padded projection in the patch set outlives the call."""
     config = load_config(args.config, _overrides(args))
     T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
     os.makedirs(config["out"], exist_ok=True)
@@ -307,10 +310,9 @@ def _setup(args, checkpoint: str | None):
     model = LsafModel(geometry, seed=config["seed"], mode=config["mode"])
     if state is not None:
         model.load_state(state)
-    # rebinding `pair` frees the raw cube before the projection is padded
     pair = _apply_preprocessing(pair, pre)
     patches = extract_patches(pair, s=config["patch"])
-    return config, pair, patches, pre, model, state
+    return config, pair.labels, patches, pre, model, state
 
 
 # ----------------------------------------------------------------------
@@ -332,12 +334,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, pair, patches, pre, model, state = _setup(args, args.resume)
+    config, labels, patches, pre, model, state = _setup(args, args.resume)
     out_dir = config["out"]
     checkpoint_path = os.path.join(out_dir, "checkpoint.lsfw")
     train_set, test_set = split(patches, config["train_fraction"], config["seed"])
     log.info("scene %dx%d, %d classes, %d train / %d test patches",
-             pair.height, pair.width, pair.num_classes, len(train_set), len(test_set))
+             *labels.shape, labels.max(), len(train_set), len(test_set))
     start_epoch = 0
     if state is not None:
         start_epoch = int(state["meta.epochs_trained"])
@@ -388,15 +390,16 @@ def cmd_eval(args) -> int:
 
 def cmd_map(args) -> int:
     # [:5] keeps no reference to the checkpoint state once the model holds it
-    config, pair, patches, _, model = _setup(args, args.checkpoint)[:5]
-    image = np.zeros((pair.height, pair.width, 3), dtype=np.uint8)
+    config, labels, patches, _, model = _setup(args, args.checkpoint)[:5]
+    height, width = labels.shape
+    image = np.zeros((height, width, 3), dtype=np.uint8)
     if len(patches):
         preds = predict(model, patches)
         rows, cols = patches.pixels.T
         image[rows, cols] = np.array(PALETTE, dtype=np.uint8)[(preds - 1) % len(PALETTE)]
     out_path = os.path.join(config["out"], "map.ppm")
     storage.write_ppm(out_path, image)
-    print(f"map: {out_path} ({pair.width}x{pair.height})")
+    print(f"map: {out_path} ({width}x{height})")
     return EXIT_OK
 
 

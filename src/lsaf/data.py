@@ -26,17 +26,17 @@ from .errors import ConfigError, RegistrationError, ShapeError
 class RasterPair:
     """One co-registered scene: spectral cube, elevation raster, label map.
 
-    `hsi` is (bands, H, W) reflectance, `lidar` is (1, H, W) elevation in
-    meters, `labels` is (H, W) with 0 marking unlabeled pixels and 1..K the
-    classes.
+    `hsi` is (bands, H, W) reflectance, an array or a `storage.RasterRows`
+    reader of its file, `lidar` is (1, H, W) elevation in meters, `labels`
+    is (H, W) with 0 marking unlabeled pixels and 1..K the classes.
     """
 
-    hsi: np.ndarray
+    hsi: np.ndarray | storage.RasterRows
     lidar: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.hsi.ndim != 3:
+        if len(self.hsi.shape) != 3:
             raise ShapeError(f"hsi must be (bands, H, W), got {self.hsi.shape}")
         if self.lidar.ndim != 3 or self.lidar.shape[0] != 1:
             raise ShapeError(f"lidar must be (1, H, W), got {self.lidar.shape}")
@@ -70,8 +70,11 @@ class RasterPair:
 
 
 def load_raster(hsi_path, lidar_path, labels_path) -> RasterPair:
-    """Load the three scene files and validate their co-registration."""
-    hsi = storage.read_raster(hsi_path)
+    """Load the three scene files and validate their co-registration. The
+    HSI cube stays in its file: `hsi` is a `storage.RasterRows` reader, which
+    `pca_transform` reads a block of rows at a time, and `hsi[:, :]` reads it
+    whole."""
+    hsi = storage.RasterRows(hsi_path)
     lidar = storage.read_raster(lidar_path)
     labels = storage.read_labels(labels_path).astype(np.int64)
     return RasterPair(hsi=hsi, lidar=lidar, labels=labels)
@@ -156,9 +159,11 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None) -> np.ndarray:
 
     The cube is projected in chunks of rows of about `CHUNK_PIXELS` pixels,
     each written straight into the output, so no float64 copy of the whole
-    cube exists. Each pixel's row of the projection GEMM depends on that
-    pixel alone, so the bytes equal a whole-cube projection's whatever the
-    chunk size (`tests/test_data.py` pins this).
+    cube exists. `hsi` is read only through its `shape` and `hsi[:, top:stop]`,
+    so a `storage.RasterRows` reader streams the cube from its file. Each
+    pixel's row of the projection GEMM depends on that pixel alone, so the
+    bytes equal a whole-cube projection's whatever the chunk size or the row
+    source (`tests/test_data.py` pins this).
     """
     if hsi.shape[0] != model.bands:
         raise ShapeError(

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
 RASTER_MAGIC = b"LSAF"
 CHECKPOINT_MAGIC = b"LSFW"
@@ -111,21 +111,44 @@ def probe_raster(path: str | os.PathLike) -> dict:
     }
 
 
+class RasterRows:
+    """A float32 raster file read one block of rows at a time.
+
+    `rows[:, top:stop]` reads rows `top:stop` of every band into a new
+    `(bands, stop - top, W)` float32 array, the one slicing
+    `data.pca_transform` does, and `rows[:, :]` reads the whole cube. The
+    header is checked once, here. Each block must be finite, and no block is
+    kept, so the reader holds none of the payload between reads.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        info = probe_raster(path)
+        if info["dtype"] != np.dtype("<f4"):
+            raise FormatError(f"{path}: expected a float32 raster, found {info['dtype']}")
+        self.path = path
+        self.shape = (info["bands"], info["height"], info["width"])
+        self._info = info
+
+    def __getitem__(self, key) -> np.ndarray:
+        if (not isinstance(key, tuple) or len(key) != 2 or key[0] != slice(None)
+                or not isinstance(key[1], slice) or key[1].step not in (None, 1)):
+            raise ContractError(f"a raster reads blocks of rows as [:, top:stop], not {key!r}")
+        top, stop, _ = key[1].indices(self.shape[1])
+        block = _read_rows(self.path, self._info, top, max(top, stop))
+        # A float64 sum of float32 values cannot overflow, so it is finite exactly
+        # when every value is, and unlike np.isfinite it needs no block-sized mask.
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            total = block.sum(dtype=np.float64)
+        if not np.isfinite(total):
+            bad = np.count_nonzero(~np.isfinite(block))
+            raise FormatError(f"{self.path}: raster holds {bad} non-finite value(s) (NaN or Inf)")
+        return block
+
+
 def read_raster(path: str | os.PathLike) -> np.ndarray:
     """Read a float32 raster back as a `(bands, H, W)` array; every value
-    must be finite."""
-    info = probe_raster(path)
-    if info["dtype"] != np.dtype("<f4"):
-        raise FormatError(f"{path}: expected a float32 raster, found {info['dtype']}")
-    data = _read_payload(path, info)
-    # A float64 sum of float32 values cannot overflow, so it is finite exactly
-    # when every value is, and unlike np.isfinite it needs no scene-sized mask.
-    with np.errstate(invalid="ignore"):  # inf + -inf
-        total = data.sum(dtype=np.float64)
-    if not np.isfinite(total):
-        bad = np.count_nonzero(~np.isfinite(data))
-        raise FormatError(f"{path}: raster holds {bad} non-finite value(s) (NaN or Inf)")
-    return data
+    must be finite. It is the whole-range read of `RasterRows`."""
+    return RasterRows(path)[:, :]
 
 
 def read_labels(path: str | os.PathLike) -> np.ndarray:
@@ -135,18 +158,30 @@ def read_labels(path: str | os.PathLike) -> np.ndarray:
         raise FormatError(f"{path}: expected a uint16 label map, found {info['dtype']}")
     if info["bands"] != 1:
         raise FormatError(f"{path}: label map must be single-band, found {info['bands']}")
-    return _read_payload(path, info)[0]
+    return _read_rows(path, info, 0, info["height"])[0]
 
 
-def _read_payload(path: str | os.PathLike, info: dict) -> np.ndarray:
-    """The `(bands, H, W)` payload of a probed raster, read straight into one
-    writable array: the file's bytes are never held a second time."""
-    shape = (info["bands"], info["height"], info["width"])
-    count = math.prod(shape)
-    data = np.fromfile(path, dtype=info["dtype"], count=count, offset=_RASTER_HEADER.size)
-    if data.size != count:
-        raise FormatError(f"{path}: payload ends after {data.size} of {count} values")
-    return data.reshape(shape)
+def _read_rows(path: str | os.PathLike, info: dict, top: int, stop: int) -> np.ndarray:
+    """Rows `top:stop` of every band of a probed raster, as one writable
+    `(bands, stop - top, W)` array. The payload is band-sequential, so each
+    band's rows are one `readinto` at a computed offset, straight into the
+    array: the file's bytes are never held a second time."""
+    bands, height, width, dtype = info["bands"], info["height"], info["width"], info["dtype"]
+    out = np.empty((bands, stop - top, width), dtype=dtype)
+    with open(path, "rb", buffering=0) as f:
+        for band, rows in enumerate(out):
+            f.seek(_RASTER_HEADER.size + (band * height + top) * width * dtype.itemsize)
+            view = rows.reshape(-1).view(np.uint8)
+            filled = 0
+            while filled < view.size:
+                got = f.readinto(view[filled:])
+                if not got:  # the file shrank since it was probed
+                    count = bands * height * width
+                    held = max(0, os.fstat(f.fileno()).st_size - _RASTER_HEADER.size)
+                    raise FormatError(f"{path}: payload ends after "
+                                      f"{min(held // dtype.itemsize, count)} of {count} values")
+                filled += got
+    return out
 
 
 # ----------------------------------------------------------------------

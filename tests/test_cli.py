@@ -1,21 +1,31 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
+import importlib
 import json
 import re
 import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from lsaf import cli, data, storage
+from lsaf import tensor as T
 from lsaf.model import LsafModel, ModelConfig
 
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def command_argv(command, ckpt):
+    """The argv of `command`, one of train, resume, eval and map, where all
+    but train read `ckpt`."""
+    return {"train": ["train"], "resume": ["train", "--epochs", 3, "--resume", ckpt],
+            "eval": ["eval", "--checkpoint", ckpt], "map": ["map", "--checkpoint", ckpt]}[command]
 
 
 def with_keys(config_path, name, **keys):
@@ -421,6 +431,82 @@ class TestPreprocessing:
         assert np.array_equal(scaled.hsi, stored.hsi)
         assert peak <= 1.1 * (projection + chunk)
 
+    def test_setup_streams_the_cube_from_its_file(self, tmp_path):
+        """With a checkpoint, `_setup` projects HSI row blocks read from the
+        file as it goes: its peak is the float32 projection, one block (read
+        in float32, then the float64 pixels, projection and rescale
+        temporaries) and the checkpoint's tensors twice (the state and the
+        model's weights), well under the raw cube it never holds."""
+        bands, dims, height, width = 144, 30, 128, 256
+        r = np.random.default_rng(0)
+        cube = r.random((bands, height, width), dtype=np.float32)
+        paths = {name: tmp_path / f"{name}.lsaf" for name in ("hsi", "lidar", "labels")}
+        storage.write_raster(paths["hsi"], cube)
+        storage.write_raster(paths["lidar"], r.random((1, height, width), dtype=np.float32))
+        labels = np.zeros((height, width), dtype=np.uint16)
+        labels[::16, ::16], labels[8::16, 8::16] = 1, 2
+        storage.write_labels(paths["labels"], labels)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**{k: str(v) for k, v in paths.items()},
+                                      "out": str(tmp_path / "out"), "pca_dims": dims,
+                                      "patch": 7, "hidden": 16}))
+        model = LsafModel(ModelConfig(num_classes=2, pca_dims=dims, patch=7, hidden=16), seed=0)
+        pca = data.pca_fit(cube, dims)
+        lo, span = data.fit_minmax(data.pca_transform(pca, cube))
+        entries = {key: value.astype(np.float32) for key, value in model.state_dict().items()}
+        entries.update(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance,
+                                           lo, span, np.zeros(1), np.ones(1))))
+        entries.update(cli._model_meta(model, {"seed": 0}, 1))
+        ckpt = tmp_path / "checkpoint.lsfw"
+        storage.write_checkpoint(ckpt, entries)
+        del cube, model, entries
+        args = cli.build_parser().parse_args(["eval", "--config", str(config),
+                                              "--checkpoint", str(ckpt)])
+        projection = dims * height * width * 4
+        chunk = data.CHUNK_PIXELS * (bands * 4 + (bands + 3 * dims) * 8)
+        prev_dtype = T.default_dtype()  # `_setup` sets the config's; `main` restores it
+        tracemalloc.start()
+        try:
+            patches = cli._setup(args, str(ckpt))[2]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            T.set_default_dtype(prev_dtype)
+        assert patches.hsi.dtype == np.float32 and len(patches) == 256
+        assert peak <= 1.05 * (projection + chunk + 2 * ckpt.stat().st_size)
+        assert peak < bands * height * width * 4
+
+
+class TestSetupFreesTheProjection:
+    @pytest.mark.parametrize("command", ["train", "resume", "eval", "map"])
+    def test_unpadded_projection_is_dead_once_the_model_runs(self, config_path, tmp_path,
+                                                             monkeypatch, command):
+        """`_setup` keeps only the padded copy of the projected scene: the
+        array `extract_patches` pads is freed before `train` or `predict`."""
+        ckpt = tmp_path / "run" / "checkpoint.lsfw"
+        if command != "train":
+            assert run(["train", "--config", config_path]) == 0
+        train_mod = importlib.import_module("lsaf.train")
+        projected, alive = [], []
+
+        def extract_patches(pair, s, _fn=cli.extract_patches):
+            projected.append(weakref.ref(pair.hsi))
+            return _fn(pair, s)
+
+        def checked(fn):
+            def call(*args, **kwargs):
+                alive.append(projected[-1]() is not None)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "extract_patches", extract_patches)
+        monkeypatch.setattr(cli, "train", checked(cli.train))
+        monkeypatch.setattr(cli, "predict", checked(cli.predict))
+        monkeypatch.setattr(train_mod, "predict", checked(train_mod.predict))
+        out = tmp_path / "after"
+        assert run(command_argv(command, ckpt) + ["--config", config_path, "--out", out]) == 0
+        assert len(projected) == 1 and alive and not any(alive)
+
 
 class TestEval:
     def test_reproduces_train_time_metrics(self, config_path, tmp_path, capsys):
@@ -575,6 +661,27 @@ class TestNonFiniteRaster:
         if command != "train":
             argv += ["--checkpoint", tmp_path / "run" / "checkpoint.lsfw"]
         assert run(argv) == 2
+        assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "resume", "eval", "map"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_in_the_last_row_block(self, config_path, tmp_path, capsys, monkeypatch,
+                                   command, value):
+        """The projection reads the 20-row HSI cube in blocks of 3 rows; a bad
+        cell in the last block, which is ragged, is found there, before any
+        output is written. A new model's PCA fit, which reads the cube whole,
+        finds it first."""
+        assert run(["train", "--config", config_path]) == 0
+        path = tmp_path / "scene" / "hsi.lsaf"
+        cube = storage.read_raster(path)
+        cube[5, -1, 7] = value
+        storage.write_raster(path, cube)
+        monkeypatch.setattr(data, "CHUNK_PIXELS", 3 * 20)
+        capsys.readouterr()
+        out = tmp_path / "after"
+        ckpt = tmp_path / "run" / "checkpoint.lsfw"
+        assert run(command_argv(command, ckpt) + ["--config", config_path, "--out", out]) == 2
         assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 

@@ -48,7 +48,7 @@ class TestLoadRaster:
         storage.write_raster(paths[1], np.zeros((1, 2, 2), dtype=np.float32))
         storage.write_labels(paths[2], np.ones((2, 2), dtype=np.uint16))
         pair = data.load_raster(*paths)
-        assert not pair.hsi.any() and not pair.lidar.any()
+        assert not pair.hsi[:, :].any() and not pair.lidar.any()
         assert pair.bands == 3 and pair.num_classes == 1
 
     def test_short_file_is_format_error(self, tmp_path):
@@ -73,7 +73,7 @@ class TestLoadRaster:
         paths = [tmp_path / n for n in ("h.lsaf", "l.lsaf", "g.lsaf")]
         data.save_raster(pair, *paths)
         back = data.load_raster(*paths)
-        assert np.array_equal(back.hsi, pair.hsi)
+        assert np.array_equal(back.hsi[:, :], pair.hsi)
         assert np.array_equal(back.lidar, pair.lidar)
         assert np.array_equal(back.labels, pair.labels)
 
@@ -229,6 +229,25 @@ class TestPcaTransform:
         assert projected.dtype == np.float64 and np.array_equal(projected, whole)
         assert scaled.dtype == np.float32
         assert np.array_equal(scaled, rescale(whole, lo, span).astype(np.float32))
+
+    # one row per block; blocks of 7 rows, the last one ragged; a scene wider
+    # than a block's pixels
+    @pytest.mark.parametrize("chunk", [23, 7 * 23, 10], ids=["row", "ragged", "wide"])
+    def test_reader_projection_is_byte_identical(self, tmp_path, monkeypatch, chunk):
+        """Row blocks read from the file project to the bytes of the cube
+        held in memory, rescaled and cast to float32 or not."""
+        r = rng(11)
+        cube = (r.normal(size=(144, 50, 23)) * r.uniform(0.5, 3.0, (144, 1, 1))).astype(np.float32)
+        path = tmp_path / "hsi.lsaf"
+        storage.write_raster(path, cube)
+        model = pca_fit(cube, r=30)
+        lo, span = fit_minmax(pca_transform(model, cube))
+        monkeypatch.setattr(data, "CHUNK_PIXELS", chunk)
+        rows = storage.RasterRows(path)
+        assert np.array_equal(pca_transform(model, rows), pca_transform(model, cube))
+        scaled = pca_transform(model, rows, scale=(lo, span))
+        assert scaled.dtype == np.float32
+        assert np.array_equal(scaled, pca_transform(model, cube, scale=(lo, span)))
 
     def test_mean_pixel_maps_to_zero(self):
         cube = rng(0).normal(size=(5, 6, 6))

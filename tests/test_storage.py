@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lsaf import storage
-from lsaf.errors import FormatError
+from lsaf.errors import ContractError, FormatError
 
 
 def test_raster_round_trip_is_byte_exact(tmp_path):
@@ -89,6 +89,53 @@ def test_short_payload_read_rejected(tmp_path, monkeypatch, kind):
     read = storage.read_raster if kind == "raster" else storage.read_labels
     with pytest.raises(FormatError, match="payload ends after"):
         read(path)
+
+
+def test_file_shrinking_before_a_block_read_rejected(tmp_path):
+    """A row reader probes the header once; a block past where the file
+    now ends is a format error counting the values the file still holds."""
+    path = tmp_path / "s.lsaf"
+    storage.write_raster(path, np.ones((2, 6, 5), dtype=np.float32))
+    rows = storage.RasterRows(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    assert rows[:, 0:2].shape == (2, 2, 5)
+    with pytest.raises(FormatError, match="s.lsaf: payload ends after 58 of 60 values"):
+        rows[:, 4:6]
+
+
+def test_row_blocks_are_checked_finite_one_at_a_time(tmp_path):
+    """A block reports its own count of non-finite values; blocks without
+    any read normally."""
+    cube = np.ones((3, 8, 4), dtype=np.float32)
+    cube[0, 1, 2] = cube[2, 1, 0] = np.nan
+    cube[1, 6, 3] = -np.inf
+    path = tmp_path / "bad.lsaf"
+    storage.write_raster(path, cube)
+    rows = storage.RasterRows(path)
+    assert rows.shape == cube.shape
+    assert np.array_equal(rows[:, 2:6], cube[:, 2:6])
+    with pytest.raises(FormatError, match="bad.lsaf: raster holds 2 non-finite"):
+        rows[:, 0:2]
+    with pytest.raises(FormatError, match="bad.lsaf: raster holds 1 non-finite"):
+        rows[:, 6:]
+    with pytest.raises(FormatError, match="bad.lsaf: raster holds 3 non-finite"):
+        rows[:, :]
+
+
+@pytest.mark.parametrize("key", [(slice(None),), (0, slice(0, 2)),
+                                 (slice(None), slice(0, 4, 2)), (slice(None), 3)])
+def test_row_reader_takes_only_row_ranges(tmp_path, key):
+    path = tmp_path / "r.lsaf"
+    storage.write_raster(path, np.ones((2, 4, 3), dtype=np.float32))
+    with pytest.raises(ContractError):
+        storage.RasterRows(path)[key]
+
+
+def test_row_reader_refuses_a_label_map(tmp_path):
+    path = tmp_path / "gt.lsaf"
+    storage.write_labels(path, np.ones((3, 3), dtype=np.uint16))
+    with pytest.raises(FormatError, match="expected a float32 raster"):
+        storage.RasterRows(path)
 
 
 def test_truncated_file_rejected(tmp_path):
