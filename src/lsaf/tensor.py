@@ -3,8 +3,10 @@
 Everything the network needs runs through the `Tensor` class below: values are
 contiguous numpy arrays, and every differentiable operation records a gradient
 closure so that `Tensor.backward()` can sweep the tape in reverse topological
-order. Tensors are plain values and safe to pass between threads; the tape
-itself is built and consumed on a single thread.
+order. Gradients land on leaves only. The sweep frees the tape as it goes:
+each node drops its closure, its parents and its gradient once used, so a
+tape can be swept once. Tensors are plain values and safe to pass between
+threads; the tape itself is built and consumed on a single thread.
 
 Dense layouts follow the usual deep-learning conventions: convolutions take
 batched `(n, cin, *spatial)` inputs with `(cout, cin, *kernel)` weights, at
@@ -130,9 +132,11 @@ class Tensor:
     """A dense n-dimensional array with optional gradient tracking.
 
     `data` is always a numpy array in the library's default precision unless
-    an explicit dtype is given. `grad` stays None until `backward()` first
-    deposits a gradient; repeated backward passes accumulate into it until it
-    is cleared with `zero_grad()`.
+    an explicit dtype is given. On a leaf, `grad` stays None until
+    `backward()` first deposits a gradient; backward passes over fresh tapes
+    accumulate into it until it is cleared with `zero_grad()`. A recorded
+    node's `grad` is None once a sweep has passed it: the sweep frees the
+    node, and a second sweep through it raises `ContractError`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_op")
@@ -180,7 +184,14 @@ class Tensor:
 
     def backward(self) -> None:
         """Reverse sweep from a scalar: accumulates `grad` on every reachable
-        tensor that requires gradients."""
+        leaf that requires gradients, and frees the tape as it goes.
+
+        Each recorded node is popped off the order and detached (no closure,
+        no parents, `grad` None) before its closure runs, so its captured
+        buffers and its gradient are freed once used. The tape can thus be
+        swept once: sweeping it again, from this root or from another that
+        shares a swept node, raises `ContractError`.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar, got shape {self.shape}"
@@ -189,16 +200,14 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad = self.grad + np.ones_like(self.data)
-        for node in reversed(order):
-            if node._grad_fn is None or node.grad is None:
+        while order:
+            node = order.pop()
+            grad_fn, parents, grad = node._grad_fn, node._parents, node.grad
+            if grad_fn is None:
                 continue
-            parent_grads = node._grad_fn(node.grad)
-            for parent, g in zip(node._parents, parent_grads):
-                if g is None or not parent.requires_grad:
-                    continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+            node._grad_fn, node._parents, node.grad = None, (), None
+            if grad is not None:
+                _deposit(parents, grad_fn(grad))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -337,7 +346,21 @@ def _node(data, parents, op, grad_fn) -> Tensor:
     return out
 
 
+def _deposit(parents: tuple, grads) -> None:
+    """Add each parent's gradient into its `grad`, in parent order. A call of
+    its own, so that the last gradient is freed on return, not kept alive
+    through the next node's closure."""
+    for parent, g in zip(parents, grads):
+        if g is None or not parent.requires_grad:
+            continue
+        if parent.grad is None:
+            parent.grad = np.zeros_like(parent.data)
+        parent.grad += g
+
+
 def _toposort(root: Tensor) -> list:
+    """Every tensor reachable from `root`, parents before children. Raises
+    `ContractError` on a recorded node that an earlier sweep freed."""
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -348,6 +371,9 @@ def _toposort(root: Tensor) -> list:
             continue
         if id(node) in visited:
             continue
+        if node.requires_grad and node._op != "leaf" and node._grad_fn is None:
+            raise ContractError(f"'{node._op}' node was freed by an earlier backward(): "
+                                f"a tape can be swept once; run the forward again")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -432,13 +458,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Two-branch form stays overflow-free for large |x|.
+    # e = exp(−|x|) never overflows: 1/(1 + e) for x >= 0, e/(1 + e) below,
+    # the same exp and division as two masked branches, on every element at
+    # once. `minimum` returns its first argument when it is NaN, so a NaN
+    # keeps its sign, as it does in the branch form; `−abs` would flip it.
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(d, -d))
+    out = np.where(d >= 0, 1.0, e) / (1.0 + e)
 
     def grad_fn(g):
         return (g * out * (1.0 - out),)

@@ -238,6 +238,18 @@ def assert_conv_backward_within_tolerance(x, k, g, dtype, padding=0):
         assert np.all(np.abs(a - b) <= CONV_TOL[dtype] * s)
 
 
+def sigmoid_two_branch(d):
+    """The masked two-branch sigmoid: 1/(1 + exp(−x)) where x >= 0, and
+    exp(x)/(1 + exp(x)) elsewhere, each branch over its own gathered
+    elements."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 # ----------------------------------------------------------------------
 # matmul
 
@@ -762,6 +774,23 @@ class TestActivations:
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data, [0.0, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bit_equals_the_two_branch_form(self, dtype):
+        """Same bytes as the masked two-branch form on signed zeros,
+        infinities, NaNs of both signs, the float32 exp overflow edges and
+        random data at scales 1 to 1000."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 88.8, -88.8, 104.0, -104.0]
+        r = rng(12)
+        d = np.concatenate([np.array(special, dtype=dtype)]
+                           + [(r.normal(size=2000) * s).astype(dtype) for s in (1, 10, 100, 1000)])
+        r.shuffle(d)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = sigmoid_two_branch(d)
+        got = T.sigmoid(Tensor(d, dtype=dtype)).data
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(bits), want.view(bits))
+
     def test_softmax_uniform(self):
         out = T.softmax(Tensor([5.0, 5.0, 5.0]), axis=0)
         assert np.allclose(out.data, np.full(3, 1 / 3))
@@ -911,6 +940,39 @@ class TestBackward:
         sq = x * x
         (sq + sq).sum().backward()
         assert np.allclose(x.grad, [12.0])
+
+    def test_second_backward_on_a_swept_tape_raises(self):
+        theta = Tensor([2.0], requires_grad=True)
+        loss = (theta * theta).sum()
+        loss.backward()
+        with pytest.raises(ContractError, match="swept once"):
+            loss.backward()
+        assert np.allclose(theta.grad, [4.0])
+
+    def test_second_root_sharing_a_swept_node_raises(self):
+        theta = Tensor([2.0], requires_grad=True)
+        sq = theta * theta
+        sq.sum().backward()
+        with pytest.raises(ContractError, match="swept once"):
+            (sq * 3.0).sum().backward()
+        assert np.allclose(theta.grad, [4.0])
+
+    def test_shared_map_outputs_never_look_freed(self):
+        """The shared-map ops record no closure, so with gradients on they may
+        only return tensors that need none: a later sweep through them then
+        passes instead of refusing a freed node."""
+        r = rng(10)
+        maps = Tensor(r.normal(size=(1, 2, 7, 7)))
+        index = np.array([[0, 0, 0], [0, 1, 2]])
+        k = Tensor(r.normal(size=(3, 2, 3, 3)))
+        outs = (T.gather_windows(maps, index, 5),
+                T.conv2d(T.MapWindows(maps, index, 5), k, padding=1))
+        w = Tensor([2.0], requires_grad=True)
+        for out in outs:
+            assert not out.requires_grad and out._grad_fn is None
+            w.zero_grad()
+            (out * w).sum().backward()
+            assert np.allclose(w.grad, out.data.sum())
 
     def test_no_grad_suppresses_tape(self):
         x = Tensor([1.0], requires_grad=True)

@@ -1,5 +1,7 @@
 """Optimizer, training-loop, and metrics tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,50 @@ class TestTrainLoop:
         assert model.fusion.weight_hsi.grad is not None
         assert model.fusion.weight_hsi.grad.any()
         assert model.fusion.weight_lidar.grad.any()
+
+    def test_backward_frees_the_model_tape(self):
+        """After the sweep, interior tensors hold no gradient, closure or
+        parents, and every parameter holds its gradient."""
+        model = tiny_model(seed=8)
+        patches = tiny_patches(seed=8)
+        idx = np.arange(min(16, len(patches)))
+        hsi, lidar = (Tensor(a) for a in patches.cut(idx))
+        logits = model.forward(hsi, lidar, training=True)
+        loss = T.cross_entropy(logits, patches.labels[idx] - 1)
+        loss.backward()
+        for node in (logits, loss):
+            assert node.grad is None and node._parents == () and node._grad_fn is None
+        assert all(p.grad is not None for p in model.params().values())
+
+    def test_backward_peak_stays_near_the_forward_tape(self):
+        """One float32 training step at the paper geometry, batch 16: the
+        sweep frees each node as it goes, so backward's traced peak rises
+        less than half the forward's retained memory above it (about 0.13
+        of it; a sweep that frees nothing rises about 1.0 of it), and once it
+        ends only the parameter gradients are left."""
+        prev = T.default_dtype()
+        T.set_default_dtype(np.float32)
+        try:
+            model = LsafModel(ModelConfig(num_classes=6), seed=0)
+            r = rng(0)
+            hsi = Tensor(r.normal(size=(16, 30, 11, 11)))
+            lidar = Tensor(r.normal(size=(16, 1, 11, 11)))
+            labels = r.integers(0, 6, 16)
+            grads = sum(p.data.nbytes for p in model.params().values())
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                loss = T.cross_entropy(model.forward(hsi, lidar, training=True), labels)
+                forward = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.reset_peak()
+                loss.backward()
+                after, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            T.set_default_dtype(prev)
+        assert peak - base - forward < 0.5 * forward
+        assert after - base - grads < 0.05 * forward
 
     def test_resume_matches_uninterrupted_run(self):
         patches = tiny_patches(seed=9)
