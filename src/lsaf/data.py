@@ -211,12 +211,6 @@ def rescale(raster: np.ndarray, lo: np.ndarray, span: np.ndarray,
     return out
 
 
-def normalize(raster: np.ndarray) -> np.ndarray:
-    """Min-max scale each band of a (bands, H, W) raster to [0, 1];
-    constant bands map to zero."""
-    return rescale(raster, *fit_minmax(raster))
-
-
 @dataclass
 class PatchSet:
     """Labelled pixels of one mirror-padded scene, in row-major pixel order.

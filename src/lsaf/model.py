@@ -20,17 +20,16 @@ concatenated features with a squeeze-and-excite bottleneck. The decision
 head classifies each path separately and sums the three logit vectors with
 two learned scalar weights on the single-modality paths.
 
-The extractors run over `Windows`: a batch of tiles plus the top-left corner
-of each patch window in them. HSI blocks 1-3 and the LiDAR blocks are valid
-convolutions, so they run once over each tile. HSI block4 runs its tap
-products once over the tile too, then sums each window's (s−6)×(s−6) output
-from them as if the window were zero-padded on its own (`tensor.MapWindows`);
-a gather cuts each window's LiDAR features, and the attention and the heads
-run per window. A plain patch batch is the degenerate case, one tile per
-patch and one window covering it, and that is what training runs. Inference
-may instead pass whole scene tiles (`train.predict` picks per tile by
-`tile_conv_flops`); its logits then agree with per-patch inference within
-the convolution tolerance of `tensor.py`, not bit for bit.
+The extractors take a batch of patches, a plain `Tensor`, and that is what
+training runs. Inference may instead pass `tensor.MapWindows`: scene tiles
+plus the top-left corner of each patch window in them (`train.predict`
+picks per tile by `tile_conv_flops`). HSI blocks 1-3 and the LiDAR blocks
+are valid convolutions, so they run once over each tile. HSI block4 runs
+its tap products once over the tile too, then sums each window's (s−6)×(s−6)
+output from them as if the window were zero-padded on its own; a gather
+cuts each window's LiDAR features, and the attention and the heads run per
+window. The logits then agree with per-patch inference within the
+convolution tolerance of `tensor.py`, not bit for bit.
 
 Every layer is a `Module`, which names the tensors it holds by attribute
 path (`attention.se.fc1.weight`, `fusion.weight_hsi`). Only the extractors
@@ -42,6 +41,7 @@ by their prefixes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -185,26 +185,6 @@ class ConvBlock(Module):
 # feature extractors
 
 
-@dataclass(frozen=True)
-class Windows:
-    """Patch windows in a batch of tiles: `tiles` is (t, bands, h, w), and
-    row i of the (m, 3) `index` is the (tile, row, col) of window i's
-    top-left corner. Each window is patch×patch."""
-
-    tiles: Tensor
-    index: np.ndarray
-
-    @classmethod
-    def of_patches(cls, patches: Tensor) -> "Windows":
-        """One tile per patch, holding one window that covers it."""
-        index = np.zeros((patches.shape[0], 3), dtype=np.intp)
-        index[:, 0] = np.arange(patches.shape[0])
-        return cls(patches, index)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
 def _valid_convs_flops(blocks, spatial: tuple) -> int:
     """Forward FLOPs of a stack of unpadded conv blocks on one input."""
     flops = 0
@@ -228,17 +208,18 @@ class HsiExtractor(Module):
         self.block2d = ConvBlock(rng, 32 * spectral, FEATURE_CHANNELS, (3, 3), padding=1)
         self._side = config.feature_side
 
-    def __call__(self, windows: Windows, training: bool) -> Tensor:
-        tiles = windows.tiles
+    def __call__(self, x: Tensor | T.MapWindows, training: bool) -> Tensor:
+        tiles = x.maps if isinstance(x, T.MapWindows) else x
         if tiles.ndim != 4:
             raise ShapeError(f"expected (n, bands, h, w) tiles, got {tiles.shape}")
         n, bands, h, w = tiles.shape
-        x = tiles.reshape(n, 1, bands, h, w)
+        maps = tiles.reshape(n, 1, bands, h, w)
         for block in self.blocks3d:
-            x = block(x, training)
-        n_, c, d, h, w = x.shape
-        return self.block2d(T.MapWindows(x.reshape(n_, c * d, h, w), windows.index, self._side),
-                            training)
+            maps = block(maps, training)
+        maps = maps.reshape(n, -1, *maps.shape[3:])  # spectral depth into channels
+        if isinstance(x, T.MapWindows):
+            maps = T.MapWindows(maps, x.index, self._side)
+        return self.block2d(maps, training)
 
     def _children(self):
         return _numbered(self.blocks3d + [self.block2d])
@@ -255,13 +236,15 @@ class LidarExtractor(Module):
         ]
         self._side = config.feature_side
 
-    def __call__(self, windows: Windows, training: bool) -> Tensor:
-        x = windows.tiles
-        if x.ndim != 4 or x.shape[1] != 1:
-            raise ShapeError(f"expected (n, 1, h, w) tiles, got {x.shape}")
+    def __call__(self, x: Tensor | T.MapWindows, training: bool) -> Tensor:
+        maps = x.maps if isinstance(x, T.MapWindows) else x
+        if maps.ndim != 4 or maps.shape[1] != 1:
+            raise ShapeError(f"expected (n, 1, h, w) tiles, got {maps.shape}")
         for block in self.blocks:
-            x = block(x, training)
-        return T.gather_windows(x, windows.index, self._side)
+            maps = block(maps, training)
+        if isinstance(x, T.MapWindows):
+            return T.gather_windows(maps, x.index, self._side)
+        return maps
 
     def _children(self):
         return _numbered(self.blocks)
@@ -432,41 +415,35 @@ class LsafModel(Module):
 
     def forward(self, hsi, lidar, training: bool = False) -> Tensor:
         """Class logits (n, K) for a batch of co-located patch pairs, or for
-        the windows of co-located scene tiles (`Windows`: eval only, and run
-        without a tape, since the shared-map ops record none)."""
-        if isinstance(hsi, Windows) or isinstance(lidar, Windows):
-            with T.no_grad():
-                return self._logits(hsi, lidar, training)
-        return self._logits(hsi, lidar, training)
+        the windows of co-located scene tiles (`tensor.MapWindows`: eval
+        only, and run without a tape, since the shared-map ops record none)."""
+        tiles = isinstance(hsi, T.MapWindows) or isinstance(lidar, T.MapWindows)
+        if tiles and training:
+            raise ContractError("scene tiles are eval-only: training batch norm would take "
+                                "its statistics over whole tiles instead of patches")
+        with T.no_grad() if tiles else contextlib.nullcontext():
+            if self.mode == "hsi":
+                feat = self.hsi_extractor(self._patches(hsi), training)
+                return self.fusion.head_hsi(feat.reshape(feat.shape[0], -1))
+            if self.mode == "lidar":
+                feat = self.lidar_extractor(self._patches(lidar), training)
+                return self.fusion.head_lidar(feat.reshape(feat.shape[0], -1))
+            map_h = self.hsi_extractor(self._patches(hsi), training)
+            map_l = self.lidar_extractor(self._patches(lidar), training)
+            n, c, h, w = map_h.shape
+            feat_h, feat_l = map_h.reshape(n, c, h * w), map_l.reshape(n, c, h * w)
+            fused = self.attention(feat_h, feat_l)
+            return self.fusion(feat_h.reshape(n, -1), feat_l.reshape(n, -1), fused.reshape(n, -1))
 
-    def _logits(self, hsi, lidar, training: bool) -> Tensor:
-        if self.mode == "hsi":
-            feat = self.hsi_extractor(self._windows(hsi, training), training)
-            return self.fusion.head_hsi(feat.reshape(feat.shape[0], -1))
-        if self.mode == "lidar":
-            feat = self.lidar_extractor(self._windows(lidar, training), training)
-            return self.fusion.head_lidar(feat.reshape(feat.shape[0], -1))
-        map_h = self.hsi_extractor(self._windows(hsi, training), training)
-        map_l = self.lidar_extractor(self._windows(lidar, training), training)
-        n, c, h, w = map_h.shape
-        feat_h, feat_l = map_h.reshape(n, c, h * w), map_l.reshape(n, c, h * w)
-        fused = self.attention(feat_h, feat_l)
-        return self.fusion(feat_h.reshape(n, -1), feat_l.reshape(n, -1), fused.reshape(n, -1))
-
-    def _windows(self, x, training: bool) -> Windows:
-        """Patches as the degenerate `Windows`; tile windows pass through."""
-        if isinstance(x, Windows):
-            if training:
-                raise ContractError(
-                    "scene tiles are eval-only: training batch norm would take its "
-                    "statistics over whole tiles instead of patches"
-                )
+    def _patches(self, x):
+        """A patch batch as a `Tensor` of checked shape; tile windows pass through."""
+        if isinstance(x, T.MapWindows):
             return x
         x = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
         side = self.config.patch
         if x.ndim != 4 or x.shape[2:] != (side, side):
             raise ShapeError(f"expected (n, bands, {side}, {side}) patches, got {x.shape}")
-        return Windows.of_patches(x)
+        return x
 
     def tile_conv_flops(self, height: int, width: int) -> int:
         """Forward FLOPs of the convolutions a scene tile shares between its

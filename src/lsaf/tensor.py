@@ -19,12 +19,12 @@ one batched matrix product per spectral kernel offset. The scatter form, for
 convs with a depth-1 kernel, multiplies first and adds each tap's shifted
 slice of the products; it is taken when its product buffer is smaller than
 the column buffer, as for a conv that narrows many channels to few.
-`conv2d` also takes `MapWindows`, overlapping windows of shared maps, each
-zero-padded on its own: it runs the scatter form's GEMM once over the maps
-and sums each window's output from the products, with no gathered windows.
-That conv and `gather_windows` over shared maps serve inference only and
-record no tape. BLAS picks its own summation order, so results are not
-bit-equal to naive nested loops.
+`conv2d` also takes `MapWindows`, the one window type: overlapping windows
+of shared maps, each zero-padded on its own. It runs the scatter form's GEMM
+once over the maps and sums each window's output from the products, with no
+gathered windows. That conv and `gather_windows` serve inference only and
+record no tape; a training batch is a plain `Tensor`. BLAS picks its own
+summation order, so results are not bit-equal to naive nested loops.
 Instead convolutions keep three promises, which the tests check: each output
 element, and each element of both gradients, lies within a dtype-dependent
 tolerance of a reference computation, relative to the same computation on
@@ -51,8 +51,6 @@ __all__ = [
     "no_grad",
     "set_default_dtype",
     "default_dtype",
-    "set_checked",
-    "checked",
     "matmul",
     "concat",
     "relu",
@@ -64,7 +62,6 @@ __all__ = [
     "gather_windows",
     "batch_norm",
     "cross_entropy",
-    "finite_diff_check",
 ]
 
 _DEFAULT_DTYPE = np.float64
@@ -83,16 +80,6 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _DEFAULT_DTYPE
-
-
-def set_checked(on: bool) -> None:
-    """Toggle checked mode: every op output is asserted finite."""
-    global _CHECKED
-    _CHECKED = bool(on)
-
-
-def checked() -> bool:
-    return _CHECKED
 
 
 class no_grad:
@@ -449,10 +436,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
-    mask = x.data > 0
 
     def grad_fn(g):
-        return (g * mask,)
+        return (g * (data > 0),)
 
     return _node(data, (x,), "relu", grad_fn)
 
@@ -675,12 +661,15 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
 class MapWindows:
     """Square windows of side `size` in `(t, c, h, w)` maps, left uncut: row i
     of the `(m, 3)` integer `index` is the (tile, row, col) of window i's
-    top-left corner. `conv2d` convolves them as it would
-    `gather_windows(maps, index, size)`."""
+    top-left corner. For inference only, `conv2d` convolves them as it would
+    `gather_windows(maps, index, size)`; a patch batch is a plain `Tensor`."""
 
     maps: Tensor
     index: np.ndarray
     size: int
+
+    def __len__(self) -> int:
+        return len(self.index)
 
     @property
     def shape(self) -> tuple:
@@ -688,9 +677,9 @@ class MapWindows:
         return (len(self.index), self.maps.shape[1], self.size, self.size)
 
 
-def _check_windows(x: Tensor, index, size: int) -> tuple:
-    """`(index, whole)`: the index as an array, once every window lies inside
-    the maps, and whether window i is map i whole, for every i."""
+def _check_windows(what: str, x: Tensor, index, size: int, *inputs: Tensor) -> np.ndarray:
+    """The index as an array, once every window lies inside the maps and no
+    input needs a gradient while gradients are on: window ops record no tape."""
     index = np.asarray(index)
     if x.ndim != 4:
         raise ShapeError(f"windows need (t, c, h, w) maps, got {x.shape}")
@@ -703,13 +692,10 @@ def _check_windows(x: Tensor, index, size: int) -> tuple:
         or row.max() + size > h or col.max() + size > w
     ):
         raise ShapeError(f"windows of side {size} fall outside maps of shape {x.shape}")
-    return index, size == h == w and np.array_equal(tile, np.arange(t))
-
-
-def _refuse_grad(what: str, *inputs: Tensor) -> None:
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if _GRAD_ENABLED and any(inp.requires_grad for inp in (x, *inputs)):
         raise ContractError(f"{what} over windows of shared maps is inference-only: "
                             f"run it under no_grad, on inputs that need no gradient")
+    return index
 
 
 def gather_windows(x: Tensor, index, size: int) -> Tensor:
@@ -717,15 +703,10 @@ def gather_windows(x: Tensor, index, size: int) -> Tensor:
 
     Row i of the `(m, 3)` integer `index` is `(tile, row, col)`, and output
     i is `x[tile, :, row:row + size, col:col + size]`. Windows may overlap
-    or repeat. When window i is map i whole, for every i (a patch batch),
-    `x` itself is returned, gradient and all. Any other gather is
-    inference-only: it records no tape node, and it raises `ContractError`
-    if gradients are enabled and `x` needs one.
+    or repeat. The gather is inference-only: it records no tape node, and
+    it raises `ContractError` if gradients are enabled and `x` needs one.
     """
-    index, whole = _check_windows(x, index, size)
-    if whole:
-        return x
-    _refuse_grad("gather_windows", x)
+    index = _check_windows("gather_windows", x, index, size)
     tile, row, col = index.T
     windows = np.lib.stride_tricks.sliding_window_view(x.data, (size, size), axis=(2, 3))
     return _node(windows[tile, :, row, col], (x,), "gather_windows", None)
@@ -733,17 +714,13 @@ def gather_windows(x: Tensor, index, size: int) -> Tensor:
 
 def _windows_conv(x: MapWindows, w: Tensor, stride, padding) -> Tensor:
     """`conv2d(gather_windows(x.maps, x.index, x.size), w, stride, padding)`
-    without the gather. Whole maps (a patch batch) go through `_conv`.
-    Otherwise one GEMM per map, `(h·w, cin) @ (cin, kh·kw·cout)`, gives
-    every tap's products at every map position, `cout` last, and each
+    without the gather. One GEMM per map, `(h·w, cin) @ (cin, kh·kw·cout)`,
+    gives every tap's products at every map position, `cout` last, and each
     window's output adds, tap by tap, the products at its shifted positions
     where the tap reads inside the window: the taps dropped are exactly the
     window's zero padding. Inference only, like `gather_windows`.
     """
-    index, whole = _check_windows(x.maps, x.index, x.size)
-    if whole:
-        return _conv(x.maps, w, stride, padding, nsp=2)
-    _refuse_grad("conv2d", x.maps, w)
+    index = _check_windows("conv2d", x.maps, x.index, x.size, w)
     t, cin, h, wd = x.maps.shape
     if w.ndim != 4 or w.shape[1] != cin:
         raise ShapeError(f"conv2d kernels {w.shape} do not fit windows of shape {x.shape}")
@@ -850,58 +827,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         return (gz,)
 
     return _node(data, (logits,), "cross_entropy", grad_fn)
-
-
-# ----------------------------------------------------------------------
-# gradient verification
-
-
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    theta: Tensor,
-    h: float = 1e-5,
-    max_coords: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Compare the tape gradient of `f` at `theta` against central differences.
-
-    Returns the maximum relative error over the probed coordinates (all of
-    them by default; a random subset of `max_coords` for large tensors). The
-    relative error of coordinate i is |fd_i - ad_i| / max(|fd_i|, |ad_i|, 1e-6).
-    """
-    if h <= 0:
-        raise ConfigError(f"finite_diff_check step must be positive, got {h}")
-    if not theta.requires_grad:
-        raise ContractError("finite_diff_check needs a gradient-tracking tensor")
-
-    theta.zero_grad()
-    out = f(theta)
-    if out.data.size != 1:
-        raise ContractError("finite_diff_check target must return a scalar")
-    out.backward()
-    analytic = (
-        np.zeros_like(theta.data) if theta.grad is None else theta.grad.copy()
-    )
-
-    flat = theta.data.reshape(-1)
-    n = flat.size
-    if max_coords is not None and max_coords < n:
-        idx = np.random.default_rng(seed).choice(n, size=max_coords, replace=False)
-    else:
-        idx = np.arange(n)
-
-    worst = 0.0
-    an_flat = analytic.reshape(-1)
-    for i in idx:
-        saved = flat[i]
-        flat[i] = saved + h
-        with no_grad():
-            f_plus = f(theta).item()
-        flat[i] = saved - h
-        with no_grad():
-            f_minus = f(theta).item()
-        flat[i] = saved
-        fd = (f_plus - f_minus) / (2.0 * h)
-        denom = max(abs(fd), abs(an_flat[i]), 1e-6)
-        worst = max(worst, abs(fd - an_flat[i]) / denom)
-    return worst

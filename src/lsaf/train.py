@@ -19,7 +19,7 @@ from . import storage
 from . import tensor as T
 from .data import PatchSet
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .model import LsafModel, Windows
+from .model import LsafModel
 from .tensor import Tensor
 
 # Side, in pixels, of the square scene tiles that `predict` may convolve
@@ -286,11 +286,11 @@ def predict(model: LsafModel, patches: PatchSet) -> np.ndarray:
 
     Inference may convolve scene tiles once and share the results between
     pixels: `plan_tiles` picks per tile by a FLOP count from layer shapes.
-    A shared tile is one forward over the whole tile. Its valid
+    A shared tile is one forward over its `tensor.MapWindows`. Its valid
     convolutions run once, and so does HSI block4's tap GEMM, whose products
     each pixel's window then sums as if zero-padded on its own; the LiDAR
     features are gathered per window. The pixels of all other tiles go
-    through ordinary per-patch batches of `BATCH`, pooled across tiles. The
+    through plain per-patch batches of `BATCH`, pooled across tiles. The
     logits agree with per-patch inference within the convolution tolerance
     of `tensor.py`, not bit for bit, so a label can differ only at a
     near-tie; repeated calls agree bit for bit.
@@ -321,8 +321,8 @@ def predict_logits(model: LsafModel, patches: PatchSet) -> np.ndarray:
                     slice(tile.col, tile.col + tile.width + rim))
             index = np.zeros((len(tile.members), 3), dtype=np.intp)
             index[:, 1:] = patches.pixels[tile.members] - (tile.row, tile.col)
-            hsi = Windows(Tensor(patches.hsi[area][None].astype(dtype)), index)
-            lidar = Windows(Tensor(patches.lidar[area][None].astype(dtype)), index)
+            hsi, lidar = (T.MapWindows(Tensor(r[area][None].astype(dtype)), index, patches.patch)
+                          for r in (patches.hsi, patches.lidar))
             out[tile.members] = model.forward(hsi, lidar, training=False).data
     return out
 

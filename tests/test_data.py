@@ -11,7 +11,6 @@ from lsaf.data import (
     PatchSet,
     RasterPair,
     extract_patches,
-    normalize,
     pca_fit,
     fit_minmax,
     pca_transform,
@@ -286,17 +285,19 @@ class TestPcaTransform:
 class TestNormalize:
     def test_two_point_band(self):
         raster = np.array([[[2.0, 4.0]]])
-        assert np.array_equal(normalize(raster), [[[0.0, 1.0]]])
+        assert np.array_equal(rescale(raster, *fit_minmax(raster)), [[[0.0, 1.0]]])
 
     def test_constant_band_is_zero(self):
-        assert not normalize(np.full((2, 3, 3), 7.0)).any()
+        raster = np.full((2, 3, 3), 7.0)
+        assert not rescale(raster, *fit_minmax(raster)).any()
 
     def test_already_unit_range_unchanged(self):
         band = np.array([[[0.0, 0.25], [0.75, 1.0]]])
-        assert np.array_equal(normalize(band), band)
+        assert np.array_equal(rescale(band, *fit_minmax(band)), band)
 
     def test_output_in_unit_interval(self):
-        out = normalize(rng(0).normal(size=(4, 6, 6)) * 100)
+        raster = rng(0).normal(size=(4, 6, 6)) * 100
+        out = rescale(raster, *fit_minmax(raster))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_rescale_applies_fitted_constants_to_another_raster(self):

@@ -13,7 +13,6 @@ from lsaf.model import (
     LsafModel,
     ModelConfig,
     SqueezeExcite,
-    Windows,
     concat_transpose,
     spatial_attention,
 )
@@ -36,8 +35,7 @@ def small_config(**kw):
 
 def feature_maps(model, h, l, training=True):
     """Both extractors' output maps for a batch of patches."""
-    return (model.hsi_extractor(Windows.of_patches(h), training),
-            model.lidar_extractor(Windows.of_patches(l), training))
+    return model.hsi_extractor(h, training), model.lidar_extractor(l, training)
 
 
 # ----------------------------------------------------------------------

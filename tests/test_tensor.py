@@ -13,6 +13,8 @@ from lsaf import tensor as T
 from lsaf.errors import ConfigError, ContractError, ShapeError
 from lsaf.tensor import Tensor
 
+from gradcheck import finite_diff_check
+
 
 def rng(seed):
     return np.random.default_rng(seed)
@@ -534,11 +536,11 @@ def test_conv_gradient_battery(x_shape, k_shape, padding, wrt):
         return (c * weights).sum() + (c * c).mean()
 
     if wrt == "input":
-        err = T.finite_diff_check(lambda t: loss(conv(t, k, padding=padding)), x,
-                                  max_coords=60, seed=1)
+        err = finite_diff_check(lambda t: loss(conv(t, k, padding=padding)), x,
+                                max_coords=60, seed=1)
     else:
-        err = T.finite_diff_check(lambda t: loss(conv(x, t, padding=padding)), k,
-                                  max_coords=60, seed=2)
+        err = finite_diff_check(lambda t: loss(conv(x, t, padding=padding)), k,
+                                max_coords=60, seed=2)
     assert err < 1e-4
 
 
@@ -684,18 +686,45 @@ def test_map_windows_conv_within_tolerance(geometry, case, dtype):
     assert np.all(np.abs(got - want) <= CONV_TOL[dtype] * scale)
 
 
-def test_map_windows_of_whole_maps_are_the_plain_conv():
-    """Windows that are the maps whole (a patch batch) run the ordinary conv:
-    the same bytes, and a gradient for both inputs."""
+def whole_map_windows(x):
+    """One window per map, covering it: the layout of a patch batch."""
+    index = np.zeros((x.shape[0], 3), dtype=int)
+    index[:, 0] = np.arange(x.shape[0])
+    return T.MapWindows(x, index, x.shape[2])
+
+
+def test_whole_map_windows_refuse_a_gradient():
+    """Windows that cover their maps whole take the shared-map path like any
+    others: a patch batch to train on is a plain `Tensor`."""
     r = rng(42)
     x = Tensor(r.normal(size=(3, 6, 5, 5)), requires_grad=True)
-    k = Tensor(r.normal(size=(4, 6, 3, 3)), requires_grad=True)
-    index = np.zeros((3, 3), dtype=int)
-    index[:, 0] = np.arange(3)
-    out = T.conv2d(T.MapWindows(x, index, 5), k, padding=1)
-    assert np.array_equal(out.data, T.conv2d(x, k, padding=1).data)
-    out.sum().backward()
-    assert x.grad is not None and k.grad is not None
+    k = Tensor(r.normal(size=(4, 6, 3, 3)))
+    windows = whole_map_windows(x)
+    with pytest.raises(ContractError):
+        T.conv2d(windows, k, padding=1)
+    with pytest.raises(ContractError):
+        T.gather_windows(x, windows.index, windows.size)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_whole_map_windows_within_tolerance_of_the_plain_conv(dtype):
+    r = rng(44)
+    x = r.normal(size=(3, 6, 5, 5)).astype(dtype)
+    k = r.normal(size=(4, 6, 3, 3)).astype(dtype)
+    got = T.conv2d(whole_map_windows(Tensor(x, dtype=dtype)), Tensor(k, dtype=dtype),
+                   padding=1).data
+    want = T.conv2d(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), padding=1).data
+    scale = conv_tap_order(np.abs(x), np.abs(k), padding=1)
+    assert got.dtype == dtype and got.shape == want.shape == (3, 4, 5, 5)
+    assert np.all(np.abs(got - want) <= CONV_TOL[dtype] * scale)
+
+
+def test_map_windows_len_and_shape():
+    """`perfbench/spans.py` counts a forward's samples with `len` and a
+    conv's work from `shape`, the gathered windows' shape."""
+    windows = T.MapWindows(zeros(2, 6, 9, 8), np.array([[0, 0, 0], [1, 4, 3], [1, 2, 1]]), 5)
+    assert len(windows) == 3
+    assert windows.shape == (3, 6, 5, 5)
 
 
 def test_map_windows_conv_is_inference_only():
@@ -816,6 +845,22 @@ class TestActivations:
         out = T.relu(Tensor([-2.0, 0.0, 3.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 3.0])
 
+    def test_relu_keeps_no_mask(self):
+        """A recorded relu holds its output and nothing the size of it: the
+        backward reads the mask from the output. A kept boolean mask would
+        add 1/8 of the output's float64 bytes."""
+        x = Tensor(rng(14).normal(size=(64, 32, 32)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.relu(x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._grad_fn is not None
+        assert held <= 1.05 * out.data.nbytes
+        out.sum().backward()
+        assert np.array_equal(x.grad, (x.data > 0).astype(x.dtype))
+
 
 # ----------------------------------------------------------------------
 # structural ops
@@ -869,16 +914,6 @@ class TestStructural:
         assert out.shape == (4, 2, 3, 3)
         for got, (t, r, c) in zip(out, index):
             assert np.array_equal(got, x[t, :, r:r + 3, c:c + 3])
-
-    def test_gather_windows_whole_maps_is_identity(self):
-        x = Tensor(rng(7).normal(size=(4, 3, 5, 5)), requires_grad=True)
-        weights = rng(8).normal(size=(4, 3, 5, 5))
-        index = np.zeros((4, 3), dtype=int)
-        index[:, 0] = np.arange(4)
-        out = T.gather_windows(x, index, 5)
-        assert np.array_equal(out.data, x.data)
-        (out * Tensor(weights)).sum().backward()
-        assert np.array_equal(x.grad, weights)
 
     @pytest.mark.parametrize("index", [[[0, 0, 4]], [[0, 4, 0]], [[2, 0, 0]], [[0, -1, 0]]])
     def test_gather_windows_outside_maps_rejected(self, index):
@@ -988,12 +1023,12 @@ class TestBackward:
 class TestFiniteDiff:
     def test_quadratic_is_nearly_exact(self):
         theta = Tensor(rng(0).normal(size=6), requires_grad=True)
-        err = T.finite_diff_check(lambda t: (t * t).sum(), theta)
+        err = finite_diff_check(lambda t: (t * t).sum(), theta)
         assert err < 1e-7
 
     def test_constant_function_zero_gradients(self):
         theta = Tensor(rng(1).normal(size=4), requires_grad=True)
-        err = T.finite_diff_check(lambda t: Tensor(1.0) + (t * 0.0).sum(), theta)
+        err = finite_diff_check(lambda t: Tensor(1.0) + (t * 0.0).sum(), theta)
         assert err == 0.0
         assert not theta.grad.any()
 
@@ -1016,7 +1051,7 @@ class TestFiniteDiff:
             total = flip.sum() + (g * g).sum()
             return total + ((t * t).sum() + 1.0) ** 0.5 - t.mean()
 
-        err = T.finite_diff_check(f, theta, max_coords=12, seed=seed)
+        err = finite_diff_check(f, theta, max_coords=12, seed=seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -1032,7 +1067,7 @@ class TestFiniteDiff:
             b = T.batch_norm(c, gamma, beta)
             return (b * b).mean() + T.relu(c).sum() * 0.1
 
-        err = T.finite_diff_check(f, theta, max_coords=10, seed=seed)
+        err = finite_diff_check(f, theta, max_coords=10, seed=seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -1040,14 +1075,14 @@ class TestFiniteDiff:
         r = rng(seed + 200)
         theta = Tensor(r.normal(size=(4, 5)), requires_grad=True)
         labels = r.integers(0, 5, size=4)
-        err = T.finite_diff_check(lambda t: T.cross_entropy(t, labels), theta)
+        err = finite_diff_check(lambda t: T.cross_entropy(t, labels), theta)
         assert err < 1e-4
 
     def test_pow_battery(self):
         """Integer, fractional and negative constant exponents (batch norm
         takes the -0.5 power of the variance)."""
         theta = Tensor(rng(9).normal(size=5) + 3.0, requires_grad=True)
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda t: ((t ** 3) * (t + 1.0) ** -1 + t ** 0.5 + (t * t + 1e-5) ** -0.5).sum(), theta)
         assert err < 1e-4
 
@@ -1089,15 +1124,12 @@ def test_default_dtype_switch():
     assert Tensor([1.0]).dtype == np.float64
 
 
-def test_checked_mode_flags_nonfinite():
+def test_checked_mode_flags_nonfinite(monkeypatch):
     from lsaf.errors import NumericError
 
-    T.set_checked(True)
-    try:
-        with pytest.raises(NumericError):
-            Tensor([np.inf])
-    finally:
-        T.set_checked(False)
+    monkeypatch.setattr(T, "_CHECKED", True)
+    with pytest.raises(NumericError):
+        Tensor([np.inf])
 
 
 def test_finite_values_invariant_shape():

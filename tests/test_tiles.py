@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from lsaf import tensor as T
-from lsaf.data import RasterPair, extract_patches, normalize, synth_generate
+from lsaf.data import RasterPair, extract_patches, fit_minmax, rescale, synth_generate
 from lsaf.errors import ContractError
-from lsaf.model import LsafModel, ModelConfig, Windows
+from lsaf.model import LsafModel, ModelConfig
 from lsaf.tensor import Tensor
 
 # `lsaf.train` the attribute is the train() function.
@@ -40,8 +40,8 @@ def scene_patches(height, width, geometry, seed=0, keep=None):
     (an (H, W) bool mask) is False."""
     pair = synth_generate(4, height, width, geometry["pca_dims"], seed=seed)
     labels = pair.labels if keep is None else np.where(keep, pair.labels, 0)
-    scaled = RasterPair(hsi=normalize(pair.hsi).astype(np.float32),
-                        lidar=normalize(pair.lidar).astype(np.float32), labels=labels)
+    hsi, lidar = (rescale(r, *fit_minmax(r)).astype(np.float32) for r in (pair.hsi, pair.lidar))
+    scaled = RasterPair(hsi=hsi, lidar=lidar, labels=labels)
     return extract_patches(scaled, s=geometry["patch"])
 
 
@@ -140,8 +140,8 @@ def test_predict_labels_repeat_exactly(dtype_switch):
 def test_tile_windows_are_eval_only():
     model = LsafModel(ModelConfig(4, **ACCEPTANCE), seed=0)
     tiles = Tensor(np.zeros((1, 13, 9, 9)))
-    windows = Windows(tiles, np.array([[0, 1, 2]]))
-    lidar = Windows(Tensor(np.zeros((1, 1, 9, 9))), windows.index)
+    windows = T.MapWindows(tiles, np.array([[0, 1, 2]]), 7)
+    lidar = T.MapWindows(Tensor(np.zeros((1, 1, 9, 9))), windows.index, 7)
     assert model.forward(windows, lidar, training=False).shape == (1, 4)
     with pytest.raises(ContractError):
         model.forward(windows, lidar, training=True)
@@ -161,7 +161,8 @@ def test_full_paper_tile_gathers_no_block4_windows(dtype_switch):
     with T.no_grad():
         tracemalloc.start()
         try:
-            out = model.hsi_extractor(Windows(tiles, index), training=False)
+            out = model.hsi_extractor(T.MapWindows(tiles, index, PAPER["patch"]),
+                                      training=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
