@@ -15,22 +15,22 @@ stride 1 and zero-padded on h and w only; batch norm normalizes axis 1.
 Convolutions lower to BLAS over the two spatial axes only, in one of two
 forms that `_conv` picks from shapes alone. The gather form copies each
 kernel tap's input slice into a column buffer and multiplies after, adding
-one batched matrix product per spectral kernel offset. The scatter form, for
-convs with a depth-1 kernel, multiplies first and adds each tap's shifted
-slice of the products; it is taken when its product buffer is smaller than
-the column buffer, as for a conv that narrows many channels to few.
+one batched matrix product per spectral kernel offset. The scatter form,
+2-D only, multiplies first: one GEMM per map, then each window adds its
+taps' shifted products. A 2-D conv takes it when its product buffer is
+smaller than the column buffer, as for a conv that narrows many channels to
+few; a patch batch is then the case of one whole-sample window per map.
 `conv2d` also takes `MapWindows`, the one window type: overlapping windows
-of shared maps, each zero-padded on its own. It runs the scatter form's GEMM
-once over the maps and sums each window's output from the products, with no
-gathered windows. That conv and `gather_windows` serve inference only and
-record no tape; a training batch is a plain `Tensor`. BLAS picks its own
-summation order, so results are not bit-equal to naive nested loops.
-Instead convolutions keep three promises, which the tests check: each output
-element, and each element of both gradients, lies within a dtype-dependent
-tolerance of a reference computation, relative to the same computation on
-magnitudes; a sample's output does not depend on which other samples share
-its batch; and a fixed seed and thread count reproduce every result bit for
-bit from run to run.
+of shared maps, each zero-padded on its own, which always take the scatter
+form, so the GEMM runs once over maps that many windows share. That conv
+and `gather_windows` serve inference only and record no tape; a training
+batch is a plain `Tensor`. BLAS picks its own summation order, so results
+are not bit-equal to naive nested loops. Instead convolutions keep three
+promises, which the tests check: each output element, and each element of
+both gradients, lies within a dtype-dependent tolerance of a reference
+computation, relative to the same computation on magnitudes; a sample's
+output does not depend on which other samples share its batch; and a fixed
+seed and thread count reproduce every result bit for bit from run to run.
 
 Precision defaults to float64; switch to float32 with `set_default_dtype`
 when training throughput matters more than gradient-check headroom.
@@ -121,7 +121,7 @@ class Tensor:
     `data` is always a numpy array in the library's default precision unless
     an explicit dtype is given. On a leaf, `grad` stays None until
     `backward()` first deposits a gradient; backward passes over fresh tapes
-    accumulate into it until it is cleared with `zero_grad()`. A recorded
+    accumulate into it until the caller sets it back to None. A recorded
     node's `grad` is None once a sweep has passed it: the sweep frees the
     node, and a second sweep through it raises `ContractError`.
     """
@@ -162,9 +162,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ------------------------------------------------------------------
     # autodiff driver
@@ -481,10 +478,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def conv2d(x: Tensor | MapWindows, kernels: Tensor, stride=1, padding=0) -> Tensor:
     """2-D cross-correlation of `(n, cin, h, w)` inputs with `(cout, cin, kh, kw)`
     kernels, stride 1, zero-padded by the int `padding` on h and w. `x` may also
-    be `MapWindows`, each window padded on its own (see `_windows_conv`).
+    be `MapWindows`, each window padded on its own, for inference only.
     `stride` stays only because `perfbench/spans.py` passes it; 1 is all that runs."""
-    if isinstance(x, MapWindows):
-        return _windows_conv(x, kernels, stride, padding)
     return _conv(x, kernels, stride, padding, nsp=2)
 
 
@@ -535,14 +530,14 @@ def _fold_taps(dst: np.ndarray, src: np.ndarray, taps: list) -> None:
         dst[(Ellipsis,) + to] += src[(i, j, Ellipsis) + frm]
 
 
-def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
+def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tensor:
     """Stride-1 cross-correlation of batched `x` with `w` over the last `nsp`
     axes, zero-padded on the last two.
 
     A 2-D conv runs as the depth-1, `kd = 1` case of a 3-D one, and only the
     two spatial axes are lowered, in one of two forms. Both are built from
-    the same two tap loops over unpadded positions: `_spread_taps` copies one
-    slice per `kh×kw` tap into a buffer with the taps as rows, and `_fold_taps`
+    the same taps over unpadded positions: `_spread_taps` copies one slice
+    per `kh×kw` tap into a buffer with the taps as rows, and `_fold_taps`
     adds the taps' slices back up.
 
     The gather form spreads the input into `cols`, rows in `(cin, kh, kw)`
@@ -555,24 +550,31 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
     into one GEMM each; the column gradient is then folded onto the input's
     `cin` channels.
 
-    The scatter form multiplies first: one GEMM per sample,
-    `(kh·kw·cout, cin) @ (cin, h·w)`, gives every tap's products at every
-    input position, and folding them yields the output. Products depend on
-    input position alone, so `_windows_conv` runs the same GEMM once over
-    maps that many padded windows share. Its backward spreads
-    the output gradient over the taps, so all tap shifting happens on `cout`
-    channels: the input gradient is one GEMM per sample from it and the
-    kernel gradient one GEMM over the batch.
+    The scatter form, 2-D only, multiplies first: one GEMM per map,
+    `(h·w, cin) @ (cin, kh·kw·cout)`, gives every tap's products at every
+    map position, `cout` last. Each window's output then adds, tap by tap,
+    the products at its shifted positions where the tap reads inside the
+    window: the taps dropped are exactly the window's zero padding. A
+    `MapWindows` runs it over windows of shared maps, for inference only; a
+    patch batch is the case where each sample is one window of its own map.
+    Its backward spreads the output gradient over the taps, so all tap
+    shifting happens on `cout` channels: the input gradient is one GEMM per
+    sample from it and the kernel gradient one GEMM over the batch.
 
-    The choice follows from shapes alone. A conv with `kd = 1` takes the
-    scatter form when its product buffer (`kh·kw·cout·n·d·h·w`) is smaller
-    than the gather form's column buffer (`cin·kh·kw·n·d·ho·wo`), as it is
-    for a conv that narrows many channels to few at the same size (HSI
-    block4).
+    The choice follows from shapes alone. `MapWindows` always take the
+    scatter form, and a 2-D conv takes it when its product buffer
+    (`kh·kw·cout·n·h·w`) is smaller than the gather form's column buffer
+    (`cin·kh·kw·n·ho·wo`), as it is for a conv that narrows many channels to
+    few at the same size (HSI block4).
     """
+    windows = isinstance(x, MapWindows)
+    if windows:
+        if nsp != 2:
+            raise ShapeError(f"conv{nsp}d takes a batched Tensor; only conv2d runs over MapWindows")
+        index = _check_windows("conv2d", x.maps, x.index, x.size, w)
     if w.ndim != nsp + 2:
         raise ShapeError(f"conv{nsp}d kernels must be {nsp + 2}-D, got {w.shape}")
-    if x.ndim != nsp + 2:
+    if len(x.shape) != nsp + 2:
         raise ShapeError(f"conv{nsp}d input must be batched (n, cin, ...), got {x.shape}")
     batch, cin = x.shape[0], x.shape[1]
     cout, wcin = w.shape[0], w.shape[1]
@@ -584,36 +586,47 @@ def _conv(x: Tensor, w: Tensor, stride, padding, nsp: int) -> Tensor:
     lift = (1,) * (3 - nsp)
     kd, kh, kw = lift + w.shape[2:]
     do, ho, wo = lift + out_sp
-    x5 = x.data.reshape((batch, cin) + lift + x.shape[2:])
-    depth, h, wd = x5.shape[2:]
+    depth, h, wd = lift + x.shape[2:]
     # (i, j, output slices, input slices) of every tap that meets the input.
     taps = [(i, j, (oi, oj), (si, sj))
             for i, oi, si in _links(kh, padding, h, ho)
             for j, oj, sj in _links(kw, padding, wd, wo)]
     inward = [(i, j, frm, to) for i, j, to, frm in taps]
 
-    if kd == 1 and cout * h * wd < cin * ho * wo:
-        prod_rows = kh * kw * cout
-        wt = np.ascontiguousarray(
-            w.data.reshape(cout, cin, kh, kw).transpose(2, 3, 0, 1)
-        ).reshape(prod_rows, cin)
-        # Batched GEMMs over the (batch, cin, positions) input keep one product
-        # per sample, and the fold adds within a sample, so a sample's output
-        # does not depend on what else shares its batch.
-        prods = (wt @ x5.reshape(batch, cin, -1)).reshape(batch, kh, kw, cout, depth, h, wd)
-        out_data = np.zeros((batch, cout, depth, ho, wo), dtype=prods.dtype)
-        _fold_taps(out_data, prods.transpose(1, 2, 0, 3, 4, 5, 6), taps)
+    if windows or nsp == 2 and cout * h * wd < cin * ho * wo:
+        if windows:
+            maps, (tile, row, col) = x.maps.data, index.T
+        else:
+            maps, tile, row, col = x.data, np.arange(batch), 0, 0
+        t, _, mh, mw = maps.shape
+        prod_cols = kh * kw * cout
+        wt = np.ascontiguousarray(w.data.transpose(1, 2, 3, 0)).reshape(cin, prod_cols)
+        # Batched GEMMs over the maps keep one product per map, and a window
+        # adds products of its own map only, so a sample's output does not
+        # depend on what else shares its batch.
+        prods = (maps.reshape(t, cin, mh * mw).swapaxes(1, 2) @ wt).reshape(t * mh * mw, prod_cols)
+        # at[k, r, c] is the row of `prods` that holds window k's input (r, c).
+        corner = (tile * mh + row) * mw + col
+        at = corner[:, None, None] + np.arange(mh * mw).reshape(mh, mw)[:h, :wd]
+        out_data = np.zeros((batch, ho, wo, cout), dtype=prods.dtype)
+        for i, j, (oi, oj), (si, sj) in taps:
+            tap = (i * kw + j) * cout
+            out_data[:, oi, oj] += prods[at[:, si, sj], tap:tap + cout]
+        out_data = np.ascontiguousarray(out_data.transpose(0, 3, 1, 2))
+        if windows:
+            return _node(out_data, (x.maps, w), "conv2d", None)
 
         def grad_fn(g):
-            gp = np.zeros((kh, kw, cout, batch, depth, h, wd), dtype=g.dtype)
-            _spread_taps(gp, g.reshape((batch, cout, depth, ho, wo)).swapaxes(0, 1), inward)
-            xc = x5.reshape(batch, cin, -1).swapaxes(0, 1).reshape(cin, -1)
-            gw = (gp.reshape(prod_rows, -1) @ xc.T).reshape(kh, kw, cout, cin)
-            gw = gw.transpose(2, 3, 0, 1).reshape(w.shape)
+            gp = np.zeros((kh, kw, cout, batch, h, wd), dtype=g.dtype)
+            _spread_taps(gp, g.swapaxes(0, 1), inward)
+            xc = x.data.reshape(batch, cin, -1).swapaxes(0, 1).reshape(cin, -1)
+            gw = (gp.reshape(prod_cols, -1) @ xc.T).reshape(kh, kw, cout, cin)
+            gw = gw.transpose(2, 3, 0, 1)
             if not x.requires_grad:
                 return None, gw
-            return (wt.T @ gp.reshape(prod_rows, batch, -1).swapaxes(0, 1)).reshape(x.shape), gw
+            return (wt @ gp.reshape(prod_cols, batch, -1).swapaxes(0, 1)).reshape(x.shape), gw
     else:
+        x5 = x.data.reshape((batch, cin, depth, h, wd))
         rows = cin * kh * kw
         npos = ho * wo
         cols = np.zeros((cin, kh, kw, batch, depth, ho, wo), dtype=x5.dtype)
@@ -662,7 +675,8 @@ class MapWindows:
     """Square windows of side `size` in `(t, c, h, w)` maps, left uncut: row i
     of the `(m, 3)` integer `index` is the (tile, row, col) of window i's
     top-left corner. For inference only, `conv2d` convolves them as it would
-    `gather_windows(maps, index, size)`; a patch batch is a plain `Tensor`."""
+    `gather_windows(maps, index, size)`, in the scatter form with no gather;
+    a patch batch is a plain `Tensor`."""
 
     maps: Tensor
     index: np.ndarray
@@ -710,35 +724,6 @@ def gather_windows(x: Tensor, index, size: int) -> Tensor:
     tile, row, col = index.T
     windows = np.lib.stride_tricks.sliding_window_view(x.data, (size, size), axis=(2, 3))
     return _node(windows[tile, :, row, col], (x,), "gather_windows", None)
-
-
-def _windows_conv(x: MapWindows, w: Tensor, stride, padding) -> Tensor:
-    """`conv2d(gather_windows(x.maps, x.index, x.size), w, stride, padding)`
-    without the gather. One GEMM per map, `(h·w, cin) @ (cin, kh·kw·cout)`,
-    gives every tap's products at every map position, `cout` last, and each
-    window's output adds, tap by tap, the products at its shifted positions
-    where the tap reads inside the window: the taps dropped are exactly the
-    window's zero padding. Inference only, like `gather_windows`.
-    """
-    index = _check_windows("conv2d", x.maps, x.index, x.size, w)
-    t, cin, h, wd = x.maps.shape
-    if w.ndim != 4 or w.shape[1] != cin:
-        raise ShapeError(f"conv2d kernels {w.shape} do not fit windows of shape {x.shape}")
-    cout, _, kh, kw = w.shape
-    ho, wo = _out_spatial(2, (x.size, x.size), (kh, kw), stride, padding)
-
-    wt = np.ascontiguousarray(w.data.transpose(1, 2, 3, 0)).reshape(cin, kh * kw * cout)
-    prods = (x.maps.data.reshape(t, cin, h * wd).swapaxes(1, 2) @ wt).reshape(t * h * wd, -1)
-    tile, row, col = index.T
-    corner = (tile * h + row) * wd + col
-    out = np.zeros((len(index), ho, wo, cout), dtype=prods.dtype)
-    for i, oi, si in _links(kh, padding, x.size, ho):
-        for j, oj, sj in _links(kw, padding, x.size, wo):
-            at = (corner[:, None, None] + np.arange(si.start, si.stop)[:, None] * wd
-                  + np.arange(sj.start, sj.stop))
-            tap = (i * kw + j) * cout
-            out[:, oi, oj] += prods[at, tap:tap + cout]
-    return _node(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x.maps, w), "conv2d", None)
 
 
 # ----------------------------------------------------------------------

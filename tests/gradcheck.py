@@ -28,7 +28,7 @@ def finite_diff_check(
     if not theta.requires_grad:
         raise ContractError("finite_diff_check needs a gradient-tracking tensor")
 
-    theta.zero_grad()
+    theta.grad = None
     out = f(theta)
     if out.data.size != 1:
         raise ContractError("finite_diff_check target must return a scalar")

@@ -396,13 +396,18 @@ class TestConv3d:
             assert np.array_equal(full[i:i + 1], single)
 
 
-# (input shape, kernel shape, padding) of convs that narrow cin to fewer cout
-# at about the same size, so they take the scatter form: padded by 0 to 2, a
-# 3x2 kernel, and a 3-D conv with a depth-1 kernel.
+# (input shape, kernel shape, padding) of 2-D convs that narrow cin to fewer
+# cout at about the same size, so they take the scatter form: padded by 0 to
+# 2, and a 3x2 kernel.
 SCATTER_CASES = [
     ((8, 48, 7, 7), (4, 48, 3, 3), 1),
     ((8, 48, 7, 6), (6, 48, 3, 2), 2),
     ((8, 48, 7, 8), (4, 48, 3, 3), 0),
+]
+
+# The same narrowing as a 3-D conv with a depth-1 kernel: the scatter form is
+# 2-D only, so it takes the gather form.
+DEPTH1_GATHER_CASES = [
     ((8, 48, 3, 5, 5), (4, 48, 1, 3, 3), 1),
 ]
 
@@ -434,11 +439,26 @@ def forward_peak(x, k, padding=0):
 def test_scatter_form_within_tolerance(x_shape, k_shape, padding, dtype):
     """The scatter form's output and both its gradients lie within the
     tolerance oracle of the references, and no column buffer is built."""
+    assert_form_within_tolerance(x_shape, k_shape, padding, dtype, scatter=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,padding", DEPTH1_GATHER_CASES,
+                         ids=lambda case: str(case).replace(" ", ""))
+def test_depth1_conv3d_takes_the_gather_form(x_shape, k_shape, padding, dtype):
+    """A 3-D conv with a depth-1 kernel builds the column buffer, and its
+    output and both its gradients lie within the tolerance oracle."""
+    assert_form_within_tolerance(x_shape, k_shape, padding, dtype, scatter=False)
+
+
+def assert_form_within_tolerance(x_shape, k_shape, padding, dtype, scatter):
+    """The conv's forward builds no column buffer exactly when `scatter`, and
+    its output and both gradients lie within the tolerance oracle."""
     r = rng(31)
     x = r.normal(size=x_shape).astype(dtype)
     k = (r.normal(size=k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
-    assert forward_peak(x, k, padding) < column_bytes(
-        x_shape, k_shape, padding, np.dtype(dtype).itemsize)
+    assert (forward_peak(x, k, padding) < column_bytes(
+        x_shape, k_shape, padding, np.dtype(dtype).itemsize)) == scatter
     assert_conv_within_tolerance(x, k, dtype, padding)
     conv = T.conv3d if len(k_shape) == 5 else T.conv2d
     g = r.normal(size=conv(Tensor(x), Tensor(k), padding=padding).shape).astype(dtype)
@@ -511,7 +531,7 @@ CONV_GRAD_CASES = [
     ((1, 2, 9, 4, 4), (2, 2, 5, 3, 3), 1),
 ] + [
     ((2, 6, 5, 5), (2, 6, 3, 3), 1),                  # scatter form
-    ((2, 6, 3, 5, 5), (2, 6, 1, 3, 3), 1),            # scatter form, 3-D
+    ((2, 6, 3, 5, 5), (2, 6, 1, 3, 3), 1),            # gather form: 3-D never scatters
 ]
 
 
@@ -576,6 +596,8 @@ REFUSED_CONVS = {
     "map-windows-negative-padding": (
         lambda: T.conv2d(shared_windows(), zeros(3, 2, 3, 3), padding=-1),
         ConfigError, "padding -1"),
+    "conv3d-map-windows": (lambda: T.conv3d(shared_windows(), zeros(3, 2, 1, 3, 3), padding=1),
+                           ShapeError, "conv3d"),
 }
 
 
@@ -717,6 +739,19 @@ def test_whole_map_windows_within_tolerance_of_the_plain_conv(dtype):
     scale = conv_tap_order(np.abs(x), np.abs(k), padding=1)
     assert got.dtype == dtype and got.shape == want.shape == (3, 4, 5, 5)
     assert np.all(np.abs(got - want) <= CONV_TOL[dtype] * scale)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_whole_map_windows_at_block4_are_the_plain_conv(dtype):
+    """At HSI block4's paper shape, a patch batch and its whole-sample
+    windows run the same scatter forward, so they give the same bytes."""
+    r = rng(45)
+    x = Tensor(r.standard_normal((37, 576, 5, 5)).astype(dtype), dtype=dtype)
+    k = Tensor((r.standard_normal((64, 576, 3, 3)) / 48).astype(dtype), dtype=dtype)
+    with T.no_grad():
+        got = T.conv2d(whole_map_windows(x), k, padding=1).data
+        want = T.conv2d(x, k, padding=1).data
+    assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
 
 
 def test_map_windows_len_and_shape():
@@ -965,7 +1000,7 @@ class TestBackward:
             loss = (theta * theta).sum()
             loss.backward()
         assert np.allclose(theta.grad, [8.0])
-        theta.zero_grad()
+        theta.grad = None
         (theta * theta).sum().backward()
         assert np.allclose(theta.grad, [4.0])
 
@@ -1005,7 +1040,7 @@ class TestBackward:
         w = Tensor([2.0], requires_grad=True)
         for out in outs:
             assert not out.requires_grad and out._grad_fn is None
-            w.zero_grad()
+            w.grad = None
             (out * w).sum().backward()
             assert np.allclose(w.grad, out.data.sum())
 
