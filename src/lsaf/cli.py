@@ -310,6 +310,14 @@ def _setup(args, checkpoint: str | None):
     model = LsafModel(geometry, seed=config["seed"], mode=config["mode"])
     if state is not None:
         model.load_state(state)
+        # A resumed run's weights are exempt: its first loss is then
+        # non-finite, which exits 3 naming their parameter groups.
+        resumed = model.params() if args.command == "train" else {}
+        for name, value in state.items():
+            bad = np.count_nonzero(~np.isfinite(value))
+            if bad and name not in resumed:
+                raise FormatError(f"{checkpoint}: tensor '{name}' holds {bad} "
+                                  f"non-finite value(s) (NaN or Inf)")
     pair = _apply_preprocessing(pair, pre)
     patches = extract_patches(pair, s=config["patch"])
     return config, pair.labels, patches, pre, model, state

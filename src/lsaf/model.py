@@ -500,6 +500,8 @@ class LsafModel(Module):
                     f"checkpoint tensor '{name}' has shape {incoming.shape}, "
                     f"model expects {held.shape}"
                 )
+            if name.endswith(".running_var") and np.any(incoming < 0):
+                raise FormatError(f"checkpoint tensor '{name}' holds a negative variance")
             if isinstance(held, Tensor):
                 held.data = incoming.astype(held.data.dtype)
                 held.grad = None

@@ -207,15 +207,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _wrap(other, self.data.dtype)
-        data = _combine(self.data, other.data, np.subtract, "sub")
-
-        def grad_fn(g):
-            return _unbroadcast(g, self.data.shape), _unbroadcast(-g, other.data.shape)
-
-        return _node(data, (self, other), "sub", grad_fn)
-
     def __mul__(self, other):
         other = _wrap(other, self.data.dtype)
         data = _combine(self.data, other.data, np.multiply, "mul")
@@ -230,17 +221,6 @@ class Tensor:
         return _node(data, (a, b), "mul", grad_fn)
 
     __rmul__ = __mul__
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise ContractError("only constant exponents are supported")
-        data = self.data ** p
-        x = self
-
-        def grad_fn(g):
-            return (g * p * x.data ** (p - 1),)
-
-        return _node(data, (x,), "pow", grad_fn)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -746,6 +726,10 @@ def batch_norm(
     buffers are supplied, folds them in with the given momentum. Eval mode
     standardizes with the running buffers. A zero-variance batch is floored
     by `eps`, so single-sample batches normalize to zero rather than fail.
+
+    One tape node: the forward evaluates the composed graph's numpy
+    expressions and the backward replays its steps in order, so gradients
+    keep their bytes. The tape holds the centred input and channel vectors.
     """
     if x.ndim < 2:
         raise ShapeError(f"batch_norm expects (n, c, ...) input, got {x.shape}")
@@ -758,27 +742,39 @@ def batch_norm(
         )
     cshape = (1, channels) + (1,) * (x.ndim - 2)
     axes = (0,) + tuple(range(2, x.ndim))
+    count = _axis_count(x.shape, axes)
 
     if training:
-        mean = x.mean(axis=axes, keepdims=True)
-        centered = x - mean
+        mean = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mean
         var = (centered * centered).mean(axis=axes, keepdims=True)
-        if running_mean is not None:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean.data.reshape(channels)
-        if running_var is not None:
-            running_var *= 1.0 - momentum
-            running_var += momentum * var.data.reshape(channels)
-        inv = (var + eps) ** -0.5
-        normalized = centered * inv
+        for running, batch in ((running_mean, mean), (running_var, var)):
+            if running is not None:
+                running *= 1.0 - momentum
+                running += momentum * batch.reshape(channels)
+        var_eps = var + x.dtype.type(eps)
+        inv = var_eps ** -0.5
     else:
         if running_mean is None or running_var is None:
             raise ContractError("eval-mode batch_norm needs running statistics")
-        mean_c = Tensor(running_mean.reshape(cshape), dtype=x.dtype)
-        inv_c = Tensor(1.0 / np.sqrt(running_var.reshape(cshape) + eps), dtype=x.dtype)
-        normalized = (x - mean_c) * inv_c
+        centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
+        inv = (1.0 / np.sqrt(running_var.reshape(cshape) + eps)).astype(x.dtype)
+    gain = gamma.data.reshape(cshape)
+    data = centered * inv * gain + beta.data.reshape(cshape)
 
-    return normalized * gamma.reshape(cshape) + beta.reshape(cshape)
+    def grad_fn(g):
+        dgamma = _unbroadcast(g * (centered * inv), cshape).reshape(channels)
+        dbeta = _unbroadcast(g, cshape).reshape(channels)
+        gn = g * gain
+        gx = gn * inv
+        if training:
+            gsq = _unbroadcast(gn * centered, cshape) * -0.5 * var_eps ** -1.5 / count
+            gx += gsq * centered
+            gx += gsq * centered
+            gx += _unbroadcast(-gx, cshape) / count
+        return gx, dgamma, dbeta
+
+    return _node(data, (x, gamma, beta), "batch_norm", grad_fn)
 
 
 # ----------------------------------------------------------------------

@@ -557,6 +557,26 @@ class TestEval:
                     "--epochs", 3, "--out", tmp_path / "post"])
         assert code == 3
 
+    @pytest.mark.parametrize("name, value", [
+        ("fusion.head_fused.fc2.bias", np.nan),
+        ("hsi.block1.bn.running_var", -1.0),
+        ("pre.norm.hsi_span", np.inf),
+    ])
+    def test_hostile_checkpoint_entry_is_data_error(self, config_path, tmp_path, capsys,
+                                                    name, value):
+        """A NaN or Inf entry, or a negative running variance, is refused
+        before any pixel is scored: exit 2, naming the tensor."""
+        assert run(["train", "--config", config_path]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "run" / "checkpoint.lsfw"
+        state = storage.read_checkpoint(ckpt)
+        state[name].flat[0] = value
+        storage.write_checkpoint(ckpt, state)
+        out = tmp_path / "eval"
+        assert run(["eval", "--config", config_path, "--checkpoint", ckpt, "--out", out]) == 2
+        assert f"'{name}'" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_fifteen_class_report_rows(self, tmp_path, capsys):
         scene = tmp_path / "s15"
         assert run(["synth", "--classes", 15, "--height", 26, "--width", 26,

@@ -8,6 +8,7 @@ from lsaf import tensor as T
 from lsaf.errors import ConfigError, ContractError, ShapeError
 from lsaf.model import (
     FEATURE_CHANNELS,
+    ConvBlock,
     DecisionFusion,
     LinearSelfAttention,
     LsafModel,
@@ -398,6 +399,17 @@ class TestForward:
         h, l = self.batch(seed=6)
         model.forward(h, l, training=True)
         assert not np.array_equal(model.hsi_extractor.blocks3d[0].bn.running_mean, before)
+
+    @pytest.mark.parametrize("kernel, x_shape", [((3, 3, 3), (4, 2, 6, 5, 5)),
+                                                 ((3, 3), (4, 2, 5, 5))])
+    def test_conv_block_records_three_nodes(self, kernel, x_shape):
+        """In training, a ConvBlock adds exactly conv, batch_norm and relu to
+        the tape above its input."""
+        block = ConvBlock(rng(9), 2, 4, kernel, padding=1)
+        x = Tensor(rng(10).normal(size=x_shape), requires_grad=True)
+        out = block(x, training=True)
+        ops = [node._op for node in T._toposort(out) if node._grad_fn is not None]
+        assert ops == [f"conv{len(kernel)}d", "batch_norm", "relu"]
 
     def test_single_branch_modes(self):
         h, l = self.batch(seed=7)
