@@ -12,13 +12,16 @@ Every conv is followed by batch norm and ReLU. Both branches emit
 64×(s−6)×(s−6) maps, `ModelConfig.feature_side` being s−6: the two stacks are
 fixed, and `ModelConfig` accepts only a patch and spectral depth they fit.
 
-The attention module gates channels with a sigmoid gate shared between the
-two modalities (their transposed features pass through per-modality inner
-layers, one shared outer layer, and one sigmoid), re-weights the fused
-tensor per spatial position with a softmax, and recalibrates the
-concatenated features with a squeeze-and-excite bottleneck. The decision
-head classifies each path separately and sums the three logit vectors with
-two learned scalar weights on the single-modality paths.
+The attention module works position-major: it transposes its two
+(n, c, hw) inputs once to (n, hw, c), so that every linear layer acts on
+the last axis, and transposes its output back once. In that layout it gates
+channels with a sigmoid gate shared between the two modalities
+(per-modality inner layers, one shared outer layer, and one sigmoid),
+re-weights the fused tensor per spatial position with a softmax over hw,
+and recalibrates the concatenated features with a squeeze-and-excite
+bottleneck. The decision head flattens each path's maps, classifies each
+path separately and sums the three logit vectors with two learned scalar
+weights on the single-modality paths.
 
 The extractors take a batch of patches, a plain `Tensor`, and that is what
 training runs. Inference may instead pass `tensor.MapWindows`: scene tiles
@@ -254,31 +257,19 @@ class LidarExtractor(Module):
 # attention
 
 
-def channel_linear(layer: Linear, x: Tensor) -> Tensor:
-    """Apply a linear layer to the channel axis of (n, c, hw) features."""
-    return layer(x.transpose((0, 2, 1))).transpose((0, 2, 1))
-
-
-def concat_transpose(gated_h: Tensor, gated_l: Tensor) -> Tensor:
-    """Stack two (n, hw, c) gated maps along channels, back to (n, 2c, hw)."""
-    if gated_h.shape != gated_l.shape:
-        raise ShapeError(
-            f"gated features disagree: {gated_h.shape} vs {gated_l.shape}"
-        )
-    return T.concat([gated_h, gated_l], axis=2).transpose((0, 2, 1))
-
-
 def spatial_attention(recalibrated: Tensor, fused: Tensor) -> Tensor:
-    """Weight each spatial position: recalibrated ⊙ softmax(fused over hw)."""
+    """Weight each spatial position of (n, hw, c) maps:
+    recalibrated ⊙ softmax(fused over hw)."""
     if recalibrated.shape != fused.shape:
         raise ShapeError(
             f"spatial attention inputs disagree: {recalibrated.shape} vs {fused.shape}"
         )
-    return recalibrated * T.softmax(fused, axis=-1)
+    return recalibrated * T.softmax(fused, axis=1)
 
 
 class SqueezeExcite(Module):
-    """Global-average squeeze, bottleneck excitation, sigmoid channel gate."""
+    """Global-average squeeze, bottleneck excitation, sigmoid channel gate
+    over (n, hw, c) maps."""
 
     def __init__(self, rng, channels: int, reduction: int):
         if channels % reduction:
@@ -287,22 +278,24 @@ class SqueezeExcite(Module):
         self.fc2 = Linear(rng, channels // reduction, channels)
 
     def __call__(self, x: Tensor) -> Tensor:
-        squeeze = x.mean(axis=2)  # (n, c)
+        squeeze = x.mean(axis=1)  # (n, c)
         excite = T.sigmoid(self.fc2(T.relu(self.fc1(squeeze))))
         n, c = excite.shape
-        return x * excite.reshape(n, c, 1)
+        return x * excite.reshape(n, 1, c)
 
 
 class LinearSelfAttention(Module):
     """Channel gating + spatial softmax weighting over the fused features.
 
-    All inputs and outputs are (n, c, hw) maps. The channel gate is computed
-    once from both modalities and applied to both; the outer layer and the
-    sigmoid are shared storage, the inner layers are per-modality.
+    Takes two (n, c, hw) maps and returns (n, 2c, hw). Inside, every map is
+    position-major (n, hw, c), so each `Linear` acts on the last axis. The
+    channel gate is computed once from both modalities and applied to both;
+    the outer layer and the sigmoid are shared storage, the inner layers are
+    per-modality. `Linear` rejects other channel counts, `concat` maps that
+    disagree.
     """
 
     def __init__(self, rng, channels: int, se_reduction: int):
-        self.channels = channels
         self.pre_hsi = Linear(rng, channels, channels)
         self.pre_lidar = Linear(rng, channels, channels)
         self.pre_joint = Linear(rng, 2 * channels, 2 * channels)
@@ -311,37 +304,17 @@ class LinearSelfAttention(Module):
         self.gate_out = Linear(rng, channels, channels)
         self.se = SqueezeExcite(rng, 2 * channels, se_reduction)
 
-    def _check(self, x: Tensor, what: str) -> None:
-        if x.ndim != 3 or x.shape[1] != self.channels:
-            raise ShapeError(f"{what} must be (n, {self.channels}, hw), got {x.shape}")
-
-    def pre_transform(self, feat_h: Tensor, feat_l: Tensor):
-        """Per-modality channel transforms plus the transformed concatenation."""
-        self._check(feat_h, "hsi features")
-        self._check(feat_l, "lidar features")
-        if feat_h.shape != feat_l.shape:
-            raise ShapeError(f"feature shapes disagree: {feat_h.shape} vs {feat_l.shape}")
-        hat_h = channel_linear(self.pre_hsi, feat_h)
-        hat_l = channel_linear(self.pre_lidar, feat_l)
-        joint = channel_linear(self.pre_joint, T.concat([feat_h, feat_l], axis=1))
-        return hat_h, hat_l, joint
-
     def channel_attention(self, hat_h: Tensor, hat_l: Tensor):
-        """One shared sigmoid gate from both modalities, applied to both.
-
-        Returns the gated maps in (n, hw, c) orientation.
-        """
-        t_h = hat_h.transpose((0, 2, 1))
-        t_l = hat_l.transpose((0, 2, 1))
-        gate = T.sigmoid(self.gate_out(self.gate_hsi(t_h) + self.gate_lidar(t_l)))
-        return gate * t_h, gate * t_l
+        """One shared sigmoid gate from both (n, hw, c) modalities, applied to both."""
+        gate = T.sigmoid(self.gate_out(self.gate_hsi(hat_h) + self.gate_lidar(hat_l)))
+        return gate * hat_h, gate * hat_l
 
     def __call__(self, feat_h: Tensor, feat_l: Tensor) -> Tensor:
-        hat_h, hat_l, joint = self.pre_transform(feat_h, feat_l)
-        gated_h, gated_l = self.channel_attention(hat_h, hat_l)
-        fused = concat_transpose(gated_h, gated_l)
-        recalibrated = self.se(joint)
-        return spatial_attention(recalibrated, fused)
+        hat_h = self.pre_hsi(feat_h.transpose((0, 2, 1)))
+        hat_l = self.pre_lidar(feat_l.transpose((0, 2, 1)))
+        joint = self.pre_joint(T.concat([feat_h, feat_l], axis=1).transpose((0, 2, 1)))
+        fused = T.concat(self.channel_attention(hat_h, hat_l), axis=2)
+        return spatial_attention(self.se(joint), fused).transpose((0, 2, 1))
 
 
 # ----------------------------------------------------------------------
@@ -423,17 +396,15 @@ class LsafModel(Module):
                                 "its statistics over whole tiles instead of patches")
         with T.no_grad() if tiles else contextlib.nullcontext():
             if self.mode == "hsi":
-                feat = self.hsi_extractor(self._patches(hsi), training)
-                return self.fusion.head_hsi(feat.reshape(feat.shape[0], -1))
+                return self.fusion.head_hsi(self.hsi_extractor(self._patches(hsi), training))
             if self.mode == "lidar":
-                feat = self.lidar_extractor(self._patches(lidar), training)
-                return self.fusion.head_lidar(feat.reshape(feat.shape[0], -1))
+                return self.fusion.head_lidar(self.lidar_extractor(self._patches(lidar), training))
             map_h = self.hsi_extractor(self._patches(hsi), training)
             map_l = self.lidar_extractor(self._patches(lidar), training)
             n, c, h, w = map_h.shape
+            # The heads read these reshapes too, which keeps the order their gradients sum in.
             feat_h, feat_l = map_h.reshape(n, c, h * w), map_l.reshape(n, c, h * w)
-            fused = self.attention(feat_h, feat_l)
-            return self.fusion(feat_h.reshape(n, -1), feat_l.reshape(n, -1), fused.reshape(n, -1))
+            return self.fusion(feat_h, feat_l, self.attention(feat_h, feat_l))
 
     def _patches(self, x):
         """A patch batch as a `Tensor` of checked shape; tile windows pass through."""

@@ -390,6 +390,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ContractError("concat of an empty sequence")
     first = tensors[0]
+    if not -first.ndim <= axis < first.ndim:
+        raise ShapeError(f"concat axis {axis} is out of range for ndim {first.ndim}")
     ax = axis % first.ndim
     for t in tensors[1:]:
         if t.ndim != first.ndim or any(
@@ -730,6 +732,8 @@ def batch_norm(
     One tape node: the forward evaluates the composed graph's numpy
     expressions and the backward replays its steps in order, so gradients
     keep their bytes. The tape holds the centred input and channel vectors.
+    The scale and shift are applied in place, so `gamma` and `beta` must
+    share the input's dtype.
     """
     if x.ndim < 2:
         raise ShapeError(f"batch_norm expects (n, c, ...) input, got {x.shape}")
@@ -740,6 +744,9 @@ def batch_norm(
         raise ShapeError(
             f"batch_norm affine shapes {gamma.shape}/{beta.shape} do not match {channels} channels"
         )
+    if gamma.dtype != x.dtype or beta.dtype != x.dtype:
+        raise ShapeError(f"batch_norm affine dtypes {gamma.dtype}/{beta.dtype} differ from "
+                         f"the input's {x.dtype}")
     cshape = (1, channels) + (1,) * (x.ndim - 2)
     axes = (0,) + tuple(range(2, x.ndim))
     count = _axis_count(x.shape, axes)
@@ -760,7 +767,9 @@ def batch_norm(
         centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
         inv = (1.0 / np.sqrt(running_var.reshape(cshape) + eps)).astype(x.dtype)
     gain = gamma.data.reshape(cshape)
-    data = centered * inv * gain + beta.data.reshape(cshape)
+    data = centered * inv
+    data *= gain
+    data += beta.data.reshape(cshape)
 
     def grad_fn(g):
         dgamma = _unbroadcast(g * (centered * inv), cshape).reshape(channels)

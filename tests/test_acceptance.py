@@ -30,7 +30,6 @@ from lsaf.model import (
     LsafModel,
     ModelConfig,
     SqueezeExcite,
-    concat_transpose,
     spatial_attention,
 )
 from lsaf.tensor import Tensor
@@ -120,8 +119,9 @@ def test_gradient_integrity(float64):
 
 
 def test_equation_oracles(float64):
-    """The five fusion building blocks match straight-line numpy references
-    to 1e-10 on random 2-4 channel inputs, 20 seeds."""
+    """The four fusion building blocks match straight-line numpy references
+    to 1e-10 on random 2-4 channel inputs, 20 seeds. The attention blocks
+    take position-major (n, hw, c) maps."""
 
     def dense(layer, x):
         return x @ layer.weight.data + layer.bias.data
@@ -130,11 +130,11 @@ def test_equation_oracles(float64):
         return 1.0 / (1.0 + np.exp(-z))
 
     def soft(z):
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
     errs = {"channel_attention": 0.0, "se_block": 0.0, "spatial_attention": 0.0,
-            "concat_transpose": 0.0, "decision_fusion": 0.0}
+            "decision_fusion": 0.0}
     for seed in range(20):
         rng = np.random.default_rng(seed)
         c = 2 + seed % 3
@@ -145,35 +145,28 @@ def test_equation_oracles(float64):
         fusion.weight_hsi.data = np.array(0.7)
         fusion.weight_lidar.data = np.array(1.3)
 
-        hat_h = rng.normal(size=(n, c, hw))
-        hat_l = rng.normal(size=(n, c, hw))
-        joint = rng.normal(size=(n, 2 * c, hw))
+        hat_h = rng.normal(size=(n, hw, c))
+        hat_l = rng.normal(size=(n, hw, c))
+        joint = rng.normal(size=(n, hw, 2 * c))
 
         got_h, got_l = att.channel_attention(Tensor(hat_h), Tensor(hat_l))
-        t_h, t_l = hat_h.transpose(0, 2, 1), hat_l.transpose(0, 2, 1)
-        gate = sig(dense(att.gate_out, dense(att.gate_hsi, t_h) + dense(att.gate_lidar, t_l)))
+        gate = sig(dense(att.gate_out, dense(att.gate_hsi, hat_h) + dense(att.gate_lidar, hat_l)))
         errs["channel_attention"] = max(
             errs["channel_attention"],
-            np.abs(got_h.data - gate * t_h).max(),
-            np.abs(got_l.data - gate * t_l).max(),
+            np.abs(got_h.data - gate * hat_h).max(),
+            np.abs(got_l.data - gate * hat_l).max(),
         )
 
         got_se = se(Tensor(joint))
-        excite = sig(dense(se.fc2, np.maximum(dense(se.fc1, joint.mean(axis=2)), 0.0)))
+        excite = sig(dense(se.fc2, np.maximum(dense(se.fc1, joint.mean(axis=1)), 0.0)))
         errs["se_block"] = max(
-            errs["se_block"], np.abs(got_se.data - joint * excite[:, :, None]).max()
+            errs["se_block"], np.abs(got_se.data - joint * excite[:, None, :]).max()
         )
 
-        fused = rng.normal(size=(n, 2 * c, hw))
+        fused = rng.normal(size=(n, hw, 2 * c))
         got_sp = spatial_attention(Tensor(joint), Tensor(fused))
         errs["spatial_attention"] = max(
             errs["spatial_attention"], np.abs(got_sp.data - joint * soft(fused)).max()
-        )
-
-        got_ct = concat_transpose(Tensor(t_h), Tensor(t_l))
-        ref_ct = np.concatenate([t_h, t_l], axis=2).transpose(0, 2, 1)
-        errs["concat_transpose"] = max(
-            errs["concat_transpose"], np.abs(got_ct.data - ref_ct).max()
         )
 
         feat_h = rng.normal(size=(n, c * hw))
@@ -234,14 +227,15 @@ def test_shape_contract():
 
 
 def test_normalizations():
-    """Spatial softmax sums to one per channel (1e-6); PCA components are
-    orthonormal (1e-8) with non-increasing explained variance."""
+    """Spatial softmax over the 17 positions of (n, hw, c) maps sums to one
+    per channel (1e-6); PCA components are orthonormal (1e-8) with
+    non-increasing explained variance."""
     softmax_err = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        fused = Tensor(rng.normal(scale=3.0, size=(2, 3, 17)).astype(np.float32))
-        weights = spatial_attention(Tensor(np.ones((2, 3, 17), np.float32)), fused)
-        softmax_err = max(softmax_err, np.abs(weights.data.sum(axis=-1) - 1.0).max())
+        fused = Tensor(rng.normal(scale=3.0, size=(2, 17, 3)).astype(np.float32))
+        weights = spatial_attention(Tensor(np.ones((2, 17, 3), np.float32)), fused)
+        softmax_err = max(softmax_err, np.abs(weights.data.sum(axis=1) - 1.0).max())
 
     ortho_err, monotone = 0.0, True
     cubes = [np.random.default_rng(s).normal(size=(12, 15, 14)) for s in range(5)]

@@ -14,7 +14,6 @@ from lsaf.model import (
     LsafModel,
     ModelConfig,
     SqueezeExcite,
-    concat_transpose,
     spatial_attention,
 )
 from lsaf.tensor import Tensor
@@ -144,41 +143,58 @@ def make_attention(seed, channels=3, reduction=2):
 
 
 def feats(seed, n=2, c=3, hw=4):
+    """Two channel-major (n, c, hw) maps: the attention module's inputs."""
     r = rng(seed)
     return Tensor(r.normal(size=(n, c, hw))), Tensor(r.normal(size=(n, c, hw)))
 
 
-class TestPreTransform:
-    def test_identity_weights_pass_through(self):
-        att = make_attention(0, channels=3)
-        att.pre_hsi.weight.data = np.eye(3)
-        att.pre_hsi.bias.data[:] = 0.0
-        x, y = feats(1)
-        hat_h, _, _ = att.pre_transform(x, y)
-        assert np.allclose(hat_h.data, x.data)
+def positions(seed, n=2, hw=4, c=3):
+    """Two position-major (n, hw, c) maps: the layout inside the module."""
+    r = rng(seed)
+    return Tensor(r.normal(size=(n, hw, c))), Tensor(r.normal(size=(n, hw, c)))
 
-    def test_joint_concat_doubles_channels(self):
-        att = make_attention(2, channels=3)
-        x, y = feats(3)
-        _, _, joint = att.pre_transform(x, y)
-        assert joint.shape == (2, 6, 4)
+
+def dense(layer, x):
+    return x @ layer.weight.data + layer.bias.data
+
+
+def attention_reference(att, xh, xl):
+    """The attention module in straight-line numpy, (n, c, hw) in and out."""
+    th, tl = xh.transpose(0, 2, 1), xl.transpose(0, 2, 1)
+    hat_h, hat_l = dense(att.pre_hsi, th), dense(att.pre_lidar, tl)
+    joint = dense(att.pre_joint, np.concatenate([th, tl], axis=2))
+    gate = sigmoid(dense(att.gate_out, dense(att.gate_hsi, hat_h) + dense(att.gate_lidar, hat_l)))
+    fused = np.concatenate([gate * hat_h, gate * hat_l], axis=2)
+    hidden = np.maximum(dense(att.se.fc1, joint.mean(axis=1)), 0.0)
+    excite = sigmoid(dense(att.se.fc2, hidden))
+    e = np.exp(fused - fused.max(axis=1, keepdims=True))
+    out = joint * excite[:, None, :] * (e / e.sum(axis=1, keepdims=True))
+    return out.transpose(0, 2, 1)
+
+
+class TestPreTransform:
+    """The pre-transform layers (`pre_hsi`, `pre_lidar`, `pre_joint`), seen
+    through the whole module."""
 
     def test_matches_hand_matmul(self):
-        att = make_attention(4, channels=2)
-        x, y = feats(5, n=1, c=2, hw=3)
-        hat_h, hat_l, joint = att.pre_transform(x, y)
-        want_h = (x.data.transpose(0, 2, 1) @ att.pre_hsi.weight.data
-                  + att.pre_hsi.bias.data).transpose(0, 2, 1)
-        assert np.allclose(hat_h.data, want_h, atol=1e-12)
-        stacked = np.concatenate([x.data, y.data], axis=1)
-        want_joint = (stacked.transpose(0, 2, 1) @ att.pre_joint.weight.data
-                      + att.pre_joint.bias.data).transpose(0, 2, 1)
-        assert np.allclose(joint.data, want_joint, atol=1e-12)
+        """The module equals its straight-line numpy form within 1e-12, with
+        random weights and with identity `pre_hsi` weights."""
+        for identity_pre_hsi in (False, True):
+            att = make_attention(4, channels=4)
+            if identity_pre_hsi:
+                att.pre_hsi.weight.data = np.eye(4)
+                att.pre_hsi.bias.data[:] = 0.0
+            x, y = feats(5, n=3, c=4, hw=6)
+            out = att(x, y)
+            assert out.shape == (3, 8, 6)
+            assert np.abs(out.data - attention_reference(att, x.data, y.data)).max() < 1e-12
 
     def test_channel_mismatch_rejected(self):
         att = make_attention(6, channels=3)
-        with pytest.raises(ShapeError):
-            att.pre_transform(Tensor(np.zeros((1, 4, 5))), Tensor(np.zeros((1, 4, 5))))
+        with pytest.raises(ShapeError):  # 4 channels where the layers take 3
+            att(Tensor(np.zeros((1, 4, 5))), Tensor(np.zeros((1, 4, 5))))
+        with pytest.raises(ShapeError):  # the two modalities disagree
+            att(Tensor(np.zeros((1, 3, 5))), Tensor(np.zeros((1, 3, 4))))
 
 
 class TestChannelAttention:
@@ -190,25 +206,24 @@ class TestChannelAttention:
     def test_zero_weights_force_half_gate(self):
         att = make_attention(0)
         self.zero_gate_layers(att)
-        hat_h, hat_l = feats(1)
+        hat_h, hat_l = positions(1)
         out_h, out_l = att.channel_attention(hat_h, hat_l)
-        assert np.allclose(out_h.data, 0.5 * hat_h.data.transpose(0, 2, 1))
-        assert np.allclose(out_l.data, 0.5 * hat_l.data.transpose(0, 2, 1))
+        assert np.allclose(out_h.data, 0.5 * hat_h.data)
+        assert np.allclose(out_l.data, 0.5 * hat_l.data)
 
     def test_symmetric_inputs_and_layers_give_equal_outputs(self):
         att = make_attention(2)
         att.gate_lidar.weight.data = att.gate_hsi.weight.data.copy()
         att.gate_lidar.bias.data = att.gate_hsi.bias.data.copy()
-        x, _ = feats(3)
+        x, _ = positions(3)
         out_h, out_l = att.channel_attention(x, Tensor(x.data.copy()))
         assert np.allclose(out_h.data, out_l.data)
 
     def test_matches_straight_line_reference(self):
         att = make_attention(4, channels=2)
-        hat_h, hat_l = feats(5, n=1, c=2, hw=2)
+        hat_h, hat_l = positions(5, n=1, hw=2, c=2)
         out_h, out_l = att.channel_attention(hat_h, hat_l)
-        th = hat_h.data.transpose(0, 2, 1)
-        tl = hat_l.data.transpose(0, 2, 1)
+        th, tl = hat_h.data, hat_l.data
         pre = (th @ att.gate_hsi.weight.data + att.gate_hsi.bias.data) + (
             tl @ att.gate_lidar.weight.data + att.gate_lidar.bias.data
         )
@@ -220,35 +235,11 @@ class TestChannelAttention:
         """The multiplicative gate applied to each modality is the same
         tensor: recover it by dividing output by input."""
         att = make_attention(6)
-        hat_h, hat_l = feats(7)
+        hat_h, hat_l = positions(7)
         out_h, out_l = att.channel_attention(hat_h, hat_l)
-        gate_from_h = out_h.data / hat_h.data.transpose(0, 2, 1)
-        gate_from_l = out_l.data / hat_l.data.transpose(0, 2, 1)
+        gate_from_h = out_h.data / hat_h.data
+        gate_from_l = out_l.data / hat_l.data
         assert np.allclose(gate_from_h, gate_from_l, atol=1e-9)
-
-
-class TestConcatTranspose:
-    def test_rows_recover_first_input(self):
-        a = Tensor(rng(0).normal(size=(2, 4, 3)))
-        b = Tensor(rng(1).normal(size=(2, 4, 3)))
-        out = concat_transpose(a, b)
-        assert out.shape == (2, 6, 4)
-        assert np.array_equal(out.data[:, :3, :], a.data.transpose(0, 2, 1))
-        assert np.array_equal(out.data[:, 3:, :], b.data.transpose(0, 2, 1))
-
-    def test_explicit_tiny_case(self):
-        a = Tensor(np.array([[[1.0], [2.0]]]))  # (1, hw=2, c=1)
-        b = Tensor(np.array([[[3.0], [4.0]]]))
-        out = concat_transpose(a, b)
-        assert np.array_equal(out.data, [[[1.0, 2.0], [3.0, 4.0]]])
-
-    def test_zero_inputs(self):
-        z = Tensor(np.zeros((1, 5, 2)))
-        assert not concat_transpose(z, z).data.any()
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            concat_transpose(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 4, 3))))
 
 
 class TestSqueezeExcite:
@@ -257,21 +248,21 @@ class TestSqueezeExcite:
         for layer in (se.fc1, se.fc2):
             layer.weight.data[:] = 0.0
             layer.bias.data[:] = 0.0
-        x = Tensor(rng(1).normal(size=(2, 4, 3)))
+        x = Tensor(rng(1).normal(size=(2, 3, 4)))
         assert np.allclose(se(x).data, 0.5 * x.data)
 
     def test_constant_channel_squeeze(self):
-        x = Tensor(np.full((1, 2, 5), 3.25))
-        assert np.allclose(x.mean(axis=2).data, 3.25)
+        x = Tensor(np.full((1, 5, 2), 3.25))
+        assert np.allclose(x.mean(axis=1).data, 3.25)
 
     def test_matches_reference_computation(self):
         se = SqueezeExcite(rng(2), channels=4, reduction=2)
-        x = Tensor(rng(3).normal(size=(2, 4, 3)))
+        x = Tensor(rng(3).normal(size=(2, 3, 4)))
         got = se(x).data
-        squeeze = x.data.mean(axis=2)
+        squeeze = x.data.mean(axis=1)
         hidden = np.maximum(squeeze @ se.fc1.weight.data + se.fc1.bias.data, 0.0)
         excite = sigmoid(hidden @ se.fc2.weight.data + se.fc2.bias.data)
-        assert np.allclose(got, x.data * excite[:, :, None], atol=1e-12)
+        assert np.allclose(got, x.data * excite[:, None, :], atol=1e-12)
 
     def test_bad_reduction_rejected(self):
         with pytest.raises(ConfigError):
@@ -280,23 +271,123 @@ class TestSqueezeExcite:
 
 class TestSpatialAttention:
     def test_constant_rows_give_uniform_weighting(self):
-        recal = Tensor(rng(0).normal(size=(1, 3, 5)))
-        fused = Tensor(np.repeat(rng(1).normal(size=(1, 3, 1)), 5, axis=2))
+        recal = Tensor(rng(0).normal(size=(1, 5, 3)))
+        fused = Tensor(np.repeat(rng(1).normal(size=(1, 1, 3)), 5, axis=1))
         out = spatial_attention(recal, fused)
         assert np.allclose(out.data, recal.data / 5.0)
 
     def test_softmax_rows_normalized(self):
-        fused = Tensor(rng(2).normal(size=(2, 4, 6)))
-        weights = T.softmax(fused, axis=-1)
-        assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
+        fused = Tensor(rng(2).normal(size=(2, 6, 4)))
+        weights = spatial_attention(Tensor(np.ones((2, 6, 4))), fused)
+        assert np.allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_matches_reference(self):
-        recal = Tensor(rng(3).normal(size=(1, 2, 3)))
-        fused = Tensor(rng(4).normal(size=(1, 2, 3)))
+        recal = Tensor(rng(3).normal(size=(1, 3, 2)))
+        fused = Tensor(rng(4).normal(size=(1, 3, 2)))
         got = spatial_attention(recal, fused).data
-        e = np.exp(fused.data - fused.data.max(axis=-1, keepdims=True))
-        want = recal.data * (e / e.sum(axis=-1, keepdims=True))
+        e = np.exp(fused.data - fused.data.max(axis=1, keepdims=True))
+        want = recal.data * (e / e.sum(axis=1, keepdims=True))
         assert np.allclose(got, want, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the former channel-major attention module: the bit-exact reference
+
+
+def channel_linear(layer, x):
+    """Apply a linear layer to the channel axis of (n, c, hw) features."""
+    return layer(x.transpose((0, 2, 1))).transpose((0, 2, 1))
+
+
+def concat_transpose(gated_h, gated_l):
+    """Stack two (n, hw, c) gated maps along channels, back to (n, 2c, hw)."""
+    if gated_h.shape != gated_l.shape:
+        raise ShapeError(
+            f"gated features disagree: {gated_h.shape} vs {gated_l.shape}"
+        )
+    return T.concat([gated_h, gated_l], axis=2).transpose((0, 2, 1))
+
+
+def pre_transform(att, feat_h, feat_l):
+    """Per-modality channel transforms plus the transformed concatenation."""
+    hat_h = channel_linear(att.pre_hsi, feat_h)
+    hat_l = channel_linear(att.pre_lidar, feat_l)
+    joint = channel_linear(att.pre_joint, T.concat([feat_h, feat_l], axis=1))
+    return hat_h, hat_l, joint
+
+
+def channel_attention(att, hat_h, hat_l):
+    """One shared sigmoid gate from both modalities, applied to both.
+
+    Returns the gated maps in (n, hw, c) orientation.
+    """
+    t_h = hat_h.transpose((0, 2, 1))
+    t_l = hat_l.transpose((0, 2, 1))
+    gate = T.sigmoid(att.gate_out(att.gate_hsi(t_h) + att.gate_lidar(t_l)))
+    return gate * t_h, gate * t_l
+
+
+def squeeze_excite(se, x):
+    """Squeeze-excite over (n, c, hw) maps."""
+    squeeze = x.mean(axis=2)  # (n, c)
+    excite = T.sigmoid(se.fc2(T.relu(se.fc1(squeeze))))
+    n, c = excite.shape
+    return x * excite.reshape(n, c, 1)
+
+
+def channel_major_attention(att, feat_h, feat_l):
+    """The former `LinearSelfAttention.__call__`, channel-major (n, c, hw)
+    throughout: 9 transposes."""
+    hat_h, hat_l, joint = pre_transform(att, feat_h, feat_l)
+    gated_h, gated_l = channel_attention(att, hat_h, hat_l)
+    fused = concat_transpose(gated_h, gated_l)
+    recalibrated = squeeze_excite(att.se, joint)
+    return recalibrated * T.softmax(fused, axis=-1)
+
+
+ATTENTION_CASES = {"paper": (4, 64, 25), "small-c": (3, 5, 4)}
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_bit_equals_the_channel_major_module(case, dtype):
+    """Output, both input gradients and all 16 parameter gradients have the
+    bytes of the channel-major module, through a fixed cotangent."""
+    n, c, hw = ATTENTION_CASES[case]
+    prev = T.default_dtype()
+    T.set_default_dtype(dtype)
+    try:
+        att = LinearSelfAttention(rng(30), c, se_reduction=2)
+    finally:
+        T.set_default_dtype(prev)
+    params = [t for _, t in att.tensors()]
+    assert len(params) == 16 and all(p.dtype == dtype for p in params)
+    r = rng(31)
+    xh, xl = (r.normal(size=(n, c, hw)).astype(dtype) for _ in range(2))
+    cotangent = r.normal(size=(n, 2 * c, hw))
+
+    def run(module):
+        for p in params:
+            p.grad = None
+        fh, fl = (Tensor(a, requires_grad=True, dtype=dtype) for a in (xh, xl))
+        out = module(fh, fl)
+        (out * Tensor(cotangent, dtype=dtype)).sum().backward()
+        return [out.data, fh.grad, fl.grad] + [p.grad for p in params]
+
+    got = run(att)
+    want = run(lambda fh, fl: channel_major_attention(att, fh, fl))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes()
+
+
+def test_attention_without_grad_bit_equals_the_channel_major_module():
+    att = make_attention(32, channels=64)
+    x, y = feats(33, n=3, c=64, hw=25)
+    with T.no_grad():
+        got = att(x, y)
+        want = channel_major_attention(att, x, y)
+    assert not got.requires_grad
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestDecisionFusion:
@@ -410,6 +501,17 @@ class TestForward:
         out = block(x, training=True)
         ops = [node._op for node in T._toposort(out) if node._grad_fn is not None]
         assert ops == [f"conv{len(kernel)}d", "batch_norm", "relu"]
+
+    def test_training_step_records_80_nodes(self):
+        """A full-mode training step, loss included, records 80 tape nodes.
+        The attention module transposes its two inputs and its output once,
+        and its joint concatenation once."""
+        model = LsafModel(small_config(), seed=12)
+        h, l = self.batch(seed=13)
+        loss = T.cross_entropy(model.forward(h, l, training=True), np.array([0, 2]))
+        ops = [node._op for node in T._toposort(loss) if node._grad_fn is not None]
+        assert len(ops) == 80
+        assert ops.count("transpose") == 4
 
     def test_single_branch_modes(self):
         h, l = self.batch(seed=7)

@@ -819,6 +819,20 @@ class TestBatchNorm:
                            running_mean=run_m, running_var=run_v, training=False)
         assert np.allclose(out.data, [(12.0 - 10.0) / np.sqrt(4.0 + 1e-5)])
 
+    @pytest.mark.parametrize("affine", ["gamma", "beta"])
+    def test_affine_dtype_other_than_the_input_rejected(self, affine):
+        """The scale and shift are applied in place: a float64 `gamma` on
+        float32 input would return float32 where the expression gives
+        float64, so a dtype mismatch raises instead."""
+        x = Tensor(np.ones((2, 3)), dtype=np.float32)
+        params = {"gamma": Tensor(np.ones(3), dtype=np.float32),
+                  "beta": Tensor(np.zeros(3), dtype=np.float32)}
+        params[affine] = Tensor(params[affine].data, dtype=np.float64)
+        for training in (True, False):
+            with pytest.raises(ShapeError):
+                T.batch_norm(x, params["gamma"], params["beta"], np.zeros(3), np.ones(3),
+                             training=training)
+
     def test_eval_without_running_stats_rejected(self):
         with pytest.raises(ContractError):
             T.batch_norm(Tensor(np.zeros((2, 1))), Tensor(np.ones(1)),
@@ -1037,6 +1051,14 @@ class TestStructural:
     def test_concat_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
+
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_concat_axis_out_of_range_rejected(self, axis):
+        """An axis past either end raises rather than wrapping modulo ndim,
+        which would join two (2, 3, 4) tensors along axis 0 for axis 3."""
+        a, b = Tensor(np.zeros((2, 3, 4))), Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            T.concat([a, b], axis=axis)
 
     def test_mul_by_ones_identity(self):
         x = Tensor(rng(5).normal(size=(3, 3)))
