@@ -158,10 +158,13 @@ def dense(layer, x):
     return x @ layer.weight.data + layer.bias.data
 
 
-def attention_reference(att, xh, xl):
-    """The attention module in straight-line numpy, (n, c, hw) in and out."""
+def attention_reference(att, xh, xl, hat_h=None):
+    """The attention module in straight-line numpy, (n, c, hw) in and out.
+    A given position-major `hat_h` stands in for the `pre_hsi` output."""
     th, tl = xh.transpose(0, 2, 1), xl.transpose(0, 2, 1)
-    hat_h, hat_l = dense(att.pre_hsi, th), dense(att.pre_lidar, tl)
+    if hat_h is None:
+        hat_h = dense(att.pre_hsi, th)
+    hat_l = dense(att.pre_lidar, tl)
     joint = dense(att.pre_joint, np.concatenate([th, tl], axis=2))
     gate = sigmoid(dense(att.gate_out, dense(att.gate_hsi, hat_h) + dense(att.gate_lidar, hat_l)))
     fused = np.concatenate([gate * hat_h, gate * hat_l], axis=2)
@@ -176,18 +179,29 @@ class TestPreTransform:
     """The pre-transform layers (`pre_hsi`, `pre_lidar`, `pre_joint`), seen
     through the whole module."""
 
+    def test_identity_weights_pass_through(self):
+        """With identity `pre_hsi` weights the module equals its straight-line
+        form fed the untransformed HSI map."""
+        att = make_attention(0, channels=3)
+        att.pre_hsi.weight.data = np.eye(3)
+        att.pre_hsi.bias.data[:] = 0.0
+        x, y = feats(1)
+        want = attention_reference(att, x.data, y.data, hat_h=x.data.transpose(0, 2, 1))
+        assert np.abs(att(x, y).data - want).max() < 1e-12
+
+    def test_joint_concat_doubles_channels(self):
+        att = make_attention(2, channels=3)
+        assert att.pre_joint.weight.shape == (6, 6)
+        x, y = feats(3)
+        assert att(x, y).shape == (2, 6, 4)
+
     def test_matches_hand_matmul(self):
-        """The module equals its straight-line numpy form within 1e-12, with
-        random weights and with identity `pre_hsi` weights."""
-        for identity_pre_hsi in (False, True):
-            att = make_attention(4, channels=4)
-            if identity_pre_hsi:
-                att.pre_hsi.weight.data = np.eye(4)
-                att.pre_hsi.bias.data[:] = 0.0
-            x, y = feats(5, n=3, c=4, hw=6)
-            out = att(x, y)
-            assert out.shape == (3, 8, 6)
-            assert np.abs(out.data - attention_reference(att, x.data, y.data)).max() < 1e-12
+        """The module equals its straight-line numpy form within 1e-12."""
+        att = make_attention(4, channels=4)
+        x, y = feats(5, n=3, c=4, hw=6)
+        out = att(x, y)
+        assert out.shape == (3, 8, 6)
+        assert np.abs(out.data - attention_reference(att, x.data, y.data)).max() < 1e-12
 
     def test_channel_mismatch_rejected(self):
         att = make_attention(6, channels=3)
