@@ -1,11 +1,11 @@
 """Command-line entry point: `lsaf synth | train | eval | map`.
 
-Configuration comes from a JSON file (`--config`); the command-line flags
-override file keys. Every command accepts every config key, but takes only
-the flags it reads: `train` --seed --epochs --lr --batch, `eval` --seed,
-and all three --patch --pca-dims --out. Unknown config keys and unknown
-flags (abbreviations of known ones included) are errors, and so are a
-non-finite number and a seed outside 0..2**53.
+Configuration comes from a UTF-8 JSON file (`--config`), whose keys are
+the rows of `_KEYS`; flags override them. Every command accepts every config
+key, but takes only the flags it reads: `train` --seed --epochs --lr
+--batch, `eval` --seed, and all three --patch --pca-dims --out. Unknown keys
+and flags (abbreviations included), wrong types, non-finite numbers, a seed
+outside 0..2**53 and a negative `checkpoint_every` are configuration errors.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data or format
 problem (unreadable files, bad headers, non-finite rasters, incompatible
@@ -20,6 +20,7 @@ yields finite values (read at import of `lsaf.tensor`).
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import logging
@@ -34,6 +35,7 @@ from . import tensor as T
 from .data import (
     PcaModel,
     RasterPair,
+    check_patch_size,
     extract_patches,
     fit_minmax,
     load_raster,
@@ -83,58 +85,66 @@ def palette_color(label: int) -> tuple:
 # ----------------------------------------------------------------------
 # configuration
 
-_CONFIG_DEFAULTS: dict = {
-    "hsi": None,
-    "lidar": None,
-    "labels": None,
-    "out": ".",
-    # Geometry and mode: None takes ModelConfig's default (mode "full") for a
-    # new model, and the checkpoint's value in eval, map and --resume.
-    "patch": None,
-    "pca_dims": None,
-    "hidden": None,
-    "se_reduction": None,
-    "mode": None,
-    "dtype": "float32",
-    **{field.name: field.default for field in dataclasses.fields(TrainConfig)},
-    "train_fraction": 0.2,
-    "pca_on_labeled": False,
-    "checkpoint_every": 0,
+# Every config key: (JSON type, default, the commands whose `--key-name` flag
+# sets it, its help), in `--help` order. Geometry and mode default to None:
+# ModelConfig's default (mode "full") for a new model, the checkpoint's value
+# in eval, map and --resume. Training keys default as in TrainConfig.
+_Key = collections.namedtuple("_Key", "type default commands help", defaults=((), None))
+_MODEL_COMMANDS = ("train", "eval", "map")
+_KEYS = {
+    "hsi": _Key(str, None),
+    "lidar": _Key(str, None),
+    "labels": _Key(str, None),
+    "patch": _Key(int, None, _MODEL_COMMANDS, "patch size (odd)"),
+    "pca_dims": _Key(int, None, _MODEL_COMMANDS, "spectral dimensions kept by PCA"),
+    "hidden": _Key(int, None),
+    "se_reduction": _Key(int, None),
+    "mode": _Key(str, None),
+    "dtype": _Key(str, "float32"),
+    "out": _Key(str, ".", _MODEL_COMMANDS, "output directory"),
+    "seed": _Key(int, TrainConfig.seed, ("train", "eval"),
+                 "seed of the train/test split, and in train of the weights and shuffles"),
+    "epochs": _Key(int, TrainConfig.epochs, ("train",), "training epochs"),
+    "lr": _Key(float, TrainConfig.lr, ("train",), "learning rate"),
+    "batch": _Key(int, TrainConfig.batch, ("train",), "mini-batch size"),
+    "beta1": _Key(float, TrainConfig.beta1),
+    "beta2": _Key(float, TrainConfig.beta2),
+    "eps": _Key(float, TrainConfig.eps),
+    "train_fraction": _Key(float, 0.2),
+    "pca_on_labeled": _Key(bool, False),
+    "checkpoint_every": _Key(int, 0),
 }
+
+_TYPE_NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number"}
 
 DEFAULT_MODE = "full"
 
 # The `meta.*` geometry entries, in checkpoint order, and those a config sets.
 _GEOMETRY = tuple(field.name for field in dataclasses.fields(ModelConfig))
-_CONFIG_GEOMETRY = tuple(key for key in _GEOMETRY if key in _CONFIG_DEFAULTS)
+_CONFIG_GEOMETRY = tuple(key for key in _GEOMETRY if key in _KEYS)
 
 # The `pre.*` constants in checkpoint order: `PcaModel`'s fields, then the
 # min-max scaling of the projected bands and of the LiDAR band.
 _PRE_KEYS = ("pre.pca.mean", "pre.pca.components", "pre.pca.explained_variance",
              "pre.norm.hsi_min", "pre.norm.hsi_span", "pre.norm.lidar_min", "pre.norm.lidar_span")
 
-_STR_KEYS = {"hsi", "lidar", "labels", "out", "mode", "dtype"}
-_INT_KEYS = {"patch", "pca_dims", "hidden", "se_reduction", "epochs", "batch",
-             "seed", "checkpoint_every"}
-_FLOAT_KEYS = {"lr", "beta1", "beta2", "eps", "train_fraction"}
-_BOOL_KEYS = {"pca_on_labeled"}
-
 
 def load_config(path: str | None, overrides: dict) -> dict:
     """Merge defaults ← config file ← CLI overrides, validating keys/types."""
-    config = dict(_CONFIG_DEFAULTS)
+    config = {key: row.default for key, row in _KEYS.items()}
     if path is not None:
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config file {path}: {e}")
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # not UTF-8, not JSON, an integer past Python's digit limit, or nested too deep
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         for key, value in raw.items():
-            if key not in _CONFIG_DEFAULTS:
+            if key not in _KEYS:
                 raise ConfigError(f"unknown config key '{key}' in {path}")
             config[key] = _validate_key(key, value)
     for key, value in overrides.items():
@@ -146,21 +156,17 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _validate_key(key: str, value):
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key '{key}' must be a string, got {value!r}")
-    elif key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key '{key}' must be a boolean, got {value!r}")
-    elif key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
-        # meta.seed stores the seed as a float64, exact up to 2**53
-        if key == "seed" and not 0 <= value <= 2**53:
-            raise ConfigError(f"config key 'seed' must be an integer in 0..2**53, got {value}")
-    elif key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
+    kind = _KEYS[key].type
+    # JSON's true and false are Python ints too, but only a boolean key takes them.
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        raise ConfigError(f"config key '{key}' must be {_TYPE_NAMES[kind]}, got {value!r}")
+    # meta.seed stores the seed as a float64, exact up to 2**53
+    if key == "seed" and not 0 <= value <= 2**53:
+        raise ConfigError(f"config key 'seed' must be an integer in 0..2**53, got {value}")
+    if key == "checkpoint_every" and value < 0:
+        raise ConfigError(f"config key 'checkpoint_every' must be >= 0, got {value}")
+    if kind is float:
         try:
             value = float(value)
         except OverflowError:  # an integer past the float range
@@ -306,6 +312,8 @@ def _setup(args, checkpoint: str | None):
         for key in _CONFIG_GEOMETRY:
             config[key] = getattr(geometry, key)
         config["mode"] = config["mode"] or DEFAULT_MODE
+    check_patch_size(geometry.patch, pair.height, pair.width)  # before the PCA fit and the model
+    if state is None:
         pre = _fit_preprocessing(pair, config)
     model = LsafModel(geometry, seed=config["seed"], mode=config["mode"])
     if state is not None:
@@ -430,16 +438,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _overrides(args) -> dict:
     """The config keys the subcommand's flags set."""
-    return {key: value for key, value in vars(args).items() if key in _CONFIG_DEFAULTS}
+    return {key: value for key, value in vars(args).items() if key in _KEYS}
 
 
-def _add_common_flags(parser) -> None:
-    """The flags of every model command: config file, geometry, output."""
+def _add_model_flags(parser, command: str) -> None:
+    """--config, then the flag of each config key that `command` reads."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--patch", type=int, help="patch size (odd)")
-    parser.add_argument("--pca-dims", dest="pca_dims", type=int,
-                        help="spectral dimensions kept by PCA")
-    parser.add_argument("--out", help="output directory")
+    for key, row in _KEYS.items():
+        if command in row.commands:
+            parser.add_argument("--" + key.replace("_", "-"), type=row.type, help=row.help)
 
 
 def build_parser() -> _Parser:
@@ -457,22 +464,17 @@ def build_parser() -> _Parser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="train a model")
-    _add_common_flags(p_train)
-    p_train.add_argument("--seed", type=int, help="random seed (weights, split, shuffles)")
-    p_train.add_argument("--epochs", type=int, help="training epochs")
-    p_train.add_argument("--lr", type=float, help="learning rate")
-    p_train.add_argument("--batch", type=int, help="mini-batch size")
+    _add_model_flags(p_train, "train")
     p_train.add_argument("--resume", help="checkpoint to continue from")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common_flags(p_eval)
-    p_eval.add_argument("--seed", type=int, help="seed of the train/test split")
+    _add_model_flags(p_eval, "eval")
     p_eval.add_argument("--checkpoint", required=True, help="trained checkpoint")
     p_eval.set_defaults(func=cmd_eval)
 
     p_map = sub.add_parser("map", help="render a classification map")
-    _add_common_flags(p_map)
+    _add_model_flags(p_map, "map")
     p_map.add_argument("--checkpoint", required=True, help="trained checkpoint")
     p_map.set_defaults(func=cmd_map)
 

@@ -261,7 +261,7 @@ def extract_patches(pair: RasterPair, s: int) -> PatchSet:
     HSI and LiDAR patches come from identical coordinates; sample order is
     row-major over the label map.
     """
-    _check_patch_size(s, pair.height, pair.width)
+    check_patch_size(s, pair.height, pair.width)
     half = s // 2
     pad = ((0, 0), (half, half), (half, half))
     coords = np.argwhere(pair.labels != 0)
@@ -271,7 +271,7 @@ def extract_patches(pair: RasterPair, s: int) -> PatchSet:
                     labels=labels, pixels=coords, patch=s)
 
 
-def _check_patch_size(s: int, height: int, width: int) -> None:
+def check_patch_size(s: int, height: int, width: int) -> None:
     if s % 2 == 0 or s < 1:
         raise ConfigError(f"patch size must be odd and positive, got {s}")
     if s > 2 * min(height, width):

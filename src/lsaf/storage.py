@@ -234,6 +234,8 @@ def read_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name is not valid UTF-8")
+        if name in out:
+            raise FormatError(f"{path}: tensor '{name}' appears twice")
         (ndim,) = struct.unpack("<B", take(1, "rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape")) if ndim else ()
         (tag,) = struct.unpack("<B", take(1, "dtype tag"))
@@ -289,6 +291,8 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
         maxval = int(parts[2])
     except ValueError:
         raise FormatError(f"{path}: malformed PPM header")
+    if width < 0 or height < 0:
+        raise FormatError(f"{path}: negative PPM dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: unsupported PPM max value {maxval}")
     pixels = np.frombuffer(parts[3], dtype=np.uint8)

@@ -127,6 +127,8 @@ class TestArgs:
     @pytest.mark.parametrize("command,flags", [
         ("eval", ["--config", "--seed", "--patch", "--pca-dims", "--out", "--checkpoint"]),
         ("map", ["--config", "--patch", "--pca-dims", "--out", "--checkpoint"]),
+        ("train", ["--config", "--patch", "--pca-dims", "--out", "--seed", "--epochs", "--lr",
+                   "--batch", "--resume"]),
     ])
     def test_help_lists_exactly_the_flags_read(self, capsys, command, flags):
         with pytest.raises(SystemExit) as exc:
@@ -180,16 +182,52 @@ class TestConfig:
         assert run(["train", "--config", path]) == 1
         assert "learning_rate" in capsys.readouterr().err
 
-    def test_wrong_type_rejected(self, tmp_path, capsys):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"epochs": "ten"}))
-        assert run(["train", "--config", path]) == 1
-        assert "epochs" in capsys.readouterr().err
+    WRONG_TYPES = {
+        "hsi": 1, "lidar": ["a"], "labels": None, "patch": "7", "pca_dims": 13.0,
+        "hidden": True, "se_reduction": None, "mode": 0, "dtype": 64, "out": False,
+        "seed": 1.5, "epochs": "ten", "lr": "1e-3", "batch": [64], "beta1": True,
+        "beta2": None, "eps": "1e-8", "train_fraction": {}, "pca_on_labeled": 1,
+        "checkpoint_every": 2.0,
+    }
 
-    def test_malformed_json_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", sorted(cli._KEYS))
+    def test_wrong_type_rejected(self, tmp_path, capsys, key):
+        """Every config key, each with a value written out here: a key added
+        to the table without one fails."""
         path = tmp_path / "c.json"
-        path.write_text("{not json")
+        path.write_text(json.dumps({key: self.WRONG_TYPES[key]}))
+        assert run(["train", "--config", path, "--out", tmp_path / "wt"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"config key '{key}' must be" in err
+        assert not (tmp_path / "wt").exists()
+
+    def test_malformed_json_rejected(self, tmp_path, capsys):
+        """Bytes that are not UTF-8, a syntax error, an integer past Python's
+        digit limit and an array nested past the recursion limit are all
+        config errors, not tracebacks."""
+        path = tmp_path / "c.json"
+        for blob in (b"{not json", b'\xff\xfe{"seed": 1}', b'{"seed": ' + b"1" * 5000 + b"}",
+                     b"[" * 100_000 + b"]" * 100_000):
+            path.write_bytes(blob)
+            assert run(["train", "--config", path]) == 1
+            assert "config error" in capsys.readouterr().err
+
+    def test_negative_checkpoint_every_is_config_error(self, tmp_path, config_path, capsys):
+        path = with_keys(config_path, "every.json", checkpoint_every=-3,
+                         out=str(tmp_path / "every"))
         assert run(["train", "--config", path]) == 1
+        assert "'checkpoint_every'" in capsys.readouterr().err
+        assert not (tmp_path / "every" / "checkpoint.lsfw").exists()
+
+    def test_patch_past_the_scene_is_config_error_before_the_model(self, tmp_path, config_path,
+                                                                  capsys, monkeypatch):
+        """A patch far past the scene is refused by the scene check, not by
+        numpy while the heads are sized for it, and before PCA is fitted."""
+        monkeypatch.setattr(cli, "LsafModel", None)  # neither is to be reached
+        monkeypatch.setattr(cli, "_fit_preprocessing", None)
+        path = with_keys(config_path, "patch.json", patch=2**61 + 1)
+        assert run(["train", "--config", path]) == 1
+        assert "patch size 2305843009213693953 exceeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keys,flags", [
         ({}, ["--lr", "nan"]),

@@ -216,6 +216,16 @@ def test_checkpoint_truncation_detected(tmp_path):
         storage.read_checkpoint(path)
 
 
+def test_checkpoint_duplicate_entry_rejected(tmp_path):
+    """A name stored twice is an error naming it: the reader does not
+    silently keep the last of the two."""
+    path = tmp_path / "w.lsfw"
+    storage.write_checkpoint(path, {"a": np.zeros(2), "b": np.ones(3)})
+    path.write_bytes(path.read_bytes().replace(b"\x01\x00b", b"\x01\x00a"))
+    with pytest.raises(FormatError, match="'a' appears twice"):
+        storage.read_checkpoint(path)
+
+
 def test_ppm_round_trip(tmp_path):
     rgb = np.random.default_rng(3).integers(0, 256, size=(5, 8, 3)).astype(np.uint8)
     path = tmp_path / "map.ppm"
@@ -223,6 +233,14 @@ def test_ppm_round_trip(tmp_path):
     assert np.array_equal(storage.read_ppm(path), rgb)
     header = path.read_bytes()[:15]
     assert header.startswith(b"P6\n8 5\n255\n")
+
+
+def test_ppm_negative_dimensions_rejected(tmp_path):
+    """-1 by -1 declares the payload's 3 bytes, but no image has that shape."""
+    path = tmp_path / "map.ppm"
+    path.write_bytes(b"P6\n-1 -1\n255\nabc")
+    with pytest.raises(FormatError, match="negative PPM dimensions"):
+        storage.read_ppm(path)
 
 
 def hostile_checkpoint(path, shape, name=b"w"):
