@@ -338,9 +338,9 @@ def _setup(args, checkpoint: str | None):
 def cmd_synth(args) -> int:
     _validate_key("seed", args.seed)
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     pair = synth_generate(args.classes, args.height, args.width, args.bands,
                           seed=args.seed)
+    os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, f"{name}.lsaf")
              for name in ("hsi", "lidar", "labels")}
     save_raster(pair, *paths.values())
@@ -385,7 +385,7 @@ def cmd_train(args) -> int:
     _, losses = train(model, train_set, train_cfg, callbacks=callbacks,
                       optimizer=optimizer, start_epoch=start_epoch)
     save_checkpoint(train_cfg.epochs)
-    write_trace_csv(os.path.join(out_dir, "trace.csv"), losses)
+    write_trace_csv(os.path.join(out_dir, "trace.csv"), losses, start_epoch)
 
     report = evaluate(model, test_set)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), report)

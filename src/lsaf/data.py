@@ -53,10 +53,6 @@ class RasterPair:
             raise ShapeError("labels must be non-negative (0 = unlabeled)")
 
     @property
-    def bands(self) -> int:
-        return self.hsi.shape[0]
-
-    @property
     def height(self) -> int:
         return self.hsi.shape[1]
 
@@ -81,9 +77,11 @@ def load_raster(hsi_path, lidar_path, labels_path) -> RasterPair:
 
 
 def save_raster(pair: RasterPair, hsi_path, lidar_path, labels_path) -> None:
+    # The label map first, so that a label past 16 bits is rejected before
+    # any file is written; `RasterPair` has checked the rasters' shapes.
+    storage.write_labels(labels_path, pair.labels)
     storage.write_raster(hsi_path, pair.hsi)
     storage.write_raster(lidar_path, pair.lidar)
-    storage.write_labels(labels_path, pair.labels)
 
 
 # ----------------------------------------------------------------------
@@ -332,8 +330,9 @@ def synth_generate(
     3 and 4 share their spectral signature (LiDAR separates them, needs
     K >= 4). Every pixel is labeled.
     """
-    if num_classes < 2:
-        raise ConfigError(f"synthetic scenes need at least 2 classes, got {num_classes}")
+    if not 2 <= num_classes <= np.iinfo(np.uint16).max:
+        raise ConfigError(f"synthetic scenes need 2..{np.iinfo(np.uint16).max} classes, "
+                          f"the 16-bit label range; got {num_classes}")
     if bands < 2 or height < 4 or width < 4:
         raise ConfigError(f"scene too small: bands={bands}, H={height}, W={width}")
     rng = np.random.default_rng(seed)

@@ -143,11 +143,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.weight.shape[0]:
-            raise ShapeError(
-                f"linear layer expects {self.weight.shape[0]} input features, got {x.shape}"
-            )
-        return x @ self.weight + self.bias
+        return T.linear(x, self.weight, self.bias)
 
 
 class BatchNorm(Module):

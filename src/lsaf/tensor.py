@@ -51,7 +51,7 @@ __all__ = [
     "no_grad",
     "set_default_dtype",
     "default_dtype",
-    "matmul",
+    "linear",
     "concat",
     "relu",
     "sigmoid",
@@ -222,15 +222,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # ------------------------------------------------------------------
     # shape manipulation
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         try:
             data = self.data.reshape(shape)
@@ -258,15 +253,6 @@ class Tensor:
 
     # ------------------------------------------------------------------
     # reductions
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.data.shape
-
-        def grad_fn(g):
-            return (_spread(g, shape, axis, keepdims),)
-
-        return _node(data, (self,), "sum", grad_fn)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.mean(axis=axis, keepdims=keepdims)
@@ -369,20 +355,22 @@ def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy-style broadcasting over leading axes."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs 2-D or higher operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """`x @ weight + bias` as one tape node, with numpy-style broadcasting
+    over the leading axes of the product. Its gradients are the numpy
+    expressions of the product and the sum taken apart, bit for bit."""
+    if x.ndim < 2 or weight.ndim < 2:
+        raise ShapeError(f"linear needs 2-D or higher operands, got {x.shape} @ {weight.shape}")
+    if x.shape[-1] != weight.shape[-2]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {weight.shape}")
+    data = _combine(x.data @ weight.data, bias.data, np.add, "linear")
 
     def grad_fn(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
+        gx = _unbroadcast(g @ np.swapaxes(weight.data, -1, -2), x.data.shape)
+        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.data.shape)
+        return gx, gw, _unbroadcast(g, bias.data.shape)
 
-    return _node(data, (a, b), "matmul", grad_fn)
+    return _node(data, (x, weight, bias), "linear", grad_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

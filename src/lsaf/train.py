@@ -375,9 +375,11 @@ def write_metrics_csv(path, report: MetricsReport) -> None:
         writer.writerow(["kappa", f"{report.kappa:.6f}", ""])
 
 
-def write_trace_csv(path, losses) -> None:
+def write_trace_csv(path, losses, start_epoch: int) -> None:
+    """One row per epoch, numbered from `start_epoch`, the epoch the run
+    started or resumed at."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(losses):
+        for epoch, loss in enumerate(losses, start=start_epoch):
             writer.writerow([epoch, f"{loss:.10f}"])

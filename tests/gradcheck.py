@@ -1,4 +1,5 @@
-"""The finite-difference gradient check behind the tests' gradient oracles."""
+"""The finite-difference gradient check behind the tests' gradient oracles,
+and the tape sum that reduces a test's output to a scalar loss."""
 
 from __future__ import annotations
 
@@ -6,8 +7,20 @@ from typing import Callable
 
 import numpy as np
 
+from lsaf import tensor as T
 from lsaf.errors import ConfigError, ContractError
 from lsaf.tensor import Tensor, no_grad
+
+
+def tape_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """`x.data.sum(axis, keepdims)` as a `sum` tape node, whose backward
+    broadcasts the gradient back over the summed axes."""
+    shape = x.data.shape
+
+    def grad_fn(g):
+        return (T._spread(g, shape, axis, keepdims),)
+
+    return T._node(x.data.sum(axis=axis, keepdims=keepdims), (x,), "sum", grad_fn)
 
 
 def finite_diff_check(

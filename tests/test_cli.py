@@ -92,6 +92,13 @@ class TestSynth:
         labels = storage.read_labels(out / "labels.lsaf")
         assert labels.max() == 15
 
+    def test_class_count_past_the_label_range_writes_nothing(self, tmp_path, capsys):
+        """A usage error: exit 1, naming the limit, and no file written."""
+        assert run(["synth", "--classes", 70000, "--height", 4, "--width", 4,
+                    "--bands", 4, "--out", tmp_path / "s"]) == 1
+        assert "2..65535 classes" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.lsaf")) == []
+
 
 # ----------------------------------------------------------------------
 # argument handling
@@ -353,6 +360,11 @@ class TestTrain:
         assert list(a) == list(b)
         for name in a:
             assert np.array_equal(a[name], b[name]), name
+        # the resumed epochs keep their absolute numbers and their text
+        whole = (straight / "trace.csv").read_text().splitlines()
+        tail = (resumed / "trace.csv").read_text().splitlines()
+        assert tail[0] == "epoch,loss" and len(tail) == 2
+        assert tail[1:] == whole[-1:]
 
     def test_checkpoint_every_writes_midrun(self, config_path, tmp_path):
         out = tmp_path / "ck"

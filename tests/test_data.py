@@ -48,7 +48,7 @@ class TestLoadRaster:
         storage.write_labels(paths[2], np.ones((2, 2), dtype=np.uint16))
         pair = data.load_raster(*paths)
         assert not pair.hsi[:, :].any() and not pair.lidar.any()
-        assert pair.bands == 3 and pair.num_classes == 1
+        assert pair.hsi.shape[0] == 3 and pair.num_classes == 1
 
     def test_short_file_is_format_error(self, tmp_path):
         paths = [tmp_path / n for n in ("h.lsaf", "l.lsaf", "g.lsaf")]
@@ -66,6 +66,14 @@ class TestLoadRaster:
         storage.write_labels(paths[2], np.zeros((2, 2), dtype=np.uint16))
         with pytest.raises(RegistrationError):
             data.load_raster(*paths)
+
+    def test_save_writes_no_file_for_a_label_past_16_bits(self, tmp_path):
+        pair = synth_generate(3, 6, 6, 4, seed=5)
+        pair.labels[2, 3] = 70_000
+        paths = [tmp_path / n for n in ("h.lsaf", "l.lsaf", "g.lsaf")]
+        with pytest.raises(FormatError, match="16-bit"):
+            data.save_raster(pair, *paths)
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_load_round_trip(self, tmp_path):
         pair = synth_generate(3, 10, 12, 6, seed=5)
@@ -477,7 +485,7 @@ class TestSynthGenerate:
         """HSI alone cannot separate the shared-spectrum pair; adding the
         elevation channel must raise nearest-centroid accuracy."""
         pair = synth_generate(6, 48, 48, 12, seed=2)
-        flat_h = pair.hsi.reshape(pair.bands, -1).T
+        flat_h = pair.hsi.reshape(pair.hsi.shape[0], -1).T
         elev = pair.lidar.reshape(1, -1).T
         y = pair.labels.reshape(-1)
 

@@ -18,6 +18,8 @@ from lsaf.model import (
 )
 from lsaf.tensor import Tensor
 
+from gradcheck import tape_sum
+
 
 def rng(seed):
     return np.random.default_rng(seed)
@@ -385,7 +387,7 @@ def test_attention_bit_equals_the_channel_major_module(case, dtype):
             p.grad = None
         fh, fl = (Tensor(a, requires_grad=True, dtype=dtype) for a in (xh, xl))
         out = module(fh, fl)
-        (out * Tensor(cotangent, dtype=dtype)).sum().backward()
+        tape_sum(out * Tensor(cotangent, dtype=dtype)).backward()
         return [out.data, fh.grad, fl.grad] + [p.grad for p in params]
 
     got = run(att)
@@ -461,7 +463,7 @@ class TestDecisionFusion:
     def test_fusion_weights_receive_gradients(self):
         fusion = self.make(seed=8)
         combined = fusion(*self.inputs(seed=9))
-        (combined * combined).sum().backward()
+        tape_sum(combined * combined).backward()
         assert fusion.weight_hsi.grad is not None and fusion.weight_hsi.grad.any()
         assert fusion.weight_lidar.grad is not None and fusion.weight_lidar.grad.any()
 
@@ -516,16 +518,17 @@ class TestForward:
         ops = [node._op for node in T._toposort(out) if node._grad_fn is not None]
         assert ops == [f"conv{len(kernel)}d", "batch_norm", "relu"]
 
-    def test_training_step_records_80_nodes(self):
-        """A full-mode training step, loss included, records 80 tape nodes.
-        The attention module transposes its two inputs and its output once,
-        and its joint concatenation once."""
+    def test_training_step_records_66_nodes(self):
+        """A full-mode training step, loss included, records 66 tape nodes.
+        Each of the 14 linear layers is one node, the attention module
+        transposes its two inputs and its output once, and its joint
+        concatenation once."""
         model = LsafModel(small_config(), seed=12)
         h, l = self.batch(seed=13)
         loss = T.cross_entropy(model.forward(h, l, training=True), np.array([0, 2]))
         ops = [node._op for node in T._toposort(loss) if node._grad_fn is not None]
-        assert len(ops) == 80
-        assert ops.count("transpose") == 4
+        assert len(ops) == 66
+        assert (ops.count("linear"), ops.count("add"), ops.count("transpose")) == (14, 3, 4)
 
     def test_single_branch_modes(self):
         h, l = self.batch(seed=7)

@@ -13,7 +13,7 @@ from lsaf import tensor as T
 from lsaf.errors import ConfigError, ContractError, ShapeError
 from lsaf.tensor import Tensor
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, tape_sum
 
 
 def rng(seed):
@@ -231,7 +231,7 @@ def assert_conv_backward_within_tolerance(x, k, g, dtype, padding=0):
     conv = T.conv3d if k.ndim == 5 else T.conv2d
     xt = Tensor(x, requires_grad=True, dtype=dtype)
     kt = Tensor(k, requires_grad=True, dtype=dtype)
-    (conv(xt, kt, padding=padding) * Tensor(g, dtype=dtype)).sum().backward()
+    tape_sum(conv(xt, kt, padding=padding) * Tensor(g, dtype=dtype)).backward()
     ref_padding = reference_padding(k, padding)
     want = conv_backward_reference(x, k, g, padding=ref_padding)
     scale = conv_backward_reference(np.abs(x), np.abs(k), np.abs(g), padding=ref_padding)
@@ -253,35 +253,80 @@ def sigmoid_two_branch(d):
 
 
 # ----------------------------------------------------------------------
-# matmul
+# linear
 
 
-class TestMatmul:
+def no_bias(width):
+    return Tensor(np.zeros(width))
+
+
+def unbroadcast_leading(grad, ndim):
+    """Sum `grad` over its leading axes down to `ndim` axes."""
+    return grad.sum(axis=tuple(range(grad.ndim - ndim))) if grad.ndim > ndim else grad
+
+
+class TestLinear:
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal((a @ b).data, b.data)
+        assert np.array_equal(T.linear(a, b, no_bias(2)).data, b.data)
 
     def test_dot_product_oracle(self):
-        out = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
+        out = T.linear(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]), no_bias(1))
         assert out.shape == (1, 1)
         assert out.data[0, 0] == 11.0
 
     def test_zero_left_operand(self):
         a = Tensor(np.zeros((2, 2)))
         b = Tensor(rng(0).normal(size=(2, 2)))
-        assert np.array_equal((a @ b).data, np.zeros((2, 2)))
+        assert np.array_equal(T.linear(a, b, no_bias(2)).data, np.zeros((2, 2)))
 
     def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"(3, 2).*(3, 2)"):
-            Tensor(np.ones((3, 2))) @ Tensor(np.ones((3, 2)))
+        with pytest.raises(ShapeError, match=r"\(3, 2\).*\(3, 2\)"):
+            T.linear(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), no_bias(2))
 
     def test_batched_broadcast(self):
         a = Tensor(rng(1).normal(size=(4, 2, 3)))
         b = Tensor(rng(2).normal(size=(3, 5)))
-        out = a @ b
+        out = T.linear(a, b, no_bias(5))
         assert out.shape == (4, 2, 5)
         assert np.allclose(out.data, a.data @ b.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
+    def test_bit_equals_the_matmul_add_graph(self, x_shape, dtype):
+        """The forward and all three gradients keep the bytes of the former
+        two-node graph, `x @ weight` then `+ bias`: the add passed `g` on,
+        which the sweep deposited on the product node as `zeros + g`."""
+        r = rng(3)
+        x, w, b = (r.normal(size=shape).astype(dtype) for shape in (x_shape, (4, 6), (6,)))
+        g = r.normal(size=x_shape[:-1] + (6,)).astype(dtype)
+        leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b)]
+        out = T.linear(*leaves)
+        tape_sum(out * Tensor(g, dtype=dtype)).backward()
+
+        prod = x @ w
+        gp = np.zeros_like(prod) + g
+        want = [prod + b, gp @ np.swapaxes(w, -1, -2),
+                unbroadcast_leading(np.swapaxes(x, -1, -2) @ gp, 2),
+                unbroadcast_leading(g, 1)]
+        got = [out.data] + [leaf.grad for leaf in leaves]
+        for have, expect in zip(got, want):
+            assert have.dtype == expect.dtype == dtype and have.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    def test_gradient_battery(self, wrt):
+        r = rng(4)
+        operands = [Tensor(r.normal(size=shape)) for shape in ((3, 5, 4), (4, 6), (6,))]
+        operands[wrt].requires_grad = True
+        cotangent = Tensor(r.normal(size=(3, 5, 6)))
+
+        def loss(t):
+            args = list(operands)
+            args[wrt] = t
+            return tape_sum(T.linear(*args) * cotangent)
+
+        assert finite_diff_check(loss, operands[wrt]) < 1e-7
 
 
 # ----------------------------------------------------------------------
@@ -553,7 +598,7 @@ def test_conv_gradient_battery(x_shape, k_shape, padding, wrt):
     weights = Tensor(r.normal(size=conv(x, k, padding=padding).shape))
 
     def loss(c):
-        return (c * weights).sum() + (c * c).mean()
+        return tape_sum(c * weights) + (c * c).mean()
 
     if wrt == "input":
         err = finite_diff_check(lambda t: loss(conv(t, k, padding=padding)), x,
@@ -622,7 +667,7 @@ def test_input_without_gradient_gets_none(x_shape, k_shape):
     for needs in (True, False):
         xt = Tensor(x, requires_grad=needs)
         kt = Tensor(k, requires_grad=True)
-        (conv(xt, kt, padding=1) * Tensor(g)).sum().backward()
+        tape_sum(conv(xt, kt, padding=1) * Tensor(g)).backward()
         grads[needs] = xt.grad, kt.grad
     assert grads[True][0] is not None and grads[False][0] is None
     assert np.array_equal(grads[True][1], grads[False][1])
@@ -886,7 +931,7 @@ def batch_norm_composed(x, gamma, beta, running_mean=None, running_var=None, tra
         inv_c = Tensor(1.0 / np.sqrt(running_var.reshape(cshape) + eps), dtype=x.dtype)
         normalized = sub(x, mean_c) * inv_c
 
-    return normalized * gamma.reshape(cshape) + beta.reshape(cshape)
+    return normalized * gamma.reshape(*cshape) + beta.reshape(*cshape)
 
 
 BN_CASES = {
@@ -922,7 +967,7 @@ def test_batch_norm_bit_equals_the_composed_graph(case, training, dtype):
         gt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (gamma, beta))
         rm, rv = (a.copy() for a in stats)
         out = T.relu(norm(xt, gt, bt, running_mean=rm, running_var=rv, training=training))
-        (out * Tensor(cotangent, dtype=dtype)).sum().backward()
+        tape_sum(out * Tensor(cotangent, dtype=dtype)).backward()
         return out.data, xt.grad, gt.grad, bt.grad, rm, rv
 
     got, want = run(T.batch_norm), run(batch_norm_composed)
@@ -1021,7 +1066,7 @@ class TestActivations:
             tracemalloc.stop()
         assert out._grad_fn is not None
         assert held <= 1.05 * out.data.nbytes
-        out.sum().backward()
+        tape_sum(out).backward()
         assert np.array_equal(x.grad, (x.data > 0).astype(x.dtype))
 
 
@@ -1111,18 +1156,18 @@ class TestStructural:
 class TestBackward:
     def test_linear_loss_gives_ones(self):
         theta = Tensor(rng(0).normal(size=(3, 4)), requires_grad=True)
-        theta.sum().backward()
+        tape_sum(theta).backward()
         assert np.array_equal(theta.grad, np.ones((3, 4)))
 
     def test_quadratic_oracle(self):
         theta = Tensor([1.0, 2.0], requires_grad=True)
-        (theta * theta).sum().backward()
+        tape_sum(theta * theta).backward()
         assert np.allclose(theta.grad, [2.0, 4.0])
 
     def test_unreachable_parameter_grad_stays_zero(self):
         used = Tensor([1.0], requires_grad=True)
         unused = Tensor([1.0], requires_grad=True)
-        used.sum().backward()
+        tape_sum(used).backward()
         assert unused.grad is None or not unused.grad.any()
 
     def test_non_scalar_loss_rejected(self):
@@ -1133,23 +1178,23 @@ class TestBackward:
     def test_repeated_backward_accumulates(self):
         theta = Tensor([2.0], requires_grad=True)
         for _ in range(2):
-            loss = (theta * theta).sum()
+            loss = tape_sum(theta * theta)
             loss.backward()
         assert np.allclose(theta.grad, [8.0])
         theta.grad = None
-        (theta * theta).sum().backward()
+        tape_sum(theta * theta).backward()
         assert np.allclose(theta.grad, [4.0])
 
     def test_shared_subexpression_fanout(self):
         # y = x*x + x*x must double the gradient of x*x
         x = Tensor([3.0], requires_grad=True)
         sq = x * x
-        (sq + sq).sum().backward()
+        tape_sum(sq + sq).backward()
         assert np.allclose(x.grad, [12.0])
 
     def test_second_backward_on_a_swept_tape_raises(self):
         theta = Tensor([2.0], requires_grad=True)
-        loss = (theta * theta).sum()
+        loss = tape_sum(theta * theta)
         loss.backward()
         with pytest.raises(ContractError, match="swept once"):
             loss.backward()
@@ -1158,9 +1203,9 @@ class TestBackward:
     def test_second_root_sharing_a_swept_node_raises(self):
         theta = Tensor([2.0], requires_grad=True)
         sq = theta * theta
-        sq.sum().backward()
+        tape_sum(sq).backward()
         with pytest.raises(ContractError, match="swept once"):
-            (sq * 3.0).sum().backward()
+            tape_sum(sq * 3.0).backward()
         assert np.allclose(theta.grad, [4.0])
 
     def test_shared_map_outputs_never_look_freed(self):
@@ -1177,13 +1222,13 @@ class TestBackward:
         for out in outs:
             assert not out.requires_grad and out._grad_fn is None
             w.grad = None
-            (out * w).sum().backward()
+            tape_sum(out * w).backward()
             assert np.allclose(w.grad, out.data.sum())
 
     def test_no_grad_suppresses_tape(self):
         x = Tensor([1.0], requires_grad=True)
         with T.no_grad():
-            y = (x * x).sum()
+            y = tape_sum(x * x)
         assert y._grad_fn is None and not y.requires_grad
 
 
@@ -1194,12 +1239,12 @@ class TestBackward:
 class TestFiniteDiff:
     def test_quadratic_is_nearly_exact(self):
         theta = Tensor(rng(0).normal(size=6), requires_grad=True)
-        err = finite_diff_check(lambda t: (t * t).sum(), theta)
+        err = finite_diff_check(lambda t: tape_sum(t * t), theta)
         assert err < 1e-7
 
     def test_constant_function_zero_gradients(self):
         theta = Tensor(rng(1).normal(size=4), requires_grad=True)
-        err = finite_diff_check(lambda t: Tensor(1.0) + (t * 0.0).sum(), theta)
+        err = finite_diff_check(lambda t: Tensor(1.0) + tape_sum(t * 0.0), theta)
         assert err == 0.0
         assert not theta.grad.any()
 
@@ -1210,17 +1255,18 @@ class TestFiniteDiff:
         theta = Tensor(r.normal(size=(2, 3, 4, 4)) * 0.5, requires_grad=True)
         w2 = Tensor(r.normal(size=(2, 3, 3, 3)) * 0.3)
         mat = Tensor(r.normal(size=(4, 3)) * 0.4)
+        bias = Tensor(np.zeros(3))
 
         def f(t):
             c = T.conv2d(t, w2, stride=1, padding=1)            # (2,2,4,4)
             c = T.relu(c)
             g = T.sigmoid(c.mean(axis=(2, 3)))                  # (2,2)
             s = T.softmax(c.reshape(2, 32), axis=1)             # (2,32)
-            m = (s.reshape(2, 2, 4, 4).sum(axis=1) @ mat)       # (2,4,3)
+            m = T.linear(tape_sum(s.reshape(2, 2, 4, 4), axis=1), mat, bias)  # (2,4,3)
             joined = T.concat([m, m * 2.0], axis=2)             # (2,4,6)
             flip = joined.transpose((0, 2, 1))
-            total = flip.sum() + (g * g).sum()
-            return total + (t * t).sum() + 1.0
+            total = tape_sum(flip) + tape_sum(g * g)
+            return total + tape_sum(t * t) + 1.0
 
         err = finite_diff_check(f, theta, max_coords=12, seed=seed)
         assert err < 1e-4
@@ -1242,7 +1288,7 @@ class TestFiniteDiff:
                     b = T.batch_norm(c, gamma, beta)
                 else:
                     b = T.batch_norm(c, gamma, beta, run_m, run_v, training=False)
-                return (b * b).mean() + T.relu(c).sum() * 0.1
+                return (b * b).mean() + tape_sum(T.relu(c)) * 0.1
 
             err = finite_diff_check(f, theta, max_coords=10, seed=seed)
             assert err < 1e-4

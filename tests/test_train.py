@@ -1,5 +1,6 @@
 """Optimizer, training-loop, and metrics tests."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -272,6 +273,32 @@ class TestTrainLoop:
         for k, p in resumed.params().items():
             assert np.array_equal(p.data, solo.params()[k].data), k
 
+    def test_each_epoch_shuffles_by_seed_and_epoch(self, monkeypatch):
+        """Epoch k cuts its batches, in turn, from the order
+        `default_rng([seed, k]).permutation(n)`, in a straight run and in a
+        run resumed at k."""
+        patches = tiny_patches(seed=11)
+        n, seed, batch = len(patches), 5, 32
+        loop = importlib.import_module("lsaf.train")
+        batch_tensors, cut = loop._batch_tensors, []
+
+        def record(train_set, idx, dtype):
+            cut.append(idx.tolist())
+            return batch_tensors(train_set, idx, dtype)
+
+        monkeypatch.setattr(loop, "_batch_tensors", record)
+
+        def batches_of(epochs):
+            return [np.random.default_rng([seed, epoch]).permutation(n)[start:start + batch].tolist()
+                    for epoch in epochs for start in range(0, n, batch)]
+
+        cfg = TrainConfig(lr=1e-3, epochs=2, batch=batch, seed=seed)
+        train(tiny_model(seed=12), patches, cfg)
+        assert n > batch and cut == batches_of([0, 1])
+        cut.clear()
+        train(tiny_model(seed=12), patches, cfg, start_epoch=1)
+        assert cut == batches_of([1])
+
 
 # ----------------------------------------------------------------------
 # metrics
@@ -369,7 +396,6 @@ class TestReportRendering:
         content = metrics_path.read_text()
         assert "OA,75.0000" in content and "kappa,0.500000" in content
         trace_path = tmp_path / "trace.csv"
-        write_trace_csv(trace_path, [1.5, 0.75])
+        write_trace_csv(trace_path, [1.5, 0.75], 2)
         lines = trace_path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,loss"
-        assert lines[1].startswith("0,1.5")
+        assert lines == ["epoch,loss", "2,1.5000000000", "3,0.7500000000"]
