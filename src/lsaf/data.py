@@ -288,6 +288,8 @@ def split_indices(labels: np.ndarray, fraction: float, seed: int):
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"split fraction must lie in (0, 1), got {fraction}")
     labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ConfigError("no labelled pixels to split")
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for cls in np.unique(labels):

@@ -147,7 +147,7 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Channel-axis batch normalization with running statistics."""
+    """Channel-axis batch normalization with running statistics, then ReLU."""
 
     def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
@@ -156,8 +156,8 @@ class BatchNorm(Module):
         self.running_var = np.ones(channels, dtype=T.default_dtype())
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return T.batch_norm(x, self.gamma, self.beta, running_mean=self.running_mean,
-                            running_var=self.running_var, training=training)
+        return T.batch_norm_relu(x, self.gamma, self.beta, running_mean=self.running_mean,
+                                 running_var=self.running_var, training=training)
 
 
 class ConvBlock(Module):
@@ -177,7 +177,7 @@ class ConvBlock(Module):
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         out = self._conv(x, self.kernels, padding=self.padding)
-        return T.relu(self.bn(out, training))
+        return self.bn(out, training)
 
 
 # ----------------------------------------------------------------------

@@ -190,22 +190,33 @@ def _read_rows(path: str | os.PathLike, info: dict, top: int, stop: int) -> np.n
 
 def write_checkpoint(path: str | os.PathLike, tensors: dict[str, np.ndarray]) -> None:
     """Write named float arrays: magic, version, count, then per entry the
-    name, shape, dtype tag, and row-major payload."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr)
-            tag = _tag_for(arr, str(path))
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise FormatError(f"{path}: tensor name too long ({len(encoded)} bytes)")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-            f.write(struct.pack("<B", tag))
-            f.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+    name, shape, dtype tag, and row-major payload.
+
+    The entries go to `<path>.tmp` first, which replaces `path` only once
+    complete, so a write that fails or is killed leaves any previous
+    checkpoint at `path` whole."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", FORMAT_VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                tag = _tag_for(arr, str(path))
+                encoded = name.encode("utf-8")
+                if len(encoded) > 0xFFFF:
+                    raise FormatError(f"{path}: tensor name too long ({len(encoded)} bytes)")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+                f.write(struct.pack("<B", tag))
+                f.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:

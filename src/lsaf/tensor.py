@@ -10,7 +10,8 @@ threads; the tape itself is built and consumed on a single thread.
 
 Dense layouts follow the usual deep-learning conventions: convolutions take
 batched `(n, cin, *spatial)` inputs with `(cout, cin, *kernel)` weights, at
-stride 1 and zero-padded on h and w only; batch norm normalizes axis 1.
+stride 1 and zero-padded on h and w only; batch norm normalizes axis 1 and
+rectifies its output, as every conv block follows it with a ReLU.
 
 Convolutions lower to BLAS over the two spatial axes only, in one of two
 forms that `_conv` picks from shapes alone. The gather form copies each
@@ -60,7 +61,7 @@ __all__ = [
     "conv3d",
     "MapWindows",
     "gather_windows",
-    "batch_norm",
+    "batch_norm_relu",
     "cross_entropy",
 ]
 
@@ -700,7 +701,7 @@ def gather_windows(x: Tensor, index, size: int) -> Tensor:
 # batch normalization
 
 
-def batch_norm(
+def batch_norm_relu(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
@@ -710,30 +711,34 @@ def batch_norm(
     momentum: float = 0.1,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Normalize axis 1 of `(n, c, *spatial)` input.
+    """Normalize axis 1 of `(n, c, *spatial)` input, then apply ReLU.
 
     Training mode standardizes with batch statistics and, when running
     buffers are supplied, folds them in with the given momentum. Eval mode
     standardizes with the running buffers. A zero-variance batch is floored
     by `eps`, so single-sample batches normalize to zero rather than fail.
 
-    One tape node: the forward evaluates the composed graph's numpy
-    expressions and the backward replays its steps in order, so gradients
-    keep their bytes. The tape holds the centred input and channel vectors.
-    The scale and shift are applied in place, so `gamma` and `beta` must
-    share the input's dtype.
+    One tape node: the forward evaluates the numpy expressions of the
+    composed graph and its `relu`, and the backward replays their steps in
+    order, so gradients keep their bytes; it reads the ReLU mask from the
+    output. A negative gradient masks to -0.0 where the `relu` node handed
+    on +0.0, but no zero's sign survives the channel sums and the sweep's
+    `zeros + g`. The tape holds the output, the centred input and channel
+    vectors. The scale, shift and rectification run in place, so `gamma` and
+    `beta` must share the input's dtype.
     """
     if x.ndim < 2:
-        raise ShapeError(f"batch_norm expects (n, c, ...) input, got {x.shape}")
+        raise ShapeError(f"batch_norm_relu expects (n, c, ...) input, got {x.shape}")
     if eps <= 0:
-        raise ConfigError(f"batch_norm eps must be positive, got {eps}")
+        raise ConfigError(f"batch_norm_relu eps must be positive, got {eps}")
     channels = x.shape[1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ShapeError(
-            f"batch_norm affine shapes {gamma.shape}/{beta.shape} do not match {channels} channels"
+            f"batch_norm_relu affine shapes {gamma.shape}/{beta.shape} do not match "
+            f"{channels} channels"
         )
     if gamma.dtype != x.dtype or beta.dtype != x.dtype:
-        raise ShapeError(f"batch_norm affine dtypes {gamma.dtype}/{beta.dtype} differ from "
+        raise ShapeError(f"batch_norm_relu affine dtypes {gamma.dtype}/{beta.dtype} differ from "
                          f"the input's {x.dtype}")
     cshape = (1, channels) + (1,) * (x.ndim - 2)
     axes = (0,) + tuple(range(2, x.ndim))
@@ -751,15 +756,17 @@ def batch_norm(
         inv = var_eps ** -0.5
     else:
         if running_mean is None or running_var is None:
-            raise ContractError("eval-mode batch_norm needs running statistics")
+            raise ContractError("eval-mode batch_norm_relu needs running statistics")
         centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
         inv = (1.0 / np.sqrt(running_var.reshape(cshape) + eps)).astype(x.dtype)
     gain = gamma.data.reshape(cshape)
     data = centered * inv
     data *= gain
     data += beta.data.reshape(cshape)
+    np.maximum(data, 0, out=data)
 
     def grad_fn(g):
+        g = g * (data > 0)
         dgamma = _unbroadcast(g * (centered * inv), cshape).reshape(channels)
         dbeta = _unbroadcast(g, cshape).reshape(channels)
         gn = g * gain
@@ -771,7 +778,7 @@ def batch_norm(
             gx += _unbroadcast(-gx, cshape) / count
         return gx, dgamma, dbeta
 
-    return _node(data, (x, gamma, beta), "batch_norm", grad_fn)
+    return _node(data, (x, gamma, beta), "batch_norm_relu", grad_fn)
 
 
 # ----------------------------------------------------------------------

@@ -627,6 +627,20 @@ class TestEval:
         assert f"'{name}'" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_label_map_without_labelled_pixels_is_config_error(self, config_path, tmp_path,
+                                                               capsys):
+        assert run(["train", "--config", config_path]) == 0
+        capsys.readouterr()
+        labels_path = tmp_path / "scene" / "labels.lsaf"
+        storage.write_labels(labels_path, np.zeros_like(storage.read_labels(labels_path)))
+        out = tmp_path / "eval"
+        assert run(["eval", "--config", config_path,
+                    "--checkpoint", tmp_path / "run" / "checkpoint.lsfw", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "no labelled pixels" in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.csv").exists()
+
     def test_fifteen_class_report_rows(self, tmp_path, capsys):
         scene = tmp_path / "s15"
         assert run(["synth", "--classes", 15, "--height", 26, "--width", 26,

@@ -439,6 +439,10 @@ class TestSplit:
         with pytest.raises(ConfigError, match="class 2"):
             split_indices(lab, 0.5, seed=0)
 
+    def test_no_labelled_pixel_rejected(self):
+        with pytest.raises(ConfigError, match="no labelled pixels"):
+            split_indices(np.zeros(0, dtype=np.uint16), 0.5, seed=0)
+
     def test_bad_fraction_rejected(self):
         for frac in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ConfigError):

@@ -509,26 +509,30 @@ class TestForward:
 
     @pytest.mark.parametrize("kernel, x_shape", [((3, 3, 3), (4, 2, 6, 5, 5)),
                                                  ((3, 3), (4, 2, 5, 5))])
-    def test_conv_block_records_three_nodes(self, kernel, x_shape):
-        """In training, a ConvBlock adds exactly conv, batch_norm and relu to
+    def test_conv_block_records_two_nodes(self, kernel, x_shape):
+        """In training, a ConvBlock adds exactly conv and batch_norm_relu to
         the tape above its input."""
         block = ConvBlock(rng(9), 2, 4, kernel, padding=1)
         x = Tensor(rng(10).normal(size=x_shape), requires_grad=True)
         out = block(x, training=True)
         ops = [node._op for node in T._toposort(out) if node._grad_fn is not None]
-        assert ops == [f"conv{len(kernel)}d", "batch_norm", "relu"]
+        assert ops == [f"conv{len(kernel)}d", "batch_norm_relu"]
 
-    def test_training_step_records_66_nodes(self):
-        """A full-mode training step, loss included, records 66 tape nodes.
-        Each of the 14 linear layers is one node, the attention module
-        transposes its two inputs and its output once, and its joint
-        concatenation once."""
+    def test_training_step_records_59_nodes(self):
+        """A full-mode training step, loss included, records 59 tape nodes.
+        Each of the 7 conv blocks' batch norm and ReLU is one node, each of
+        the 14 linear layers is one node, the attention module transposes
+        its two inputs and its output once, and its joint concatenation
+        once."""
         model = LsafModel(small_config(), seed=12)
         h, l = self.batch(seed=13)
         loss = T.cross_entropy(model.forward(h, l, training=True), np.array([0, 2]))
         ops = [node._op for node in T._toposort(loss) if node._grad_fn is not None]
-        assert len(ops) == 66
-        assert (ops.count("linear"), ops.count("add"), ops.count("transpose")) == (14, 3, 4)
+        assert len(ops) == 59
+        counts = {op: ops.count(op) for op in ("relu", "batch_norm_relu", "linear", "add",
+                                               "transpose")}
+        assert counts == {"relu": 4, "batch_norm_relu": 7, "linear": 14, "add": 3,
+                          "transpose": 4}
 
     def test_single_branch_modes(self):
         h, l = self.batch(seed=7)

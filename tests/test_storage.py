@@ -216,6 +216,20 @@ def test_checkpoint_truncation_detected(tmp_path):
         storage.read_checkpoint(path)
 
 
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    """A write that fails part-way (an int8 entry has no dtype tag) leaves
+    the checkpoint already at the path whole, and no temporary file."""
+    path = tmp_path / "w.lsfw"
+    storage.write_checkpoint(path, {"a": np.arange(4.0)})
+    good = path.read_bytes()
+    with pytest.raises(FormatError):
+        storage.write_checkpoint(path, {"a": np.ones(2, dtype=np.float32),
+                                        "b": np.ones(2, dtype=np.int8)})
+    assert path.read_bytes() == good
+    assert np.array_equal(storage.read_checkpoint(path)["a"], np.arange(4.0))
+    assert [p.name for p in tmp_path.iterdir()] == ["w.lsfw"]
+
+
 def test_checkpoint_duplicate_entry_rejected(tmp_path):
     """A name stored twice is an error naming it: the reader does not
     silently keep the last of the two."""

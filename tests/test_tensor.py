@@ -827,31 +827,33 @@ def test_map_windows_conv_is_inference_only():
 class TestBatchNorm:
     def test_standardized_input_passes_through(self):
         x = np.array([[-1.0, 1.0], [1.0, -1.0]])  # each channel zero-mean, unit-var
-        out = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)))
-        assert np.allclose(out.data, x, atol=np.sqrt(1e-5))
+        out = T.batch_norm_relu(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        assert np.allclose(out.data, np.maximum(x, 0), atol=np.sqrt(1e-5))
 
     def test_gamma_zero_gives_beta(self):
         x = Tensor(rng(0).normal(size=(4, 3, 2, 2)))
         beta = np.array([1.0, -2.0, 0.5])
-        out = T.batch_norm(x, Tensor(np.zeros(3)), Tensor(beta))
-        assert np.allclose(out.data, beta.reshape(1, 3, 1, 1) * np.ones_like(x.data))
+        out = T.batch_norm_relu(x, Tensor(np.zeros(3)), Tensor(beta))
+        expected = beta.reshape(1, 3, 1, 1) * np.ones_like(x.data)
+        assert np.allclose(out.data, np.maximum(expected, 0))
 
     def test_two_point_standardization_oracle(self):
         x = Tensor(np.array([[1.0], [3.0]]))  # batch {1, 3}, one channel
-        out = T.batch_norm(Tensor(x.data), Tensor(np.ones(1)), Tensor(np.zeros(1)), eps=1e-12)
-        assert np.allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-5)
+        out = T.batch_norm_relu(Tensor(x.data), Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                                eps=1e-12)
+        assert np.allclose(out.data.ravel(), np.maximum([-1.0, 1.0], 0), atol=1e-5)
 
     def test_single_sample_zero_variance_is_zero_not_error(self):
         x = Tensor(np.full((1, 2), 7.0))
-        out = T.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        out = T.batch_norm_relu(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
         assert np.allclose(out.data, 0.0)
 
     def test_running_stats_momentum(self):
         run_m = np.zeros(1)
         run_v = np.ones(1)
         x = Tensor(np.array([[2.0], [4.0]]))
-        T.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                     running_mean=run_m, running_var=run_v, training=True)
+        T.batch_norm_relu(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                          running_mean=run_m, running_var=run_v, training=True)
         # batch mean 3, biased batch var 1
         assert np.allclose(run_m, [0.9 * 0.0 + 0.1 * 3.0])
         assert np.allclose(run_v, [0.9 * 1.0 + 0.1 * 1.0])
@@ -860,8 +862,8 @@ class TestBatchNorm:
         run_m = np.array([10.0])
         run_v = np.array([4.0])
         x = Tensor(np.array([[12.0]]))
-        out = T.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                           running_mean=run_m, running_var=run_v, training=False)
+        out = T.batch_norm_relu(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                                running_mean=run_m, running_var=run_v, training=False)
         assert np.allclose(out.data, [(12.0 - 10.0) / np.sqrt(4.0 + 1e-5)])
 
     @pytest.mark.parametrize("affine", ["gamma", "beta"])
@@ -875,13 +877,13 @@ class TestBatchNorm:
         params[affine] = Tensor(params[affine].data, dtype=np.float64)
         for training in (True, False):
             with pytest.raises(ShapeError):
-                T.batch_norm(x, params["gamma"], params["beta"], np.zeros(3), np.ones(3),
-                             training=training)
+                T.batch_norm_relu(x, params["gamma"], params["beta"], np.zeros(3), np.ones(3),
+                                  training=training)
 
     def test_eval_without_running_stats_rejected(self):
         with pytest.raises(ContractError):
-            T.batch_norm(Tensor(np.zeros((2, 1))), Tensor(np.ones(1)),
-                         Tensor(np.zeros(1)), training=False)
+            T.batch_norm_relu(Tensor(np.zeros((2, 1))), Tensor(np.ones(1)),
+                              Tensor(np.zeros(1)), training=False)
 
 
 def sub(a, b):
@@ -908,8 +910,8 @@ def power(x, p):
 
 def batch_norm_composed(x, gamma, beta, running_mean=None, running_var=None, training=True,
                         momentum=0.1, eps=1e-5):
-    """The former `tensor.batch_norm`, 11 generic tape nodes: the bit-exact
-    reference of the one-node version."""
+    """The former `tensor.batch_norm`, 11 generic tape nodes: with a `relu`
+    node after it, the bit-exact reference of `batch_norm_relu`."""
     channels = x.shape[1]
     cshape = (1, channels) + (1,) * (x.ndim - 2)
     axes = (0,) + tuple(range(2, x.ndim))
@@ -941,6 +943,7 @@ BN_CASES = {
     "zero-variance-channel": ((6, 3, 5, 5), "constant"),
     "zero-gamma": ((6, 3, 5, 5), "gamma"),
     "x-needs-no-gradient": ((6, 3, 5, 5), "nograd"),
+    "dead-channel": ((6, 3, 5, 5), "dead"),
 }
 
 
@@ -949,7 +952,9 @@ BN_CASES = {
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batch_norm_bit_equals_the_composed_graph(case, training, dtype):
     """Output, the three gradients and both running statistics have the
-    bytes of the composed graph, through a relu and a fixed cotangent."""
+    bytes of the composed graph followed by a relu node, through a fixed
+    cotangent. The fused op gets no outer relu, so the gradients' bytes pin
+    its own mask."""
     shape, twist = BN_CASES[case]
     r = rng(21)
     x = (r.normal(size=shape) * 2.0 + 0.5).astype(dtype)
@@ -961,16 +966,23 @@ def test_batch_norm_bit_equals_the_composed_graph(case, training, dtype):
     beta = (r.normal(size=3) * 0.3).astype(dtype)
     stats = (r.normal(size=3).astype(dtype), r.uniform(0.5, 2.0, size=3).astype(dtype))
     cotangent = r.normal(size=shape)
+    if twist == "dead":
+        # Channel 1 rectifies to zero everywhere under a negative cotangent,
+        # so each of its masked gradient entries is -0.0 inside the fused
+        # node, where the relu node handed on +0.0: no gradient may show it.
+        gamma[1], beta[1] = 0.0, -0.5
+        cotangent[:, 1] = -np.abs(cotangent[:, 1])
 
     def run(norm):
         xt = Tensor(x, requires_grad=twist != "nograd", dtype=dtype)
         gt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (gamma, beta))
         rm, rv = (a.copy() for a in stats)
-        out = T.relu(norm(xt, gt, bt, running_mean=rm, running_var=rv, training=training))
+        out = norm(xt, gt, bt, running_mean=rm, running_var=rv, training=training)
         tape_sum(out * Tensor(cotangent, dtype=dtype)).backward()
         return out.data, xt.grad, gt.grad, bt.grad, rm, rv
 
-    got, want = run(T.batch_norm), run(batch_norm_composed)
+    got = run(T.batch_norm_relu)
+    want = run(lambda *args, **kw: T.relu(batch_norm_composed(*args, **kw)))
     assert (got[1] is None) == (want[1] is None) == (twist == "nograd")
     for g, w in zip(got, want):
         if w is not None:
@@ -979,9 +991,9 @@ def test_batch_norm_bit_equals_the_composed_graph(case, training, dtype):
 
 def test_batch_norm_is_one_node_holding_twice_its_input():
     """At HSI block1's paper shape (batch 128, float32), a recorded batch
-    norm is one node, and what it leaves allocated, its output and the
-    centred input its backward reads, stays within 2.1× its input. The
-    composed graph of 11 nodes keeps 5×."""
+    norm and its ReLU are one node, and what it leaves allocated, its
+    rectified output and the centred input its backward reads, stays within
+    2.1× its input. The composed graph of 11 nodes keeps 5×."""
     r = rng(22)
     x = Tensor(r.standard_normal((128, 8, 24, 9, 9), dtype=np.float32), requires_grad=True,
                dtype=np.float32)
@@ -990,11 +1002,11 @@ def test_batch_norm_is_one_node_holding_twice_its_input():
     running = np.zeros(8, dtype=np.float32), np.ones(8, dtype=np.float32)
     tracemalloc.start()
     try:
-        out = T.batch_norm(x, gamma, beta, *running)
+        out = T.batch_norm_relu(x, gamma, beta, *running)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out._op == "batch_norm" and out._parents == (x, gamma, beta)
+    assert out._op == "batch_norm_relu" and out._parents == (x, gamma, beta)
     assert held <= 2.1 * x.data.nbytes
 
 
@@ -1285,9 +1297,9 @@ class TestFiniteDiff:
             def f(t):
                 c = T.conv3d(t, k)                               # (2,2,3,3,3)
                 if training:
-                    b = T.batch_norm(c, gamma, beta)
+                    b = T.batch_norm_relu(c, gamma, beta)
                 else:
-                    b = T.batch_norm(c, gamma, beta, run_m, run_v, training=False)
+                    b = T.batch_norm_relu(c, gamma, beta, run_m, run_v, training=False)
                 return (b * b).mean() + tape_sum(T.relu(c)) * 0.1
 
             err = finite_diff_check(f, theta, max_coords=10, seed=seed)
