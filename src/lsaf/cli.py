@@ -304,6 +304,11 @@ def _setup(args, checkpoint: str | None):
     pair = load_raster(config["hsi"], config["lidar"], config["labels"])
     if args.command == "train" and pair.num_classes < 2:
         raise ConfigError(f"scene has {pair.num_classes} labeled class(es); need at least 2")
+    # eval and resume score the labels, so a label the model cannot predict is
+    # refused before the scene is projected.
+    if state is not None and args.command != "map" and pair.num_classes > geometry.num_classes:
+        raise ConfigError(f"{config['labels']}: scene labels reach {pair.num_classes}, "
+                          f"checkpoint has meta.num_classes {geometry.num_classes}")
     if state is None:
         # The config's geometry keys, ModelConfig's defaults for the unset
         # ones, which the config then holds too.

@@ -16,7 +16,10 @@ rectifies its output, as every conv block follows it with a ReLU.
 Convolutions lower to BLAS over the two spatial axes only, in one of two
 forms that `_conv` picks from shapes alone. The gather form copies each
 kernel tap's input slice into a column buffer and multiplies after, adding
-one batched matrix product per spectral kernel offset. The scatter form,
+one batched matrix product per spectral kernel offset. It spreads and
+multiplies a few samples at a time, so each chunk's columns are still in
+cache when they are multiplied, and inference holds one chunk's columns
+where a tape keeps the whole batch's for the backward. The scatter form,
 2-D only, multiplies first: one GEMM per map, then each window adds its
 taps' shifted products. A 2-D conv takes it when its product buffer is
 smaller than the column buffer, as for a conv that narrows many channels to
@@ -68,6 +71,10 @@ __all__ = [
 _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
 _CHECKED = os.environ.get("LSAF_CHECKED", "") not in ("", "0")
+# Bytes of one chunk's columns in the gather-form conv forward: small enough
+# that each chunk's GEMMs read its columns from cache, just after they are
+# spread.
+_CHUNK_BYTES = 2 ** 20
 
 
 def set_default_dtype(dtype) -> None:
@@ -515,7 +522,13 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
     order and one column block of `ho·wo` per (sample, depth). Spectral
     offset `a` of the kernel then reads the column blocks `a … a + do − 1`,
     so the output is the sum over the `kd` offsets of `w[:, :, a]` times
-    those columns, each a batched GEMM with one product per sample. The
+    those columns, each a batched GEMM with one product per sample. It runs
+    a chunk of samples at a time, whose columns fit in `_CHUNK_BYTES`: the
+    chunk's GEMMs follow its spread while the columns are in cache. With a
+    tape, each chunk is spread into the whole batch's `cols`, which the
+    backward reads; without one, every chunk reuses one chunk-sized buffer,
+    so inference holds one chunk's columns. Either way each sample's GEMMs
+    and their summation order are those of a whole-batch lowering. The
     backward stacks the `kd` depth-shifted copies of the output gradient
     into one matrix, which turns the kernel gradient and the column gradient
     into one GEMM each; the column gradient is then folded onto the input's
@@ -600,20 +613,31 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
         x5 = x.data.reshape((batch, cin, depth, h, wd))
         rows = cin * kh * kw
         npos = ho * wo
-        cols = np.zeros((cin, kh, kw, batch, depth, ho, wo), dtype=x5.dtype)
-        _spread_taps(cols.transpose(1, 2, 0, 3, 4, 5, 6), x5.swapaxes(0, 1), taps)
-        cols = cols.reshape(rows, batch, depth, npos)
+        # Without a tape, every chunk reuses one buffer: no tap writes its
+        # padding, so that stays zero from this one `np.zeros`.
+        chunk = max(1, _CHUNK_BYTES // (rows * depth * npos * x5.dtype.itemsize))
+        record = _GRAD_ENABLED and (x.requires_grad or w.requires_grad)
+        cols = np.zeros((cin, kh, kw, batch if record else min(chunk, batch), depth, ho, wo),
+                        dtype=x5.dtype)
 
         # wk[a] is w[:, :, a] as a (cout, rows) matrix; offset a reads column
-        # blocks a … a + do − 1, a (rows, batch, do·npos) view. Batched GEMMs
-        # over that view keep one product per sample, so a sample's output
-        # does not depend on what else shares its batch.
+        # blocks a … a + do − 1, a (rows, m, do·npos) view of a chunk of m
+        # samples. Batched GEMMs over that view keep one product per sample,
+        # so a sample's output does not depend on what else shares its batch
+        # or its chunk.
         wk = np.ascontiguousarray(
             w.data.reshape((cout, cin, kd, kh, kw)).transpose(2, 0, 1, 3, 4)
         ).reshape(kd, cout, rows)
-        out_data = wk[0] @ cols[:, :, :do].reshape(rows, batch, -1).swapaxes(0, 1)
-        for a in range(1, kd):
-            out_data += wk[a] @ cols[:, :, a:a + do].reshape(rows, batch, -1).swapaxes(0, 1)
+        out_data = np.empty((batch, cout, do * npos), dtype=np.result_type(wk, x5))
+        for s in range(0, batch, chunk):
+            m = min(chunk, batch - s)
+            part = cols[:, :, :, s:s + m] if record else cols[:, :, :, :m]
+            _spread_taps(part.transpose(1, 2, 0, 3, 4, 5, 6), x5[s:s + m].swapaxes(0, 1), taps)
+            part = part.reshape(rows, m, depth, npos)
+            out = out_data[s:s + m]
+            np.matmul(wk[0], part[:, :, :do].reshape(rows, m, -1).swapaxes(0, 1), out=out)
+            for a in range(1, kd):
+                out += wk[a] @ part[:, :, a:a + do].reshape(rows, m, -1).swapaxes(0, 1)
 
         def grad_fn(g):
             # Block a of gs is the output gradient placed at depth offset a, so

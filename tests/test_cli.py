@@ -641,6 +641,40 @@ class TestEval:
         assert "Traceback" not in err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_scene_with_more_classes_than_the_checkpoint_is_refused_first(
+            self, tmp_path, capsys, monkeypatch, command):
+        """eval and resume score the scene's labels: a scene whose labels
+        reach past `meta.num_classes` exits 1, naming the label map and both
+        counts, before its pixels are projected, trained on or predicted, and
+        writes no metrics."""
+        configs = {}
+        for classes in (4, 6):
+            scene = tmp_path / f"s{classes}"
+            assert run(["synth", "--classes", classes, "--height", 24, "--width", 24,
+                        "--bands", 16, "--seed", 2, "--out", scene]) == 0
+            configs[classes] = tmp_path / f"c{classes}.json"
+            configs[classes].write_text(json.dumps(
+                {name: str(scene / f"{name}.lsaf") for name in ("hsi", "lidar", "labels")}))
+        ckpt_dir = tmp_path / "run"
+        assert run(["train", "--config", configs[4], "--patch", 7, "--pca-dims", 13,
+                    "--epochs", 1, "--out", ckpt_dir]) == 0
+        capsys.readouterr()
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the scene was projected, trained on or predicted")
+
+        for name in ("pca_transform", "train", "evaluate", "predict"):
+            monkeypatch.setattr(cli, name, unreached)
+        out = tmp_path / command
+        assert run(command_argv(command, ckpt_dir / "checkpoint.lsfw")
+                   + ["--config", configs[6], "--out", out]) == 1
+        err = capsys.readouterr().err
+        labels = tmp_path / "s6" / "labels.lsaf"
+        assert f"{labels}: scene labels reach 6, checkpoint has meta.num_classes 4" in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.csv").exists() and not (out / "checkpoint.lsfw").exists()
+
     def test_fifteen_class_report_rows(self, tmp_path, capsys):
         scene = tmp_path / "s15"
         assert run(["synth", "--classes", 15, "--height", 26, "--width", 26,

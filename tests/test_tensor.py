@@ -711,6 +711,104 @@ def test_conv2d_block4_forward_holds_no_column_buffer():
     assert held <= 16 * 2 ** 20
 
 
+def gather_whole_batch(x, w, padding):
+    """The gather form's forward over the whole batch at once, as it ran
+    before it went a chunk of samples at a time: one column buffer, rows in
+    `(cin, kh, kw)` order, then `wk[a] @ cols[:, :, a:a + do]` summed over
+    the `kd` spectral offsets."""
+    x5 = x if x.ndim == 5 else x[:, :, None]
+    w5 = w if w.ndim == 5 else w[:, :, None]
+    n, cin, depth, h, wd = x5.shape
+    cout, _, kd, kh, kw = w5.shape
+    do, ho, wo = depth - kd + 1, h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1
+    xp = np.pad(x5, [(0, 0)] * 3 + [(padding, padding)] * 2)
+    cols = np.zeros((cin, kh, kw, n, depth, ho, wo), dtype=x.dtype)
+    for i, j in itertools.product(range(kh), range(kw)):
+        cols[:, i, j] = xp[:, :, :, i:i + ho, j:j + wo].swapaxes(0, 1)
+    rows = cin * kh * kw
+    cols = cols.reshape(rows, n, depth, ho * wo)
+    wk = np.ascontiguousarray(w5.transpose(2, 0, 1, 3, 4)).reshape(kd, cout, rows)
+    out = wk[0] @ cols[:, :, :do].reshape(rows, n, -1).swapaxes(0, 1)
+    for a in range(1, kd):
+        out += wk[a] @ cols[:, :, a:a + do].reshape(rows, n, -1).swapaxes(0, 1)
+    return out.reshape((n, cout) + ((do,) if x.ndim == 5 else ()) + (ho, wo))
+
+
+# The three HSI 3-D blocks at the paper geometry, and HSI block4 at the
+# acceptance geometry (32 channels of 1x1, padded by 1), where it takes the
+# gather form and reads zero padding on 8 of its 9 taps.
+GATHER_CASES = MODEL_CONV_SHAPES[:3] + [((2, 32, 1, 1), (64, 32, 3, 3), 1)]
+GATHER_BLOCKS = ["hsi.block1", "hsi.block2", "hsi.block3", "hsi.block4-acceptance"]
+
+
+def gather_chunk(x_shape, k_shape, padding, itemsize):
+    """Samples per chunk of the gather forward: as many as fit their column
+    blocks in `T._CHUNK_BYTES`, and at least one."""
+    return max(1, T._CHUNK_BYTES // column_bytes((1,) + x_shape[1:], k_shape, padding, itemsize))
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["no-tape", "tape"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,padding", GATHER_CASES, ids=GATHER_BLOCKS)
+def test_gather_form_bit_equals_the_whole_batch_lowering(x_shape, k_shape, padding, dtype,
+                                                         record):
+    """Over a batch of two whole chunks and a partial third (a third whole
+    one when a chunk is one sample), the chunked gather forward gives the
+    bytes of the whole-batch lowering, whether its chunks are written into
+    the tape's column buffer or share one buffer whose padding must stay
+    zero."""
+    chunk = gather_chunk(x_shape, k_shape, padding, np.dtype(dtype).itemsize)
+    n = 2 * chunk + chunk // 2 + 1
+    r = rng(36)
+    x = r.standard_normal((n,) + x_shape[1:]).astype(dtype)
+    k = (r.standard_normal(k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
+    conv = T.conv3d if len(k_shape) == 5 else T.conv2d
+    out = conv(Tensor(x, dtype=dtype), Tensor(k, requires_grad=record, dtype=dtype),
+               padding=padding)
+    want = gather_whole_batch(x, k, padding)
+    assert out.requires_grad == record
+    assert out.data.dtype == want.dtype == dtype and out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,padding", GATHER_CASES, ids=GATHER_BLOCKS)
+def test_gather_form_batched_equals_per_sample(x_shape, k_shape, padding, dtype):
+    """A sample's output is the same bytes in a batch of 37, split into
+    chunks, as alone."""
+    r = rng(37)
+    x = r.standard_normal((37,) + x_shape[1:]).astype(dtype)
+    k = (r.standard_normal(k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
+    conv = T.conv3d if len(k_shape) == 5 else T.conv2d
+    with T.no_grad():
+        full = conv(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), padding=padding).data
+        for i in range(37):
+            single = conv(Tensor(x[i:i + 1], dtype=dtype), Tensor(k, dtype=dtype),
+                          padding=padding).data
+            assert np.array_equal(full[i:i + 1], single)
+
+
+def test_conv3d_inference_holds_one_chunk():
+    """At HSI block2's paper shape (batch 256, float32), a forward under
+    `no_grad` peaks within its output plus a few chunks of columns. The
+    whole batch's column buffer alone is 82.7 MiB."""
+    r = rng(38)
+    x_shape, k_shape = (256, 8, 24, 9, 9), (16, 8, 5, 3, 3)
+    x = Tensor(r.standard_normal(x_shape, dtype=np.float32), dtype=np.float32)
+    k = Tensor(r.standard_normal(k_shape, dtype=np.float32), dtype=np.float32)
+    chunk_bytes = gather_chunk(x_shape, k_shape, 0, 4) * column_bytes(
+        (1,) + x_shape[1:], k_shape, 0, 4)
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            out = T.conv3d(x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (256, 16, 20, 7, 7)
+    assert column_bytes(x_shape, k_shape, 0, 4) > 80 * 2 ** 20
+    assert peak <= out.data.nbytes + 4 * chunk_bytes
+
+
 # ----------------------------------------------------------------------
 # conv over windows of shared maps
 
