@@ -45,6 +45,7 @@ from .data import (
     save_raster,
     split,
     synth_generate,
+    window_pixels,
 )
 from .errors import ConfigError, ContractError, FormatError, LsafError, NumericError
 from .model import MODES, LsafModel, ModelConfig, check_state_geometry
@@ -193,16 +194,20 @@ def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
     return dict(zip(_PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
 
 
-def _apply_preprocessing(pair: RasterPair, pre: dict) -> RasterPair:
+def _apply_preprocessing(pair: RasterPair, pre: dict, patch: int) -> RasterPair:
     """Project and scale a scene with the `pre.*` constants. Stored min-max
     constants are applied chunk by chunk as the scene is projected straight
-    into float32. A new model's `pre` holds the PCA only: the min-max
-    constants are then fitted on the float64 projection and added to `pre`,
-    so the scene is projected once either way."""
+    into float32, and only the pixels that the patch×patch windows of the
+    labelled pixels read are projected (`window_pixels`); the others hold 0.0,
+    and the whole cube is still read and checked finite. A new model's `pre`
+    holds the PCA only: the min-max constants are then fitted on the float64
+    projection of every pixel and added to `pre`, so the scene is projected
+    once either way."""
     pca = PcaModel(*(pre[key].astype(np.float64) for key in _PRE_KEYS[:3]))
     if "pre.norm.hsi_min" in pre:
         hsi = pca_transform(pca, pair.hsi, scale=(pre["pre.norm.hsi_min"],
-                                                  pre["pre.norm.hsi_span"]))
+                                                  pre["pre.norm.hsi_span"]),
+                            needed=window_pixels(pair.labels, patch))
     else:
         hsi = pca_transform(pca, pair.hsi)
         pre.update(zip(_PRE_KEYS[3:], fit_minmax(hsi) + fit_minmax(pair.lidar)))
@@ -267,8 +272,10 @@ def _setup(args, checkpoint: str | None):
     model loads the stored weights. Without one, the geometry is new and the
     constants are fitted. Either way the scene is projected once, after every
     check on the checkpoint, from HSI row blocks read from the file as the
-    projection needs them. A new model's PCA fit reads the cube whole first.
-    Only the padded projection in the patch set outlives the call."""
+    projection needs them; with a checkpoint, only the pixels that the
+    windows of the labelled pixels read are projected, though every row is
+    read and checked finite. A new model's PCA fit reads the cube whole
+    first. Only the padded projection in the patch set outlives the call."""
     config = load_config(args.config, _overrides(args))
     T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
     os.makedirs(config["out"], exist_ok=True)
@@ -331,7 +338,7 @@ def _setup(args, checkpoint: str | None):
             if bad and name not in resumed:
                 raise FormatError(f"{checkpoint}: tensor '{name}' holds {bad} "
                                   f"non-finite value(s) (NaN or Inf)")
-    pair = _apply_preprocessing(pair, pre)
+    pair = _apply_preprocessing(pair, pre, config["patch"])
     patches = extract_patches(pair, s=config["patch"])
     return config, pair.labels, patches, pre, model, state
 

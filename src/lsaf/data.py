@@ -150,35 +150,42 @@ def pca_fit(hsi: np.ndarray, r: int, labels: np.ndarray | None = None) -> PcaMod
                     explained_variance=variance)
 
 
-def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None) -> np.ndarray:
+def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
+                  needed: np.ndarray | None = None) -> np.ndarray:
     """Project a (bands, H, W) cube to (r, H, W): float64 by default, or,
     given `scale=(lo, span)`, rescaled by those per-band constants (see
-    `rescale`) and cast to float32.
+    `rescale`) and cast to float32. Given an (H, W) bool mask `needed`, only
+    those pixels are projected, and every other pixel holds exactly 0.0.
 
     The cube is projected in chunks of rows of about `CHUNK_PIXELS` pixels,
     each written straight into the output, so no float64 copy of the whole
     cube exists. `hsi` is read only through its `shape` and `hsi[:, top:stop]`,
-    so a `storage.RasterRows` reader streams the cube from its file. Each
-    pixel's row of the projection GEMM depends on that pixel alone, so the
-    bytes equal a whole-cube projection's whatever the chunk size or the row
-    source (`tests/test_data.py` pins this).
+    so a `storage.RasterRows` reader streams the cube from its file, and
+    checks every row of it, needed or not. Each pixel's row of the projection
+    GEMM depends on that pixel alone, so the bytes equal a whole-cube
+    projection's whatever the chunk size, the row source or the mask
+    (`tests/test_data.py` pins this).
     """
     if hsi.shape[0] != model.bands:
         raise ShapeError(
             f"pca model fitted on {model.bands} bands, input has {hsi.shape[0]}"
         )
     height, width = hsi.shape[1:]
-    out = np.empty((model.dims, height, width),
-                   dtype=np.float64 if scale is None else np.float32)
+    out = (np.empty if needed is None else np.zeros)(
+        (model.dims, height, width), dtype=np.float64 if scale is None else np.float32)
     step = max(1, CHUNK_PIXELS // max(width, 1))
     for top in range(0, height, step):
-        rows = _project(model, hsi[:, top:top + step])
-        out[:, top:top + step] = rows if scale is None else rescale(rows, *scale, in_place=True)
+        keep = slice(None)  # a chunk of needed pixels only is projected whole
+        if needed is not None and not needed[top:top + step].all():
+            keep = needed[top:top + step]
+        rows = _project(model, hsi[:, top:top + step][:, keep])
+        out[:, top:top + step][:, keep] = (
+            rows if scale is None else rescale(rows, *scale, in_place=True))
     return out
 
 
 def _project(model: PcaModel, hsi: np.ndarray) -> np.ndarray:
-    """The float64 (r, h, W) projection of a (bands, h, W) block of rows."""
+    """The float64 (r, ...) projection of a (bands, ...) block of pixels."""
     pixels = hsi.reshape(model.bands, -1).T.astype(np.float64)
     pixels -= model.mean
     return (pixels @ model.components).T.reshape((model.dims,) + hsi.shape[1:])
@@ -267,6 +274,23 @@ def extract_patches(pair: RasterPair, s: int) -> PatchSet:
     return PatchSet(hsi=np.pad(pair.hsi, pad, mode="reflect"),
                     lidar=np.pad(pair.lidar, pad, mode="reflect"),
                     labels=labels, pixels=coords, patch=s)
+
+
+def window_pixels(labels: np.ndarray, s: int) -> np.ndarray:
+    """The (H, W) bool mask of the pixels that the s×s windows of a label
+    map's labelled pixels read: `labels != 0` grown by s // 2 in each
+    direction, clipped to the scene. `check_patch_size` keeps s // 2 below
+    each scene side, so a window's mirrored rows and columns lie inside its
+    clipped window, and the mask covers them too."""
+    half = s // 2
+    mask = labels != 0
+    for _ in range(2):  # rows, then columns of the transpose
+        grown = mask.copy()
+        for shift in range(1, half + 1):
+            grown[shift:] |= mask[:-shift]
+            grown[:-shift] |= mask[shift:]
+        mask = grown.T
+    return np.ascontiguousarray(mask)
 
 
 def check_patch_size(s: int, height: int, width: int) -> None:

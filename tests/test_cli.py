@@ -444,12 +444,12 @@ class TestPreprocessing:
                                labels=np.ones((height, width), dtype=np.int64))
         pca = data.pca_fit(pair.hsi, dims)
         pre = dict(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
-        cli._apply_preprocessing(pair, pre)  # fits the pre.norm.* constants
+        cli._apply_preprocessing(pair, pre, 7)  # fits the pre.norm.* constants
         assert height * width >= 4 * data.CHUNK_PIXELS
         chunk = data.CHUNK_PIXELS * (bands + 3 * dims) * 8
         tracemalloc.start()
         try:
-            scaled = cli._apply_preprocessing(pair, pre)
+            scaled = cli._apply_preprocessing(pair, pre, 7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -472,12 +472,12 @@ class TestPreprocessing:
         chunk = data.CHUNK_PIXELS * (bands + 3 * dims) * 8
         tracemalloc.start()
         try:
-            scaled = cli._apply_preprocessing(pair, pre)
+            scaled = cli._apply_preprocessing(pair, pre, 7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert "pre.norm.hsi_min" in pre and scaled.hsi.dtype == np.float32
-        stored = cli._apply_preprocessing(pair, pre)
+        stored = cli._apply_preprocessing(pair, pre, 7)
         assert np.array_equal(scaled.hsi, stored.hsi)
         assert peak <= 1.1 * (projection + chunk)
 
@@ -800,6 +800,121 @@ class TestNonFiniteRaster:
         out = tmp_path / "after"
         ckpt = tmp_path / "run" / "checkpoint.lsfw"
         assert run(command_argv(command, ckpt) + ["--config", config_path, "--out", out]) == 2
+        assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+# ----------------------------------------------------------------------
+# eval, map and resume project only the pixels the windows read
+
+
+@pytest.fixture()
+def sparse_run(tmp_path):
+    """A 30×40 scene labelled sparsely: a dense 12×10 block at the top-left
+    corner, which `predict` convolves as a shared tile, the other three
+    corners, a pixel on each border and one inside; every class holds at
+    least 2 of them. With a checkpoint of an untrained patch-7 model and the
+    scene's stored `pre.*` constants. Returns (config, checkpoint, the
+    (H, W) mask of pixels that those patches' windows read)."""
+    height, width, bands, half = 30, 40, 16, 3
+    r = np.random.default_rng(0)
+    cube = (r.normal(size=(bands, height, width))
+            * r.uniform(0.5, 3.0, (bands, 1, 1))).astype(np.float32)
+    lidar = r.random((1, height, width), dtype=np.float32)
+    keep = np.zeros((height, width), dtype=bool)
+    keep[:12, :10] = True
+    for row, col in [(0, 39), (29, 0), (29, 39), (0, 24), (14, 39), (29, 20), (20, 0),
+                     (20, 25)]:
+        keep[row, col] = True
+    labels = np.zeros((height, width), dtype=np.uint16)
+    labels[keep] = np.arange(keep.sum()) % 4 + 1
+    paths = {name: tmp_path / f"{name}.lsaf" for name in ("hsi", "lidar", "labels")}
+    storage.write_raster(paths["hsi"], cube)
+    storage.write_raster(paths["lidar"], lidar)
+    storage.write_labels(paths["labels"], labels)
+    config = tmp_path / "sparse.json"
+    config.write_text(json.dumps({**{k: str(v) for k, v in paths.items()},
+                                  "patch": 2 * half + 1, "pca_dims": 13, "hidden": 16}))
+    model = LsafModel(ModelConfig(num_classes=4, pca_dims=13, patch=2 * half + 1, hidden=16),
+                      seed=0)
+    pca = data.pca_fit(cube, 13)
+    entries = {key: value.astype(np.float32) for key, value in model.state_dict().items()}
+    entries.update(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance,
+                                       *data.fit_minmax(data.pca_transform(pca, cube)),
+                                       *data.fit_minmax(lidar))))
+    entries.update(cli._model_meta(model, {"seed": 0}, 1))
+    ckpt = tmp_path / "checkpoint.lsfw"
+    storage.write_checkpoint(ckpt, entries)
+    needed = np.zeros((height, width), dtype=bool)
+    for row, col in np.argwhere(keep):
+        needed[max(row - half, 0):row + half + 1, max(col - half, 0):col + half + 1] = True
+    return config, ckpt, needed
+
+
+def setup_of(argv):
+    """`cli._setup`'s (patch set, model) for a command line, with the tensor
+    dtype restored afterwards as `main` does."""
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    prev_dtype = T.default_dtype()
+    try:
+        _, _, patches, _, model, _ = cli._setup(args, args.resume if args.command == "train"
+                                                else args.checkpoint)
+        return patches, model
+    finally:
+        T.set_default_dtype(prev_dtype)
+
+
+class TestNeededPixels:
+    @pytest.mark.parametrize("command", ["eval", "map", "resume"])
+    def test_windows_and_logits_equal_the_full_projection(self, sparse_run, tmp_path,
+                                                          monkeypatch, command):
+        """Every window's HSI and LiDAR bytes, and the logits of `predict` with
+        its shared tile, equal those of a projection of every pixel; each
+        pixel no window reads holds exactly 0.0. The projection runs in
+        blocks of 4 rows, the last one ragged."""
+        config, ckpt, needed = sparse_run
+        monkeypatch.setattr(data, "CHUNK_PIXELS", 4 * 40)
+        argv = command_argv(command, ckpt) + ["--config", config, "--out", tmp_path / "out"]
+        patches, model = setup_of(argv)
+        transform = cli.pca_transform
+        monkeypatch.setattr(cli, "pca_transform",
+                            lambda pca, hsi, scale=None, needed=None: transform(pca, hsi, scale))
+        full, _ = setup_of(argv)
+
+        assert np.array_equal(patches.pixels, full.pixels) and len(patches) == 128
+        every = np.arange(len(patches))
+        for got, want in zip(patches.cut(every), full.cut(every)):
+            assert got.tobytes() == want.tobytes()
+        half = patches.patch // 2
+        scene, want = (p.hsi[:, half:-half, half:-half] for p in (patches, full))
+        assert not needed.all() and not scene[:, ~needed].any()
+        assert scene[:, needed].tobytes() == want[:, needed].tobytes()
+
+        train_mod = importlib.import_module("lsaf.train")
+        shared, _ = train_mod.plan_tiles(patches.pixels, *needed.shape, model.tile_conv_flops)
+        assert [(t.row, t.col) for t in shared] == [(0, 0)]
+        assert not needed[:shared[0].height + half, :shared[0].width + half].all()
+        prev_dtype = T.default_dtype()
+        T.set_default_dtype(np.float32)
+        try:
+            got, want = (train_mod.predict_logits(model, p) for p in (patches, full))
+        finally:
+            T.set_default_dtype(prev_dtype)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("command", ["eval", "map", "resume"])
+    def test_nonfinite_pixel_no_window_reads_fails_the_run(self, sparse_run, tmp_path,
+                                                          capsys, command):
+        """The whole cube is still read and checked: a NaN in a pixel that no
+        window reads exits 2 with the reader's message and writes nothing."""
+        config, ckpt, needed = sparse_run
+        assert not needed[8, 30]
+        path = tmp_path / "hsi.lsaf"
+        cube = storage.read_raster(path)
+        cube[2, 8, 30] = np.nan
+        storage.write_raster(path, cube)
+        out = tmp_path / "out"
+        assert run(command_argv(command, ckpt) + ["--config", config, "--out", out]) == 2
         assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 

@@ -18,6 +18,7 @@ from lsaf.data import (
     split,
     split_indices,
     synth_generate,
+    window_pixels,
 )
 from lsaf.errors import ConfigError, FormatError, RegistrationError, ShapeError
 
@@ -256,6 +257,25 @@ class TestPcaTransform:
         assert scaled.dtype == np.float32
         assert np.array_equal(scaled, pca_transform(model, cube, scale=(lo, span)))
 
+    def test_masked_projection_is_byte_identical(self, tmp_path, monkeypatch):
+        """Given `needed`, the needed pixels keep the bytes of the projection
+        of every pixel and the others are exactly 0.0, in chunks of 7 rows
+        that are partly needed, wholly needed or not needed at all."""
+        r = rng(12)
+        cube = (r.normal(size=(144, 50, 23)) * r.uniform(0.5, 3.0, (144, 1, 1))).astype(np.float32)
+        path = tmp_path / "hsi.lsaf"
+        storage.write_raster(path, cube)
+        model = pca_fit(cube, r=30)
+        lo, span = fit_minmax(pca_transform(model, cube))
+        needed = r.random((50, 23)) < 0.3
+        needed[7:14], needed[21:28] = True, False
+        monkeypatch.setattr(data, "CHUNK_PIXELS", 7 * 23)
+        rows = storage.RasterRows(path)
+        for scale in (None, (lo, span)):
+            want = np.where(needed, pca_transform(model, cube, scale=scale), 0)
+            got = pca_transform(model, rows, scale=scale, needed=needed)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_mean_pixel_maps_to_zero(self):
         cube = rng(0).normal(size=(5, 6, 6))
         model = pca_fit(cube, r=3)
@@ -321,6 +341,20 @@ class TestNormalize:
 
 
 class TestExtractPatches:
+    # a 5×8 scene: s = 9 reflects windows across all of its 5 rows
+    @pytest.mark.parametrize("s", [1, 3, 5, 9])
+    def test_window_pixels_are_what_the_padded_windows_read(self, s):
+        """The needed mask is the set of scene pixels that the mirror-padded
+        s×s windows of the labelled pixels read, no more and no less."""
+        labels = (rng(s).random((5, 8)) < 0.15).astype(np.int64)
+        labels[0, 0] = labels[4, 6] = 2
+        half = s // 2
+        index = np.pad(np.arange(40).reshape(5, 8), half, mode="reflect")
+        read = np.zeros(40, dtype=bool)
+        for row, col in np.argwhere(labels):
+            read[index[row:row + s, col:col + s]] = True
+        assert np.array_equal(window_pixels(labels, s), read.reshape(5, 8))
+
     def test_interior_pixel_is_direct_slice(self):
         pair = make_pair(seed=1)
         pair.labels[:] = 0
@@ -426,6 +460,15 @@ class TestSplit:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         c = split_indices(self.labels(), 0.3, seed=43)
         assert not np.array_equal(a[0], c[0])
+
+    def test_pinned_indices(self):
+        """The exact split of three interleaved classes of 9, 8 and 7 pixels:
+        counts and determinism alone let a changed per-class shuffle pass."""
+        lab = np.array([2, 1, 3, 3, 1, 2, 2, 1, 3, 1, 2, 3, 1, 1, 2, 3, 2, 1, 3, 2, 1, 3, 2, 1])
+        train, test = split_indices(lab, 0.2, seed=7)
+        assert train.tolist() == [1, 6, 10, 15, 23]
+        assert test.tolist() == [0, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 14, 16, 17, 18, 19, 20,
+                                 21, 22]
 
     def test_partition(self):
         lab = self.labels(7, 4)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the fixed-seed recipe and print the sha256 of every file it writes.
+"""Run the fixed-seed recipe and print the sha256 of every file its lsaf commands write.
 
     python3 tools/fixed_seed_recipe.py
 
@@ -10,7 +10,14 @@ package of this checkout, it runs:
 - `train`: 2 epochs, batch 64, seed 0, paper geometry (`run1/`);
 - `train --resume` from run1 to 3 epochs (`run2/`);
 - `train` in hsi mode, patch 7, 13 PCA dims, hidden width 16 (`hsi/`);
-- `eval` and `map` of run1's checkpoint (`eval/`, `map/`).
+- `eval` and `map` of run1's checkpoint (`eval/`, `map/`);
+- `eval` and `map` of run1's checkpoint with most labels zeroed (`sparse/`):
+  only pixels whose row and column are multiples of 3, in rows 0-12, keep
+  their labels. That keeps corner pixel (0, 0) and at least 3 pixels of
+  each class, and leaves rows 18-23 outside every 11×11 window.
+
+The lsaf commands write into sub-directories, and only their files are
+hashed; the recipe's own inputs (configs, the sparse label map) are not.
 
 The trained outputs depend on the BLAS build and the CPU, so compare hashes
 only between runs on the same machine.
@@ -29,7 +36,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"  # before numpy loads its BLAS
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from lsaf import cli  # noqa: E402
+import numpy as np  # noqa: E402
+from lsaf import cli, storage  # noqa: E402
 
 
 def _lsaf(*argv) -> None:
@@ -60,6 +68,16 @@ def run(work: str) -> None:
     _lsaf("train", "--config", hsi_config, "--out", os.path.join(work, "hsi"))
     _lsaf("eval", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "eval"))
     _lsaf("map", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "map"))
+    labels = storage.read_labels(os.path.join(scene, "labels.lsaf"))
+    sparse_labels = os.path.join(work, "sparse_labels.lsaf")
+    sparse = np.zeros_like(labels)
+    sparse[:13:3, ::3] = labels[:13:3, ::3]
+    storage.write_labels(sparse_labels, sparse)
+    sparse_config = _write_config(os.path.join(work, "sparse.json"), scene,
+                                  labels=sparse_labels)
+    for command in ("eval", "map"):
+        _lsaf(command, "--config", sparse_config, "--checkpoint", run1,
+              "--out", os.path.join(work, "sparse"))
 
 
 def main() -> int:
@@ -72,10 +90,10 @@ def main() -> int:
             sys.stdout.close()
             sys.stdout = stdout
         for directory, _, files in sorted(os.walk(work)):
+            if directory == work:
+                continue
             for name in sorted(files):
                 path = os.path.join(directory, name)
-                if name.endswith(".json"):
-                    continue
                 with open(path, "rb") as f:
                     digest = hashlib.sha256(f.read()).hexdigest()
                 print(f"{digest}  {os.path.relpath(path, work)}")
