@@ -155,9 +155,10 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(channels, dtype=T.default_dtype())
         self.running_var = np.ones(channels, dtype=T.default_dtype())
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, overwrite: bool = False) -> Tensor:
         return T.batch_norm_relu(x, self.gamma, self.beta, running_mean=self.running_mean,
-                                 running_var=self.running_var, training=training)
+                                 running_var=self.running_var, training=training,
+                                 overwrite=overwrite)
 
 
 class ConvBlock(Module):
@@ -176,8 +177,9 @@ class ConvBlock(Module):
         self._conv = T.conv3d if len(self.kernel) == 3 else T.conv2d
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
+        # The conv output is this call's own: batch norm may write over it.
         out = self._conv(x, self.kernels, padding=self.padding)
-        return self.bn(out, training)
+        return self.bn(out, training, overwrite=True)
 
 
 # ----------------------------------------------------------------------

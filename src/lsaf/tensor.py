@@ -11,7 +11,9 @@ threads; the tape itself is built and consumed on a single thread.
 Dense layouts follow the usual deep-learning conventions: convolutions take
 batched `(n, cin, *spatial)` inputs with `(cout, cin, *kernel)` weights, at
 stride 1 and zero-padded on h and w only; batch norm normalizes axis 1 and
-rectifies its output, as every conv block follows it with a ReLU.
+rectifies its output, as every conv block follows it with a ReLU. In eval
+mode without a tape, a caller that alone owns its input may hand that buffer
+over, and batch norm writes its output there with the same bytes.
 
 Convolutions lower to BLAS over the two spatial axes only, in one of two
 forms that `_conv` picks from shapes alone. The gather form copies each
@@ -20,10 +22,11 @@ one batched matrix product per spectral kernel offset. It spreads and
 multiplies a few samples at a time, so each chunk's columns are still in
 cache when they are multiplied, and inference holds one chunk's columns
 where a tape keeps the whole batch's for the backward. The scatter form,
-2-D only, multiplies first: one GEMM per map, then each window adds its
-taps' shifted products. A 2-D conv takes it when its product buffer is
-smaller than the column buffer, as for a conv that narrows many channels to
-few; a patch batch is then the case of one whole-sample window per map.
+2-D only, multiplies first: one GEMM over the positions of every map in
+the batch, then each window adds its taps' shifted products. A 2-D conv
+takes it when its product buffer is smaller than the column buffer, as for
+a conv that narrows many channels to few; a patch batch is then the case
+of one whole-sample window per map.
 `conv2d` also takes `MapWindows`, the one window type: overlapping windows
 of shared maps, each zero-padded on its own, which always take the scatter
 form, so the GEMM runs once over maps that many windows share. That conv
@@ -35,6 +38,10 @@ both gradients, lies within a dtype-dependent tolerance of a reference
 computation, relative to the same computation on magnitudes; a sample's
 output does not depend on which other samples share its batch; and a fixed
 seed and thread count reproduce every result bit for bit from run to run.
+In the scatter form the second promise rests on the BLAS build: one GEMM
+runs over all the batch's rows, so a row's bytes must not depend on how
+many rows share it. The tests check that on the machine that runs them;
+other BLAS builds are unchecked.
 
 Precision defaults to float64; switch to float32 with `set_default_dtype`
 when training throughput matters more than gradient-check headroom.
@@ -534,9 +541,12 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
     into one GEMM each; the column gradient is then folded onto the input's
     `cin` channels.
 
-    The scatter form, 2-D only, multiplies first: one GEMM per map,
-    `(h·w, cin) @ (cin, kh·kw·cout)`, gives every tap's products at every
-    map position, `cout` last. Each window's output then adds, tap by tap,
+    The scatter form, 2-D only, multiplies first: one GEMM over the rows of
+    every map, `(t·h·w, cin) @ (cin, kh·kw·cout)`, gives every tap's
+    products at every map position, `cout` last. Batch independence there
+    rests on the BLAS build giving each row the same bytes whatever the
+    row count; the batched-equals-per-sample tests check that on the
+    machine that runs them. Each window's output then adds, tap by tap,
     the products at its shifted positions where the tap reads inside the
     window: the taps dropped are exactly the window's zero padding. A
     `MapWindows` runs it over windows of shared maps, for inference only; a
@@ -585,10 +595,10 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
         t, _, mh, mw = maps.shape
         prod_cols = kh * kw * cout
         wt = np.ascontiguousarray(w.data.transpose(1, 2, 3, 0)).reshape(cin, prod_cols)
-        # Batched GEMMs over the maps keep one product per map, and a window
-        # adds products of its own map only, so a sample's output does not
-        # depend on what else shares its batch.
-        prods = (maps.reshape(t, cin, mh * mw).swapaxes(1, 2) @ wt).reshape(t * mh * mw, prod_cols)
+        # One GEMM over every map position of the batch, whose rows are a
+        # view for one map. A window adds products of its own map only, so
+        # its output depends on its own rows of this GEMM.
+        prods = maps.reshape(t, cin, mh * mw).swapaxes(1, 2).reshape(t * mh * mw, cin) @ wt
         # at[k, r, c] is the row of `prods` that holds window k's input (r, c).
         corner = (tile * mh + row) * mw + col
         at = corner[:, None, None] + np.arange(mh * mw).reshape(mh, mw)[:h, :wd]
@@ -734,6 +744,7 @@ def batch_norm_relu(
     training: bool = True,
     momentum: float = 0.1,
     eps: float = 1e-5,
+    overwrite: bool = False,
 ) -> Tensor:
     """Normalize axis 1 of `(n, c, *spatial)` input, then apply ReLU.
 
@@ -741,6 +752,13 @@ def batch_norm_relu(
     buffers are supplied, folds them in with the given momentum. Eval mode
     standardizes with the running buffers. A zero-variance batch is floored
     by `eps`, so single-sample batches normalize to zero rather than fail.
+
+    `overwrite=True` hands `x.data` over to the op, which then writes its
+    output there; only a caller that alone owns that buffer may set it, as
+    `ConvBlock` does with its conv output. It is ignored, and `x.data` left
+    untouched, unless the op runs in eval mode and records no tape (gradients
+    off, or none of `x`, `gamma` and `beta` needs one). In-place or not, the
+    same expressions run in the same order, so the output keeps its bytes.
 
     One tape node: the forward evaluates the numpy expressions of the
     composed graph and its `relu`, and the backward replays their steps in
@@ -781,8 +799,17 @@ def batch_norm_relu(
     else:
         if running_mean is None or running_var is None:
             raise ContractError("eval-mode batch_norm_relu needs running statistics")
-        centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
         inv = (1.0 / np.sqrt(running_var.reshape(cshape) + eps)).astype(x.dtype)
+        if overwrite and not (_GRAD_ENABLED and any(
+                t.requires_grad for t in (x, gamma, beta))):
+            data = x.data
+            data -= running_mean.reshape(cshape).astype(x.dtype)
+            data *= inv
+            data *= gamma.data.reshape(cshape)
+            data += beta.data.reshape(cshape)
+            np.maximum(data, 0, out=data)
+            return _node(data, (x, gamma, beta), "batch_norm_relu", None)
+        centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
     gain = gamma.data.reshape(cshape)
     data = centered * inv
     data *= gain

@@ -589,6 +589,42 @@ class TestForward:
         assert np.array_equal(whole, np.concatenate(chunks))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_blocks_keep_the_allocating_bytes(self, dtype):
+        """In eval mode under no_grad, each of the 7 conv blocks writes batch
+        norm over its own conv output: the output shares that buffer, its
+        bytes equal that conv output run through the allocating batch norm,
+        and the block's input is left as it was."""
+        prev = T.default_dtype()
+        T.set_default_dtype(dtype)
+        try:
+            model = LsafModel(ModelConfig(num_classes=15), seed=13)
+        finally:
+            T.set_default_dtype(prev)
+        blocks = (model.hsi_extractor.blocks3d + [model.hsi_extractor.block2d]
+                  + model.lidar_extractor.blocks)
+        inputs = [(9, 1, 30, 11, 11), (9, 8, 24, 9, 9), (9, 16, 20, 7, 7), (9, 576, 5, 5),
+                  (9, 1, 11, 11), (9, 16, 9, 9), (9, 32, 7, 7)]
+        r = rng(14)
+        for block, shape in zip(blocks, inputs):
+            bn = block.bn
+            bn.running_mean[:] = r.normal(size=bn.running_mean.shape)
+            bn.running_var[:] = r.uniform(0.5, 2.0, size=bn.running_var.shape)
+            x = Tensor(r.normal(size=shape), dtype=dtype)
+            before = x.data.tobytes()
+            conv_fn, convs = block._conv, []
+            block._conv = lambda *args, **kw: convs.append(conv_fn(*args, **kw)) or convs[-1]
+            with T.no_grad():
+                got = block(x, False).data
+                conv = conv_fn(x, block.kernels, padding=block.padding)
+                want = T.batch_norm_relu(conv, bn.gamma, bn.beta, bn.running_mean,
+                                         bn.running_var, training=False).data
+            assert x.data.tobytes() == before
+            assert np.shares_memory(got, convs[0].data)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # state round trips
 

@@ -513,14 +513,18 @@ def assert_form_within_tolerance(x_shape, k_shape, padding, dtype, scatter):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scatter_form_batched_equals_per_sample(dtype):
     """At HSI block4's shape, a sample's output is the same bytes in a batch
-    of 37 as alone."""
+    of 1, 7, 37, 173 or 256 as alone. The forward is one GEMM over the
+    batch's rows, so this checks that this BLAS gives a row the same bytes
+    whatever the row count: 173 is eval-sparse's last partial batch and 256
+    is `train.BATCH`."""
     r = rng(33)
-    x = r.normal(size=(37, 576, 5, 5)).astype(dtype)
-    k = (r.normal(size=(64, 576, 3, 3)) / 48).astype(dtype)
-    full = T.conv2d(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), padding=1).data
-    for i in range(37):
-        single = T.conv2d(Tensor(x[i:i + 1], dtype=dtype), Tensor(k, dtype=dtype), padding=1).data
-        assert np.array_equal(full[i:i + 1], single)
+    x = r.normal(size=(256, 576, 5, 5)).astype(dtype)
+    k = Tensor((r.normal(size=(64, 576, 3, 3)) / 48).astype(dtype), dtype=dtype)
+    singles = np.concatenate([T.conv2d(Tensor(x[i:i + 1], dtype=dtype), k, padding=1).data
+                              for i in range(256)])
+    for batch in (1, 7, 37, 173, 256):
+        full = T.conv2d(Tensor(x[:batch], dtype=dtype), k, padding=1).data
+        assert full.tobytes() == singles[:batch].tobytes(), batch
 
 
 @pytest.mark.parametrize("block,x_shape,k_shape,padding",
@@ -1106,6 +1110,70 @@ def test_batch_norm_is_one_node_holding_twice_its_input():
         tracemalloc.stop()
     assert out._op == "batch_norm_relu" and out._parents == (x, gamma, beta)
     assert held <= 2.1 * x.data.nbytes
+
+
+def eval_batch_norm_case(dtype, requires_grad=False):
+    """An eval-mode batch norm's input, affine tensors and running statistics."""
+    r = rng(23)
+    x = Tensor((r.normal(size=(6, 3, 5, 5)) * 2.0 + 0.5).astype(dtype),
+               requires_grad=requires_grad, dtype=dtype)
+    gamma, beta = (Tensor((r.normal(size=3) * 0.3 + c).astype(dtype), requires_grad=True,
+                          dtype=dtype) for c in (1.0, 0.0))
+    stats = dict(running_mean=r.normal(size=3).astype(dtype),
+                 running_var=r.uniform(0.5, 2.0, size=3).astype(dtype))
+    return x, gamma, beta, stats
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_batch_norm_leaves_its_argument_without_the_keyword(dtype):
+    """A public eval-mode call under no_grad allocates its output: the
+    argument keeps its bytes, as `finite_diff_check` needs when it reads a
+    conv output again after the loss."""
+    x, gamma, beta, stats = eval_batch_norm_case(dtype)
+    before = x.data.tobytes()
+    with T.no_grad():
+        out = T.batch_norm_relu(x, gamma, beta, training=False, **stats)
+    assert x.data.tobytes() == before
+    assert not np.shares_memory(out.data, x.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_batch_norm_overwrites_only_without_a_tape(dtype):
+    """With `overwrite=True`, an eval-mode call under no_grad writes the
+    allocating path's bytes over its argument; in training mode it leaves
+    the argument alone."""
+    x, gamma, beta, stats = eval_batch_norm_case(dtype)
+    with T.no_grad():
+        want = T.batch_norm_relu(x, gamma, beta, training=False, **stats).data
+        trained = T.batch_norm_relu(x, gamma, beta, training=True, overwrite=True,
+                                    **{k: v.copy() for k, v in stats.items()})
+        assert not np.shares_memory(trained.data, x.data)
+        out = T.batch_norm_relu(x, gamma, beta, training=False, overwrite=True, **stats)
+    assert out.data is x.data and out._grad_fn is None
+    assert out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x-grad", "affine-grad"])
+def test_eval_batch_norm_with_a_tape_ignores_the_keyword(x_needs_grad, dtype):
+    """With gradients on and an input that needs one, `overwrite=True` is
+    ignored: the argument keeps its bytes, and the output and the gradients
+    equal those of a call without the keyword."""
+
+    def run(overwrite):
+        x, gamma, beta, stats = eval_batch_norm_case(dtype, requires_grad=x_needs_grad)
+        before = x.data.tobytes()
+        out = T.batch_norm_relu(x, gamma, beta, training=False, overwrite=overwrite, **stats)
+        assert x.data.tobytes() == before
+        cotangent = Tensor(rng(24).normal(size=x.shape), dtype=dtype)
+        tape_sum(out * cotangent).backward()
+        return out.data, x.grad, gamma.grad, beta.grad
+
+    got, want = run(True), run(False)
+    assert (got[1] is None) == (want[1] is None) == (not x_needs_grad)
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g.tobytes() == w.tobytes()
 
 
 # ----------------------------------------------------------------------
