@@ -147,7 +147,11 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Channel-axis batch normalization with running statistics, then ReLU."""
+    """Channel-axis batch normalization with running statistics, then ReLU.
+
+    In eval mode without a tape it writes its output over `x`'s buffer, so
+    the caller hands over an input that it alone owns.
+    """
 
     def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
@@ -155,10 +159,10 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(channels, dtype=T.default_dtype())
         self.running_var = np.ones(channels, dtype=T.default_dtype())
 
-    def __call__(self, x: Tensor, training: bool, overwrite: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         return T.batch_norm_relu(x, self.gamma, self.beta, running_mean=self.running_mean,
                                  running_var=self.running_var, training=training,
-                                 overwrite=overwrite)
+                                 overwrite=True)
 
 
 class ConvBlock(Module):
@@ -179,7 +183,7 @@ class ConvBlock(Module):
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         # The conv output is this call's own: batch norm may write over it.
         out = self._conv(x, self.kernels, padding=self.padding)
-        return self.bn(out, training, overwrite=True)
+        return self.bn(out, training)
 
 
 # ----------------------------------------------------------------------

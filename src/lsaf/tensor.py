@@ -755,7 +755,7 @@ def batch_norm_relu(
 
     `overwrite=True` hands `x.data` over to the op, which then writes its
     output there; only a caller that alone owns that buffer may set it, as
-    `ConvBlock` does with its conv output. It is ignored, and `x.data` left
+    `BatchNorm` does for `ConvBlock`'s conv output. It is ignored, and `x.data` left
     untouched, unless the op runs in eval mode and records no tape (gradients
     off, or none of `x`, `gamma` and `beta` needs one). In-place or not, the
     same expressions run in the same order, so the output keeps its bytes.
@@ -785,6 +785,8 @@ def batch_norm_relu(
     cshape = (1, channels) + (1,) * (x.ndim - 2)
     axes = (0,) + tuple(range(2, x.ndim))
     count = _axis_count(x.shape, axes)
+    in_place = overwrite and not training and not (
+        _GRAD_ENABLED and any(t.requires_grad for t in (x, gamma, beta)))
 
     if training:
         mean = x.data.mean(axis=axes, keepdims=True)
@@ -799,22 +801,16 @@ def batch_norm_relu(
     else:
         if running_mean is None or running_var is None:
             raise ContractError("eval-mode batch_norm_relu needs running statistics")
+        centered = np.subtract(x.data, running_mean.reshape(cshape).astype(x.dtype),
+                               out=x.data if in_place else None)
         inv = (1.0 / np.sqrt(running_var.reshape(cshape) + eps)).astype(x.dtype)
-        if overwrite and not (_GRAD_ENABLED and any(
-                t.requires_grad for t in (x, gamma, beta))):
-            data = x.data
-            data -= running_mean.reshape(cshape).astype(x.dtype)
-            data *= inv
-            data *= gamma.data.reshape(cshape)
-            data += beta.data.reshape(cshape)
-            np.maximum(data, 0, out=data)
-            return _node(data, (x, gamma, beta), "batch_norm_relu", None)
-        centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
     gain = gamma.data.reshape(cshape)
-    data = centered * inv
+    data = np.multiply(centered, inv, out=centered if in_place else None)
     data *= gain
     data += beta.data.reshape(cshape)
     np.maximum(data, 0, out=data)
+    if in_place:
+        return _node(data, (x, gamma, beta), "batch_norm_relu", None)
 
     def grad_fn(g):
         g = g * (data > 0)

@@ -513,16 +513,17 @@ def assert_form_within_tolerance(x_shape, k_shape, padding, dtype, scatter):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scatter_form_batched_equals_per_sample(dtype):
     """At HSI block4's shape, a sample's output is the same bytes in a batch
-    of 1, 7, 37, 173 or 256 as alone. The forward is one GEMM over the
-    batch's rows, so this checks that this BLAS gives a row the same bytes
-    whatever the row count: 173 is eval-sparse's last partial batch and 256
-    is `train.BATCH`."""
+    as alone. The forward is one GEMM over the batch's rows, 25 per sample,
+    so this checks that this BLAS gives a row the same bytes whatever the
+    row count: every batch up to 16, to cover the GEMM's row tails, then
+    primes up to 251, among them 173, eval-sparse's last partial batch, and
+    256, `train.BATCH`."""
     r = rng(33)
     x = r.normal(size=(256, 576, 5, 5)).astype(dtype)
     k = Tensor((r.normal(size=(64, 576, 3, 3)) / 48).astype(dtype), dtype=dtype)
     singles = np.concatenate([T.conv2d(Tensor(x[i:i + 1], dtype=dtype), k, padding=1).data
                               for i in range(256)])
-    for batch in (1, 7, 37, 173, 256):
+    for batch in list(range(1, 17)) + [17, 31, 37, 61, 97, 127, 173, 211, 251, 256]:
         full = T.conv2d(Tensor(x[:batch], dtype=dtype), k, padding=1).data
         assert full.tobytes() == singles[:batch].tobytes(), batch
 
