@@ -1,7 +1,8 @@
 """Scene loading, PCA spectral reduction, min-max scaling, patch sets,
 splitting, and synthetic scene generation.
 
-Everything here is a pure function over numpy arrays; autodiff tensors only
+Everything here is a function over numpy arrays, pure apart from the arrays
+that `mirror_rim` and `pca_transform(out=)` write into; autodiff tensors only
 appear once patches reach the model, cut from the padded scene per batch.
 Pixel order is row-major throughout, so parallel implementations of any step
 must preserve that ordering.
@@ -29,11 +30,17 @@ class RasterPair:
     `hsi` is (bands, H, W) reflectance, an array or a `storage.RasterRows`
     reader of its file, `lidar` is (1, H, W) elevation in meters, `labels`
     is (H, W) with 0 marking unlabeled pixels and 1..K the classes.
+
+    A `rim` above 0 marks `hsi` and `lidar` as the interiors of arrays that
+    reach `rim` pixels past every scene side (`padded_interior` makes them):
+    `extract_patches` at s // 2 == `rim` mirrors the scene into that rim in
+    place and keeps those arrays, instead of padding copies of the scene.
     """
 
     hsi: np.ndarray | storage.RasterRows
     lidar: np.ndarray
     labels: np.ndarray
+    rim: int = 0
 
     def __post_init__(self):
         if len(self.hsi.shape) != 3:
@@ -51,6 +58,10 @@ class RasterPair:
             )
         if self.labels.min() < 0:
             raise ShapeError("labels must be non-negative (0 = unlabeled)")
+        if self.rim and any(_enclosing(raster, self.rim) is None
+                            for raster in (self.hsi, self.lidar)):
+            raise ShapeError(f"rasters of a pair with rim {self.rim} must be interiors "
+                             "that padded_interior made")
 
     @property
     def height(self) -> int:
@@ -90,6 +101,11 @@ def save_raster(pair: RasterPair, hsi_path, lidar_path, labels_path) -> None:
 # Pixels per chunk of rows that `pca_transform` projects at once (one row
 # at least): 4.5 MiB of float64 for 144 bands, whatever the scene width.
 CHUNK_PIXELS = 1 << 12
+
+# Bytes of float32 rows that `pca_transform` reads from its cube at once: a
+# whole number of chunks, one at least. A row reader pays a file read per
+# band per block, so larger blocks cost fewer calls.
+_READ_BYTES = 16 << 20
 
 
 @dataclass
@@ -151,36 +167,49 @@ def pca_fit(hsi: np.ndarray, r: int, labels: np.ndarray | None = None) -> PcaMod
 
 
 def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
-                  needed: np.ndarray | None = None) -> np.ndarray:
+                  needed: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Project a (bands, H, W) cube to (r, H, W): float64 by default, or,
     given `scale=(lo, span)`, rescaled by those per-band constants (see
     `rescale`) and cast to float32. Given an (H, W) bool mask `needed`, only
     those pixels are projected, and every other pixel holds exactly 0.0.
+    Given `out`, an (r, H, W) array of that dtype (such as the interior
+    `padded_interior` returns), the projection is written into it and it is
+    returned; pixels outside `needed` then keep what `out` held.
 
-    The cube is projected in chunks of rows of about `CHUNK_PIXELS` pixels,
+    The cube is read in blocks of rows of about `_READ_BYTES` of float32,
+    and each block is projected in chunks of about `CHUNK_PIXELS` pixels,
     each written straight into the output, so no float64 copy of the whole
     cube exists. `hsi` is read only through its `shape` and `hsi[:, top:stop]`,
     so a `storage.RasterRows` reader streams the cube from its file, and
     checks every row of it, needed or not. Each pixel's row of the projection
     GEMM depends on that pixel alone, so the bytes equal a whole-cube
-    projection's whatever the chunk size, the row source or the mask
-    (`tests/test_data.py` pins this).
+    projection's whatever the block and chunk sizes, the row source or the
+    mask (`tests/test_data.py` pins this).
     """
     if hsi.shape[0] != model.bands:
         raise ShapeError(
             f"pca model fitted on {model.bands} bands, input has {hsi.shape[0]}"
         )
     height, width = hsi.shape[1:]
-    out = (np.empty if needed is None else np.zeros)(
-        (model.dims, height, width), dtype=np.float64 if scale is None else np.float32)
+    shape = (model.dims, height, width)
+    dtype = np.dtype(np.float64 if scale is None else np.float32)
+    if out is None:
+        out = (np.empty if needed is None else np.zeros)(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"pca_transform writes a {shape} {dtype} projection, "
+                         f"out is {out.shape} {out.dtype}")
     step = max(1, CHUNK_PIXELS // max(width, 1))
-    for top in range(0, height, step):
-        keep = slice(None)  # a chunk of needed pixels only is projected whole
-        if needed is not None and not needed[top:top + step].all():
-            keep = needed[top:top + step]
-        rows = _project(model, hsi[:, top:top + step][:, keep])
-        out[:, top:top + step][:, keep] = (
-            rows if scale is None else rescale(rows, *scale, in_place=True))
+    rows = step * max(1, _READ_BYTES // (4 * model.bands * max(width, 1) * step))
+    for top in range(0, height, rows):
+        block = hsi[:, top:top + rows]
+        for start in range(0, block.shape[1], step):
+            at = slice(top + start, top + start + step)
+            keep = slice(None)  # a chunk of needed pixels only is projected whole
+            if needed is not None and not needed[at].all():
+                keep = needed[at]
+            chunk = _project(model, block[:, start:start + step][:, keep])
+            out[:, at][:, keep] = (
+                chunk if scale is None else rescale(chunk, *scale, in_place=True))
     return out
 
 
@@ -264,16 +293,61 @@ def extract_patches(pair: RasterPair, s: int) -> PatchSet:
     mirror-padded at scene borders.
 
     HSI and LiDAR patches come from identical coordinates; sample order is
-    row-major over the label map.
+    row-major over the label map. A pair whose `rim` is s // 2 is padded in
+    place (see `RasterPair`); any other is copied into new padded arrays.
     """
     check_patch_size(s, pair.height, pair.width)
     half = s // 2
-    pad = ((0, 0), (half, half), (half, half))
     coords = np.argwhere(pair.labels != 0)
     labels = pair.labels[coords[:, 0], coords[:, 1]].astype(np.int64)
-    return PatchSet(hsi=np.pad(pair.hsi, pad, mode="reflect"),
-                    lidar=np.pad(pair.lidar, pad, mode="reflect"),
-                    labels=labels, pixels=coords, patch=s)
+    hsi, lidar = (mirror_rim(_padded(raster, half, pair.rim), half)
+                  for raster in (pair.hsi, pair.lidar))
+    return PatchSet(hsi=hsi, lidar=lidar, labels=labels, pixels=coords, patch=s)
+
+
+def padded_interior(bands: int, height: int, width: int, rim: int,
+                    dtype=np.float32) -> np.ndarray:
+    """The (bands, H, W) interior of a new zero-filled array that reaches
+    `rim` pixels past every side of an H×W scene, for `RasterPair.rim`."""
+    return _interior(np.zeros((bands, height + 2 * rim, width + 2 * rim), dtype=dtype), rim)
+
+
+def mirror_rim(padded: np.ndarray, rim: int) -> np.ndarray:
+    """Fill the `rim`-wide border of a (c, H + 2·rim, W + 2·rim) array in
+    place by mirroring its interior about the edge rows and columns, which
+    are not repeated, and return it: the bytes of
+    `np.pad(interior, ((0, 0), (rim, rim), (rim, rim)), mode="reflect")`.
+    `rim` must lie below H and W, as `check_patch_size` keeps s // 2."""
+    if rim:
+        # rows over the interior columns, then whole columns as transposed rows
+        for view in (padded[:, :, rim:-rim], padded.swapaxes(1, 2)):
+            end = view.shape[1] - rim  # one past the last interior row
+            view[:, :rim] = view[:, 2 * rim:rim:-1]
+            view[:, end:] = view[:, end - 2:end - 2 - rim:-1]
+    return padded
+
+
+def _interior(padded: np.ndarray, rim: int) -> np.ndarray:
+    return padded[:, rim:padded.shape[1] - rim, rim:padded.shape[2] - rim]
+
+
+def _enclosing(raster, rim: int) -> np.ndarray | None:
+    """The array whose `rim`-wide interior `raster` is, or None."""
+    base = getattr(raster, "base", None)
+    if not isinstance(base, np.ndarray) or base.ndim != 3:
+        return None
+    # the same address, shape, strides and dtype: the same view
+    return base if _interior(base, rim).__array_interface__ == raster.__array_interface__ else None
+
+
+def _padded(raster: np.ndarray, half: int, rim: int) -> np.ndarray:
+    """The array to mirror `raster` into: its own enclosing array when the
+    pair's `rim` is `half`, else a new one holding a copy of it."""
+    if rim and rim == half:
+        return _enclosing(raster, rim)
+    inner = padded_interior(*raster.shape, half, dtype=raster.dtype)
+    inner[...] = raster
+    return inner.base
 
 
 def window_pixels(labels: np.ndarray, s: int) -> np.ndarray:

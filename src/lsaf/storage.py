@@ -135,11 +135,9 @@ class RasterRows:
             raise ContractError(f"a raster reads blocks of rows as [:, top:stop], not {key!r}")
         top, stop, _ = key[1].indices(self.shape[1])
         block = _read_rows(self.path, self._info, top, max(top, stop))
-        # A float64 sum of float32 values cannot overflow, so it is finite exactly
-        # when every value is, and unlike np.isfinite it needs no block-sized mask.
-        with np.errstate(invalid="ignore"):  # inf + -inf
-            total = block.sum(dtype=np.float64)
-        if not np.isfinite(total):
+        # min and max propagate NaN and reach any ±Inf, so a block is finite
+        # exactly when both are, and unlike np.isfinite they need no block-sized mask.
+        if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):
             bad = np.count_nonzero(~np.isfinite(block))
             raise FormatError(f"{self.path}: raster holds {bad} non-finite value(s) (NaN or Inf)")
         return block

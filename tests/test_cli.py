@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import re
 import struct
 import subprocess
@@ -170,6 +171,16 @@ class TestArgs:
         )
         assert proc.returncode == 0
         assert "synth" in proc.stdout and "map" in proc.stdout
+
+    @pytest.mark.parametrize("imports,warnings", [("numpy, lsaf", 1), ("lsaf, numpy", 0)])
+    def test_lsaf_threads_after_numpy_is_logged(self, imports, warnings):
+        """LSAF_THREADS caps the BLAS threads only when lsaf is imported
+        before numpy loads its BLAS; the other order logs one warning."""
+        proc = subprocess.run([sys.executable, "-c", f"import {imports}"],
+                              env=dict(os.environ, LSAF_THREADS="1"),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr.count("LSAF_THREADS=1 does not cap") == warnings
 
 
 # ----------------------------------------------------------------------
@@ -481,12 +492,16 @@ class TestPreprocessing:
         assert np.array_equal(scaled.hsi, stored.hsi)
         assert peak <= 1.1 * (projection + chunk)
 
-    def test_setup_streams_the_cube_from_its_file(self, tmp_path):
+    def test_setup_streams_the_cube_from_its_file(self, tmp_path, monkeypatch):
         """With a checkpoint, `_setup` projects HSI row blocks read from the
-        file as it goes: its peak is the float32 projection, one block (read
-        in float32, then the float64 pixels, projection and rescale
-        temporaries) and the checkpoint's tensors twice (the state and the
-        model's weights), well under the raw cube it never holds."""
+        file as it goes, straight into the padded arrays the patch set keeps:
+        its peak is the padded float32 projection, one read block, one
+        chunk's temporaries (its float32 needed pixels, then their float64
+        copy, projection and rescale) and the checkpoint's tensors twice (the
+        state and the model's weights). That is well under the raw cube it
+        never holds, and under a second, unpadded copy of the projection."""
+        monkeypatch.setattr(data, "CHUNK_PIXELS", 512)
+        monkeypatch.setattr(data, "_READ_BYTES", 1 << 20)
         bands, dims, height, width = 144, 30, 128, 256
         r = np.random.default_rng(0)
         cube = r.random((bands, height, width), dtype=np.float32)
@@ -512,8 +527,9 @@ class TestPreprocessing:
         del cube, model, entries
         args = cli.build_parser().parse_args(["eval", "--config", str(config),
                                               "--checkpoint", str(ckpt)])
-        projection = dims * height * width * 4
+        padded = dims * (height + 6) * (width + 6) * 4
         chunk = data.CHUNK_PIXELS * (bands * 4 + (bands + 3 * dims) * 8)
+        kept = padded + data._READ_BYTES + chunk + 2 * ckpt.stat().st_size
         prev_dtype = T.default_dtype()  # `_setup` sets the config's; `main` restores it
         tracemalloc.start()
         try:
@@ -523,7 +539,7 @@ class TestPreprocessing:
             tracemalloc.stop()
             T.set_default_dtype(prev_dtype)
         assert patches.hsi.dtype == np.float32 and len(patches) == 256
-        assert peak <= 1.05 * (projection + chunk + 2 * ckpt.stat().st_size)
+        assert peak <= 1.05 * kept
         assert peak < bands * height * width * 4
 
 
@@ -852,14 +868,14 @@ def sparse_run(tmp_path):
 
 
 def setup_of(argv):
-    """`cli._setup`'s (patch set, model) for a command line, with the tensor
-    dtype restored afterwards as `main` does."""
+    """`cli._setup`'s (patch set, model, `pre.*` constants) for a command
+    line, with the tensor dtype restored afterwards as `main` does."""
     args = cli.build_parser().parse_args([str(a) for a in argv])
     prev_dtype = T.default_dtype()
     try:
-        _, _, patches, _, model, _ = cli._setup(args, args.resume if args.command == "train"
-                                                else args.checkpoint)
-        return patches, model
+        _, _, patches, pre, model, _ = cli._setup(args, args.resume if args.command == "train"
+                                                  else args.checkpoint)
+        return patches, model, pre
     finally:
         T.set_default_dtype(prev_dtype)
 
@@ -875,11 +891,11 @@ class TestNeededPixels:
         config, ckpt, needed = sparse_run
         monkeypatch.setattr(data, "CHUNK_PIXELS", 4 * 40)
         argv = command_argv(command, ckpt) + ["--config", config, "--out", tmp_path / "out"]
-        patches, model = setup_of(argv)
+        patches, model, _ = setup_of(argv)
         transform = cli.pca_transform
-        monkeypatch.setattr(cli, "pca_transform",
-                            lambda pca, hsi, scale=None, needed=None: transform(pca, hsi, scale))
-        full, _ = setup_of(argv)
+        monkeypatch.setattr(cli, "pca_transform", lambda pca, hsi, scale=None, needed=None,
+                            out=None: transform(pca, hsi, scale, out=out))
+        full, _, _ = setup_of(argv)
 
         assert np.array_equal(patches.pixels, full.pixels) and len(patches) == 128
         every = np.arange(len(patches))
@@ -901,6 +917,52 @@ class TestNeededPixels:
         finally:
             T.set_default_dtype(prev_dtype)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("command", ["eval", "map", "resume", "train"])
+    def test_padded_scene_equals_padding_the_projection(self, sparse_run, tmp_path, command):
+        """Projected into the interior of the patch set's arrays and mirrored
+        there, the padded HSI and LiDAR hold the bytes of `np.pad(mode=
+        "reflect")` over the scaled float32 projection, masked to the pixels
+        the windows read when the constants come from a checkpoint."""
+        config, ckpt, needed = sparse_run
+        patches, _, pre = setup_of(command_argv(command, ckpt)
+                                   + ["--config", config, "--out", tmp_path / "out"])
+        cube, lidar = (storage.read_raster(tmp_path / f"{name}.lsaf") for name in ("hsi", "lidar"))
+        pca = data.PcaModel(*(pre[key].astype(np.float64) for key in cli._PRE_KEYS[:3]))
+        hsi_scale = (pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
+        if command == "train":
+            hsi = data.rescale(data.pca_transform(pca, cube), *hsi_scale).astype(np.float32)
+        else:
+            hsi = data.pca_transform(pca, cube, scale=hsi_scale, needed=needed)
+        lidar = data.rescale(lidar, pre["pre.norm.lidar_min"],
+                             pre["pre.norm.lidar_span"]).astype(np.float32)
+        half = patches.patch // 2
+        for got, scene in ((patches.hsi, hsi), (patches.lidar, lidar)):
+            want = np.pad(scene, ((0, 0), (half, half), (half, half)), mode="reflect")
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    # NaNs at the first row of the second 4-row block and further on in it,
+    # and one in a later block; an Inf in the last row, of a ragged block
+    @pytest.mark.parametrize("bad,count", [([(3, 4, 5), (0, 7, 39), (1, 12, 0)], 2),
+                                           ([(15, 29, 17)], 1)], ids=["second", "last"])
+    @pytest.mark.parametrize("command", ["eval", "map", "resume"])
+    def test_nonfinite_value_in_a_later_read_block_fails_the_run(
+            self, sparse_run, tmp_path, monkeypatch, capsys, command, bad, count):
+        """A 30-row scene read in blocks of 4 rows, so the last holds 2: a
+        non-finite value exits 2 with the count of the first block that holds
+        one, and writes nothing."""
+        config, ckpt, _ = sparse_run
+        monkeypatch.setattr(data, "CHUNK_PIXELS", 2 * 40)
+        monkeypatch.setattr(data, "_READ_BYTES", 4 * 16 * 40 * 4)
+        path = tmp_path / "hsi.lsaf"
+        cube = storage.read_raster(path)
+        for index in bad:
+            cube[index] = np.inf if index[1] == 29 else np.nan
+        storage.write_raster(path, cube)
+        out = tmp_path / "out"
+        assert run(command_argv(command, ckpt) + ["--config", config, "--out", out]) == 2
+        assert f"{path}: raster holds {count} non-finite value" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["eval", "map", "resume"])
     def test_nonfinite_pixel_no_window_reads_fails_the_run(self, sparse_run, tmp_path,

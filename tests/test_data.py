@@ -13,6 +13,8 @@ from lsaf.data import (
     extract_patches,
     pca_fit,
     fit_minmax,
+    mirror_rim,
+    padded_interior,
     pca_transform,
     rescale,
     split,
@@ -276,6 +278,55 @@ class TestPcaTransform:
             got = pca_transform(model, rows, scale=scale, needed=needed)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    # blocks of one 2-row chunk, of three chunks with the last block ragged,
+    # and one block for the whole scene
+    @pytest.mark.parametrize("budget,rows", [(1, 2), (3 * 2 * 144 * 23 * 4 + 99, 6),
+                                             (1 << 24, 50)], ids=["chunk", "ragged", "whole"])
+    def test_read_blocks_are_whole_chunks_within_the_budget(self, tmp_path, monkeypatch,
+                                                            budget, rows):
+        """The cube is read in blocks of rows that tile the scene in order,
+        each the most whole chunks that fit in `_READ_BYTES` (one at least),
+        and the bytes equal those of the cube held whole."""
+        r = rng(13)
+        cube = (r.normal(size=(144, 50, 23)) * r.uniform(0.5, 3.0, (144, 1, 1))).astype(np.float32)
+        path = tmp_path / "hsi.lsaf"
+        storage.write_raster(path, cube)
+        model = pca_fit(cube, r=30)
+        lo, span = fit_minmax(pca_transform(model, cube))
+        monkeypatch.setattr(data, "CHUNK_PIXELS", 2 * 23)
+        monkeypatch.setattr(data, "_READ_BYTES", budget)
+        reads = []
+
+        class Recorded(storage.RasterRows):
+            def __getitem__(self, key):
+                reads.append(key[1].indices(self.shape[1])[:2])
+                return super().__getitem__(key)
+
+        for scale in (None, (lo, span)):
+            reads.clear()
+            got = pca_transform(model, Recorded(path), scale=scale)
+            assert got.tobytes() == pca_transform(model, cube, scale=scale).tobytes()
+            assert reads == [(top, min(top + rows, 50)) for top in range(0, 50, rows)]
+
+    def test_projection_into_a_given_array(self):
+        """Given `out`, the projection is written into it, a strided interior
+        of a padded array here, and returned; pixels outside `needed` keep
+        what it held. An `out` of the wrong shape or dtype is refused."""
+        r = rng(14)
+        cube = r.normal(size=(12, 9, 11)).astype(np.float32)
+        model = pca_fit(cube, r=4)
+        lo, span = fit_minmax(pca_transform(model, cube))
+        needed = r.random((9, 11)) < 0.5
+        out = padded_interior(4, 9, 11, 2)
+        out.base[...] = 7.0
+        got = pca_transform(model, cube, scale=(lo, span), needed=needed, out=out)
+        want = pca_transform(model, cube, scale=(lo, span), needed=needed)
+        assert got is out and got[:, needed].tobytes() == want[:, needed].tobytes()
+        assert (got[:, ~needed] == 7.0).all() and (out.base[:, :2] == 7.0).all()
+        for bad in (np.empty((4, 9, 11)), np.empty((4, 9, 10), dtype=np.float32)):
+            with pytest.raises(ShapeError, match="pca_transform writes"):
+                pca_transform(model, cube, scale=(lo, span), out=bad)
+
     def test_mean_pixel_maps_to_zero(self):
         cube = rng(0).normal(size=(5, 6, 6))
         model = pca_fit(cube, r=3)
@@ -423,6 +474,49 @@ class TestExtractPatches:
         subset = out.take(np.array([2, 0]))
         assert subset.hsi is out.hsi and subset.lidar is out.lidar
         assert np.array_equal(subset.cut([0, 1])[0], out.cut([2, 0])[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", range(1, 2 * 6, 2))
+    def test_mirror_rim_equals_reflect_padding(self, dtype, s):
+        """Mirroring a 6×11 interior into its rim in place gives the bytes of
+        `np.pad(mode="reflect")`, for every odd s that `check_patch_size`
+        lets through."""
+        raster = rng(s).normal(size=(3, 6, 11)).astype(dtype)
+        half = s // 2
+        inner = padded_interior(3, 6, 11, half, dtype=dtype)
+        inner[...] = raster
+        got = mirror_rim(inner.base, half)
+        want = np.pad(raster, ((0, 0), (half, half), (half, half)), mode="reflect")
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_pair_with_a_rim_is_padded_in_place(self):
+        """A pair whose rasters are `padded_interior` arrays with rim s // 2
+        hands those arrays to the patch set, mirrored, with the bytes of
+        padding a copy; at another s the pair is copied and left as it was."""
+        plain = make_pair(seed=7)
+        hsi, lidar = (padded_interior(a.shape[0], 8, 9, 2, dtype=a.dtype)
+                      for a in (plain.hsi, plain.lidar))
+        hsi[...], lidar[...] = plain.hsi, plain.lidar
+        pair = RasterPair(hsi=hsi, lidar=lidar, labels=plain.labels, rim=2)
+        copied = extract_patches(pair, s=3)
+        assert not np.shares_memory(copied.hsi, hsi.base) and not hsi.base[:, :2].any()
+        out = extract_patches(pair, s=5)
+        assert out.hsi is hsi.base and out.lidar is lidar.base
+        want = extract_patches(plain, s=5)
+        assert out.hsi.tobytes() == want.hsi.tobytes()
+        assert out.lidar.tobytes() == want.lidar.tobytes()
+        assert copied.hsi.tobytes() == extract_patches(plain, s=3).hsi.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a.copy(),  # an array of its own
+        lambda a: np.pad(a, ((0, 0), (2, 2), (2, 2)))[:, 1:-3, 2:-2],  # off-centre view
+        lambda a: np.pad(a, ((0, 0), (1, 1), (1, 1)))[:, 1:-1, 1:-1],  # a narrower rim
+    ], ids=["own", "offset", "narrow"])
+    def test_pair_rim_must_enclose_its_rasters(self, make):
+        plain = make_pair(seed=8)
+        lidar = padded_interior(1, 8, 9, 2, dtype=plain.lidar.dtype)
+        with pytest.raises(ShapeError, match="rim 2"):
+            RasterPair(hsi=make(plain.hsi), lidar=lidar, labels=plain.labels, rim=2)
 
     def test_even_patch_rejected(self):
         with pytest.raises(ConfigError):

@@ -37,13 +37,23 @@ def test_nonfinite_raster_rejected_naming_the_file(tmp_path, values):
 
 
 def test_largest_finite_values_load(tmp_path):
-    """Summing float32 extremes in float64 cannot overflow to a false alarm."""
+    """The float32 extremes and their neighbours are finite, so the finite
+    check raises no false alarm on them, and a whole-cube read holds the
+    payload once: the check adds no mask (a bool one is a quarter of it)."""
     big = np.finfo(np.float32).max
-    cube = np.full((4, 16, 16), big, dtype=np.float32)
+    cube = np.full((4, 64, 64), big, dtype=np.float32)
     cube[1] = -big
+    cube[2] = np.nextafter(big, np.float32(0))
     path = tmp_path / "big.lsaf"
     storage.write_raster(path, cube)
-    assert np.array_equal(storage.read_raster(path), cube)
+    tracemalloc.start()
+    try:
+        back = storage.read_raster(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, cube)
+    assert peak <= 1.1 * cube.nbytes
 
 
 def test_labels_round_trip(tmp_path):
