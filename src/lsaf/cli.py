@@ -39,7 +39,6 @@ from .data import (
     extract_patches,
     fit_minmax,
     load_raster,
-    padded_interior,
     pca_fit,
     pca_transform,
     rescale,
@@ -196,33 +195,26 @@ def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
 
 
 def _apply_preprocessing(pair: RasterPair, pre: dict, patch: int) -> RasterPair:
-    """Project and scale a scene with the `pre.*` constants, into the
-    interiors of arrays padded for patch×patch windows (`RasterPair.rim`),
-    which `extract_patches` then mirrors in place. Stored min-max constants
-    are applied chunk by chunk as the scene is projected straight into that
-    float32 interior, and only the pixels that the windows of the labelled
-    pixels read are projected (`window_pixels`); the others hold 0.0, and
-    the whole cube is still read and checked finite. A new model's `pre`
-    holds the PCA only: the min-max constants are then fitted on the float64
-    projection of every pixel and added to `pre`, so the scene is projected
-    once either way."""
-    def padded(bands):
-        return padded_interior(bands, pair.height, pair.width, patch // 2)
-
+    """Project and scale a scene with the `pre.*` constants into the float32
+    arrays that the patch set keeps. Stored min-max constants are applied
+    chunk by chunk as the scene is projected straight into float32, and only
+    the pixels that the patch×patch windows of the labelled pixels read are
+    projected (`window_pixels`); the others hold 0.0, and the whole cube is
+    still read and checked finite. A new model's `pre` holds the PCA only:
+    the min-max constants are then fitted on the float64 projection of every
+    pixel and added to `pre`, so the scene is projected once either way."""
     pca = PcaModel(*(pre[key].astype(np.float64) for key in _PRE_KEYS[:3]))
     if "pre.norm.hsi_min" in pre:
         hsi = pca_transform(pca, pair.hsi, scale=(pre["pre.norm.hsi_min"],
                                                   pre["pre.norm.hsi_span"]),
-                            needed=window_pixels(pair.labels, patch), out=padded(pca.dims))
+                            needed=window_pixels(pair.labels, patch))
     else:
-        projection = pca_transform(pca, pair.hsi)
-        pre.update(zip(_PRE_KEYS[3:], fit_minmax(projection) + fit_minmax(pair.lidar)))
-        hsi = padded(pca.dims)
-        hsi[...] = rescale(projection, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"],
-                           in_place=True)
-    lidar = padded(1)
-    lidar[...] = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
-    return RasterPair(hsi=hsi, lidar=lidar, labels=pair.labels, rim=patch // 2)
+        hsi = pca_transform(pca, pair.hsi)
+        pre.update(zip(_PRE_KEYS[3:], fit_minmax(hsi) + fit_minmax(pair.lidar)))
+        hsi = rescale(hsi, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"],
+                      in_place=True).astype(np.float32)
+    lidar = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
+    return RasterPair(hsi=hsi, lidar=lidar.astype(np.float32), labels=pair.labels)
 
 
 def _model_meta(model: LsafModel, config: dict, epochs_trained: int) -> dict:
@@ -283,8 +275,8 @@ def _setup(args, checkpoint: str | None):
     projection needs them; with a checkpoint, only the pixels that the
     windows of the labelled pixels read are projected, though every row is
     read and checked finite. A new model's PCA fit reads the cube whole
-    first. The projection is written into the padded arrays that the patch
-    set keeps, the only scene copy that outlives the call."""
+    first. The patch set keeps the projected scene itself, unpadded, the
+    only scene copy that outlives the call."""
     config = load_config(args.config, _overrides(args))
     T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
     os.makedirs(config["out"], exist_ok=True)

@@ -1,9 +1,8 @@
 """Scene loading, PCA spectral reduction, min-max scaling, patch sets,
 splitting, and synthetic scene generation.
 
-Everything here is a function over numpy arrays, pure apart from the arrays
-that `mirror_rim` and `pca_transform(out=)` write into; autodiff tensors only
-appear once patches reach the model, cut from the padded scene per batch.
+Everything here is a pure function over numpy arrays; autodiff tensors only
+appear once patches reach the model, cut from the mirrored scene per batch.
 Pixel order is row-major throughout, so parallel implementations of any step
 must preserve that ordering.
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import storage
 from .errors import ConfigError, RegistrationError, ShapeError
@@ -30,17 +28,11 @@ class RasterPair:
     `hsi` is (bands, H, W) reflectance, an array or a `storage.RasterRows`
     reader of its file, `lidar` is (1, H, W) elevation in meters, `labels`
     is (H, W) with 0 marking unlabeled pixels and 1..K the classes.
-
-    A `rim` above 0 marks `hsi` and `lidar` as the interiors of arrays that
-    reach `rim` pixels past every scene side (`padded_interior` makes them):
-    `extract_patches` at s // 2 == `rim` mirrors the scene into that rim in
-    place and keeps those arrays, instead of padding copies of the scene.
     """
 
     hsi: np.ndarray | storage.RasterRows
     lidar: np.ndarray
     labels: np.ndarray
-    rim: int = 0
 
     def __post_init__(self):
         if len(self.hsi.shape) != 3:
@@ -58,10 +50,6 @@ class RasterPair:
             )
         if self.labels.min() < 0:
             raise ShapeError("labels must be non-negative (0 = unlabeled)")
-        if self.rim and any(_enclosing(raster, self.rim) is None
-                            for raster in (self.hsi, self.lidar)):
-            raise ShapeError(f"rasters of a pair with rim {self.rim} must be interiors "
-                             "that padded_interior made")
 
     @property
     def height(self) -> int:
@@ -167,14 +155,11 @@ def pca_fit(hsi: np.ndarray, r: int, labels: np.ndarray | None = None) -> PcaMod
 
 
 def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
-                  needed: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+                  needed: np.ndarray | None = None) -> np.ndarray:
     """Project a (bands, H, W) cube to (r, H, W): float64 by default, or,
     given `scale=(lo, span)`, rescaled by those per-band constants (see
     `rescale`) and cast to float32. Given an (H, W) bool mask `needed`, only
     those pixels are projected, and every other pixel holds exactly 0.0.
-    Given `out`, an (r, H, W) array of that dtype (such as the interior
-    `padded_interior` returns), the projection is written into it and it is
-    returned; pixels outside `needed` then keep what `out` held.
 
     The cube is read in blocks of rows of about `_READ_BYTES` of float32,
     and each block is projected in chunks of about `CHUNK_PIXELS` pixels,
@@ -191,13 +176,13 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
             f"pca model fitted on {model.bands} bands, input has {hsi.shape[0]}"
         )
     height, width = hsi.shape[1:]
-    shape = (model.dims, height, width)
-    dtype = np.dtype(np.float64 if scale is None else np.float32)
-    if out is None:
-        out = (np.empty if needed is None else np.zeros)(shape, dtype=dtype)
-    elif out.shape != shape or out.dtype != dtype:
-        raise ShapeError(f"pca_transform writes a {shape} {dtype} projection, "
-                         f"out is {out.shape} {out.dtype}")
+    if needed is not None:
+        needed = np.asarray(needed)
+        if needed.dtype != bool or needed.shape != (height, width):
+            raise ShapeError(f"needed must be a ({height}, {width}) bool mask, "
+                             f"got {needed.shape} {needed.dtype}")
+    out = (np.empty if needed is None else np.zeros)(
+        (model.dims, height, width), dtype=np.float64 if scale is None else np.float32)
     step = max(1, CHUNK_PIXELS // max(width, 1))
     rows = step * max(1, _READ_BYTES // (4 * model.bands * max(width, 1) * step))
     for top in range(0, height, rows):
@@ -247,16 +232,18 @@ def rescale(raster: np.ndarray, lo: np.ndarray, span: np.ndarray,
 
 @dataclass
 class PatchSet:
-    """Labelled pixels of one mirror-padded scene, in row-major pixel order.
+    """Labelled pixels of one scene, in row-major pixel order.
 
-    `hsi` and `lidar` are the scene padded by s // 2 on every side, so the
-    s×s patch centred on pixel (row, col) is `hsi[:, row:row + s, col:col + s]`.
-    `cut` copies out the patches a batch needs; subsets made by `take` and
-    `split` share the padded rasters and copy only `labels` and `pixels`.
+    `hsi` and `lidar` are the scene itself. The s×s patch centred on pixel
+    (row, col) reads it mirrored about its edge rows and columns, which are
+    not repeated: the bytes of `np.pad(mode="reflect")` by s // 2, sliced at
+    (row, col). `cut` and `area` copy out the windows a batch or a tile
+    needs; subsets made by `take` and `split` share the rasters and copy only
+    `labels` and `pixels`.
     """
 
-    hsi: np.ndarray  # (r, H + s - 1, W + s - 1)
-    lidar: np.ndarray  # (1, H + s - 1, W + s - 1)
+    hsi: np.ndarray  # (r, H, W)
+    lidar: np.ndarray  # (1, H, W)
     labels: np.ndarray  # (n,) values in 1..K
     pixels: np.ndarray  # (n, 2) scene (row, col) of each patch centre
     patch: int  # s
@@ -265,7 +252,11 @@ class PatchSet:
         n = self.labels.shape[0]
         if self.pixels.shape != (n, 2):
             raise ShapeError("patch arrays disagree on sample count")
-        grid = np.array(self.hsi.shape[1:]) - (self.patch - 1)
+        grid = self.hsi.shape[1:]
+        if self.lidar.shape[1:] != grid:
+            raise ShapeError(f"lidar grid {self.lidar.shape[1:]} differs from hsi's {grid}")
+        # an overhang past n - 1 rows would mirror to negative indices
+        check_patch_size(self.patch, *grid)
         if n and (self.pixels.min() < 0 or np.any(self.pixels.max(axis=0) >= grid)):
             raise ShapeError(f"patch centres must lie on the {grid[0]}x{grid[1]} scene")
         if n and self.labels.min() < 1:
@@ -281,73 +272,44 @@ class PatchSet:
         """C-contiguous (k, r, s, s) HSI and (k, 1, s, s) LiDAR patches of the
         k samples `idx` selects, in its order."""
         rows, cols = self.pixels[idx].T
+        rows, cols = self._mirrored(rows, 1, 1), self._mirrored(cols, 1, 2)
         s = self.patch
-        windows = (sliding_window_view(raster, (s, s), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
-                   for raster in (self.hsi, self.lidar))
-        # numpy leaves the layout of a fancy index's result unspecified
-        return tuple(np.ascontiguousarray(w[rows, cols]) for w in windows)
+        batches = []
+        for raster in (self.hsi, self.lidar):
+            batch = np.empty((len(rows), raster.shape[0], s, s), dtype=raster.dtype)
+            for i in range(s):  # a window row at a time: no whole-batch temporary
+                batch[:, :, i] = raster[:, rows[:, i, None], cols].swapaxes(0, 1)
+            batches.append(batch)
+        return tuple(batches)
+
+    def area(self, row: int, col: int, height: int, width: int):
+        """The (r, height + s - 1, width + s - 1) HSI and (1, ...) LiDAR
+        blocks that the windows centred on the height×width tile at scene
+        pixel (row, col) read, the window of pixel (row + i, col + j) at
+        offset (i, j)."""
+        rows, cols = self._mirrored(row, height, 1), self._mirrored(col, width, 2)
+        return tuple(raster[:, rows[:, None], cols] for raster in (self.hsi, self.lidar))
+
+    def _mirrored(self, start, size: int, axis: int) -> np.ndarray:
+        """The scene indices along `axis` of the size + s - 1 mirrored rows or
+        columns from start - s // 2, per `start` (an int or an array): |i|,
+        then 2(n - 1) - i past the end."""
+        last = self.hsi.shape[axis] - 1
+        at = np.add.outer(start, np.arange(size + self.patch - 1)) - self.patch // 2
+        return last - np.abs(last - np.abs(at))
 
 
 def extract_patches(pair: RasterPair, s: int) -> PatchSet:
     """The labelled pixels of a scene as a PatchSet of s×s patches,
-    mirror-padded at scene borders.
+    mirrored at scene borders.
 
     HSI and LiDAR patches come from identical coordinates; sample order is
-    row-major over the label map. A pair whose `rim` is s // 2 is padded in
-    place (see `RasterPair`); any other is copied into new padded arrays.
+    row-major over the label map. The set keeps the pair's arrays, and reads
+    the HSI of a pair that `load_raster` streams whole.
     """
-    check_patch_size(s, pair.height, pair.width)
-    half = s // 2
     coords = np.argwhere(pair.labels != 0)
     labels = pair.labels[coords[:, 0], coords[:, 1]].astype(np.int64)
-    hsi, lidar = (mirror_rim(_padded(raster, half, pair.rim), half)
-                  for raster in (pair.hsi, pair.lidar))
-    return PatchSet(hsi=hsi, lidar=lidar, labels=labels, pixels=coords, patch=s)
-
-
-def padded_interior(bands: int, height: int, width: int, rim: int,
-                    dtype=np.float32) -> np.ndarray:
-    """The (bands, H, W) interior of a new zero-filled array that reaches
-    `rim` pixels past every side of an H×W scene, for `RasterPair.rim`."""
-    return _interior(np.zeros((bands, height + 2 * rim, width + 2 * rim), dtype=dtype), rim)
-
-
-def mirror_rim(padded: np.ndarray, rim: int) -> np.ndarray:
-    """Fill the `rim`-wide border of a (c, H + 2·rim, W + 2·rim) array in
-    place by mirroring its interior about the edge rows and columns, which
-    are not repeated, and return it: the bytes of
-    `np.pad(interior, ((0, 0), (rim, rim), (rim, rim)), mode="reflect")`.
-    `rim` must lie below H and W, as `check_patch_size` keeps s // 2."""
-    if rim:
-        # rows over the interior columns, then whole columns as transposed rows
-        for view in (padded[:, :, rim:-rim], padded.swapaxes(1, 2)):
-            end = view.shape[1] - rim  # one past the last interior row
-            view[:, :rim] = view[:, 2 * rim:rim:-1]
-            view[:, end:] = view[:, end - 2:end - 2 - rim:-1]
-    return padded
-
-
-def _interior(padded: np.ndarray, rim: int) -> np.ndarray:
-    return padded[:, rim:padded.shape[1] - rim, rim:padded.shape[2] - rim]
-
-
-def _enclosing(raster, rim: int) -> np.ndarray | None:
-    """The array whose `rim`-wide interior `raster` is, or None."""
-    base = getattr(raster, "base", None)
-    if not isinstance(base, np.ndarray) or base.ndim != 3:
-        return None
-    # the same address, shape, strides and dtype: the same view
-    return base if _interior(base, rim).__array_interface__ == raster.__array_interface__ else None
-
-
-def _padded(raster: np.ndarray, half: int, rim: int) -> np.ndarray:
-    """The array to mirror `raster` into: its own enclosing array when the
-    pair's `rim` is `half`, else a new one holding a copy of it."""
-    if rim and rim == half:
-        return _enclosing(raster, rim)
-    inner = padded_interior(*raster.shape, half, dtype=raster.dtype)
-    inner[...] = raster
-    return inner.base
+    return PatchSet(hsi=pair.hsi[:, :], lidar=pair.lidar, labels=labels, pixels=coords, patch=s)
 
 
 def window_pixels(labels: np.ndarray, s: int) -> np.ndarray:

@@ -307,22 +307,19 @@ def predict_logits(model: LsafModel, patches: PatchSet) -> np.ndarray:
         )
     dtype = T.default_dtype()
     out = np.empty((len(patches), model.config.num_classes))  # float64 holds either dtype
-    rim = patches.patch - 1
     _, height, width = patches.lidar.shape
-    shared, per_patch = plan_tiles(patches.pixels, height - rim, width - rim,
-                                   model.tile_conv_flops)
+    shared, per_patch = plan_tiles(patches.pixels, height, width, model.tile_conv_flops)
     with T.no_grad():
         for start in range(0, len(per_patch), BATCH):
             idx = per_patch[start : start + BATCH]
             hsi, lidar, _ = _batch_tensors(patches, idx, dtype)
             out[idx] = model.forward(hsi, lidar, training=False).data
         for tile in shared:
-            area = (slice(None), slice(tile.row, tile.row + tile.height + rim),
-                    slice(tile.col, tile.col + tile.width + rim))
             index = np.zeros((len(tile.members), 3), dtype=np.intp)
             index[:, 1:] = patches.pixels[tile.members] - (tile.row, tile.col)
-            hsi, lidar = (T.MapWindows(Tensor(r[area][None].astype(dtype)), index, patches.patch)
-                          for r in (patches.hsi, patches.lidar))
+            hsi, lidar = (T.MapWindows(Tensor(a[None].astype(dtype, copy=False)), index,
+                                       patches.patch)
+                          for a in patches.area(tile.row, tile.col, tile.height, tile.width))
             out[tile.members] = model.forward(hsi, lidar, training=False).data
     return out
 

@@ -494,12 +494,12 @@ class TestPreprocessing:
 
     def test_setup_streams_the_cube_from_its_file(self, tmp_path, monkeypatch):
         """With a checkpoint, `_setup` projects HSI row blocks read from the
-        file as it goes, straight into the padded arrays the patch set keeps:
-        its peak is the padded float32 projection, one read block, one
-        chunk's temporaries (its float32 needed pixels, then their float64
-        copy, projection and rescale) and the checkpoint's tensors twice (the
-        state and the model's weights). That is well under the raw cube it
-        never holds, and under a second, unpadded copy of the projection."""
+        file as it goes, straight into the float32 array the patch set keeps:
+        its peak is that projection, one read block, one chunk's temporaries
+        (its float32 needed pixels, then their float64 copy, projection and
+        rescale) and the checkpoint's tensors twice (the state and the
+        model's weights). That is well under the raw cube it never holds,
+        and under a second, padded copy of the projection."""
         monkeypatch.setattr(data, "CHUNK_PIXELS", 512)
         monkeypatch.setattr(data, "_READ_BYTES", 1 << 20)
         bands, dims, height, width = 144, 30, 128, 256
@@ -527,9 +527,9 @@ class TestPreprocessing:
         del cube, model, entries
         args = cli.build_parser().parse_args(["eval", "--config", str(config),
                                               "--checkpoint", str(ckpt)])
-        padded = dims * (height + 6) * (width + 6) * 4
+        projection = dims * height * width * 4
         chunk = data.CHUNK_PIXELS * (bands * 4 + (bands + 3 * dims) * 8)
-        kept = padded + data._READ_BYTES + chunk + 2 * ckpt.stat().st_size
+        kept = projection + data._READ_BYTES + chunk + 2 * ckpt.stat().st_size
         prev_dtype = T.default_dtype()  # `_setup` sets the config's; `main` restores it
         tracemalloc.start()
         try:
@@ -547,31 +547,44 @@ class TestSetupFreesTheProjection:
     @pytest.mark.parametrize("command", ["train", "resume", "eval", "map"])
     def test_unpadded_projection_is_dead_once_the_model_runs(self, config_path, tmp_path,
                                                              monkeypatch, command):
-        """`_setup` keeps only the padded copy of the projected scene: the
-        array `extract_patches` pads is freed before `train` or `predict`."""
+        """`_setup` keeps one projected scene: the patch set's `hsi` is the
+        array `_apply_preprocessing` returned, and every other projection
+        that `pca_transform` made (a new model's float64 one) is freed before
+        `train` or `predict`."""
         ckpt = tmp_path / "run" / "checkpoint.lsfw"
         if command != "train":
             assert run(["train", "--config", config_path]) == 0
         train_mod = importlib.import_module("lsaf.train")
-        projected, alive = [], []
+        projections, kept, alive = [], [], []
+
+        def pca_transform(*args, _fn=cli.pca_transform, **kwargs):
+            out = _fn(*args, **kwargs)
+            projections.append(weakref.ref(out))
+            return out
 
         def extract_patches(pair, s, _fn=cli.extract_patches):
-            projected.append(weakref.ref(pair.hsi))
-            return _fn(pair, s)
+            patches = _fn(pair, s)
+            assert patches.hsi.base is pair.hsi
+            kept.append(weakref.ref(pair.hsi))
+            return patches
 
         def checked(fn):
             def call(*args, **kwargs):
-                alive.append(projected[-1]() is not None)
+                scene = kept[-1]()
+                alive.append(scene is not None and all(
+                    ref() is None or ref() is scene for ref in projections))
+                del scene
                 return fn(*args, **kwargs)
             return call
 
+        monkeypatch.setattr(cli, "pca_transform", pca_transform)
         monkeypatch.setattr(cli, "extract_patches", extract_patches)
         monkeypatch.setattr(cli, "train", checked(cli.train))
         monkeypatch.setattr(cli, "predict", checked(cli.predict))
         monkeypatch.setattr(train_mod, "predict", checked(train_mod.predict))
         out = tmp_path / "after"
         assert run(command_argv(command, ckpt) + ["--config", config_path, "--out", out]) == 0
-        assert len(projected) == 1 and alive and not any(alive)
+        assert len(projections) == len(kept) == 1 and alive and all(alive)
 
 
 class TestEval:
@@ -893,8 +906,8 @@ class TestNeededPixels:
         argv = command_argv(command, ckpt) + ["--config", config, "--out", tmp_path / "out"]
         patches, model, _ = setup_of(argv)
         transform = cli.pca_transform
-        monkeypatch.setattr(cli, "pca_transform", lambda pca, hsi, scale=None, needed=None,
-                            out=None: transform(pca, hsi, scale, out=out))
+        monkeypatch.setattr(cli, "pca_transform", lambda pca, hsi, scale=None, needed=None:
+                            transform(pca, hsi, scale))
         full, _, _ = setup_of(argv)
 
         assert np.array_equal(patches.pixels, full.pixels) and len(patches) == 128
@@ -902,7 +915,7 @@ class TestNeededPixels:
         for got, want in zip(patches.cut(every), full.cut(every)):
             assert got.tobytes() == want.tobytes()
         half = patches.patch // 2
-        scene, want = (p.hsi[:, half:-half, half:-half] for p in (patches, full))
+        scene, want = patches.hsi, full.hsi
         assert not needed.all() and not scene[:, ~needed].any()
         assert scene[:, needed].tobytes() == want[:, needed].tobytes()
 
@@ -920,10 +933,11 @@ class TestNeededPixels:
 
     @pytest.mark.parametrize("command", ["eval", "map", "resume", "train"])
     def test_padded_scene_equals_padding_the_projection(self, sparse_run, tmp_path, command):
-        """Projected into the interior of the patch set's arrays and mirrored
-        there, the padded HSI and LiDAR hold the bytes of `np.pad(mode=
-        "reflect")` over the scaled float32 projection, masked to the pixels
-        the windows read when the constants come from a checkpoint."""
+        """The patch set's HSI and LiDAR hold the bytes of the scaled float32
+        projection, masked to the pixels the windows read when the constants
+        come from a checkpoint, and the padded scene its windows read, the
+        `area` of the whole scene, holds those of `np.pad(mode="reflect")`
+        over it."""
         config, ckpt, needed = sparse_run
         patches, _, pre = setup_of(command_argv(command, ckpt)
                                    + ["--config", config, "--out", tmp_path / "out"])
@@ -937,7 +951,9 @@ class TestNeededPixels:
         lidar = data.rescale(lidar, pre["pre.norm.lidar_min"],
                              pre["pre.norm.lidar_span"]).astype(np.float32)
         half = patches.patch // 2
-        for got, scene in ((patches.hsi, hsi), (patches.lidar, lidar)):
+        padded = patches.area(0, 0, *needed.shape)
+        for kept, got, scene in zip((patches.hsi, patches.lidar), padded, (hsi, lidar)):
+            assert kept.dtype == np.float32 and kept.tobytes() == scene.tobytes()
             want = np.pad(scene, ((0, 0), (half, half), (half, half)), mode="reflect")
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 

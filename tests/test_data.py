@@ -13,8 +13,6 @@ from lsaf.data import (
     extract_patches,
     pca_fit,
     fit_minmax,
-    mirror_rim,
-    padded_interior,
     pca_transform,
     rescale,
     split,
@@ -308,24 +306,20 @@ class TestPcaTransform:
             assert got.tobytes() == pca_transform(model, cube, scale=scale).tobytes()
             assert reads == [(top, min(top + rows, 50)) for top in range(0, 50, rows)]
 
-    def test_projection_into_a_given_array(self):
-        """Given `out`, the projection is written into it, a strided interior
-        of a padded array here, and returned; pixels outside `needed` keep
-        what it held. An `out` of the wrong shape or dtype is refused."""
-        r = rng(14)
-        cube = r.normal(size=(12, 9, 11)).astype(np.float32)
+    @pytest.mark.parametrize("needed", [
+        (rng(14).random((8, 9)) < 0.5).astype(np.int64),  # 0/1, not bool
+        np.ones((8, 10), dtype=bool),  # a column too many
+        np.ones((7, 9), dtype=bool),  # a row too few
+        rng(14).random((7, 10)) < 0.5,  # partial and mis-shaped
+    ], ids=["int", "wide", "short", "partial"])
+    def test_needed_mask_must_be_a_bool_scene_mask(self, needed):
+        """A `needed` mask that is not a bool (H, W) array is refused: an int
+        0/1 mask would index pixels by number, and a mis-shaped one would
+        project the wrong pixels or fail with an index error."""
+        cube = rng(15).normal(size=(12, 8, 9)).astype(np.float32)
         model = pca_fit(cube, r=4)
-        lo, span = fit_minmax(pca_transform(model, cube))
-        needed = r.random((9, 11)) < 0.5
-        out = padded_interior(4, 9, 11, 2)
-        out.base[...] = 7.0
-        got = pca_transform(model, cube, scale=(lo, span), needed=needed, out=out)
-        want = pca_transform(model, cube, scale=(lo, span), needed=needed)
-        assert got is out and got[:, needed].tobytes() == want[:, needed].tobytes()
-        assert (got[:, ~needed] == 7.0).all() and (out.base[:, :2] == 7.0).all()
-        for bad in (np.empty((4, 9, 11)), np.empty((4, 9, 10), dtype=np.float32)):
-            with pytest.raises(ShapeError, match="pca_transform writes"):
-                pca_transform(model, cube, scale=(lo, span), out=bad)
+        with pytest.raises(ShapeError, match=r"needed must be a \(8, 9\) bool mask"):
+            pca_transform(model, cube, needed=needed)
 
     def test_mean_pixel_maps_to_zero(self):
         cube = rng(0).normal(size=(5, 6, 6))
@@ -450,73 +444,73 @@ class TestExtractPatches:
                 assert np.array_equal(hsi[i], want)
 
     def test_cut_matches_naive_reflect_pad_and_slice(self):
-        """Every pixel of a 6×6 scene at s=11, so every window reaches past
-        all four borders; the patches come back in the order asked for."""
-        pair = make_pair(seed=5, height=6, width=6)
-        pair.labels[:] = 1
-        s, half = 11, 5
+        """Every pixel of a 6×11 scene, for every odd s that
+        `check_patch_size` lets through (up to 11, where every window reaches
+        past all four borders), in float32 and float64: each patch holds the
+        bytes of `np.pad(mode="reflect")` sliced at its pixel, and the
+        patches come back in the order asked for."""
+        for dtype in (np.float32, np.float64):
+            plain = make_pair(seed=5, height=6, width=11)
+            pair = RasterPair(plain.hsi.astype(dtype), plain.lidar.astype(dtype),
+                              np.ones((6, 11), dtype=np.int64))
+            for s in range(1, 2 * 6, 2):
+                half = s // 2
+                out = extract_patches(pair, s=s)
+                order = np.random.default_rng(s).permutation(len(out))
+                hsi, lidar = out.cut(order)
+                assert hsi.shape == (66, 5, s, s) and lidar.shape == (66, 1, s, s)
+                assert hsi.flags.c_contiguous and lidar.flags.c_contiguous
+                for raster, got in ((pair.hsi, hsi), (pair.lidar, lidar)):
+                    padded = np.pad(raster, ((0, 0), (half, half), (half, half)), mode="reflect")
+                    want = np.stack([padded[:, row:row + s, col:col + s]
+                                     for row, col in out.pixels[order]])
+                    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    # a 7×9 scene in tiles of 3×4: all four corners, with the last row and
+    # column of tiles ragged, and an interior tile
+    @pytest.mark.parametrize("row,col,height,width", [
+        (0, 0, 3, 4), (0, 8, 3, 1), (6, 0, 1, 4), (6, 8, 1, 1), (3, 4, 3, 4), (0, 0, 7, 9)])
+    @pytest.mark.parametrize("s", [1, 5, 13])
+    def test_area_is_the_reflect_padded_slice(self, row, col, height, width, s):
+        """`area` of a tile is the slice of `np.pad(mode="reflect")` that its
+        windows read, for HSI and LiDAR alike."""
+        pair = make_pair(seed=9, height=7, width=9)
         out = extract_patches(pair, s=s)
-        order = np.random.default_rng(0).permutation(len(out))
-        hsi, lidar = out.cut(order)
-        assert hsi.shape == (36, 5, s, s) and lidar.shape == (36, 1, s, s)
-        assert hsi.flags.c_contiguous and lidar.flags.c_contiguous
-        for raster, got in ((pair.hsi, hsi), (pair.lidar, lidar)):
+        half = s // 2
+        for raster, got in zip((pair.hsi, pair.lidar), out.area(row, col, height, width)):
             padded = np.pad(raster, ((0, 0), (half, half), (half, half)), mode="reflect")
-            for k, i in enumerate(order):
-                row, col = out.pixels[i]
-                assert np.array_equal(got[k], padded[:, row:row + s, col:col + s])
+            want = padded[:, row:row + height + s - 1, col:col + width + s - 1]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_set_holds_the_padded_scene_once(self):
+        """The set keeps the pair's own unpadded arrays; the padded scene is
+        only read, through `area` and `cut`, and subsets share the arrays."""
         pair = make_pair(seed=6)
         out = extract_patches(pair, s=5)
         assert out.patch == 5
-        assert out.hsi.shape == (5, 12, 13) and out.lidar.shape == (1, 12, 13)
+        assert out.hsi.base is pair.hsi and out.lidar is pair.lidar  # a view of the whole HSI
+        want = np.pad(pair.hsi, ((0, 0), (2, 2), (2, 2)), mode="reflect")
+        assert np.array_equal(out.area(0, 0, 8, 9)[0], want)
         subset = out.take(np.array([2, 0]))
         assert subset.hsi is out.hsi and subset.lidar is out.lidar
         assert np.array_equal(subset.cut([0, 1])[0], out.cut([2, 0])[0])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("s", range(1, 2 * 6, 2))
-    def test_mirror_rim_equals_reflect_padding(self, dtype, s):
-        """Mirroring a 6×11 interior into its rim in place gives the bytes of
-        `np.pad(mode="reflect")`, for every odd s that `check_patch_size`
-        lets through."""
-        raster = rng(s).normal(size=(3, 6, 11)).astype(dtype)
-        half = s // 2
-        inner = padded_interior(3, 6, 11, half, dtype=dtype)
-        inner[...] = raster
-        got = mirror_rim(inner.base, half)
-        want = np.pad(raster, ((0, 0), (half, half), (half, half)), mode="reflect")
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    def test_pair_with_a_rim_is_padded_in_place(self):
-        """A pair whose rasters are `padded_interior` arrays with rim s // 2
-        hands those arrays to the patch set, mirrored, with the bytes of
-        padding a copy; at another s the pair is copied and left as it was."""
-        plain = make_pair(seed=7)
-        hsi, lidar = (padded_interior(a.shape[0], 8, 9, 2, dtype=a.dtype)
-                      for a in (plain.hsi, plain.lidar))
-        hsi[...], lidar[...] = plain.hsi, plain.lidar
-        pair = RasterPair(hsi=hsi, lidar=lidar, labels=plain.labels, rim=2)
-        copied = extract_patches(pair, s=3)
-        assert not np.shares_memory(copied.hsi, hsi.base) and not hsi.base[:, :2].any()
-        out = extract_patches(pair, s=5)
-        assert out.hsi is hsi.base and out.lidar is lidar.base
-        want = extract_patches(plain, s=5)
-        assert out.hsi.tobytes() == want.hsi.tobytes()
-        assert out.lidar.tobytes() == want.lidar.tobytes()
-        assert copied.hsi.tobytes() == extract_patches(plain, s=3).hsi.tobytes()
-
-    @pytest.mark.parametrize("make", [
-        lambda a: a.copy(),  # an array of its own
-        lambda a: np.pad(a, ((0, 0), (2, 2), (2, 2)))[:, 1:-3, 2:-2],  # off-centre view
-        lambda a: np.pad(a, ((0, 0), (1, 1), (1, 1)))[:, 1:-1, 1:-1],  # a narrower rim
-    ], ids=["own", "offset", "narrow"])
-    def test_pair_rim_must_enclose_its_rasters(self, make):
-        plain = make_pair(seed=8)
-        lidar = padded_interior(1, 8, 9, 2, dtype=plain.lidar.dtype)
-        with pytest.raises(ShapeError, match="rim 2"):
-            RasterPair(hsi=make(plain.hsi), lidar=lidar, labels=plain.labels, rim=2)
+    def test_streamed_pair_gives_the_in_memory_set(self, tmp_path):
+        """A pair that `load_raster` streams from its files gives the set of
+        the same scene held in memory: its HSI is read whole."""
+        pair = make_pair(seed=7)
+        pair.hsi, pair.lidar = pair.hsi.astype(np.float32), pair.lidar.astype(np.float32)
+        paths = [tmp_path / n for n in ("h.lsaf", "l.lsaf", "g.lsaf")]
+        data.save_raster(pair, *paths)
+        streamed = extract_patches(data.load_raster(*paths), s=5)
+        want = extract_patches(pair, s=5)
+        assert isinstance(streamed.hsi, np.ndarray)
+        for field in ("hsi", "lidar", "labels", "pixels"):
+            got, expected = getattr(streamed, field), getattr(want, field)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        every = np.arange(len(want))
+        for got, expected in zip(streamed.cut(every), want.cut(every)):
+            assert got.tobytes() == expected.tobytes()
 
     def test_even_patch_rejected(self):
         with pytest.raises(ConfigError):
@@ -689,9 +683,26 @@ def test_patchset_rejects_zero_labels():
 def test_patchset_rejects_centres_off_the_scene(pixels):
     with pytest.raises(ShapeError, match="3x3 scene"):
         PatchSet(
-            hsi=np.zeros((3, 5, 5)),
-            lidar=np.zeros((1, 5, 5)),
+            hsi=np.zeros((3, 3, 3)),
+            lidar=np.zeros((1, 3, 3)),
             labels=np.array([1, 2]),
             pixels=np.array(pixels),
             patch=3,
         )
+
+
+@pytest.mark.parametrize("lidar", [np.zeros((1, 5, 4)), np.zeros((1, 4, 5))])
+def test_patchset_rejects_a_lidar_on_another_grid(lidar):
+    """Each raster would mirror about its own edges and cut misaligned
+    patches, so a LiDAR grid unlike the HSI's is refused."""
+    with pytest.raises(ShapeError, match="lidar grid"):
+        PatchSet(hsi=np.zeros((3, 5, 5)), lidar=lidar, labels=np.array([1]),
+                 pixels=np.zeros((1, 2), dtype=int), patch=3)
+
+
+def test_patchset_checks_the_patch_size():
+    """A window that overhangs the scene by more than n - 1 would mirror to
+    negative indices, so `PatchSet` itself checks the patch size."""
+    with pytest.raises(ConfigError, match="exceeds twice"):
+        PatchSet(hsi=np.zeros((3, 2, 5)), lidar=np.zeros((1, 2, 5)), labels=np.array([1]),
+                 pixels=np.zeros((1, 2), dtype=int), patch=5)

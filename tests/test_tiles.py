@@ -66,9 +66,8 @@ def assert_close_to_per_patch(model, patches, dtype):
 
 def tile_plan(model, patches):
     """(shared tiles, per-patch indices) as `predict` plans them."""
-    rim = patches.patch - 1
     _, height, width = patches.lidar.shape
-    return plan_tiles(patches.pixels, height - rim, width - rim, model.tile_conv_flops)
+    return plan_tiles(patches.pixels, height, width, model.tile_conv_flops)
 
 
 # ----------------------------------------------------------------------
