@@ -495,6 +495,20 @@ class TestExtractPatches:
         assert subset.hsi is out.hsi and subset.lidar is out.lidar
         assert np.array_equal(subset.cut([0, 1])[0], out.cut([2, 0])[0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", range(1, 2 * 6, 2))
+    def test_mirror_rim_equals_reflect_padding(self, dtype, s):
+        """Reading a 6×11 scene at mirrored indices, as `area` of the whole
+        scene does, gives the bytes of `np.pad(mode="reflect")`, for every
+        odd s that `check_patch_size` lets through."""
+        raster = rng(s).normal(size=(3, 6, 11)).astype(dtype)
+        half = s // 2
+        out = PatchSet(hsi=raster, lidar=raster[:1], labels=np.array([1]),
+                       pixels=np.array([[0, 0]]), patch=s)
+        for got, band in zip(out.area(0, 0, 6, 11), (raster, raster[:1])):
+            want = np.pad(band, ((0, 0), (half, half), (half, half)), mode="reflect")
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_streamed_pair_gives_the_in_memory_set(self, tmp_path):
         """A pair that `load_raster` streams from its files gives the set of
         the same scene held in memory: its HSI is read whole."""
