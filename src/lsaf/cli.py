@@ -187,32 +187,26 @@ def _train_config(config: dict) -> TrainConfig:
 
 
 def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
-    """A new model's PCA, as its `pre.pca.*` constants. The fit reads the
-    whole cube, which is freed on return."""
+    """A new model's seven `pre.*` constants: its PCA, fitted on the cube read
+    whole, which is freed on return, then the min-max of the float64
+    projection of every pixel, streamed from the row reader, and of every
+    LiDAR pixel."""
     labels = pair.labels if config["pca_on_labeled"] else None
     pca = pca_fit(pair.hsi[:, :], config["pca_dims"], labels=labels)
-    return dict(zip(_PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
+    norm = fit_minmax(pca_transform(pca, pair.hsi)) + fit_minmax(pair.lidar)
+    return dict(zip(_PRE_KEYS, (pca.mean, pca.components, pca.explained_variance) + norm))
 
 
 def _apply_preprocessing(pair: RasterPair, pre: dict, patch: int) -> RasterPair:
-    """Project and scale a scene with the `pre.*` constants into the float32
-    arrays that the patch set keeps. Stored min-max constants are applied
-    chunk by chunk as the scene is projected straight into float32, and only
-    the pixels that the patch×patch windows of the labelled pixels read are
-    projected (`window_pixels`); the others hold 0.0, and the whole cube is
-    still read and checked finite. A new model's `pre` holds the PCA only:
-    the min-max constants are then fitted on the float64 projection of every
-    pixel and added to `pre`, so the scene is projected once either way."""
+    """Project and scale a scene with the seven `pre.*` constants into the
+    float32 arrays that the patch set keeps. The min-max constants are
+    applied chunk by chunk as the scene is projected straight into float32,
+    and only the pixels that the patch×patch windows of the labelled pixels
+    read are projected (`window_pixels`); the others hold 0.0, and the whole
+    cube is still read and checked finite."""
     pca = PcaModel(*(pre[key].astype(np.float64) for key in _PRE_KEYS[:3]))
-    if "pre.norm.hsi_min" in pre:
-        hsi = pca_transform(pca, pair.hsi, scale=(pre["pre.norm.hsi_min"],
-                                                  pre["pre.norm.hsi_span"]),
-                            needed=window_pixels(pair.labels, patch))
-    else:
-        hsi = pca_transform(pca, pair.hsi)
-        pre.update(zip(_PRE_KEYS[3:], fit_minmax(hsi) + fit_minmax(pair.lidar)))
-        hsi = rescale(hsi, pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"],
-                      in_place=True).astype(np.float32)
+    hsi = pca_transform(pca, pair.hsi, scale=(pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"]),
+                        needed=window_pixels(pair.labels, patch))
     lidar = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
     return RasterPair(hsi=hsi, lidar=lidar.astype(np.float32), labels=pair.labels)
 
@@ -269,14 +263,15 @@ def _setup(args, checkpoint: str | None):
 
     With a checkpoint, the config adopts its geometry and mode, the stored
     `pre.*` constants are checked for the shapes that geometry needs, and the
-    model loads the stored weights. Without one, the geometry is new and the
-    constants are fitted. Either way the scene is projected once, after every
-    check on the checkpoint, from HSI row blocks read from the file as the
-    projection needs them; with a checkpoint, only the pixels that the
-    windows of the labelled pixels read are projected, though every row is
-    read and checked finite. A new model's PCA fit reads the cube whole
-    first. The patch set keeps the projected scene itself, unpadded, the
-    only scene copy that outlives the call."""
+    model loads the stored weights. Without one, the geometry is new and all
+    seven constants are fitted first: the PCA on the cube read whole, the
+    min-max on a float64 projection of every pixel. Either way the scene is
+    then projected once with those constants, after every check on the
+    checkpoint, from HSI row blocks read from the file as the projection
+    needs them; only the pixels that the windows of the labelled pixels read
+    are projected, though every row is read and checked finite. The patch
+    set keeps the projected scene itself, unpadded, the only scene copy that
+    outlives the call."""
     config = load_config(args.config, _overrides(args))
     T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
     os.makedirs(config["out"], exist_ok=True)
@@ -379,6 +374,9 @@ def cmd_train(args) -> int:
     optimizer = Adam(model.params(), train_cfg)
     if state is not None and "opt.steps" in state:
         optimizer.load_state(state)
+    elif state is not None:
+        log.warning("checkpoint %s holds no optimizer state (opt.*): Adam restarts "
+                    "from zero moments, unlike an uninterrupted run", args.resume)
 
     def save_checkpoint(epochs_done: int) -> None:
         entries = dict(model.state_dict())

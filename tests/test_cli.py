@@ -377,6 +377,22 @@ class TestTrain:
         assert tail[0] == "epoch,loss" and len(tail) == 2
         assert tail[1:] == whole[-1:]
 
+    def test_resume_without_optimizer_state_warns(self, config_path, tmp_path, caplog):
+        """A checkpoint with no `opt.*` entries resumes with Adam's moments at
+        zero, which the run logs; one with them resumes silently."""
+        stage = tmp_path / "stage"
+        assert run(["train", "--config", config_path, "--out", stage, "--epochs", 1]) == 0
+        state = storage.read_checkpoint(stage / "checkpoint.lsfw")
+        bare = tmp_path / "bare.lsfw"
+        storage.write_checkpoint(bare, {name: value for name, value in state.items()
+                                        if not name.startswith("opt.")})
+        for ckpt, warns in ((bare, True), (stage / "checkpoint.lsfw", False)):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="lsaf"):
+                assert run(["train", "--config", config_path, "--out", tmp_path / "resumed",
+                            "--epochs", 2, "--resume", ckpt]) == 0
+            assert ("holds no optimizer state" in caplog.text) == warns
+
     def test_checkpoint_every_writes_midrun(self, config_path, tmp_path):
         out = tmp_path / "ck"
         config = json.loads(config_path.read_text())
@@ -407,11 +423,14 @@ class TestTrain:
         assert opt[0] == "opt.steps" and len(opt) == 1 + 2 * len(model.params())
 
     def test_each_command_projects_the_scene_once(self, config_path, tmp_path, monkeypatch):
+        """Every command projects the scene once, scaled and masked to the
+        pixels the windows read; a new model's `train` first projects it once
+        more, unscaled and whole, to fit the min-max constants."""
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return transform(*args, **kwargs)
+        def counted(pca, hsi, scale=None, needed=None):
+            calls.append((scale is not None, needed is not None))
+            return transform(pca, hsi, scale, needed)
 
         transform = cli.pca_transform
         monkeypatch.setattr(cli, "pca_transform", counted)
@@ -422,7 +441,8 @@ class TestTrain:
                           ("map", ["map", "--checkpoint", ckpt])]:
             calls.clear()
             assert run(argv + ["--config", config_path, "--out", tmp_path / out]) == 0
-            assert len(calls) == 1, argv
+            fit = [(False, False)] if argv == ["train"] else []
+            assert calls == fit + [(True, True)], argv
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_resume_without_new_epochs_is_config_error(self, config_path, tmp_path,
@@ -445,17 +465,17 @@ class TestTrain:
 
 class TestPreprocessing:
     def test_stored_constants_project_in_chunks(self):
-        """With stored `pre.*`, the scene is projected chunk by chunk straight
-        into float32: the peak is the output plus one chunk's float64 pixels,
-        projection and rescale temporaries, not float64 copies of the cube."""
+        """With the seven `pre.*` constants, the scene is projected chunk by
+        chunk straight into float32: the peak is the output plus one chunk's
+        float64 pixels, projection and rescale temporaries, not float64 copies
+        of the cube."""
         bands, dims, height, width = 144, 30, 128, 256
         r = np.random.default_rng(0)
         pair = data.RasterPair(hsi=r.random((bands, height, width), dtype=np.float32),
                                lidar=r.random((1, height, width), dtype=np.float32),
                                labels=np.ones((height, width), dtype=np.int64))
-        pca = data.pca_fit(pair.hsi, dims)
-        pre = dict(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
-        cli._apply_preprocessing(pair, pre, 7)  # fits the pre.norm.* constants
+        pre = cli._fit_preprocessing(pair, {"pca_dims": dims, "pca_on_labeled": False})
+        assert list(pre) == list(cli._PRE_KEYS)
         assert height * width >= 4 * data.CHUNK_PIXELS
         chunk = data.CHUNK_PIXELS * (bands + 3 * dims) * 8
         tracemalloc.start()
@@ -467,19 +487,22 @@ class TestPreprocessing:
         assert scaled.hsi.dtype == np.float32
         assert peak <= 1.25 * (scaled.hsi.nbytes + scaled.lidar.nbytes + chunk)
 
-    def test_fresh_constants_rescale_in_place(self):
-        """A new model's `pre` holds the PCA only: the scene is projected once
-        to float64, min-max is fitted on it, and it is rescaled in place
-        before the float32 cast. The peak is that one projection plus one
-        chunk's temporaries, with no float64 rescale copies of the scene."""
+    def test_fitted_constants_project_the_window_pixels(self):
+        """With the constants `_fit_preprocessing` returns, `_apply_preprocessing`
+        holds the bytes of `rescale(pca_transform(pca, cube), lo, span)` cast
+        to float32 on every pixel that `window_pixels` marks, and exactly 0.0
+        on the others; it does not change `pre`. Its peak is the float32
+        output plus one chunk's temporaries, with no float64 copy of the
+        scene."""
         bands, dims, height, width = 144, 30, 128, 256
         r = np.random.default_rng(0)
+        labels = np.zeros((height, width), dtype=np.int64)
+        labels[::16, ::16], labels[8::16, 8::16] = 1, 2
         pair = data.RasterPair(hsi=r.random((bands, height, width), dtype=np.float32),
                                lidar=r.random((1, height, width), dtype=np.float32),
-                               labels=np.ones((height, width), dtype=np.int64))
-        pca = data.pca_fit(pair.hsi, dims)
-        pre = dict(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance)))
-        projection = dims * height * width * 8
+                               labels=labels)
+        pre = cli._fit_preprocessing(pair, {"pca_dims": dims, "pca_on_labeled": False})
+        before = {key: value.copy() for key, value in pre.items()}
         chunk = data.CHUNK_PIXELS * (bands + 3 * dims) * 8
         tracemalloc.start()
         try:
@@ -487,10 +510,20 @@ class TestPreprocessing:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert "pre.norm.hsi_min" in pre and scaled.hsi.dtype == np.float32
-        stored = cli._apply_preprocessing(pair, pre, 7)
-        assert np.array_equal(scaled.hsi, stored.hsi)
-        assert peak <= 1.1 * (projection + chunk)
+        assert list(pre) == list(before)
+        assert all(np.array_equal(pre[key], before[key]) for key in pre)
+        pca = data.PcaModel(*(pre[key] for key in cli._PRE_KEYS[:3]))
+        hsi = data.rescale(data.pca_transform(pca, pair.hsi), pre["pre.norm.hsi_min"],
+                           pre["pre.norm.hsi_span"]).astype(np.float32)
+        lidar = data.rescale(pair.lidar, pre["pre.norm.lidar_min"],
+                             pre["pre.norm.lidar_span"]).astype(np.float32)
+        needed = data.window_pixels(labels, 7)
+        assert needed.any() and not needed.all()
+        assert scaled.hsi.dtype == np.float32 and scaled.hsi.shape == hsi.shape
+        assert scaled.hsi[:, needed].tobytes() == hsi[:, needed].tobytes()
+        assert not scaled.hsi[:, ~needed].any()
+        assert scaled.lidar.tobytes() == lidar.tobytes()
+        assert peak <= 1.25 * (scaled.hsi.nbytes + scaled.lidar.nbytes + chunk)
 
     def test_setup_streams_the_cube_from_its_file(self, tmp_path, monkeypatch):
         """With a checkpoint, `_setup` projects HSI row blocks read from the
@@ -548,9 +581,9 @@ class TestSetupFreesTheProjection:
     def test_unpadded_projection_is_dead_once_the_model_runs(self, config_path, tmp_path,
                                                              monkeypatch, command):
         """`_setup` keeps one projected scene: the patch set's `hsi` is the
-        array `_apply_preprocessing` returned, and every other projection
-        that `pca_transform` made (a new model's float64 one) is freed before
-        `train` or `predict`."""
+        array `_apply_preprocessing` returned, and the other projection that
+        `pca_transform` made for a new model, the float64 one its min-max
+        constants are fitted on, is freed before `train` or `predict`."""
         ckpt = tmp_path / "run" / "checkpoint.lsfw"
         if command != "train":
             assert run(["train", "--config", config_path]) == 0
@@ -584,7 +617,8 @@ class TestSetupFreesTheProjection:
         monkeypatch.setattr(train_mod, "predict", checked(train_mod.predict))
         out = tmp_path / "after"
         assert run(command_argv(command, ckpt) + ["--config", config_path, "--out", out]) == 0
-        assert len(projections) == len(kept) == 1 and alive and all(alive)
+        assert len(projections) == (2 if command == "train" else 1)
+        assert len(kept) == 1 and alive and all(alive)
 
 
 class TestEval:
@@ -894,13 +928,14 @@ def setup_of(argv):
 
 
 class TestNeededPixels:
-    @pytest.mark.parametrize("command", ["eval", "map", "resume"])
+    @pytest.mark.parametrize("command", ["eval", "map", "resume", "train"])
     def test_windows_and_logits_equal_the_full_projection(self, sparse_run, tmp_path,
                                                           monkeypatch, command):
         """Every window's HSI and LiDAR bytes, and the logits of `predict` with
-        its shared tile, equal those of a projection of every pixel; each
-        pixel no window reads holds exactly 0.0. The projection runs in
-        blocks of 4 rows, the last one ragged."""
+        its shared tile, equal those of a projection of every pixel, with
+        stored constants and with a new model's fitted ones alike; each pixel
+        no window reads holds exactly 0.0. The projection runs in blocks of 4
+        rows, the last one ragged."""
         config, ckpt, needed = sparse_run
         monkeypatch.setattr(data, "CHUNK_PIXELS", 4 * 40)
         argv = command_argv(command, ckpt) + ["--config", config, "--out", tmp_path / "out"]
@@ -934,20 +969,17 @@ class TestNeededPixels:
     @pytest.mark.parametrize("command", ["eval", "map", "resume", "train"])
     def test_padded_scene_equals_padding_the_projection(self, sparse_run, tmp_path, command):
         """The patch set's HSI and LiDAR hold the bytes of the scaled float32
-        projection, masked to the pixels the windows read when the constants
-        come from a checkpoint, and the padded scene its windows read, the
-        `area` of the whole scene, holds those of `np.pad(mode="reflect")`
-        over it."""
+        projection, masked to the pixels the windows read, whether the
+        constants come from a checkpoint or a new model's fit, and the padded
+        scene its windows read, the `area` of the whole scene, holds those of
+        `np.pad(mode="reflect")` over it."""
         config, ckpt, needed = sparse_run
         patches, _, pre = setup_of(command_argv(command, ckpt)
                                    + ["--config", config, "--out", tmp_path / "out"])
         cube, lidar = (storage.read_raster(tmp_path / f"{name}.lsaf") for name in ("hsi", "lidar"))
         pca = data.PcaModel(*(pre[key].astype(np.float64) for key in cli._PRE_KEYS[:3]))
         hsi_scale = (pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
-        if command == "train":
-            hsi = data.rescale(data.pca_transform(pca, cube), *hsi_scale).astype(np.float32)
-        else:
-            hsi = data.pca_transform(pca, cube, scale=hsi_scale, needed=needed)
+        hsi = data.pca_transform(pca, cube, scale=hsi_scale, needed=needed)
         lidar = data.rescale(lidar, pre["pre.norm.lidar_min"],
                              pre["pre.norm.lidar_span"]).astype(np.float32)
         half = patches.patch // 2
@@ -980,11 +1012,13 @@ class TestNeededPixels:
         assert f"{path}: raster holds {count} non-finite value" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("command", ["eval", "map", "resume"])
+    @pytest.mark.parametrize("command", ["eval", "map", "resume", "train"])
     def test_nonfinite_pixel_no_window_reads_fails_the_run(self, sparse_run, tmp_path,
                                                           capsys, command):
         """The whole cube is still read and checked: a NaN in a pixel that no
-        window reads exits 2 with the reader's message and writes nothing."""
+        window reads exits 2 with the reader's message and writes nothing. A
+        new model's `train` finds it in the PCA fit, which reads the cube
+        whole."""
         config, ckpt, needed = sparse_run
         assert not needed[8, 30]
         path = tmp_path / "hsi.lsaf"

@@ -14,7 +14,10 @@ package of this checkout, it runs:
 - `eval` and `map` of run1's checkpoint with most labels zeroed (`sparse/`):
   only pixels whose row and column are multiples of 3, in rows 0-12, keep
   their labels. That keeps corner pixel (0, 0) and at least 3 pixels of
-  each class, and leaves rows 18-23 outside every 11×11 window.
+  each class, and leaves rows 18-23 outside every 11×11 window;
+- `train` of a new model on that sparse label map (`sparse_train/`), whose
+  constants are fitted on every pixel while only the window pixels are
+  projected for its patches.
 
 The lsaf commands write into sub-directories, and only their files are
 hashed; the recipe's own inputs (configs, the sparse label map) are not.
@@ -78,6 +81,7 @@ def run(work: str) -> None:
     for command in ("eval", "map"):
         _lsaf(command, "--config", sparse_config, "--checkpoint", run1,
               "--out", os.path.join(work, "sparse"))
+    _lsaf("train", "--config", sparse_config, "--out", os.path.join(work, "sparse_train"))
 
 
 def main() -> int:
