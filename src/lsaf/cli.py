@@ -33,6 +33,7 @@ import numpy as np
 from . import storage
 from . import tensor as T
 from .data import (
+    PatchSet,
     PcaModel,
     RasterPair,
     check_patch_size,
@@ -42,6 +43,7 @@ from .data import (
     pca_fit,
     pca_transform,
     rescale,
+    row_blocks,
     save_raster,
     split,
     synth_generate,
@@ -50,8 +52,11 @@ from .data import (
 from .errors import ConfigError, ContractError, FormatError, LsafError, NumericError
 from .model import MODES, LsafModel, ModelConfig, check_state_geometry
 from .train import (
+    TILE,
     Adam,
+    MetricsReport,
     TrainConfig,
+    confusion_matrix,
     evaluate,
     predict,
     render_report,
@@ -197,18 +202,77 @@ def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
     return dict(zip(_PRE_KEYS, (pca.mean, pca.components, pca.explained_variance) + norm))
 
 
-def _apply_preprocessing(pair: RasterPair, pre: dict, patch: int) -> RasterPair:
-    """Project and scale a scene with the seven `pre.*` constants into the
-    float32 arrays that the patch set keeps. The min-max constants are
-    applied chunk by chunk as the scene is projected straight into float32,
-    and only the pixels that the patch×patch windows of the labelled pixels
-    read are projected (`window_pixels`); the others hold 0.0, and the whole
-    cube is still read and checked finite."""
+def _apply_preprocessing(pair: RasterPair, pre: dict, needed: np.ndarray,
+                         above: np.ndarray | None = None) -> RasterPair:
+    """Project and scale the rows of a scene that `pair` holds with the seven
+    `pre.*` constants into the float32 arrays that a patch set keeps. The
+    min-max constants are applied chunk by chunk as the rows are projected
+    straight into float32, and only the pixels of the bool mask `needed` are
+    projected; the others hold 0.0, and every row is still read and checked
+    finite. Given `above`, the projected HSI of the first rows, those rows
+    are copied from it instead of read: `pair.hsi` is then a
+    `storage.RasterRows` reader."""
     pca = PcaModel(*(pre[key].astype(np.float64) for key in _PRE_KEYS[:3]))
-    hsi = pca_transform(pca, pair.hsi, scale=(pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"]),
-                        needed=window_pixels(pair.labels, patch))
+    hsi = np.zeros((pca.dims, pair.height, pair.width), dtype=np.float32)
+    done = 0
+    if above is not None:
+        done = above.shape[1]
+        hsi[:, :done] = above
+    pca_transform(pca, pair.hsi.rows(done, pair.height) if done else pair.hsi,
+                  scale=(pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"]),
+                  needed=needed[done:], out=hsi[:, done:])
     lidar = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
     return RasterPair(hsi=hsi, lidar=lidar.astype(np.float32), labels=pair.labels)
+
+
+# Bytes of the float32 projection of one strip, halo rows included, that
+# `eval` and `map` hold at once: a strip is the most whole TILE rows that
+# fit, one TILE row at least. At the Houston 2013 size (1,905 columns, 30
+# PCA dimensions, patch 11) that is 66 rows and 10 halo rows, 16.6 MiB,
+# where the whole scene is 76 MiB.
+STRIP_BYTES = 18 << 20
+
+
+def _strips(pair: RasterPair, pre: dict, patch: int, predicted: np.ndarray,
+            rows: int | None = None):
+    """The patch sets of the pixels that the (H, W) label map `predicted`
+    marks, one per strip of `rows` scene rows that holds any, top to bottom.
+    By default a strip is as many whole TILE rows as `STRIP_BYTES` allows;
+    `train` asks for the whole scene, one strip.
+
+    Each set holds its strip's rows and s // 2 halo rows above and below,
+    apart from the scene's own top and bottom, where its windows mirror. A
+    strip's rows are read from `pair.hsi`, a `storage.RasterRows` reader, in
+    the blocks of `data.row_blocks`, and projected with the `pre.*`
+    constants, only the pixels that the windows of predicted pixels read
+    (`window_pixels`); the halo rows that a strip shares with the one above
+    are carried over from it, not read again. A strip with no pixel to
+    predict is read and checked finite, but not projected."""
+    height, width = predicted.shape
+    half = patch // 2
+    if rows is None:
+        fit = STRIP_BYTES // (4 * pre["pre.pca.components"].shape[1] * width) - 2 * half
+        # at least 2·half rows, so a strip reads no row that the next but one holds
+        rows = max(fit // TILE, -(-2 * half // TILE), 1) * TILE
+    needed = window_pixels(predicted, patch)
+    read, carry = 0, None  # rows 0:read are read; `carry` is the projected HSI of lo:read
+    for top in range(0, height, rows):
+        stop = min(top + rows, height)
+        lo, hi = max(top - half, 0), min(stop + half, height)
+        if not predicted[top:stop].any():
+            # up to the first row that the next strip holds
+            end = max(read, stop - half if stop < height else height)
+            for _ in row_blocks(pair.hsi.rows(read, end)):
+                pass
+            read, carry = end, None
+            continue
+        own = np.zeros((hi - lo, width), dtype=predicted.dtype)
+        own[top - lo:stop - lo] = predicted[top:stop]
+        scaled = _apply_preprocessing(RasterPair(pair.hsi.rows(lo, hi), pair.lidar[:, lo:hi], own),
+                                      pre, needed[lo:hi], above=carry)
+        read, carry = hi, scaled.hsi[:, stop - half - lo:].copy()
+        yield extract_patches(scaled, patch, top=lo)
+        del scaled, own  # free the strip before the next is projected
 
 
 def _model_meta(model: LsafModel, config: dict, epochs_trained: int) -> dict:
@@ -258,20 +322,15 @@ def _sync_config_with_meta(config: dict, state: dict) -> ModelConfig:
 
 
 def _setup(args, checkpoint: str | None):
-    """What train, eval and map start from: (config, label map, patch set,
-    `pre.*` constants, model, checkpoint state or None).
+    """What train, eval and map start from: (config, scene, `pre.*`
+    constants, model, checkpoint state or None). The scene is the pair that
+    `load_raster` gives, its HSI still in its file; `_strips` projects it.
 
     With a checkpoint, the config adopts its geometry and mode, the stored
     `pre.*` constants are checked for the shapes that geometry needs, and the
     model loads the stored weights. Without one, the geometry is new and all
-    seven constants are fitted first: the PCA on the cube read whole, the
-    min-max on a float64 projection of every pixel. Either way the scene is
-    then projected once with those constants, after every check on the
-    checkpoint, from HSI row blocks read from the file as the projection
-    needs them; only the pixels that the windows of the labelled pixels read
-    are projected, though every row is read and checked finite. The patch
-    set keeps the projected scene itself, unpadded, the only scene copy that
-    outlives the call."""
+    seven constants are fitted: the PCA on the cube read whole, the min-max
+    on a float64 projection of every pixel."""
     config = load_config(args.config, _overrides(args))
     T.set_default_dtype(np.float32 if config["dtype"] == "float32" else np.float64)
     os.makedirs(config["out"], exist_ok=True)
@@ -334,9 +393,7 @@ def _setup(args, checkpoint: str | None):
             if bad and name not in resumed:
                 raise FormatError(f"{checkpoint}: tensor '{name}' holds {bad} "
                                   f"non-finite value(s) (NaN or Inf)")
-    pair = _apply_preprocessing(pair, pre, config["patch"])
-    patches = extract_patches(pair, s=config["patch"])
-    return config, pair.labels, patches, pre, model, state
+    return config, pair, pre, model, state
 
 
 # ----------------------------------------------------------------------
@@ -358,12 +415,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, labels, patches, pre, model, state = _setup(args, args.resume)
+    config, pair, pre, model, state = _setup(args, args.resume)
     out_dir = config["out"]
     checkpoint_path = os.path.join(out_dir, "checkpoint.lsfw")
+    # one strip: the whole scene, projected once
+    patches, = _strips(pair, pre, config["patch"], pair.labels, rows=pair.height)
     train_set, test_set = split(patches, config["train_fraction"], config["seed"])
     log.info("scene %dx%d, %d classes, %d train / %d test patches",
-             *labels.shape, labels.max(), len(train_set), len(test_set))
+             pair.height, pair.width, pair.num_classes, len(train_set), len(test_set))
     start_epoch = 0
     if state is not None:
         start_epoch = int(state["meta.epochs_trained"])
@@ -405,28 +464,46 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _test_pixels(pair: RasterPair, config: dict) -> np.ndarray:
+    """The (H, W) label map of the pixels that `eval` scores, 0 elsewhere:
+    the test side of the split of every labelled pixel, drawn in row-major
+    order as `train` draws it, before any row is projected. The set split
+    holds the scene's HSI reader, which no window reads."""
+    pixels = np.argwhere(pair.labels)
+    labelled = PatchSet(pair.hsi, pair.lidar, pair.labels[tuple(pixels.T)].astype(np.int64),
+                        pixels, config["patch"])
+    _, test = split(labelled, config["train_fraction"], config["seed"])
+    predicted = np.zeros_like(pair.labels)
+    predicted[tuple(test.pixels.T)] = test.labels
+    return predicted
+
+
 def cmd_eval(args) -> int:
-    # [:5] keeps no reference to the checkpoint state once the model holds it
-    config, _, patches, _, model = _setup(args, args.checkpoint)[:5]
-    _, test_set = split(patches, config["train_fraction"], config["seed"])
-    report = evaluate(model, test_set)
+    # [:4] keeps no reference to the checkpoint state once the model holds it
+    config, pair, pre, model = _setup(args, args.checkpoint)[:4]
+    k = model.config.num_classes
+    confusion = np.zeros((k, k), dtype=np.int64)
+    for patches in _strips(pair, pre, config["patch"], _test_pixels(pair, config)):
+        confusion += confusion_matrix(patches.labels, predict(model, patches), k)
+        del patches  # free the strip before the next is projected
+    report = MetricsReport(confusion)
     write_metrics_csv(os.path.join(config["out"], "metrics.csv"), report)
     print(render_report(report))
     return EXIT_OK
 
 
 def cmd_map(args) -> int:
-    # [:5] keeps no reference to the checkpoint state once the model holds it
-    config, labels, patches, _, model = _setup(args, args.checkpoint)[:5]
-    height, width = labels.shape
-    image = np.zeros((height, width, 3), dtype=np.uint8)
-    if len(patches):
-        preds = predict(model, patches)
+    # [:4] keeps no reference to the checkpoint state once the model holds it
+    config, pair, pre, model = _setup(args, args.checkpoint)[:4]
+    image = np.zeros((pair.height, pair.width, 3), dtype=np.uint8)
+    palette = np.array(PALETTE, dtype=np.uint8)
+    for patches in _strips(pair, pre, config["patch"], pair.labels):
         rows, cols = patches.pixels.T
-        image[rows, cols] = np.array(PALETTE, dtype=np.uint8)[(preds - 1) % len(PALETTE)]
+        image[rows, cols] = palette[(predict(model, patches) - 1) % len(PALETTE)]
+        del patches  # free the strip before the next is projected
     out_path = os.path.join(config["out"], "map.ppm")
     storage.write_ppm(out_path, image)
-    print(f"map: {out_path} ({width}x{height})")
+    print(f"map: {out_path} ({pair.width}x{pair.height})")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import storage
 from .errors import ConfigError, RegistrationError, ShapeError
@@ -68,10 +69,10 @@ def load_raster(hsi_path, lidar_path, labels_path) -> RasterPair:
     """Load the three scene files and validate their co-registration. The
     HSI cube stays in its file: `hsi` is a `storage.RasterRows` reader, which
     `pca_transform` reads a block of rows at a time, and `hsi[:, :]` reads it
-    whole."""
+    whole. The label map stays 16-bit, as its file stores it."""
     hsi = storage.RasterRows(hsi_path)
     lidar = storage.read_raster(lidar_path)
-    labels = storage.read_labels(labels_path).astype(np.int64)
+    labels = storage.read_labels(labels_path)
     return RasterPair(hsi=hsi, lidar=lidar, labels=labels)
 
 
@@ -90,9 +91,9 @@ def save_raster(pair: RasterPair, hsi_path, lidar_path, labels_path) -> None:
 # at least): 4.5 MiB of float64 for 144 bands, whatever the scene width.
 CHUNK_PIXELS = 1 << 12
 
-# Bytes of float32 rows that `pca_transform` reads from its cube at once: a
-# whole number of chunks, one at least. A row reader pays a file read per
-# band per block, so larger blocks cost fewer calls.
+# Bytes of float32 rows that `row_blocks`, and so `pca_transform`, reads
+# from a cube at once: a whole number of chunks, one at least. A row reader
+# pays a file read per band per block, so larger blocks cost fewer calls.
 _READ_BYTES = 16 << 20
 
 
@@ -155,11 +156,14 @@ def pca_fit(hsi: np.ndarray, r: int, labels: np.ndarray | None = None) -> PcaMod
 
 
 def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
-                  needed: np.ndarray | None = None) -> np.ndarray:
+                  needed: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Project a (bands, H, W) cube to (r, H, W): float64 by default, or,
     given `scale=(lo, span)`, rescaled by those per-band constants (see
     `rescale`) and cast to float32. Given an (H, W) bool mask `needed`, only
     those pixels are projected, and every other pixel holds exactly 0.0.
+    Given `out`, an (r, H, W) array of that dtype, the projection is written
+    into it and returned, and the pixels that `needed` leaves out keep what
+    `out` holds.
 
     The cube is read in blocks of rows of about `_READ_BYTES` of float32,
     and each block is projected in chunks of about `CHUNK_PIXELS` pixels,
@@ -181,12 +185,14 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
         if needed.dtype != bool or needed.shape != (height, width):
             raise ShapeError(f"needed must be a ({height}, {width}) bool mask, "
                              f"got {needed.shape} {needed.dtype}")
-    out = (np.empty if needed is None else np.zeros)(
-        (model.dims, height, width), dtype=np.float64 if scale is None else np.float32)
+    shape, dtype = (model.dims, height, width), np.float64 if scale is None else np.float32
+    if out is None:
+        out = (np.empty if needed is None else np.zeros)(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"out must be a {shape} {np.dtype(dtype)} array, "
+                         f"got {out.shape} {out.dtype}")
     step = max(1, CHUNK_PIXELS // max(width, 1))
-    rows = step * max(1, _READ_BYTES // (4 * model.bands * max(width, 1) * step))
-    for top in range(0, height, rows):
-        block = hsi[:, top:top + rows]
+    for top, block in row_blocks(hsi, step):
         for start in range(0, block.shape[1], step):
             at = slice(top + start, top + start + step)
             keep = slice(None)  # a chunk of needed pixels only is projected whole
@@ -196,6 +202,17 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
             out[:, at][:, keep] = (
                 chunk if scale is None else rescale(chunk, *scale, in_place=True))
     return out
+
+
+def row_blocks(hsi, step: int = 1):
+    """(top, rows top:top + n) of a (bands, H, W) cube, read a block of n rows
+    at a time through `hsi[:, top:stop]`: n is the most whole `step`-row
+    chunks that fit in `_READ_BYTES` of float32, one chunk at least, and the
+    last block is ragged."""
+    bands, height, width = hsi.shape
+    rows = step * max(1, _READ_BYTES // (4 * bands * max(width, 1) * step))
+    for top in range(0, height, rows):
+        yield top, hsi[:, top:top + rows]
 
 
 def _project(model: PcaModel, hsi: np.ndarray) -> np.ndarray:
@@ -234,19 +251,28 @@ def rescale(raster: np.ndarray, lo: np.ndarray, span: np.ndarray,
 class PatchSet:
     """Labelled pixels of one scene, in row-major pixel order.
 
-    `hsi` and `lidar` are the scene itself. The s×s patch centred on pixel
-    (row, col) reads it mirrored about its edge rows and columns, which are
-    not repeated: the bytes of `np.pad(mode="reflect")` by s // 2, sliced at
-    (row, col). `cut` and `area` copy out the windows a batch or a tile
-    needs; subsets made by `take` and `split` share the rasters and copy only
-    `labels` and `pixels`.
+    `hsi` and `lidar` hold the scene's rows from `top` on: the whole scene
+    when `top` is 0 and they are as tall as it, or a strip of it. `pixels`
+    and the arguments of `cut` and `area` are in scene coordinates. The s×s
+    patch centred on pixel (row, col) reads the scene mirrored about its
+    edge rows and columns, which are not repeated: the bytes of
+    `np.pad(mode="reflect")` by s // 2, sliced at (row, col). A strip
+    mirrors about its first and last held rows, so it must hold every row
+    its windows read that is not mirrored at the scene's own top or bottom:
+    a window that reaches above a first held row other than the scene's is
+    refused, and one that reaches below the last held row is mirrored there,
+    which is the scene's mirror only if that row is the scene's last. `cut`
+    and `area` copy out the windows a batch or a tile needs; subsets made by
+    `take` and `split` share the rasters and copy only `labels` and
+    `pixels`.
     """
 
-    hsi: np.ndarray  # (r, H, W)
-    lidar: np.ndarray  # (1, H, W)
+    hsi: np.ndarray  # (r, rows, W)
+    lidar: np.ndarray  # (1, rows, W)
     labels: np.ndarray  # (n,) values in 1..K
     pixels: np.ndarray  # (n, 2) scene (row, col) of each patch centre
     patch: int  # s
+    top: int = 0  # the scene row of the first held row
 
     def __post_init__(self):
         n = self.labels.shape[0]
@@ -257,28 +283,47 @@ class PatchSet:
             raise ShapeError(f"lidar grid {self.lidar.shape[1:]} differs from hsi's {grid}")
         # an overhang past n - 1 rows would mirror to negative indices
         check_patch_size(self.patch, *grid)
-        if n and (self.pixels.min() < 0 or np.any(self.pixels.max(axis=0) >= grid)):
-            raise ShapeError(f"patch centres must lie on the {grid[0]}x{grid[1]} scene")
-        if n and self.labels.min() < 1:
-            raise ShapeError("patch labels must be in 1..K; unlabeled pixels are not samples")
+        if n:
+            rows = self.pixels[:, 0] - self.top
+            if rows.min() < 0 or rows.max() >= grid[0] or self.pixels[:, 1].min() < 0 \
+                    or self.pixels[:, 1].max() >= grid[1]:
+                held = f" rows {self.top}-{self.top + grid[0] - 1}" if self.top else ""
+                raise ShapeError(f"patch centres must lie on the {grid[0]}x{grid[1]} scene{held}")
+            if self.top and rows.min() < self.patch // 2:
+                raise ShapeError(f"a window reaches above row {self.top}, the first held row, "
+                                 f"which is not the scene's first")
+            if self.labels.min() < 1:
+                raise ShapeError("patch labels must be in 1..K; unlabeled pixels are not samples")
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
     def take(self, idx: np.ndarray) -> "PatchSet":
-        return PatchSet(self.hsi, self.lidar, self.labels[idx], self.pixels[idx], self.patch)
+        return PatchSet(self.hsi, self.lidar, self.labels[idx], self.pixels[idx], self.patch,
+                        self.top)
 
     def cut(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """C-contiguous (k, r, s, s) HSI and (k, 1, s, s) LiDAR patches of the
-        k samples `idx` selects, in its order."""
+        k samples `idx` selects, in its order. A window that lies inside the
+        held rasters is copied as a block, in runs of s values; only a window
+        that crosses their edge is gathered at mirrored indices."""
         rows, cols = self.pixels[idx].T
-        rows, cols = self._mirrored(rows, 1, 1), self._mirrored(cols, 1, 2)
         s = self.patch
+        first, left = rows - self.top - s // 2, cols - s // 2
+        inside = ((first >= 0) & (first + s <= self.hsi.shape[1])
+                  & (left >= 0) & (left + s <= self.hsi.shape[2]))
+        edge = np.flatnonzero(~inside)
+        edge_rows, edge_cols = self._mirrored(rows[edge], 1, 1), self._mirrored(cols[edge], 1, 2)
         batches = []
         for raster in (self.hsi, self.lidar):
-            batch = np.empty((len(rows), raster.shape[0], s, s), dtype=raster.dtype)
-            for i in range(s):  # a window row at a time: no whole-batch temporary
-                batch[:, :, i] = raster[:, rows[:, i, None], cols].swapaxes(0, 1)
+            if inside.any():
+                # an edge sample takes the window at (0, 0) here, then its own below
+                windows = sliding_window_view(raster, (s, s), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+                batch = windows[np.where(inside, first, 0), np.where(inside, left, 0)]
+            else:
+                batch = np.empty((len(rows), raster.shape[0], s, s), dtype=raster.dtype)
+            for i in range(s if edge.size else 0):  # a window row at a time
+                batch[edge, :, i] = raster[:, edge_rows[:, i, None], edge_cols].swapaxes(0, 1)
             batches.append(batch)
         return tuple(batches)
 
@@ -291,25 +336,31 @@ class PatchSet:
         return tuple(raster[:, rows[:, None], cols] for raster in (self.hsi, self.lidar))
 
     def _mirrored(self, start, size: int, axis: int) -> np.ndarray:
-        """The scene indices along `axis` of the size + s - 1 mirrored rows or
-        columns from start - s // 2, per `start` (an int or an array): |i|,
-        then 2(n - 1) - i past the end."""
-        last = self.hsi.shape[axis] - 1
+        """The held indices along `axis` of the size + s - 1 mirrored scene
+        rows or columns from start - s // 2, per scene `start` (an int or an
+        array): |i|, then 2·last - i past `last`, the last held row or
+        column, then less `top` on the row axis."""
+        first = self.top if axis == 1 else 0
+        last = first + self.hsi.shape[axis] - 1
         at = np.add.outer(start, np.arange(size + self.patch - 1)) - self.patch // 2
-        return last - np.abs(last - np.abs(at))
+        return last - np.abs(last - np.abs(at)) - first
 
 
-def extract_patches(pair: RasterPair, s: int) -> PatchSet:
-    """The labelled pixels of a scene as a PatchSet of s×s patches,
-    mirrored at scene borders.
+def extract_patches(pair: RasterPair, s: int, top: int = 0) -> PatchSet:
+    """The labelled pixels of a scene, or of the scene's rows from `top` on
+    that `pair` holds, as a PatchSet of s×s patches, mirrored at scene
+    borders.
 
     HSI and LiDAR patches come from identical coordinates; sample order is
-    row-major over the label map. The set keeps the pair's arrays, and reads
-    the HSI of a pair that `load_raster` streams whole.
+    row-major over the label map, and pixels are in scene coordinates. The
+    set keeps the pair's arrays, and reads the HSI of a pair that
+    `load_raster` streams whole.
     """
     coords = np.argwhere(pair.labels != 0)
     labels = pair.labels[coords[:, 0], coords[:, 1]].astype(np.int64)
-    return PatchSet(hsi=pair.hsi[:, :], lidar=pair.lidar, labels=labels, pixels=coords, patch=s)
+    coords[:, 0] += top
+    return PatchSet(hsi=pair.hsi[:, :], lidar=pair.lidar, labels=labels, pixels=coords, patch=s,
+                    top=top)
 
 
 def window_pixels(labels: np.ndarray, s: int) -> np.ndarray:

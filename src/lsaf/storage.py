@@ -7,6 +7,7 @@ the byte-level reference and a converter recipe for common geo formats.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -116,9 +117,10 @@ class RasterRows:
 
     `rows[:, top:stop]` reads rows `top:stop` of every band into a new
     `(bands, stop - top, W)` float32 array, the one slicing
-    `data.pca_transform` does, and `rows[:, :]` reads the whole cube. The
-    header is checked once, here. Each block must be finite, and no block is
-    kept, so the reader holds none of the payload between reads.
+    `data.pca_transform` does, and `rows[:, :]` reads the whole cube;
+    `rows.rows(top, stop)` is a reader of those rows alone. The header is
+    checked once, here. Each block must be finite, and no block is kept, so
+    the reader holds none of the payload between reads.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -128,13 +130,23 @@ class RasterRows:
         self.path = path
         self.shape = (info["bands"], info["height"], info["width"])
         self._info = info
+        self._first = 0  # the file row of this reader's row 0
+
+    def rows(self, top: int, stop: int) -> "RasterRows":
+        """A reader of this one's rows `top:stop`, which reads them from the
+        file as this one does."""
+        top, stop, _ = slice(top, stop).indices(self.shape[1])
+        view = copy.copy(self)
+        view._first = self._first + top
+        view.shape = (self.shape[0], max(top, stop) - top, self.shape[2])
+        return view
 
     def __getitem__(self, key) -> np.ndarray:
         if (not isinstance(key, tuple) or len(key) != 2 or key[0] != slice(None)
                 or not isinstance(key[1], slice) or key[1].step not in (None, 1)):
             raise ContractError(f"a raster reads blocks of rows as [:, top:stop], not {key!r}")
         top, stop, _ = key[1].indices(self.shape[1])
-        block = _read_rows(self.path, self._info, top, max(top, stop))
+        block = _read_rows(self.path, self._info, self._first + top, self._first + max(top, stop))
         # min and max propagate NaN and reach any ±Inf, so a block is finite
         # exactly when both are, and unlike np.isfinite they need no block-sized mask.
         if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):

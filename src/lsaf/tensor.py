@@ -6,7 +6,8 @@ closure so that `Tensor.backward()` can sweep the tape in reverse topological
 order. Gradients land on leaves only. The sweep frees the tape as it goes:
 each node drops its closure, its parents and its gradient once used, so a
 tape can be swept once. Tensors are plain values and safe to pass between
-threads; the tape itself is built and consumed on a single thread.
+threads; the tape itself is built and consumed on a single thread, and
+whether operations record one is set per thread (`no_grad`).
 
 Dense layouts follow the usual deep-learning conventions: convolutions take
 batched `(n, cin, *spatial)` inputs with `(cout, cin, *kernel)` weights, at
@@ -50,6 +51,7 @@ when training throughput matters more than gradient-check headroom.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -76,7 +78,8 @@ __all__ = [
 ]
 
 _DEFAULT_DTYPE = np.float64
-_GRAD_ENABLED = True
+
+_TAPE = threading.local()  # `off` is True in a thread inside `no_grad`
 _CHECKED = os.environ.get("LSAF_CHECKED", "") not in ("", "0")
 # Bytes of one chunk's columns in the gather-form conv forward: small enough
 # that each chunk's GEMMs read its columns from cache, just after they are
@@ -97,18 +100,22 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
+def _recording() -> bool:
+    """Whether operations record a tape in this thread."""
+    return not getattr(_TAPE, "off", False)
+
+
 class no_grad:
-    """Context manager that disables tape recording inside its block."""
+    """Context manager that disables tape recording inside its block, in the
+    thread that enters it only."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._saved = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._saved = not _recording()
+        _TAPE.off = True
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._saved
+        _TAPE.off = self._saved
         return False
 
 
@@ -298,7 +305,7 @@ def _node(data, parents, op, grad_fn) -> Tensor:
     out.data = data
     out.grad = None
     out._op = op
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _recording() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
@@ -626,7 +633,7 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
         # Without a tape, every chunk reuses one buffer: no tap writes its
         # padding, so that stays zero from this one `np.zeros`.
         chunk = max(1, _CHUNK_BYTES // (rows * depth * npos * x5.dtype.itemsize))
-        record = _GRAD_ENABLED and (x.requires_grad or w.requires_grad)
+        record = _recording() and (x.requires_grad or w.requires_grad)
         cols = np.zeros((cin, kh, kw, batch if record else min(chunk, batch), depth, ho, wo),
                         dtype=x5.dtype)
 
@@ -711,7 +718,7 @@ def _check_windows(what: str, x: Tensor, index, size: int, *inputs: Tensor) -> n
         or row.max() + size > h or col.max() + size > w
     ):
         raise ShapeError(f"windows of side {size} fall outside maps of shape {x.shape}")
-    if _GRAD_ENABLED and any(inp.requires_grad for inp in (x, *inputs)):
+    if _recording() and any(inp.requires_grad for inp in (x, *inputs)):
         raise ContractError(f"{what} over windows of shared maps is inference-only: "
                             f"run it under no_grad, on inputs that need no gradient")
     return index
@@ -786,7 +793,7 @@ def batch_norm_relu(
     axes = (0,) + tuple(range(2, x.ndim))
     count = _axis_count(x.shape, axes)
     in_place = overwrite and not training and not (
-        _GRAD_ENABLED and any(t.requires_grad for t in (x, gamma, beta)))
+        _recording() and any(t.requires_grad for t in (x, gamma, beta)))
 
     if training:
         mean = x.data.mean(axis=axes, keepdims=True)

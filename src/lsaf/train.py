@@ -284,8 +284,11 @@ def plan_tiles(pixels: np.ndarray, height: int, width: int,
 def predict(model: LsafModel, patches: PatchSet) -> np.ndarray:
     """Predicted labels (1..K) for every patch, in the set's order.
 
-    Inference may convolve scene tiles once and share the results between
-    pixels: `plan_tiles` picks per tile by a FLOP count from layer shapes.
+    The set may hold the whole scene or a strip of its rows, as `eval` and
+    `map` pass it, already projected: `predict` reads no file and projects
+    nothing. Inference may convolve scene tiles once and share the results
+    between pixels: `plan_tiles` picks per tile by a FLOP count from layer
+    shapes, and the tiles lie on the scene's TILE grid, whatever the strip.
     A shared tile is one forward over its `tensor.MapWindows`. Its valid
     convolutions run once, and so does HSI block4's tap GEMM, whose products
     each pixel's window then sums as if zero-padded on its own; the LiDAR
@@ -307,8 +310,11 @@ def predict_logits(model: LsafModel, patches: PatchSet) -> np.ndarray:
         )
     dtype = T.default_dtype()
     out = np.empty((len(patches), model.config.num_classes))  # float64 holds either dtype
-    _, height, width = patches.lidar.shape
-    shared, per_patch = plan_tiles(patches.pixels, height, width, model.tile_conv_flops)
+    # Tiles lie on the scene's TILE grid; a strip's held rows end at the
+    # scene's last row or past every tile of its pixels.
+    _, held, width = patches.lidar.shape
+    shared, per_patch = plan_tiles(patches.pixels, patches.top + held, width,
+                                   model.tile_conv_flops)
     with T.no_grad():
         for start in range(0, len(per_patch), BATCH):
             idx = per_patch[start : start + BATCH]

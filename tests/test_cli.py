@@ -423,26 +423,32 @@ class TestTrain:
         assert opt[0] == "opt.steps" and len(opt) == 1 + 2 * len(model.params())
 
     def test_each_command_projects_the_scene_once(self, config_path, tmp_path, monkeypatch):
-        """Every command projects the scene once, scaled and masked to the
-        pixels the windows read; a new model's `train` first projects it once
-        more, unscaled and whole, to fit the min-max constants."""
+        """Every command projects each row of the scene once, scaled and
+        masked to the pixels the windows read: `train` and `--resume` the
+        whole 20-row scene as one strip, `eval` and `map` in strips of one
+        TILE row, the least strip budget. Their first strip, rows 0-10, holds
+        rows 0-13; the second, rows 11-19, holds rows 8-19 and carries rows
+        8-13 over, so it projects rows 14-19 only. A new model's `train` first
+        projects the scene once more, unscaled and whole, to fit the min-max
+        constants."""
         calls = []
 
-        def counted(pca, hsi, scale=None, needed=None):
-            calls.append((scale is not None, needed is not None))
-            return transform(pca, hsi, scale, needed)
+        def counted(pca, hsi, scale=None, needed=None, out=None):
+            calls.append((scale is not None, needed is not None, hsi.shape[1]))
+            return transform(pca, hsi, scale, needed, out)
 
         transform = cli.pca_transform
         monkeypatch.setattr(cli, "pca_transform", counted)
+        monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         ckpt = tmp_path / "run" / "checkpoint.lsfw"
-        for out, argv in [("run", ["train"]),
-                          ("resumed", ["train", "--epochs", 3, "--resume", ckpt]),
-                          ("eval", ["eval", "--checkpoint", ckpt]),
-                          ("map", ["map", "--checkpoint", ckpt])]:
+        for out, argv, want in [
+                ("run", ["train"], [(False, False, 20), (True, True, 20)]),
+                ("resumed", ["train", "--epochs", 3, "--resume", ckpt], [(True, True, 20)]),
+                ("eval", ["eval", "--checkpoint", ckpt], [(True, True, 14), (True, True, 6)]),
+                ("map", ["map", "--checkpoint", ckpt], [(True, True, 14), (True, True, 6)])]:
             calls.clear()
             assert run(argv + ["--config", config_path, "--out", tmp_path / out]) == 0
-            fit = [(False, False)] if argv == ["train"] else []
-            assert calls == fit + [(True, True)], argv
+            assert calls == want, argv
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_resume_without_new_epochs_is_config_error(self, config_path, tmp_path,
@@ -478,9 +484,10 @@ class TestPreprocessing:
         assert list(pre) == list(cli._PRE_KEYS)
         assert height * width >= 4 * data.CHUNK_PIXELS
         chunk = data.CHUNK_PIXELS * (bands + 3 * dims) * 8
+        needed = data.window_pixels(pair.labels, 7)
         tracemalloc.start()
         try:
-            scaled = cli._apply_preprocessing(pair, pre, 7)
+            scaled = cli._apply_preprocessing(pair, pre, needed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -504,9 +511,10 @@ class TestPreprocessing:
         pre = cli._fit_preprocessing(pair, {"pca_dims": dims, "pca_on_labeled": False})
         before = {key: value.copy() for key, value in pre.items()}
         chunk = data.CHUNK_PIXELS * (bands + 3 * dims) * 8
+        needed = data.window_pixels(labels, 7)
         tracemalloc.start()
         try:
-            scaled = cli._apply_preprocessing(pair, pre, 7)
+            scaled = cli._apply_preprocessing(pair, pre, needed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -517,7 +525,6 @@ class TestPreprocessing:
                            pre["pre.norm.hsi_span"]).astype(np.float32)
         lidar = data.rescale(pair.lidar, pre["pre.norm.lidar_min"],
                              pre["pre.norm.lidar_span"]).astype(np.float32)
-        needed = data.window_pixels(labels, 7)
         assert needed.any() and not needed.all()
         assert scaled.hsi.dtype == np.float32 and scaled.hsi.shape == hsi.shape
         assert scaled.hsi[:, needed].tobytes() == hsi[:, needed].tobytes()
@@ -526,10 +533,11 @@ class TestPreprocessing:
         assert peak <= 1.25 * (scaled.hsi.nbytes + scaled.lidar.nbytes + chunk)
 
     def test_setup_streams_the_cube_from_its_file(self, tmp_path, monkeypatch):
-        """With a checkpoint, `_setup` projects HSI row blocks read from the
-        file as it goes, straight into the float32 array the patch set keeps:
-        its peak is that projection, one read block, one chunk's temporaries
-        (its float32 needed pixels, then their float64 copy, projection and
+        """With a checkpoint, `_setup` and then eval's first strip, here the
+        whole 128-row scene, project HSI row blocks read from the file as
+        they go, straight into the float32 array the patch set keeps: the
+        peak is that projection, one read block, one chunk's temporaries (its
+        float32 needed pixels, then their float64 copy, projection and
         rescale) and the checkpoint's tensors twice (the state and the
         model's weights). That is well under the raw cube it never holds,
         and under a second, padded copy of the projection."""
@@ -566,37 +574,50 @@ class TestPreprocessing:
         prev_dtype = T.default_dtype()  # `_setup` sets the config's; `main` restores it
         tracemalloc.start()
         try:
-            patches = cli._setup(args, str(ckpt))[2]
+            config, pair, pre = cli._setup(args, str(ckpt))[:3]
+            patches = next(cli._strips(pair, pre, 7, cli._test_pixels(pair, config)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             T.set_default_dtype(prev_dtype)
-        assert patches.hsi.dtype == np.float32 and len(patches) == 256
+        # one strip of the test side of the split: 102 of each class's 128 pixels
+        assert patches.hsi.shape == (dims, height, width) and patches.top == 0
+        assert patches.hsi.dtype == np.float32 and len(patches) == 204
         assert peak <= 1.05 * kept
         assert peak < bands * height * width * 4
 
 
 class TestSetupFreesTheProjection:
-    @pytest.mark.parametrize("command", ["train", "resume", "eval", "map"])
+    @pytest.mark.parametrize("command,strips,projections", [
+        pytest.param(command, strips, projections, id=command)
+        for command, strips, projections in [("train", 1, 2), ("resume", 1, 1),
+                                             ("eval", 2, 2), ("map", 2, 2)]])
     def test_unpadded_projection_is_dead_once_the_model_runs(self, config_path, tmp_path,
-                                                             monkeypatch, command):
-        """`_setup` keeps one projected scene: the patch set's `hsi` is the
-        array `_apply_preprocessing` returned, and the other projection that
-        `pca_transform` made for a new model, the float64 one its min-max
-        constants are fitted on, is freed before `train` or `predict`."""
+                                                             monkeypatch, command, strips,
+                                                             projections):
+        """Each patch set keeps one projected strip, and only the one being
+        run is alive: when `train` or `predict` runs, the set's `hsi` is the
+        array that `_apply_preprocessing` returned for it, every array that
+        `pca_transform` wrote is freed or is that array (the float64
+        projection that a new model's min-max constants are fitted on is
+        freed), and the strips before it are freed. `train` and `--resume` run the whole
+        20-row scene as one strip, after one projection more for a new
+        model's fit; `eval` and `map` run it in two strips of one TILE row,
+        the least strip budget, each with one projection."""
         ckpt = tmp_path / "run" / "checkpoint.lsfw"
         if command != "train":
             assert run(["train", "--config", config_path]) == 0
+        monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         train_mod = importlib.import_module("lsaf.train")
-        projections, kept, alive = [], [], []
+        made, kept, alive = [], [], []
 
         def pca_transform(*args, _fn=cli.pca_transform, **kwargs):
             out = _fn(*args, **kwargs)
-            projections.append(weakref.ref(out))
+            made.append(weakref.ref(out.base if out.base is not None else out))
             return out
 
-        def extract_patches(pair, s, _fn=cli.extract_patches):
-            patches = _fn(pair, s)
+        def extract_patches(pair, s, top=0, _fn=cli.extract_patches):
+            patches = _fn(pair, s, top)
             assert patches.hsi.base is pair.hsi
             kept.append(weakref.ref(pair.hsi))
             return patches
@@ -604,8 +625,9 @@ class TestSetupFreesTheProjection:
         def checked(fn):
             def call(*args, **kwargs):
                 scene = kept[-1]()
-                alive.append(scene is not None and all(
-                    ref() is None or ref() is scene for ref in projections))
+                alive.append(scene is not None
+                             and all(ref() is None or ref() is scene for ref in made)
+                             and all(ref() is None for ref in kept[:-1]))
                 del scene
                 return fn(*args, **kwargs)
             return call
@@ -617,8 +639,9 @@ class TestSetupFreesTheProjection:
         monkeypatch.setattr(train_mod, "predict", checked(train_mod.predict))
         out = tmp_path / "after"
         assert run(command_argv(command, ckpt) + ["--config", config_path, "--out", out]) == 0
-        assert len(projections) == (2 if command == "train" else 1)
-        assert len(kept) == 1 and alive and all(alive)
+        assert len(made) == projections and len(kept) == strips
+        # train and --resume: `train`, then `evaluate`'s predict; eval and map: a predict per strip
+        assert len(alive) == 2 and all(alive)
 
 
 class TestEval:
@@ -871,6 +894,30 @@ class TestNonFiniteRaster:
 # eval, map and resume project only the pixels the windows read
 
 
+def write_scene(tmp_path, cube, lidar, labels, patch, **keys):
+    """Write a scene's three files into `tmp_path`, a config that names them
+    with `patch`, 13 PCA dims, hidden width 16 and `keys`, and the checkpoint
+    of an untrained model of that geometry for 4 classes, with the scene's
+    own `pre.*` constants. Returns (config, checkpoint)."""
+    paths = {name: tmp_path / f"{name}.lsaf" for name in ("hsi", "lidar", "labels")}
+    storage.write_raster(paths["hsi"], cube)
+    storage.write_raster(paths["lidar"], lidar)
+    storage.write_labels(paths["labels"], labels)
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps({**{k: str(v) for k, v in paths.items()},
+                                  "patch": patch, "pca_dims": 13, "hidden": 16, **keys}))
+    model = LsafModel(ModelConfig(num_classes=4, pca_dims=13, patch=patch, hidden=16), seed=0)
+    pca = data.pca_fit(cube, 13)
+    entries = {key: value.astype(np.float32) for key, value in model.state_dict().items()}
+    entries.update(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance,
+                                       *data.fit_minmax(data.pca_transform(pca, cube)),
+                                       *data.fit_minmax(lidar))))
+    entries.update(cli._model_meta(model, {"seed": 0}, 1))
+    ckpt = tmp_path / "checkpoint.lsfw"
+    storage.write_checkpoint(ckpt, entries)
+    return config, ckpt
+
+
 @pytest.fixture()
 def sparse_run(tmp_path):
     """A 30×40 scene labelled sparsely: a dense 12×10 block at the top-left
@@ -891,40 +938,36 @@ def sparse_run(tmp_path):
         keep[row, col] = True
     labels = np.zeros((height, width), dtype=np.uint16)
     labels[keep] = np.arange(keep.sum()) % 4 + 1
-    paths = {name: tmp_path / f"{name}.lsaf" for name in ("hsi", "lidar", "labels")}
-    storage.write_raster(paths["hsi"], cube)
-    storage.write_raster(paths["lidar"], lidar)
-    storage.write_labels(paths["labels"], labels)
-    config = tmp_path / "sparse.json"
-    config.write_text(json.dumps({**{k: str(v) for k, v in paths.items()},
-                                  "patch": 2 * half + 1, "pca_dims": 13, "hidden": 16}))
-    model = LsafModel(ModelConfig(num_classes=4, pca_dims=13, patch=2 * half + 1, hidden=16),
-                      seed=0)
-    pca = data.pca_fit(cube, 13)
-    entries = {key: value.astype(np.float32) for key, value in model.state_dict().items()}
-    entries.update(zip(cli._PRE_KEYS, (pca.mean, pca.components, pca.explained_variance,
-                                       *data.fit_minmax(data.pca_transform(pca, cube)),
-                                       *data.fit_minmax(lidar))))
-    entries.update(cli._model_meta(model, {"seed": 0}, 1))
-    ckpt = tmp_path / "checkpoint.lsfw"
-    storage.write_checkpoint(ckpt, entries)
+    config, ckpt = write_scene(tmp_path, cube, lidar, labels, 2 * half + 1)
     needed = np.zeros((height, width), dtype=bool)
     for row, col in np.argwhere(keep):
         needed[max(row - half, 0):row + half + 1, max(col - half, 0):col + half + 1] = True
     return config, ckpt, needed
 
 
-def setup_of(argv):
-    """`cli._setup`'s (patch set, model, `pre.*` constants) for a command
-    line, with the tensor dtype restored afterwards as `main` does."""
+def strips_of(argv):
+    """For a command line, the patch sets that `cli._strips` gives it, one
+    per strip (`train`'s whole scene as one; `eval`'s of its test pixels,
+    the others' of every labelled pixel), with `cli._setup`'s model and
+    `pre.*` constants. The tensor dtype is restored afterwards, as `main`
+    does."""
     args = cli.build_parser().parse_args([str(a) for a in argv])
     prev_dtype = T.default_dtype()
     try:
-        _, _, patches, pre, model, _ = cli._setup(args, args.resume if args.command == "train"
-                                                  else args.checkpoint)
-        return patches, model, pre
+        config, pair, pre, model, _ = cli._setup(args, args.resume if args.command == "train"
+                                                 else args.checkpoint)
+        predicted = cli._test_pixels(pair, config) if args.command == "eval" else pair.labels
+        rows = pair.height if args.command == "train" else None
+        return list(cli._strips(pair, pre, config["patch"], predicted, rows)), model, pre
     finally:
         T.set_default_dtype(prev_dtype)
+
+
+# The sparse scene's 30 rows in strips of one TILE row: the first row each
+# set holds, and the rows each predicts, for the commands that run strips.
+STRIP_TOPS = {"eval": [0, 8, 19], "map": [0, 8, 19], "resume": [0], "train": [0]}
+STRIP_ROWS = {"eval": [(0, 11), (11, 22), (22, 30)], "map": [(0, 11), (11, 22), (22, 30)],
+              "resume": [(0, 30)], "train": [(0, 30)]}
 
 
 class TestNeededPixels:
@@ -934,60 +977,87 @@ class TestNeededPixels:
         """Every window's HSI and LiDAR bytes, and the logits of `predict` with
         its shared tile, equal those of a projection of every pixel, with
         stored constants and with a new model's fitted ones alike; each pixel
-        no window reads holds exactly 0.0. The projection runs in blocks of 4
-        rows, the last one ragged."""
-        config, ckpt, needed = sparse_run
+        no window of a predicted pixel reads holds exactly 0.0. `eval` and
+        `map` run in strips of one TILE row, the least strip budget, and
+        `eval` predicts only its 104 test pixels. The projection runs in
+        blocks of 4 rows, the last one ragged."""
+        config, ckpt, labelled = sparse_run
         monkeypatch.setattr(data, "CHUNK_PIXELS", 4 * 40)
+        monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         argv = command_argv(command, ckpt) + ["--config", config, "--out", tmp_path / "out"]
-        patches, model, _ = setup_of(argv)
+        strips, model, _ = strips_of(argv)
         transform = cli.pca_transform
-        monkeypatch.setattr(cli, "pca_transform", lambda pca, hsi, scale=None, needed=None:
-                            transform(pca, hsi, scale))
-        full, _, _ = setup_of(argv)
+        monkeypatch.setattr(cli, "pca_transform",
+                            lambda pca, hsi, scale=None, needed=None, out=None:
+                            transform(pca, hsi, scale, out=out))
+        full, _, _ = strips_of(argv)
 
-        assert np.array_equal(patches.pixels, full.pixels) and len(patches) == 128
-        every = np.arange(len(patches))
-        for got, want in zip(patches.cut(every), full.cut(every)):
-            assert got.tobytes() == want.tobytes()
-        half = patches.patch // 2
-        scene, want = patches.hsi, full.hsi
-        assert not needed.all() and not scene[:, ~needed].any()
-        assert scene[:, needed].tobytes() == want[:, needed].tobytes()
-
+        assert [p.top for p in strips] == [p.top for p in full] == STRIP_TOPS[command]
+        pixels = np.concatenate([p.pixels for p in strips])
+        assert np.array_equal(pixels, np.concatenate([p.pixels for p in full]))
+        assert len(pixels) == (104 if command == "eval" else 128)
+        predicted = np.zeros(labelled.shape, dtype=bool)
+        predicted[tuple(pixels.T)] = True
+        needed = data.window_pixels(predicted, 7)
+        assert command == "eval" or np.array_equal(needed, labelled)
         train_mod = importlib.import_module("lsaf.train")
-        shared, _ = train_mod.plan_tiles(patches.pixels, *needed.shape, model.tile_conv_flops)
-        assert [(t.row, t.col) for t in shared] == [(0, 0)]
-        assert not needed[:shared[0].height + half, :shared[0].width + half].all()
+        half, shared = 3, []
         prev_dtype = T.default_dtype()
         T.set_default_dtype(np.float32)
         try:
-            got, want = (train_mod.predict_logits(model, p) for p in (patches, full))
+            for patches, whole in zip(strips, full):
+                every = np.arange(len(patches))
+                for got, want in zip(patches.cut(every), whole.cut(every)):
+                    assert got.tobytes() == want.tobytes()
+                held = needed[patches.top:patches.top + patches.hsi.shape[1]]
+                scene, want = patches.hsi, whole.hsi
+                assert not held.all() and not scene[:, ~held].any()
+                assert scene[:, held].tobytes() == want[:, held].tobytes()
+                end = patches.top + patches.hsi.shape[1]
+                shared += train_mod.plan_tiles(patches.pixels, end, 40, model.tile_conv_flops)[0]
+                got, want = (train_mod.predict_logits(model, p) for p in (patches, whole))
+                assert got.tobytes() == want.tobytes()
         finally:
             T.set_default_dtype(prev_dtype)
-        assert got.tobytes() == want.tobytes()
+        assert [(t.row, t.col) for t in shared] == [(0, 0)]
+        assert not needed[:shared[0].height + half, :shared[0].width + half].all()
 
     @pytest.mark.parametrize("command", ["eval", "map", "resume", "train"])
-    def test_padded_scene_equals_padding_the_projection(self, sparse_run, tmp_path, command):
-        """The patch set's HSI and LiDAR hold the bytes of the scaled float32
-        projection, masked to the pixels the windows read, whether the
-        constants come from a checkpoint or a new model's fit, and the padded
-        scene its windows read, the `area` of the whole scene, holds those of
-        `np.pad(mode="reflect")` over it."""
-        config, ckpt, needed = sparse_run
-        patches, _, pre = setup_of(command_argv(command, ckpt)
+    def test_padded_scene_equals_padding_the_projection(self, sparse_run, tmp_path,
+                                                        monkeypatch, command):
+        """Each patch set's HSI and LiDAR hold the bytes of its rows of the
+        scaled float32 projection, masked to the pixels the windows of the
+        predicted pixels read, whether the constants come from a checkpoint
+        or a new model's fit, and the padded rows its windows read, the
+        `area` of its predicted rows, hold those of `np.pad(mode="reflect")`
+        over the whole projection: a halo row inside the scene, a mirrored
+        one at its top and bottom. `eval` and `map` run in strips of one TILE
+        row."""
+        config, ckpt, _ = sparse_run
+        monkeypatch.setattr(cli, "STRIP_BYTES", 0)
+        strips, _, pre = strips_of(command_argv(command, ckpt)
                                    + ["--config", config, "--out", tmp_path / "out"])
         cube, lidar = (storage.read_raster(tmp_path / f"{name}.lsaf") for name in ("hsi", "lidar"))
+        predicted = np.zeros(cube.shape[1:], dtype=bool)
+        for patches in strips:
+            predicted[tuple(patches.pixels.T)] = True
         pca = data.PcaModel(*(pre[key].astype(np.float64) for key in cli._PRE_KEYS[:3]))
         hsi_scale = (pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
-        hsi = data.pca_transform(pca, cube, scale=hsi_scale, needed=needed)
+        hsi = data.pca_transform(pca, cube, scale=hsi_scale,
+                                 needed=data.window_pixels(predicted, 7))
         lidar = data.rescale(lidar, pre["pre.norm.lidar_min"],
                              pre["pre.norm.lidar_span"]).astype(np.float32)
-        half = patches.patch // 2
-        padded = patches.area(0, 0, *needed.shape)
-        for kept, got, scene in zip((patches.hsi, patches.lidar), padded, (hsi, lidar)):
-            assert kept.dtype == np.float32 and kept.tobytes() == scene.tobytes()
-            want = np.pad(scene, ((0, 0), (half, half), (half, half)), mode="reflect")
-            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        half = 3
+        assert [p.top for p in strips] == STRIP_TOPS[command]
+        for patches, (first, stop) in zip(strips, STRIP_ROWS[command], strict=True):
+            assert first <= patches.pixels[:, 0].min() and patches.pixels[:, 0].max() < stop
+            held = slice(patches.top, min(stop + half, 30))
+            padded = patches.area(first, 0, stop - first, 40)
+            for kept, got, scene in zip((patches.hsi, patches.lidar), padded, (hsi, lidar)):
+                assert kept.dtype == np.float32 and kept.tobytes() == scene[:, held].tobytes()
+                want = np.pad(scene, ((0, 0), (half, half), (half, half)), mode="reflect")
+                want = want[:, first:stop + 2 * half]
+                assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
     # NaNs at the first row of the second 4-row block and further on in it,
     # and one in a later block; an Inf in the last row, of a ragged block
@@ -1029,6 +1099,160 @@ class TestNeededPixels:
         assert run(command_argv(command, ckpt) + ["--config", config, "--out", out]) == 2
         assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+# ----------------------------------------------------------------------
+# eval and map in strips
+
+
+def scene_cube(height, width, bands, seed):
+    """A float32 (bands, H, W) cube whose bands differ in scale, and a
+    (1, H, W) LiDAR raster."""
+    r = np.random.default_rng(seed)
+    cube = (r.normal(size=(bands, height, width))
+            * r.uniform(0.5, 3.0, (bands, 1, 1))).astype(np.float32)
+    return cube, r.random((1, height, width), dtype=np.float32)
+
+
+@pytest.fixture()
+def strip_run(tmp_path):
+    """A 37×24 scene of 16 bands, which strips of one TILE row cut into four:
+    rows 0-10, 11-21, 22-32 and 33-36. Three pixels of every row are
+    labelled, so every halo row and every row whose windows mirror at the
+    scene's top or bottom holds some, and rows 11-21 of columns 0-10 are
+    labelled whole, a tile that `predict` shares. With the checkpoint of an
+    untrained patch-7 model. Returns (config, checkpoint, labels)."""
+    height, width = 37, 24
+    cube, lidar = scene_cube(height, width, 16, seed=1)
+    keep = np.zeros((height, width), dtype=bool)
+    for row in range(height):
+        keep[row, [(5 * row) % width, (5 * row + 8) % width, (5 * row + 16) % width]] = True
+    keep[11:22, :11] = True
+    labels = np.zeros((height, width), dtype=np.uint16)
+    labels[keep] = np.arange(keep.sum()) % 4 + 1
+    config, ckpt = write_scene(tmp_path, cube, lidar, labels, 7)
+    return config, ckpt, labels
+
+
+class TestStrips:
+    def test_outputs_and_logits_equal_one_strip(self, strip_run, tmp_path, monkeypatch):
+        """`eval` and `map` in strips of one TILE row, the least strip
+        budget, write the bytes of a run that projects the whole scene as one
+        strip, and every strip's logits are those of that run. Their
+        predicted pixels lie in every halo row and every mirrored row."""
+        config, ckpt, _ = strip_run
+        train_mod = importlib.import_module("lsaf.train")
+        runs = {}
+        for budget in (0, 1 << 40):
+            monkeypatch.setattr(cli, "STRIP_BYTES", budget)
+            logits, tops = {}, []
+            for command in ("eval", "map"):
+                def predict(model, patches, _fn=cli.predict, _command=command):
+                    tops.append(patches.top)
+                    rows = train_mod.predict_logits(model, patches)
+                    logits.update(((_command,) + tuple(pixel), row.tobytes())
+                                  for pixel, row in zip(patches.pixels.tolist(), rows))
+                    return _fn(model, patches)
+
+                monkeypatch.setattr(cli, "predict", predict)
+                assert run([command, "--config", config, "--checkpoint", ckpt,
+                            "--out", tmp_path / str(budget)]) == 0
+                monkeypatch.undo()
+                monkeypatch.setattr(cli, "STRIP_BYTES", budget)
+            out = tmp_path / str(budget)
+            runs[budget] = (tops, logits, (out / "metrics.csv").read_bytes(),
+                            (out / "map.ppm").read_bytes())
+        (tops, logits, *files), (whole_tops, whole_logits, *whole_files) = runs.values()
+        assert tops == [0, 8, 19, 30] * 2 and whole_tops == [0, 0]
+        assert logits == whole_logits and files == whole_files
+        halo = set(range(8, 14)) | set(range(19, 25)) | set(range(30, 37)) | {0, 1, 2}
+        for command in ("eval", "map"):
+            assert halo <= {row for name, row, _ in logits if name == command}
+
+    @pytest.mark.parametrize("command", ["eval", "map"])
+    def test_strip_with_nothing_to_predict_is_read_not_projected(
+            self, strip_run, tmp_path, monkeypatch, capsys, command):
+        """With no labelled pixel in rows 11-21, the second strip is read and
+        checked, not projected: the first strip projects its 14 rows 0-13,
+        the third rows 19-35, and the fourth row 36 below the rows it carries
+        over, so rows 14-18 are never projected. A NaN among them still exits
+        2 before any output is written."""
+        config, ckpt, labels = strip_run
+        monkeypatch.setattr(cli, "STRIP_BYTES", 0)
+        labels[11:22] = 0
+        storage.write_labels(tmp_path / "labels.lsaf", labels)
+        calls = []
+
+        def counted(pca, hsi, *args, _fn=cli.pca_transform, **kwargs):
+            calls.append(hsi.shape[1])
+            return _fn(pca, hsi, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "pca_transform", counted)
+        argv = [command, "--config", config, "--checkpoint", ckpt]
+        assert run(argv + ["--out", tmp_path / "clean"]) == 0
+        assert calls == [14, 17, 1]
+        path = tmp_path / "hsi.lsaf"
+        cube = storage.read_raster(path)
+        cube[4, 16, 5] = np.nan
+        storage.write_raster(path, cube)
+        calls.clear()
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(argv + ["--out", out]) == 2
+        assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
+        assert calls == [14] and not any(out.iterdir())
+
+    def test_eval_holds_one_strip_not_the_scene(self, tmp_path, monkeypatch):
+        """Under tracemalloc, `eval` of a 330×600 scene in 30 strips of one
+        TILE row peaks, above what it holds once its test pixels are drawn,
+        within the scene's `needed` mask, one strip, one read block, one
+        chunk's temporaries and the largest cost of one strip's `predict`,
+        which runs batches of a few dozen patches. A projection of the whole
+        scene alone is larger than all of those together."""
+        height, width, bands, dims = 330, 600, 32, 13
+        monkeypatch.setattr(cli, "STRIP_BYTES", 0)
+        monkeypatch.setattr(data, "CHUNK_PIXELS", width)
+        monkeypatch.setattr(data, "_READ_BYTES", 4 * bands * width * 4)
+        cube, lidar = scene_cube(height, width, bands, seed=2)
+        labels = np.zeros((height, width), dtype=np.uint16)
+        labels[::2, ::60] = np.arange(height // 2 * width // 60).reshape(height // 2, -1) % 4 + 1
+        config, ckpt = write_scene(tmp_path, cube, lidar, labels, 7)
+        del cube, lidar
+        marks = {"peak": 0, "predict": 0, "strip": 0}
+
+        def mark(key, value):
+            marks[key] = max(marks[key], value)
+
+        def test_pixels(*args, _fn=cli._test_pixels):
+            predicted = _fn(*args)
+            marks["base"] = tracemalloc.get_traced_memory()[0]
+            return predicted
+
+        def predict(model, patches, _fn=cli.predict):
+            before, peak = tracemalloc.get_traced_memory()
+            mark("peak", peak)
+            mark("strip", patches.hsi.nbytes + patches.lidar.nbytes)
+            tracemalloc.reset_peak()
+            try:
+                return _fn(model, patches)
+            finally:
+                mark("predict", tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(cli, "_test_pixels", test_pixels)
+        monkeypatch.setattr(cli, "predict", predict)
+        tracemalloc.start()
+        try:
+            assert run(["eval", "--config", config, "--checkpoint", ckpt,
+                        "--out", tmp_path / "out"]) == 0
+            mark("peak", tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # `needed`, 1 byte a pixel; the copies that grow it are freed before the first strip
+        chunk = data.CHUNK_PIXELS * (bands * 4 + (bands + 3 * dims) * 8)
+        bound = height * width + marks["strip"] + data._READ_BYTES + chunk + marks["predict"]
+        assert marks["strip"] == 17 * width * (dims + 1) * 4  # 11 rows and 6 halo rows
+        assert marks["peak"] - marks["base"] <= bound
+        assert dims * height * width * 4 > bound
 
 
 # ----------------------------------------------------------------------

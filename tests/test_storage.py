@@ -132,6 +132,21 @@ def test_row_blocks_are_checked_finite_one_at_a_time(tmp_path):
         rows[:, :]
 
 
+def test_reader_of_some_rows_reads_those_rows(tmp_path):
+    """`rows(top, stop)` reads rows top:stop as a raster of their own, and a
+    reader of its rows reads from there, whatever rows it is sliced at."""
+    cube = np.arange(3 * 9 * 4, dtype=np.float32).reshape(3, 9, 4)
+    path = tmp_path / "r.lsaf"
+    storage.write_raster(path, cube)
+    strip = storage.RasterRows(path).rows(2, 8)
+    assert strip.shape == (3, 6, 4)
+    assert np.array_equal(strip[:, :], cube[:, 2:8])
+    assert np.array_equal(strip[:, 1:4], cube[:, 3:6])
+    inner = strip.rows(3, 6)
+    assert inner.shape == (3, 3, 4) and np.array_equal(inner[:, 1:], cube[:, 6:8])
+    assert strip.rows(6, 6).shape == (3, 0, 4)
+
+
 @pytest.mark.parametrize("key", [(slice(None),), (0, slice(0, 2)),
                                  (slice(None), slice(0, 4, 2)), (slice(None), 3)])
 def test_row_reader_takes_only_row_ranges(tmp_path, key):

@@ -4,6 +4,7 @@ finite-difference batteries for every differentiable op."""
 
 import itertools
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1409,6 +1410,37 @@ class TestBackward:
         with T.no_grad():
             y = tape_sum(x * x)
         assert y._grad_fn is None and not y.requires_grad
+
+    def test_no_grad_in_one_thread_leaves_another_recording(self):
+        """Two threads enter and leave `no_grad` interleaved: the worker
+        enters first and leaves while the main thread is inside its own
+        block. Each block stops recording in its own thread only, and each
+        thread records again once it has left."""
+        x = Tensor([1.0], requires_grad=True)
+        entered, main_inside, left = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            with T.no_grad():
+                entered.set()
+                main_inside.wait(10)
+                seen["worker inside"] = (x * x).requires_grad
+            seen["worker after"] = (x * x).requires_grad
+            left.set()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert entered.wait(10)
+        seen["main beside the worker's block"] = (x * x).requires_grad
+        with T.no_grad():
+            main_inside.set()
+            assert left.wait(10)
+            seen["main inside, the worker gone"] = (x * x).requires_grad
+        thread.join(10)
+        seen["main after"] = (x * x).requires_grad
+        assert seen == {"worker inside": False, "worker after": True,
+                        "main beside the worker's block": True,
+                        "main inside, the worker gone": False, "main after": True}
 
 
 # ----------------------------------------------------------------------

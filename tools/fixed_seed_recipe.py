@@ -11,6 +11,10 @@ package of this checkout, it runs:
 - `train --resume` from run1 to 3 epochs (`run2/`);
 - `train` in hsi mode, patch 7, 13 PCA dims, hidden width 16 (`hsi/`);
 - `eval` and `map` of run1's checkpoint (`eval/`, `map/`);
+- the same `eval` and `map` in strips of one TILE row, the least strip
+  budget, `cli.STRIP_BYTES` set to 0 (`strips/`): 3 strips of the 24 rows,
+  whose outputs must equal those of `eval/` and `map/`. A package without
+  that constant projects the whole scene here too;
 - `eval` and `map` of run1's checkpoint with most labels zeroed (`sparse/`):
   only pixels whose row and column are multiples of 3, in rows 0-12, keep
   their labels. That keeps corner pixel (0, 0) and at least 3 pixels of
@@ -71,6 +75,16 @@ def run(work: str) -> None:
     _lsaf("train", "--config", hsi_config, "--out", os.path.join(work, "hsi"))
     _lsaf("eval", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "eval"))
     _lsaf("map", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "map"))
+    budget = getattr(cli, "STRIP_BYTES", None)
+    if budget is not None:
+        cli.STRIP_BYTES = 0
+    try:
+        for command in ("eval", "map"):
+            _lsaf(command, "--config", config, "--checkpoint", run1,
+                  "--out", os.path.join(work, "strips"))
+    finally:
+        if budget is not None:
+            cli.STRIP_BYTES = budget
     labels = storage.read_labels(os.path.join(scene, "labels.lsaf"))
     sparse_labels = os.path.join(work, "sparse_labels.lsaf")
     sparse = np.zeros_like(labels)
