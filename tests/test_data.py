@@ -321,6 +321,24 @@ class TestPcaTransform:
         with pytest.raises(ShapeError, match=r"needed must be a \(8, 9\) bool mask"):
             pca_transform(model, cube, needed=needed)
 
+    def test_out_takes_the_needed_pixels_and_keeps_the_rest(self):
+        """Given `out`, the projection of the `needed` pixels is written into
+        it and it is returned; its other pixels keep what they held. An `out`
+        of another shape or dtype is refused."""
+        cube = rng(16).normal(size=(12, 8, 9)).astype(np.float32)
+        model = pca_fit(cube, r=4)
+        lo, span = fit_minmax(pca_transform(model, cube))
+        needed = rng(17).random((8, 9)) < 0.5
+        out = np.full((4, 8, 9), 7.0, dtype=np.float32)
+        got = pca_transform(model, cube, scale=(lo, span), needed=needed, out=out)
+        want = pca_transform(model, cube, scale=(lo, span))
+        assert got is out
+        assert out[:, needed].tobytes() == want[:, needed].tobytes()
+        assert (out[:, ~needed] == 7.0).all()
+        for bad in (np.zeros((4, 8, 9)), np.zeros((4, 8, 8), dtype=np.float32)):
+            with pytest.raises(ShapeError, match=r"out must be a \(4, 8, 9\) float32 array"):
+                pca_transform(model, cube, scale=(lo, span), out=bad)
+
     def test_mean_pixel_maps_to_zero(self):
         cube = rng(0).normal(size=(5, 6, 6))
         model = pca_fit(cube, r=3)
