@@ -149,8 +149,8 @@ class Linear(Module):
 class BatchNorm(Module):
     """Channel-axis batch normalization with running statistics, then ReLU.
 
-    In eval mode without a tape it writes its output over `x`'s buffer, so
-    the caller hands over an input that it alone owns.
+    It writes over `x`'s buffer, which the caller alone owns: the centred
+    input in training, the output in eval mode without a tape.
     """
 
     def __init__(self, channels: int):
@@ -167,7 +167,7 @@ class BatchNorm(Module):
 
 class ConvBlock(Module):
     """Convolution (2-D or 3-D by kernel rank, stride 1, `padding` zeros on h
-    and w only) + batch norm + ReLU."""
+    and w only) + batch norm + ReLU, written over the block's own conv output."""
 
     def __init__(self, rng, in_channels: int, out_channels: int, kernel: tuple, padding=0):
         self.kernel = tuple(kernel)

@@ -12,22 +12,22 @@ whether operations record one is set per thread (`no_grad`).
 Dense layouts follow the usual deep-learning conventions: convolutions take
 batched `(n, cin, *spatial)` inputs with `(cout, cin, *kernel)` weights, at
 stride 1 and zero-padded on h and w only; batch norm normalizes axis 1 and
-rectifies its output, as every conv block follows it with a ReLU. In eval
-mode without a tape, a caller that alone owns its input may hand that buffer
-over, and batch norm writes its output there with the same bytes.
+rectifies its output, as every conv block follows it with a ReLU. A caller
+that alone owns its input may hand that buffer over: batch norm writes its
+centred input there in training and its output without a tape.
 
 Convolutions lower to BLAS over the two spatial axes only, in one of two
 forms that `_conv` picks from shapes alone. The gather form copies each
 kernel tap's input slice into a column buffer and multiplies after, adding
 one batched matrix product per spectral kernel offset. It spreads and
 multiplies a few samples at a time, so each chunk's columns are still in
-cache when they are multiplied, and inference holds one chunk's columns
-where a tape keeps the whole batch's for the backward. The scatter form,
-2-D only, multiplies first: one GEMM over the positions of every map in
-the batch, then each window adds its taps' shifted products. A 2-D conv
-takes it when its product buffer is smaller than the column buffer, as for
-a conv that narrows many channels to few; a patch batch is then the case
-of one whole-sample window per map.
+cache when they are multiplied and a forward holds one chunk's columns; a
+tape keeps none, as the backward spreads them again from the input. The
+scatter form, 2-D only, multiplies first: one GEMM over the positions of
+every map in the batch, then each window adds its taps' shifted products.
+A 2-D conv takes it when its product buffer is smaller than the column
+buffer, as for a conv that narrows many channels to few; a patch batch is
+then the case of one whole-sample window per map.
 `conv2d` also takes `MapWindows`, the one window type: overlapping windows
 of shared maps, each zero-padded on its own, which always take the scatter
 form, so the GEMM runs once over maps that many windows share. That conv
@@ -433,13 +433,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # e = exp(−|x|) never overflows: 1/(1 + e) for x >= 0, e/(1 + e) below,
-    # the same exp and division as two masked branches, on every element at
-    # once. `minimum` returns its first argument when it is NaN, so a NaN
-    # keeps its sign, as it does in the branch form; `−abs` would flip it.
+    # e = exp(−|x|) never overflows: 1/(1 + e) for x >= 0, e/(1 + e) below.
+    # The numerator max(e, x >= 0) is 1 or e, as e <= 1 where x >= 0 and e >= 0
+    # elsewhere. `minimum` and `maximum` return a NaN argument, so a NaN keeps
+    # its sign, as in the two-branch form; `−abs` would flip it.
     d = x.data
     e = np.exp(np.minimum(d, -d))
-    out = np.where(d >= 0, 1.0, e) / (1.0 + e)
+    out = np.maximum(e, d >= 0) / (1.0 + e)
 
     def grad_fn(g):
         return (g * out * (1.0 - out),)
@@ -538,15 +538,15 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
     so the output is the sum over the `kd` offsets of `w[:, :, a]` times
     those columns, each a batched GEMM with one product per sample. It runs
     a chunk of samples at a time, whose columns fit in `_CHUNK_BYTES`: the
-    chunk's GEMMs follow its spread while the columns are in cache. With a
-    tape, each chunk is spread into the whole batch's `cols`, which the
-    backward reads; without one, every chunk reuses one chunk-sized buffer,
-    so inference holds one chunk's columns. Either way each sample's GEMMs
-    and their summation order are those of a whole-batch lowering. The
-    backward stacks the `kd` depth-shifted copies of the output gradient
-    into one matrix, which turns the kernel gradient and the column gradient
-    into one GEMM each; the column gradient is then folded onto the input's
-    `cin` channels.
+    chunk's GEMMs follow its spread while the columns are in cache. Every
+    chunk reuses one chunk-sized buffer, with a tape or without, and each
+    sample's GEMMs and their summation order are those of a whole-batch
+    lowering. The tape keeps no columns: the backward spreads the whole
+    batch's `cols` again from `x`, which the tape holds anyway. It stacks
+    the `kd` depth-shifted copies of the output gradient into one matrix,
+    which turns the kernel gradient and the column gradient into one GEMM
+    each, the first over `cols`, which is freed before the second; the
+    column gradient is then folded onto the input's `cin` channels.
 
     The scatter form, 2-D only, multiplies first: one GEMM over the rows of
     every map, `(t·h·w, cin) @ (cin, kh·kw·cout)`, gives every tap's
@@ -630,12 +630,10 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
         x5 = x.data.reshape((batch, cin, depth, h, wd))
         rows = cin * kh * kw
         npos = ho * wo
-        # Without a tape, every chunk reuses one buffer: no tap writes its
-        # padding, so that stays zero from this one `np.zeros`.
+        # Every chunk reuses one buffer: no tap writes its padding, so that
+        # stays zero from this one `np.zeros`.
         chunk = max(1, _CHUNK_BYTES // (rows * depth * npos * x5.dtype.itemsize))
-        record = _recording() and (x.requires_grad or w.requires_grad)
-        cols = np.zeros((cin, kh, kw, batch if record else min(chunk, batch), depth, ho, wo),
-                        dtype=x5.dtype)
+        cols = np.zeros((cin, kh, kw, min(chunk, batch), depth, ho, wo), dtype=x5.dtype)
 
         # wk[a] is w[:, :, a] as a (cout, rows) matrix; offset a reads column
         # blocks a … a + do − 1, a (rows, m, do·npos) view of a chunk of m
@@ -648,7 +646,7 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
         out_data = np.empty((batch, cout, do * npos), dtype=np.result_type(wk, x5))
         for s in range(0, batch, chunk):
             m = min(chunk, batch - s)
-            part = cols[:, :, :, s:s + m] if record else cols[:, :, :, :m]
+            part = cols[:, :, :, :m]
             _spread_taps(part.transpose(1, 2, 0, 3, 4, 5, 6), x5[s:s + m].swapaxes(0, 1), taps)
             part = part.reshape(rows, m, depth, npos)
             out = out_data[s:s + m]
@@ -665,7 +663,10 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
             for a in range(kd):
                 gs[a, :, :, a:a + do] = gb
             gs = gs.reshape(kd * cout, batch * depth * npos)
+            cols = np.zeros((cin, kh, kw, batch, depth, ho, wo), dtype=x5.dtype)
+            _spread_taps(cols.transpose(1, 2, 0, 3, 4, 5, 6), x5.swapaxes(0, 1), taps)
             gw = (gs @ cols.reshape(rows, -1).T).reshape(kd, cout, cin, kh, kw)
+            del cols
             gw = gw.transpose(1, 2, 0, 3, 4).reshape(w.shape)
             if not x.requires_grad:
                 return None, gw
@@ -760,21 +761,22 @@ def batch_norm_relu(
     standardizes with the running buffers. A zero-variance batch is floored
     by `eps`, so single-sample batches normalize to zero rather than fail.
 
-    `overwrite=True` hands `x.data` over to the op, which then writes its
-    output there; only a caller that alone owns that buffer may set it, as
-    `BatchNorm` does for `ConvBlock`'s conv output. It is ignored, and `x.data` left
-    untouched, unless the op runs in eval mode and records no tape (gradients
-    off, or none of `x`, `gamma` and `beta` needs one). In-place or not, the
-    same expressions run in the same order, so the output keeps its bytes.
+    `overwrite=True` hands `x.data` over to the op; only a caller that alone
+    owns that buffer may set it, as `BatchNorm` does for `ConvBlock`'s conv
+    output. The op writes the centred input there in training, and its output
+    whenever it records no tape (gradients off, or none of `x`, `gamma` and
+    `beta` needs one); in eval mode with a tape `x.data` is left untouched.
+    In-place or not, the same expressions run in the same order, so the
+    output and the gradients keep their bytes.
 
     One tape node: the forward evaluates the numpy expressions of the
     composed graph and its `relu`, and the backward replays their steps in
     order, so gradients keep their bytes; it reads the ReLU mask from the
     output. A negative gradient masks to -0.0 where the `relu` node handed
     on +0.0, but no zero's sign survives the channel sums and the sweep's
-    `zeros + g`. The tape holds the output, the centred input and channel
-    vectors. The scale, shift and rectification run in place, so `gamma` and
-    `beta` must share the input's dtype.
+    `zeros + g`. The tape holds the output, the centred input (in `x.data`
+    if handed over) and channel vectors. The scale, shift and rectification
+    run in place, so `gamma` and `beta` must share the input's dtype.
     """
     if x.ndim < 2:
         raise ShapeError(f"batch_norm_relu expects (n, c, ...) input, got {x.shape}")
@@ -792,12 +794,12 @@ def batch_norm_relu(
     cshape = (1, channels) + (1,) * (x.ndim - 2)
     axes = (0,) + tuple(range(2, x.ndim))
     count = _axis_count(x.shape, axes)
-    in_place = overwrite and not training and not (
-        _recording() and any(t.requires_grad for t in (x, gamma, beta)))
+    tape = _recording() and any(t.requires_grad for t in (x, gamma, beta))
+    own = x.data if overwrite and (training or not tape) else None
 
     if training:
         mean = x.data.mean(axis=axes, keepdims=True)
-        centered = x.data - mean
+        centered = np.subtract(x.data, mean, out=own)
         var = (centered * centered).mean(axis=axes, keepdims=True)
         for running, batch in ((running_mean, mean), (running_var, var)):
             if running is not None:
@@ -808,16 +810,14 @@ def batch_norm_relu(
     else:
         if running_mean is None or running_var is None:
             raise ContractError("eval-mode batch_norm_relu needs running statistics")
-        centered = np.subtract(x.data, running_mean.reshape(cshape).astype(x.dtype),
-                               out=x.data if in_place else None)
+        centered = np.subtract(x.data, running_mean.reshape(cshape).astype(x.dtype), out=own)
         inv = (1.0 / np.sqrt(running_var.reshape(cshape) + eps)).astype(x.dtype)
     gain = gamma.data.reshape(cshape)
-    data = np.multiply(centered, inv, out=centered if in_place else None)
+    # Only a tape reads `centered` again; without one the output goes over it.
+    data = np.multiply(centered, inv, out=None if tape else centered)
     data *= gain
     data += beta.data.reshape(cshape)
     np.maximum(data, 0, out=data)
-    if in_place:
-        return _node(data, (x, gamma, beta), "batch_norm_relu", None)
 
     def grad_fn(g):
         g = g * (data > 0)

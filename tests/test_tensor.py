@@ -466,45 +466,53 @@ def column_bytes(x_shape, k_shape, padding, itemsize):
             * int(np.prod(out_hw)) * itemsize)
 
 
-def forward_peak(x, k, padding=0):
-    """Peak bytes allocated while one conv forward runs."""
+def forward_spreads(monkeypatch, x, k, padding=0):
+    """How many times one recorded conv forward spreads its input into
+    columns: once per chunk of samples in the gather form, never in the
+    scatter form, which multiplies first."""
     conv = T.conv3d if k.ndim == 5 else T.conv2d
     xt, kt = Tensor(x, dtype=x.dtype), Tensor(k, requires_grad=True, dtype=k.dtype)
-    tracemalloc.start()
-    try:
-        conv(xt, kt, padding=padding)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
+    calls = []
+    spread = T._spread_taps
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "_spread_taps", lambda *args: (calls.append(args), spread(*args)))
+        out = conv(xt, kt, padding=padding)
+    assert out.requires_grad
+    return len(calls)
+
+
+def gather_spreads(x_shape, k_shape, padding, itemsize):
+    """Chunks of the gather forward over a batch of `x_shape`."""
+    return -(-x_shape[0] // gather_chunk(x_shape, k_shape, padding, itemsize))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("x_shape,k_shape,padding", SCATTER_CASES,
                          ids=lambda case: str(case).replace(" ", ""))
-def test_scatter_form_within_tolerance(x_shape, k_shape, padding, dtype):
+def test_scatter_form_within_tolerance(x_shape, k_shape, padding, dtype, monkeypatch):
     """The scatter form's output and both its gradients lie within the
     tolerance oracle of the references, and no column buffer is built."""
-    assert_form_within_tolerance(x_shape, k_shape, padding, dtype, scatter=True)
+    assert_form_within_tolerance(x_shape, k_shape, padding, dtype, monkeypatch, scatter=True)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("x_shape,k_shape,padding", DEPTH1_GATHER_CASES,
                          ids=lambda case: str(case).replace(" ", ""))
-def test_depth1_conv3d_takes_the_gather_form(x_shape, k_shape, padding, dtype):
-    """A 3-D conv with a depth-1 kernel builds the column buffer, and its
-    output and both its gradients lie within the tolerance oracle."""
-    assert_form_within_tolerance(x_shape, k_shape, padding, dtype, scatter=False)
+def test_depth1_conv3d_takes_the_gather_form(x_shape, k_shape, padding, dtype, monkeypatch):
+    """A 3-D conv with a depth-1 kernel spreads its input into columns, and
+    its output and both its gradients lie within the tolerance oracle."""
+    assert_form_within_tolerance(x_shape, k_shape, padding, dtype, monkeypatch, scatter=False)
 
 
-def assert_form_within_tolerance(x_shape, k_shape, padding, dtype, scatter):
-    """The conv's forward builds no column buffer exactly when `scatter`, and
-    its output and both gradients lie within the tolerance oracle."""
+def assert_form_within_tolerance(x_shape, k_shape, padding, dtype, monkeypatch, scatter):
+    """The conv's forward spreads no columns when `scatter`, and one chunk
+    at a time otherwise; its output and both gradients lie within the
+    tolerance oracle."""
     r = rng(31)
     x = r.normal(size=x_shape).astype(dtype)
     k = (r.normal(size=k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
-    assert (forward_peak(x, k, padding) < column_bytes(
-        x_shape, k_shape, padding, np.dtype(dtype).itemsize)) == scatter
+    chunks = gather_spreads(x_shape, k_shape, padding, np.dtype(dtype).itemsize)
+    assert forward_spreads(monkeypatch, x, k, padding) == (0 if scatter else chunks)
     assert_conv_within_tolerance(x, k, dtype, padding)
     conv = T.conv3d if len(k_shape) == 5 else T.conv2d
     g = r.normal(size=conv(Tensor(x), Tensor(k), padding=padding).shape).astype(dtype)
@@ -533,16 +541,16 @@ def test_scatter_form_batched_equals_per_sample(dtype):
                          [(name,) + shape
                           for name, shape in zip(MODEL_CONV_BLOCKS, MODEL_CONV_SHAPES)],
                          ids=MODEL_CONV_BLOCKS)
-def test_only_hsi_block4_takes_the_scatter_form(block, x_shape, k_shape, padding):
+def test_only_hsi_block4_takes_the_scatter_form(block, x_shape, k_shape, padding, monkeypatch):
     """The form follows from shapes: at batch 37, only HSI block4 (576
-    channels to 64) runs its forward without the gather form's column
-    buffer; every other block builds one."""
+    channels to 64) runs its forward without spreading columns; every other
+    block spreads one chunk of samples at a time."""
     r = rng(34)
     x_shape = (37,) + x_shape[1:]
     x = r.standard_normal(x_shape, dtype=np.float32)
     k = r.standard_normal(k_shape, dtype=np.float32)
-    cols = column_bytes(x_shape, k_shape, padding, 4)
-    assert (forward_peak(x, k, padding=padding) < cols) == (block == "hsi.block4")
+    chunks = 0 if block == "hsi.block4" else gather_spreads(x_shape, k_shape, padding, 4)
+    assert forward_spreads(monkeypatch, x, k, padding=padding) == chunks
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -680,22 +688,27 @@ def test_input_without_gradient_gets_none(x_shape, k_shape):
 
 
 def test_conv3d_forward_holds_a_compact_lowering():
-    """At HSI block2's paper shape (batch 128, float32), what one forward
-    leaves allocated, the output plus the buffer its tape keeps for the
-    backward, stays within 64 MiB. A lowering over all kd·kh·kw taps holds
-    180 MiB."""
+    """At HSI block2's paper shape (batch 128, float32), what one recorded
+    forward leaves allocated stays within its output plus one chunk of
+    columns: the tape keeps no column buffer, as the backward spreads the
+    columns again from the input. The whole batch's columns are 41 MiB, and
+    a lowering over all kd·kh·kw taps holds 180 MiB."""
     r = rng(12)
-    x = Tensor(r.standard_normal((128, 8, 24, 9, 9), dtype=np.float32), dtype=np.float32)
-    k = Tensor(r.standard_normal((16, 8, 5, 3, 3), dtype=np.float32), requires_grad=True,
+    x_shape, k_shape = (128, 8, 24, 9, 9), (16, 8, 5, 3, 3)
+    x = Tensor(r.standard_normal(x_shape, dtype=np.float32), dtype=np.float32)
+    k = Tensor(r.standard_normal(k_shape, dtype=np.float32), requires_grad=True,
                dtype=np.float32)
+    chunk_bytes = gather_chunk(x_shape, k_shape, 0, 4) * column_bytes(
+        (1,) + x_shape[1:], k_shape, 0, 4)
     tracemalloc.start()
     try:
         out = T.conv3d(x, k)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.shape == (128, 16, 20, 7, 7)
-    assert held <= 64 * 2 ** 20
+    assert out.shape == (128, 16, 20, 7, 7) and out.requires_grad
+    assert column_bytes(x_shape, k_shape, 0, 4) > 40 * 2 ** 20
+    assert held <= out.data.nbytes + chunk_bytes
 
 
 def test_conv2d_block4_forward_holds_no_column_buffer():
@@ -717,27 +730,61 @@ def test_conv2d_block4_forward_holds_no_column_buffer():
     assert held <= 16 * 2 ** 20
 
 
-def gather_whole_batch(x, w, padding):
-    """The gather form's forward over the whole batch at once, as it ran
-    before it went a chunk of samples at a time: one column buffer, rows in
-    `(cin, kh, kw)` order, then `wk[a] @ cols[:, :, a:a + do]` summed over
-    the `kd` spectral offsets."""
+def whole_batch_columns(x, w, padding):
+    """The whole-batch lowering's operands: the input padded on h and w as
+    `(n, cin, depth, h, w)`, the column buffer `(cin, kh, kw, n, depth, ho,
+    wo)`, whose rows are in `(cin, kh, kw)` order, and `wk[a]`, the kernel
+    at spectral offset a as a `(cout, cin·kh·kw)` matrix."""
     x5 = x if x.ndim == 5 else x[:, :, None]
     w5 = w if w.ndim == 5 else w[:, :, None]
     n, cin, depth, h, wd = x5.shape
     cout, _, kd, kh, kw = w5.shape
-    do, ho, wo = depth - kd + 1, h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1
+    ho, wo = h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1
     xp = np.pad(x5, [(0, 0)] * 3 + [(padding, padding)] * 2)
     cols = np.zeros((cin, kh, kw, n, depth, ho, wo), dtype=x.dtype)
     for i, j in itertools.product(range(kh), range(kw)):
         cols[:, i, j] = xp[:, :, :, i:i + ho, j:j + wo].swapaxes(0, 1)
-    rows = cin * kh * kw
+    wk = np.ascontiguousarray(w5.transpose(2, 0, 1, 3, 4)).reshape(kd, cout, -1)
+    return xp, cols, wk
+
+
+def gather_whole_batch(x, w, padding):
+    """The gather form's forward over the whole batch at once, as it ran
+    before it went a chunk of samples at a time: one column buffer, then
+    `wk[a] @ cols[:, :, a:a + do]` summed over the `kd` spectral offsets."""
+    _, cols, wk = whole_batch_columns(x, w, padding)
+    kd, cout, rows = wk.shape
+    _, _, _, n, depth, ho, wo = cols.shape
+    do = depth - kd + 1
     cols = cols.reshape(rows, n, depth, ho * wo)
-    wk = np.ascontiguousarray(w5.transpose(2, 0, 1, 3, 4)).reshape(kd, cout, rows)
     out = wk[0] @ cols[:, :, :do].reshape(rows, n, -1).swapaxes(0, 1)
     for a in range(1, kd):
         out += wk[a] @ cols[:, :, a:a + do].reshape(rows, n, -1).swapaxes(0, 1)
     return out.reshape((n, cout) + ((do,) if x.ndim == 5 else ()) + (ho, wo))
+
+
+def gather_whole_batch_backward(x, w, g, padding):
+    """Both gradients of the whole-batch lowering for output gradient `g`, as
+    the sweep deposits them: `gs @ colsᵀ` for the kernel, where block a of
+    `gs` is `g` at depth offset a, and `wkᵀ @ gs` for the columns, whose
+    taps are then added back onto the padded input in tap order."""
+    xp, cols, wk = whole_batch_columns(x, w, padding)
+    kd, cout, rows = wk.shape
+    cin, kh, kw, n, depth, ho, wo = cols.shape
+    do = depth - kd + 1
+    gs = np.zeros((kd, cout, n, depth, ho * wo), dtype=g.dtype)
+    for a in range(kd):
+        gs[a, :, :, a:a + do] = g.reshape(n, cout, do, ho * wo).swapaxes(0, 1)
+    gs = gs.reshape(kd * cout, -1)
+    gw = (gs @ cols.reshape(rows, -1).T).reshape(kd, cout, cin, kh, kw)
+    gcols = (wk.reshape(kd * cout, rows).T @ gs).reshape(cols.shape)
+    gxp = np.zeros_like(xp)
+    for i, j in itertools.product(range(kh), range(kw)):
+        gxp[:, :, :, i:i + ho, j:j + wo] += gcols[:, i, j].swapaxes(0, 1)
+    h, wd = xp.shape[-2] - 2 * padding, xp.shape[-1] - 2 * padding
+    gx = gxp[:, :, :, padding:padding + h, padding:padding + wd].reshape(x.shape)
+    # The sweep deposits `zeros + g`, which turns -0.0 into +0.0.
+    return 0.0 + gx, 0.0 + gw.transpose(1, 2, 0, 3, 4).reshape(w.shape)
 
 
 # The three HSI 3-D blocks at the paper geometry, and HSI block4 at the
@@ -759,21 +806,28 @@ def gather_chunk(x_shape, k_shape, padding, itemsize):
 def test_gather_form_bit_equals_the_whole_batch_lowering(x_shape, k_shape, padding, dtype,
                                                          record):
     """Over a batch of two whole chunks and a partial third (a third whole
-    one when a chunk is one sample), the chunked gather forward gives the
-    bytes of the whole-batch lowering, whether its chunks are written into
-    the tape's column buffer or share one buffer whose padding must stay
-    zero."""
+    one when a chunk is one sample), the chunked gather forward, whose
+    chunks share one buffer whose padding must stay zero, gives the bytes of
+    the whole-batch lowering. With a tape, both gradients, from columns the
+    backward spreads again from the input, give the bytes of that
+    lowering's backward."""
     chunk = gather_chunk(x_shape, k_shape, padding, np.dtype(dtype).itemsize)
     n = 2 * chunk + chunk // 2 + 1
     r = rng(36)
     x = r.standard_normal((n,) + x_shape[1:]).astype(dtype)
     k = (r.standard_normal(k_shape) / np.sqrt(np.prod(k_shape[1:]))).astype(dtype)
     conv = T.conv3d if len(k_shape) == 5 else T.conv2d
-    out = conv(Tensor(x, dtype=dtype), Tensor(k, requires_grad=record, dtype=dtype),
-               padding=padding)
+    xt = Tensor(x, requires_grad=record, dtype=dtype)
+    kt = Tensor(k, requires_grad=record, dtype=dtype)
+    out = conv(xt, kt, padding=padding)
     want = gather_whole_batch(x, k, padding)
     assert out.requires_grad == record
     assert out.data.dtype == want.dtype == dtype and out.data.tobytes() == want.tobytes()
+    if record:
+        g = r.standard_normal(out.shape).astype(dtype)
+        tape_sum(out * Tensor(g, dtype=dtype)).backward()
+        for got, ref in zip((xt.grad, kt.grad), gather_whole_batch_backward(x, k, g, padding)):
+            assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1142,17 +1196,34 @@ def test_eval_batch_norm_leaves_its_argument_without_the_keyword(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_eval_batch_norm_overwrites_only_without_a_tape(dtype):
     """With `overwrite=True`, an eval-mode call under no_grad writes the
-    allocating path's bytes over its argument; in training mode it leaves
-    the argument alone."""
+    allocating path's bytes over its argument."""
     x, gamma, beta, stats = eval_batch_norm_case(dtype)
     with T.no_grad():
         want = T.batch_norm_relu(x, gamma, beta, training=False, **stats).data
-        trained = T.batch_norm_relu(x, gamma, beta, training=True, overwrite=True,
-                                    **{k: v.copy() for k, v in stats.items()})
-        assert not np.shares_memory(trained.data, x.data)
         out = T.batch_norm_relu(x, gamma, beta, training=False, overwrite=True, **stats)
     assert out.data is x.data and out._grad_fn is None
     assert out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_batch_norm_centres_over_its_argument(dtype):
+    """With `overwrite=True` and a tape, a training-mode call writes the
+    centred input over its argument and keeps its output apart; the output,
+    the running statistics and every gradient keep the bytes of a call
+    without the keyword."""
+
+    def run(overwrite):
+        x, gamma, beta, stats = eval_batch_norm_case(dtype, requires_grad=True)
+        before = x.data.copy()
+        out = T.batch_norm_relu(x, gamma, beta, training=True, overwrite=overwrite, **stats)
+        centred = before - before.mean(axis=(0, 2, 3), keepdims=True)
+        assert x.data.tobytes() == (centred if overwrite else before).tobytes()
+        assert not np.shares_memory(out.data, x.data)
+        tape_sum(out * Tensor(rng(24).normal(size=x.shape), dtype=dtype)).backward()
+        return (out.data, x.grad, gamma.grad, beta.grad) + tuple(stats.values())
+
+    for got, want in zip(run(True), run(False)):
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
