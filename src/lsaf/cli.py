@@ -43,7 +43,6 @@ from .data import (
     pca_fit,
     pca_transform,
     rescale,
-    row_blocks,
     save_raster,
     split,
     synth_generate,
@@ -202,25 +201,16 @@ def _fit_preprocessing(pair: RasterPair, config: dict) -> dict:
     return dict(zip(_PRE_KEYS, (pca.mean, pca.components, pca.explained_variance) + norm))
 
 
-def _apply_preprocessing(pair: RasterPair, pre: dict, needed: np.ndarray,
-                         above: np.ndarray | None = None) -> RasterPair:
+def _apply_preprocessing(pair: RasterPair, pre: dict, needed: np.ndarray) -> RasterPair:
     """Project and scale the rows of a scene that `pair` holds with the seven
     `pre.*` constants into the float32 arrays that a patch set keeps. The
     min-max constants are applied chunk by chunk as the rows are projected
     straight into float32, and only the pixels of the bool mask `needed` are
     projected; the others hold 0.0, and every row is still read and checked
-    finite. Given `above`, the projected HSI of the first rows, those rows
-    are copied from it instead of read: `pair.hsi` is then a
-    `storage.RasterRows` reader."""
+    finite."""
     pca = PcaModel(*(pre[key].astype(np.float64) for key in _PRE_KEYS[:3]))
-    hsi = np.zeros((pca.dims, pair.height, pair.width), dtype=np.float32)
-    done = 0
-    if above is not None:
-        done = above.shape[1]
-        hsi[:, :done] = above
-    pca_transform(pca, pair.hsi.rows(done, pair.height) if done else pair.hsi,
-                  scale=(pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"]),
-                  needed=needed[done:], out=hsi[:, done:])
+    hsi = pca_transform(pca, pair.hsi, scale=(pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"]),
+                        needed=needed)
     lidar = rescale(pair.lidar, pre["pre.norm.lidar_min"], pre["pre.norm.lidar_span"])
     return RasterPair(hsi=hsi, lidar=lidar.astype(np.float32), labels=pair.labels)
 
@@ -241,37 +231,28 @@ def _strips(pair: RasterPair, pre: dict, patch: int, predicted: np.ndarray,
     `train` asks for the whole scene, one strip.
 
     Each set holds its strip's rows and s // 2 halo rows above and below,
-    apart from the scene's own top and bottom, where its windows mirror. A
-    strip's rows are read from `pair.hsi`, a `storage.RasterRows` reader, in
-    the blocks of `data.row_blocks`, and projected with the `pre.*`
+    apart from the scene's own top and bottom, where its windows mirror.
+    Every strip reads the rows it holds from `pair.hsi`, a
+    `storage.RasterRows` reader, and projects them with the `pre.*`
     constants, only the pixels that the windows of predicted pixels read
-    (`window_pixels`); the halo rows that a strip shares with the one above
-    are carried over from it, not read again. A strip with no pixel to
-    predict is read and checked finite, but not projected."""
+    (`window_pixels`), so the halo rows two strips share are read by both
+    and no strip depends on another. A strip with no pixel to predict is
+    read and checked finite all the same, and gives no set."""
     height, width = predicted.shape
     half = patch // 2
     if rows is None:
         fit = STRIP_BYTES // (4 * pre["pre.pca.components"].shape[1] * width) - 2 * half
-        # at least 2·half rows, so a strip reads no row that the next but one holds
-        rows = max(fit // TILE, -(-2 * half // TILE), 1) * TILE
+        rows = max(fit // TILE, 1) * TILE
     needed = window_pixels(predicted, patch)
-    read, carry = 0, None  # rows 0:read are read; `carry` is the projected HSI of lo:read
     for top in range(0, height, rows):
         stop = min(top + rows, height)
         lo, hi = max(top - half, 0), min(stop + half, height)
-        if not predicted[top:stop].any():
-            # up to the first row that the next strip holds
-            end = max(read, stop - half if stop < height else height)
-            for _ in row_blocks(pair.hsi.rows(read, end)):
-                pass
-            read, carry = end, None
-            continue
         own = np.zeros((hi - lo, width), dtype=predicted.dtype)
         own[top - lo:stop - lo] = predicted[top:stop]
         scaled = _apply_preprocessing(RasterPair(pair.hsi.rows(lo, hi), pair.lidar[:, lo:hi], own),
-                                      pre, needed[lo:hi], above=carry)
-        read, carry = hi, scaled.hsi[:, stop - half - lo:].copy()
-        yield extract_patches(scaled, patch, top=lo)
+                                      pre, needed[lo:hi])
+        if own.any():
+            yield extract_patches(scaled, patch, top=lo)
         del scaled, own  # free the strip before the next is projected
 
 

@@ -91,9 +91,9 @@ def save_raster(pair: RasterPair, hsi_path, lidar_path, labels_path) -> None:
 # at least): 4.5 MiB of float64 for 144 bands, whatever the scene width.
 CHUNK_PIXELS = 1 << 12
 
-# Bytes of float32 rows that `row_blocks`, and so `pca_transform`, reads
-# from a cube at once: a whole number of chunks, one at least. A row reader
-# pays a file read per band per block, so larger blocks cost fewer calls.
+# Bytes of float32 rows that `pca_transform` reads from a cube at once: a
+# whole number of chunks, one at least. A row reader pays a file read per
+# band per block, so larger blocks cost fewer calls.
 _READ_BYTES = 16 << 20
 
 
@@ -156,14 +156,11 @@ def pca_fit(hsi: np.ndarray, r: int, labels: np.ndarray | None = None) -> PcaMod
 
 
 def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
-                  needed: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+                  needed: np.ndarray | None = None) -> np.ndarray:
     """Project a (bands, H, W) cube to (r, H, W): float64 by default, or,
     given `scale=(lo, span)`, rescaled by those per-band constants (see
     `rescale`) and cast to float32. Given an (H, W) bool mask `needed`, only
     those pixels are projected, and every other pixel holds exactly 0.0.
-    Given `out`, an (r, H, W) array of that dtype, the projection is written
-    into it and returned, and the pixels that `needed` leaves out keep what
-    `out` holds.
 
     The cube is read in blocks of rows of about `_READ_BYTES` of float32,
     and each block is projected in chunks of about `CHUNK_PIXELS` pixels,
@@ -185,14 +182,12 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
         if needed.dtype != bool or needed.shape != (height, width):
             raise ShapeError(f"needed must be a ({height}, {width}) bool mask, "
                              f"got {needed.shape} {needed.dtype}")
-    shape, dtype = (model.dims, height, width), np.float64 if scale is None else np.float32
-    if out is None:
-        out = (np.empty if needed is None else np.zeros)(shape, dtype=dtype)
-    elif out.shape != shape or out.dtype != dtype:
-        raise ShapeError(f"out must be a {shape} {np.dtype(dtype)} array, "
-                         f"got {out.shape} {out.dtype}")
+    out = (np.empty if needed is None else np.zeros)(
+        (model.dims, height, width), dtype=np.float64 if scale is None else np.float32)
     step = max(1, CHUNK_PIXELS // max(width, 1))
-    for top, block in row_blocks(hsi, step):
+    rows = step * max(1, _READ_BYTES // (4 * model.bands * max(width, 1) * step))
+    for top in range(0, height, rows):
+        block = hsi[:, top:top + rows]
         for start in range(0, block.shape[1], step):
             at = slice(top + start, top + start + step)
             keep = slice(None)  # a chunk of needed pixels only is projected whole
@@ -202,17 +197,6 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
             out[:, at][:, keep] = (
                 chunk if scale is None else rescale(chunk, *scale, in_place=True))
     return out
-
-
-def row_blocks(hsi, step: int = 1):
-    """(top, rows top:top + n) of a (bands, H, W) cube, read a block of n rows
-    at a time through `hsi[:, top:stop]`: n is the most whole `step`-row
-    chunks that fit in `_READ_BYTES` of float32, one chunk at least, and the
-    last block is ragged."""
-    bands, height, width = hsi.shape
-    rows = step * max(1, _READ_BYTES // (4 * bands * max(width, 1) * step))
-    for top in range(0, height, rows):
-        yield top, hsi[:, top:top + rows]
 
 
 def _project(model: PcaModel, hsi: np.ndarray) -> np.ndarray:

@@ -423,19 +423,19 @@ class TestTrain:
         assert opt[0] == "opt.steps" and len(opt) == 1 + 2 * len(model.params())
 
     def test_each_command_projects_the_scene_once(self, config_path, tmp_path, monkeypatch):
-        """Every command projects each row of the scene once, scaled and
-        masked to the pixels the windows read: `train` and `--resume` the
-        whole 20-row scene as one strip, `eval` and `map` in strips of one
-        TILE row, the least strip budget. Their first strip, rows 0-10, holds
-        rows 0-13; the second, rows 11-19, holds rows 8-19 and carries rows
-        8-13 over, so it projects rows 14-19 only. A new model's `train` first
-        projects the scene once more, unscaled and whole, to fit the min-max
-        constants."""
+        """Every command projects the scene once, scaled and masked to the
+        pixels the windows read: `train` and `--resume` the whole 20-row
+        scene as one strip, `eval` and `map` in strips of one TILE row, the
+        least strip budget, each of which projects the rows it holds. The
+        first strip, rows 0-10, holds rows 0-13, and the second, rows 11-19,
+        rows 8-19, so the halo rows 8-13 that both hold are projected twice.
+        A new model's `train` first projects the scene once more, unscaled
+        and whole, to fit the min-max constants."""
         calls = []
 
-        def counted(pca, hsi, scale=None, needed=None, out=None):
+        def counted(pca, hsi, scale=None, needed=None):
             calls.append((scale is not None, needed is not None, hsi.shape[1]))
-            return transform(pca, hsi, scale, needed, out)
+            return transform(pca, hsi, scale, needed)
 
         transform = cli.pca_transform
         monkeypatch.setattr(cli, "pca_transform", counted)
@@ -444,8 +444,8 @@ class TestTrain:
         for out, argv, want in [
                 ("run", ["train"], [(False, False, 20), (True, True, 20)]),
                 ("resumed", ["train", "--epochs", 3, "--resume", ckpt], [(True, True, 20)]),
-                ("eval", ["eval", "--checkpoint", ckpt], [(True, True, 14), (True, True, 6)]),
-                ("map", ["map", "--checkpoint", ckpt], [(True, True, 14), (True, True, 6)])]:
+                ("eval", ["eval", "--checkpoint", ckpt], [(True, True, 14), (True, True, 12)]),
+                ("map", ["map", "--checkpoint", ckpt], [(True, True, 14), (True, True, 12)])]:
             calls.clear()
             assert run(argv + ["--config", config_path, "--out", tmp_path / out]) == 0
             assert calls == want, argv
@@ -988,8 +988,7 @@ class TestNeededPixels:
         strips, model, _ = strips_of(argv)
         transform = cli.pca_transform
         monkeypatch.setattr(cli, "pca_transform",
-                            lambda pca, hsi, scale=None, needed=None, out=None:
-                            transform(pca, hsi, scale, out=out))
+                            lambda pca, hsi, scale=None, needed=None: transform(pca, hsi, scale))
         full, _, _ = strips_of(argv)
 
         assert [p.top for p in strips] == [p.top for p in full] == STRIP_TOPS[command]
@@ -1114,14 +1113,13 @@ def scene_cube(height, width, bands, seed):
     return cube, r.random((1, height, width), dtype=np.float32)
 
 
-@pytest.fixture()
-def strip_run(tmp_path):
+def strip_scene(tmp_path, patch):
     """A 37×24 scene of 16 bands, which strips of one TILE row cut into four:
     rows 0-10, 11-21, 22-32 and 33-36. Three pixels of every row are
     labelled, so every halo row and every row whose windows mirror at the
     scene's top or bottom holds some, and rows 11-21 of columns 0-10 are
     labelled whole, a tile that `predict` shares. With the checkpoint of an
-    untrained patch-7 model. Returns (config, checkpoint, labels)."""
+    untrained model of patch `patch`. Returns (config, checkpoint, labels)."""
     height, width = 37, 24
     cube, lidar = scene_cube(height, width, 16, seed=1)
     keep = np.zeros((height, width), dtype=bool)
@@ -1130,8 +1128,43 @@ def strip_run(tmp_path):
     keep[11:22, :11] = True
     labels = np.zeros((height, width), dtype=np.uint16)
     labels[keep] = np.arange(keep.sum()) % 4 + 1
-    config, ckpt = write_scene(tmp_path, cube, lidar, labels, 7)
+    config, ckpt = write_scene(tmp_path, cube, lidar, labels, patch)
     return config, ckpt, labels
+
+
+@pytest.fixture()
+def strip_run(tmp_path):
+    """`strip_scene` with a patch-7 model."""
+    return strip_scene(tmp_path, 7)
+
+
+def strips_and_one_strip(config, ckpt, tmp_path, monkeypatch):
+    """`eval` and `map` of a checkpoint in strips of one TILE row, the least
+    strip budget, then as one strip. Per run: the first held row of each set
+    that `predict` runs, the bytes of every predicted pixel's logits per
+    command, as `predict` computes them, and the bytes of `metrics.csv` and
+    `map.ppm`."""
+    train_mod = importlib.import_module("lsaf.train")
+    runs = []
+    for budget in (0, 1 << 40):
+        monkeypatch.setattr(cli, "STRIP_BYTES", budget)
+        logits, tops = {}, []
+        for command in ("eval", "map"):
+            def predict_logits(model, patches, _fn=train_mod.predict_logits, _command=command):
+                tops.append(patches.top)
+                rows = _fn(model, patches)
+                logits.update(((_command,) + tuple(pixel), row.tobytes())
+                              for pixel, row in zip(patches.pixels.tolist(), rows))
+                return rows
+
+            with monkeypatch.context() as patch:
+                patch.setattr(train_mod, "predict_logits", predict_logits)
+                assert run([command, "--config", config, "--checkpoint", ckpt,
+                            "--out", tmp_path / str(budget)]) == 0
+        out = tmp_path / str(budget)
+        runs.append((tops, logits, (out / "metrics.csv").read_bytes(),
+                     (out / "map.ppm").read_bytes()))
+    return runs
 
 
 class TestStrips:
@@ -1141,56 +1174,53 @@ class TestStrips:
         strip, and every strip's logits are those of that run. Their
         predicted pixels lie in every halo row and every mirrored row."""
         config, ckpt, _ = strip_run
-        train_mod = importlib.import_module("lsaf.train")
-        runs = {}
-        for budget in (0, 1 << 40):
-            monkeypatch.setattr(cli, "STRIP_BYTES", budget)
-            logits, tops = {}, []
-            for command in ("eval", "map"):
-                def predict(model, patches, _fn=cli.predict, _command=command):
-                    tops.append(patches.top)
-                    rows = train_mod.predict_logits(model, patches)
-                    logits.update(((_command,) + tuple(pixel), row.tobytes())
-                                  for pixel, row in zip(patches.pixels.tolist(), rows))
-                    return _fn(model, patches)
-
-                monkeypatch.setattr(cli, "predict", predict)
-                assert run([command, "--config", config, "--checkpoint", ckpt,
-                            "--out", tmp_path / str(budget)]) == 0
-                monkeypatch.undo()
-                monkeypatch.setattr(cli, "STRIP_BYTES", budget)
-            out = tmp_path / str(budget)
-            runs[budget] = (tops, logits, (out / "metrics.csv").read_bytes(),
-                            (out / "map.ppm").read_bytes())
-        (tops, logits, *files), (whole_tops, whole_logits, *whole_files) = runs.values()
+        (tops, logits, *files), (whole_tops, whole_logits, *whole_files) = \
+            strips_and_one_strip(config, ckpt, tmp_path, monkeypatch)
         assert tops == [0, 8, 19, 30] * 2 and whole_tops == [0, 0]
         assert logits == whole_logits and files == whole_files
         halo = set(range(8, 14)) | set(range(19, 25)) | set(range(30, 37)) | {0, 1, 2}
         for command in ("eval", "map"):
             assert halo <= {row for name, row, _ in logits if name == command}
 
+    def test_strips_shorter_than_their_halo_equal_one_strip(self, tmp_path, monkeypatch):
+        """With patch 25 a strip of one TILE row is shorter than its 12 halo
+        rows: the second strip, rows 11-21, holds rows 0-33, which reach into
+        the fourth strip's, and the third, rows 22-32, holds rows 10-36.
+        `eval` and `map` still write the bytes of one strip, and every
+        strip's logits are that run's."""
+        config, ckpt, _ = strip_scene(tmp_path, 25)
+        (tops, logits, *files), (whole_tops, whole_logits, *whole_files) = \
+            strips_and_one_strip(config, ckpt, tmp_path, monkeypatch)
+        assert tops == [0, 0, 10, 21] * 2 and whole_tops == [0, 0]
+        assert logits == whole_logits and files == whole_files
+
     @pytest.mark.parametrize("command", ["eval", "map"])
-    def test_strip_with_nothing_to_predict_is_read_not_projected(
+    def test_strip_with_nothing_to_predict_is_read_and_gives_no_set(
             self, strip_run, tmp_path, monkeypatch, capsys, command):
-        """With no labelled pixel in rows 11-21, the second strip is read and
-        checked, not projected: the first strip projects its 14 rows 0-13,
-        the third rows 19-35, and the fourth row 36 below the rows it carries
-        over, so rows 14-18 are never projected. A NaN among them still exits
-        2 before any output is written."""
+        """With no labelled pixel in rows 11-21, the second strip is read,
+        checked and projected like the others, but gives no patch set: the
+        four strips project the rows they hold, 0-13, 8-24, 19-35 and 30-36,
+        and `predict` runs the sets of the other three. A NaN in row 16
+        still exits 2 before any output is written."""
         config, ckpt, labels = strip_run
         monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         labels[11:22] = 0
         storage.write_labels(tmp_path / "labels.lsaf", labels)
-        calls = []
+        calls, tops = [], []
 
         def counted(pca, hsi, *args, _fn=cli.pca_transform, **kwargs):
             calls.append(hsi.shape[1])
             return _fn(pca, hsi, *args, **kwargs)
 
+        def predict(model, patches, _fn=cli.predict):
+            tops.append(patches.top)
+            return _fn(model, patches)
+
         monkeypatch.setattr(cli, "pca_transform", counted)
+        monkeypatch.setattr(cli, "predict", predict)
         argv = [command, "--config", config, "--checkpoint", ckpt]
         assert run(argv + ["--out", tmp_path / "clean"]) == 0
-        assert calls == [14, 17, 1]
+        assert calls == [14, 17, 17, 7] and tops == [0, 19, 30]
         path = tmp_path / "hsi.lsaf"
         cube = storage.read_raster(path)
         cube[4, 16, 5] = np.nan
@@ -1200,7 +1230,7 @@ class TestStrips:
         out = tmp_path / "out"
         assert run(argv + ["--out", out]) == 2
         assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
-        assert calls == [14] and not any(out.iterdir())
+        assert calls == [14, 17] and not any(out.iterdir())
 
     def test_eval_holds_one_strip_not_the_scene(self, tmp_path, monkeypatch):
         """Under tracemalloc, `eval` of a 330×600 scene in 30 strips of one

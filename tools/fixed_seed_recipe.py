@@ -13,18 +13,22 @@ package of this checkout, it runs:
 - `eval` and `map` of run1's checkpoint (`eval/`, `map/`);
 - the same `eval` and `map` in strips of one TILE row, the least strip
   budget, `cli.STRIP_BYTES` set to 0 (`strips/`): 3 strips of the 24 rows,
-  whose outputs must equal those of `eval/` and `map/`. A package without
-  that constant projects the whole scene here too;
+  whose outputs must equal those of `eval/` and `map/`;
 - `eval` and `map` of run1's checkpoint with most labels zeroed (`sparse/`):
   only pixels whose row and column are multiples of 3, in rows 0-12, keep
   their labels. That keeps corner pixel (0, 0) and at least 3 pixels of
   each class, and leaves rows 18-23 outside every 11×11 window;
+- the same sparse `eval` and `map` in strips of one TILE row
+  (`sparse_strips/`), whose outputs must equal those of `sparse/`; its third
+  strip, rows 22-23, has nothing to predict;
 - `train` of a new model on that sparse label map (`sparse_train/`), whose
   constants are fitted on every pixel while only the window pixels are
   projected for its patches.
 
 The lsaf commands write into sub-directories, and only their files are
 hashed; the recipe's own inputs (configs, the sparse label map) are not.
+The recipe prints every hash, then exits 1 if a strip run's outputs differ
+from those of the run that projects the whole scene.
 
 The trained outputs depend on the BLAS build and the CPU, so compare hashes
 only between runs on the same machine.
@@ -75,16 +79,7 @@ def run(work: str) -> None:
     _lsaf("train", "--config", hsi_config, "--out", os.path.join(work, "hsi"))
     _lsaf("eval", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "eval"))
     _lsaf("map", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "map"))
-    budget = getattr(cli, "STRIP_BYTES", None)
-    if budget is not None:
-        cli.STRIP_BYTES = 0
-    try:
-        for command in ("eval", "map"):
-            _lsaf(command, "--config", config, "--checkpoint", run1,
-                  "--out", os.path.join(work, "strips"))
-    finally:
-        if budget is not None:
-            cli.STRIP_BYTES = budget
+    _in_strips(config, run1, os.path.join(work, "strips"))
     labels = storage.read_labels(os.path.join(scene, "labels.lsaf"))
     sparse_labels = os.path.join(work, "sparse_labels.lsaf")
     sparse = np.zeros_like(labels)
@@ -95,7 +90,23 @@ def run(work: str) -> None:
     for command in ("eval", "map"):
         _lsaf(command, "--config", sparse_config, "--checkpoint", run1,
               "--out", os.path.join(work, "sparse"))
+    _in_strips(sparse_config, run1, os.path.join(work, "sparse_strips"))
     _lsaf("train", "--config", sparse_config, "--out", os.path.join(work, "sparse_train"))
+
+
+def _in_strips(config: str, checkpoint: str, out: str) -> None:
+    """`eval` and `map` of `checkpoint` in strips of one TILE row, the least
+    strip budget."""
+    budget, cli.STRIP_BYTES = cli.STRIP_BYTES, 0
+    try:
+        for command in ("eval", "map"):
+            _lsaf(command, "--config", config, "--checkpoint", checkpoint, "--out", out)
+    finally:
+        cli.STRIP_BYTES = budget
+
+
+# Each strip run, and the run of the whole scene whose outputs it must equal.
+_SAME = {"strips": ("eval", "map"), "sparse_strips": ("sparse",)}
 
 
 def main() -> int:
@@ -107,15 +118,25 @@ def main() -> int:
         finally:
             sys.stdout.close()
             sys.stdout = stdout
+        digests = {}
         for directory, _, files in sorted(os.walk(work)):
             if directory == work:
                 continue
             for name in sorted(files):
-                path = os.path.join(directory, name)
-                with open(path, "rb") as f:
-                    digest = hashlib.sha256(f.read()).hexdigest()
-                print(f"{digest}  {os.path.relpath(path, work)}")
-    return 0
+                path = os.path.relpath(os.path.join(directory, name), work)
+                with open(os.path.join(work, path), "rb") as f:
+                    digests[path] = hashlib.sha256(f.read()).hexdigest()
+                print(f"{digests[path]}  {path}")
+    code = 0
+    for strips, whole in _SAME.items():
+        want = {os.path.basename(path): digest for path, digest in digests.items()
+                if os.path.dirname(path) in whole}
+        got = {os.path.basename(path): digest for path, digest in digests.items()
+               if os.path.dirname(path) == strips}
+        if got != want:
+            print(f"{strips}/ differs from {', '.join(d + '/' for d in whole)}", file=sys.stderr)
+            code = 1
+    return code
 
 
 if __name__ == "__main__":
