@@ -215,44 +215,43 @@ def _apply_preprocessing(pair: RasterPair, pre: dict, needed: np.ndarray) -> Ras
     return RasterPair(hsi=hsi, lidar=lidar.astype(np.float32), labels=pair.labels)
 
 
-# Bytes of the float32 projection of one strip, halo rows included, that
-# `eval` and `map` hold at once: a strip is the most whole TILE rows that
-# fit, one TILE row at least. At the Houston 2013 size (1,905 columns, 30
-# PCA dimensions, patch 11) that is 66 rows and 10 halo rows, 16.6 MiB,
-# where the whole scene is 76 MiB.
+# Bytes of the float32 projection of one strip's held rows that `eval` and
+# `map` hold at once: a strip is the most whole TILE rows that fit, one at
+# least. At the Houston 2013 size (1,905 columns, 30 PCA dimensions, patch
+# 11) that is 66 rows held as 82, 17.9 MiB, where the whole scene is 76 MiB.
 STRIP_BYTES = 18 << 20
 
 
 def _strips(pair: RasterPair, pre: dict, patch: int, predicted: np.ndarray,
             rows: int | None = None):
-    """The patch sets of the pixels that the (H, W) label map `predicted`
-    marks, one per strip of `rows` scene rows that holds any, top to bottom.
-    By default a strip is as many whole TILE rows as `STRIP_BYTES` allows;
-    `train` asks for the whole scene, one strip.
+    """`(lo, set)` per strip of `rows` scene rows, top to bottom, that holds
+    a pixel the (H, W) label map `predicted` marks: the set of those pixels,
+    in the coordinates of the strip's held rows, the first of which is scene
+    row `lo`. By default a strip is as many whole TILE rows as `STRIP_BYTES`
+    allows; `train` asks for the whole scene, one strip.
 
-    Each set holds its strip's rows and s // 2 halo rows above and below,
-    apart from the scene's own top and bottom, where its windows mirror.
-    Every strip reads the rows it holds from `pair.hsi`, a
-    `storage.RasterRows` reader, and projects them with the `pre.*`
-    constants, only the pixels that the windows of predicted pixels read
-    (`window_pixels`), so the halo rows two strips share are read by both
-    and no strip depends on another. A strip with no pixel to predict is
-    read and checked finite all the same, and gives no set."""
+    A strip holds the whole TILE rows above it that its windows reach into,
+    and s // 2 rows below, so `lo` is a multiple of TILE and the strip's
+    tiles are the scene's. It reads those rows from `pair.hsi`, a
+    `storage.RasterRows` reader, and projects with the `pre.*` constants
+    only the pixels its own pixels' windows read (`window_pixels`), so no
+    strip depends on another. A strip with no pixel to predict is read and
+    checked finite all the same, and gives no set."""
     height, width = predicted.shape
     half = patch // 2
+    above = -(-half // TILE) * TILE
     if rows is None:
-        fit = STRIP_BYTES // (4 * pre["pre.pca.components"].shape[1] * width) - 2 * half
+        fit = STRIP_BYTES // (4 * pre["pre.pca.components"].shape[1] * width) - above - half
         rows = max(fit // TILE, 1) * TILE
-    needed = window_pixels(predicted, patch)
     for top in range(0, height, rows):
         stop = min(top + rows, height)
-        lo, hi = max(top - half, 0), min(stop + half, height)
+        lo, hi = max(top - above, 0), min(stop + half, height)
         own = np.zeros((hi - lo, width), dtype=predicted.dtype)
         own[top - lo:stop - lo] = predicted[top:stop]
         scaled = _apply_preprocessing(RasterPair(pair.hsi.rows(lo, hi), pair.lidar[:, lo:hi], own),
-                                      pre, needed[lo:hi])
+                                      pre, window_pixels(own, patch))
         if own.any():
-            yield extract_patches(scaled, patch, top=lo)
+            yield lo, extract_patches(scaled, patch)
         del scaled, own  # free the strip before the next is projected
 
 
@@ -400,7 +399,7 @@ def cmd_train(args) -> int:
     out_dir = config["out"]
     checkpoint_path = os.path.join(out_dir, "checkpoint.lsfw")
     # one strip: the whole scene, projected once
-    patches, = _strips(pair, pre, config["patch"], pair.labels, rows=pair.height)
+    (_, patches), = _strips(pair, pre, config["patch"], pair.labels, rows=pair.height)
     train_set, test_set = split(patches, config["train_fraction"], config["seed"])
     log.info("scene %dx%d, %d classes, %d train / %d test patches",
              pair.height, pair.width, pair.num_classes, len(train_set), len(test_set))
@@ -464,7 +463,7 @@ def cmd_eval(args) -> int:
     config, pair, pre, model = _setup(args, args.checkpoint)[:4]
     k = model.config.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
-    for patches in _strips(pair, pre, config["patch"], _test_pixels(pair, config)):
+    for _, patches in _strips(pair, pre, config["patch"], _test_pixels(pair, config)):
         confusion += confusion_matrix(patches.labels, predict(model, patches), k)
         del patches  # free the strip before the next is projected
     report = MetricsReport(confusion)
@@ -478,9 +477,9 @@ def cmd_map(args) -> int:
     config, pair, pre, model = _setup(args, args.checkpoint)[:4]
     image = np.zeros((pair.height, pair.width, 3), dtype=np.uint8)
     palette = np.array(PALETTE, dtype=np.uint8)
-    for patches in _strips(pair, pre, config["patch"], pair.labels):
+    for lo, patches in _strips(pair, pre, config["patch"], pair.labels):
         rows, cols = patches.pixels.T
-        image[rows, cols] = palette[(predict(model, patches) - 1) % len(PALETTE)]
+        image[lo + rows, cols] = palette[(predict(model, patches) - 1) % len(PALETTE)]
         del patches  # free the strip before the next is projected
     out_path = os.path.join(config["out"], "map.ppm")
     storage.write_ppm(out_path, image)

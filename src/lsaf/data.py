@@ -233,30 +233,24 @@ def rescale(raster: np.ndarray, lo: np.ndarray, span: np.ndarray,
 
 @dataclass
 class PatchSet:
-    """Labelled pixels of one scene, in row-major pixel order.
+    """Labelled pixels of one set of rasters, in row-major pixel order.
 
-    `hsi` and `lidar` hold the scene's rows from `top` on: the whole scene
-    when `top` is 0 and they are as tall as it, or a strip of it. `pixels`
-    and the arguments of `cut` and `area` are in scene coordinates. The s×s
-    patch centred on pixel (row, col) reads the scene mirrored about its
-    edge rows and columns, which are not repeated: the bytes of
-    `np.pad(mode="reflect")` by s // 2, sliced at (row, col). A strip
-    mirrors about its first and last held rows, so it must hold every row
-    its windows read that is not mirrored at the scene's own top or bottom:
-    a window that reaches above a first held row other than the scene's is
-    refused, and one that reaches below the last held row is mirrored there,
-    which is the scene's mirror only if that row is the scene's last. `cut`
-    and `area` copy out the windows a batch or a tile needs; subsets made by
-    `take` and `split` share the rasters and copy only `labels` and
-    `pixels`.
+    `hsi` and `lidar` hold a scene, or a strip of its rows that `cli._strips`
+    cuts, and `pixels` and the arguments of `cut` and `area` are in their
+    own (row, col) coordinates. The s×s patch centred on pixel (row, col)
+    reads the rasters mirrored about their edge rows and columns, which are
+    not repeated: the bytes of `np.pad(mode="reflect")` by s // 2, sliced at
+    (row, col). So a strip gives the scene's windows only if it holds every
+    row they read short of the scene's own top and bottom. `cut` and `area`
+    copy out the windows a batch or a tile needs; subsets made by `take` and
+    `split` share the rasters and copy only `labels` and `pixels`.
     """
 
-    hsi: np.ndarray  # (r, rows, W)
-    lidar: np.ndarray  # (1, rows, W)
+    hsi: np.ndarray  # (r, H, W)
+    lidar: np.ndarray  # (1, H, W)
     labels: np.ndarray  # (n,) values in 1..K
-    pixels: np.ndarray  # (n, 2) scene (row, col) of each patch centre
+    pixels: np.ndarray  # (n, 2) (row, col) of each patch centre
     patch: int  # s
-    top: int = 0  # the scene row of the first held row
 
     def __post_init__(self):
         n = self.labels.shape[0]
@@ -268,14 +262,8 @@ class PatchSet:
         # an overhang past n - 1 rows would mirror to negative indices
         check_patch_size(self.patch, *grid)
         if n:
-            rows = self.pixels[:, 0] - self.top
-            if rows.min() < 0 or rows.max() >= grid[0] or self.pixels[:, 1].min() < 0 \
-                    or self.pixels[:, 1].max() >= grid[1]:
-                held = f" rows {self.top}-{self.top + grid[0] - 1}" if self.top else ""
-                raise ShapeError(f"patch centres must lie on the {grid[0]}x{grid[1]} scene{held}")
-            if self.top and rows.min() < self.patch // 2:
-                raise ShapeError(f"a window reaches above row {self.top}, the first held row, "
-                                 f"which is not the scene's first")
+            if self.pixels.min() < 0 or np.any(self.pixels.max(axis=0) >= grid):
+                raise ShapeError(f"patch centres must lie on the {grid[0]}x{grid[1]} scene")
             if self.labels.min() < 1:
                 raise ShapeError("patch labels must be in 1..K; unlabeled pixels are not samples")
 
@@ -283,8 +271,7 @@ class PatchSet:
         return int(self.labels.shape[0])
 
     def take(self, idx: np.ndarray) -> "PatchSet":
-        return PatchSet(self.hsi, self.lidar, self.labels[idx], self.pixels[idx], self.patch,
-                        self.top)
+        return PatchSet(self.hsi, self.lidar, self.labels[idx], self.pixels[idx], self.patch)
 
     def cut(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """C-contiguous (k, r, s, s) HSI and (k, 1, s, s) LiDAR patches of the
@@ -293,7 +280,7 @@ class PatchSet:
         that crosses their edge is gathered at mirrored indices."""
         rows, cols = self.pixels[idx].T
         s = self.patch
-        first, left = rows - self.top - s // 2, cols - s // 2
+        first, left = rows - s // 2, cols - s // 2
         inside = ((first >= 0) & (first + s <= self.hsi.shape[1])
                   & (left >= 0) & (left + s <= self.hsi.shape[2]))
         edge = np.flatnonzero(~inside)
@@ -313,38 +300,33 @@ class PatchSet:
 
     def area(self, row: int, col: int, height: int, width: int):
         """The (r, height + s - 1, width + s - 1) HSI and (1, ...) LiDAR
-        blocks that the windows centred on the height×width tile at scene
-        pixel (row, col) read, the window of pixel (row + i, col + j) at
+        blocks that the windows centred on the height×width tile at pixel
+        (row, col) read, the window of pixel (row + i, col + j) at
         offset (i, j)."""
         rows, cols = self._mirrored(row, height, 1), self._mirrored(col, width, 2)
         return tuple(raster[:, rows[:, None], cols] for raster in (self.hsi, self.lidar))
 
     def _mirrored(self, start, size: int, axis: int) -> np.ndarray:
-        """The held indices along `axis` of the size + s - 1 mirrored scene
-        rows or columns from start - s // 2, per scene `start` (an int or an
-        array): |i|, then 2·last - i past `last`, the last held row or
-        column, then less `top` on the row axis."""
-        first = self.top if axis == 1 else 0
-        last = first + self.hsi.shape[axis] - 1
+        """The indices along `axis` of the size + s - 1 mirrored rows or
+        columns from start - s // 2, per `start` (an int or an array): |i|,
+        then 2·last - i past `last`, the last row or column."""
+        last = self.hsi.shape[axis] - 1
         at = np.add.outer(start, np.arange(size + self.patch - 1)) - self.patch // 2
-        return last - np.abs(last - np.abs(at)) - first
+        return last - np.abs(last - np.abs(at))
 
 
-def extract_patches(pair: RasterPair, s: int, top: int = 0) -> PatchSet:
-    """The labelled pixels of a scene, or of the scene's rows from `top` on
-    that `pair` holds, as a PatchSet of s×s patches, mirrored at scene
-    borders.
+def extract_patches(pair: RasterPair, s: int) -> PatchSet:
+    """The labelled pixels of a scene, or of a strip of its rows, as a
+    PatchSet of s×s patches, mirrored at the pair's borders.
 
     HSI and LiDAR patches come from identical coordinates; sample order is
-    row-major over the label map, and pixels are in scene coordinates. The
-    set keeps the pair's arrays, and reads the HSI of a pair that
+    row-major over the label map, and pixels are in the pair's coordinates.
+    The set keeps the pair's arrays, and reads the HSI of a pair that
     `load_raster` streams whole.
     """
     coords = np.argwhere(pair.labels != 0)
     labels = pair.labels[coords[:, 0], coords[:, 1]].astype(np.int64)
-    coords[:, 0] += top
-    return PatchSet(hsi=pair.hsi[:, :], lidar=pair.lidar, labels=labels, pixels=coords, patch=s,
-                    top=top)
+    return PatchSet(hsi=pair.hsi[:, :], lidar=pair.lidar, labels=labels, pixels=coords, patch=s)
 
 
 def window_pixels(labels: np.ndarray, s: int) -> np.ndarray:

@@ -81,9 +81,9 @@ _DEFAULT_DTYPE = np.float64
 
 _TAPE = threading.local()  # `off` is True in a thread inside `no_grad`
 _CHECKED = os.environ.get("LSAF_CHECKED", "") not in ("", "0")
-# Bytes of one chunk's columns in the gather-form conv: small enough that
-# each chunk's GEMMs read its columns from cache, just after they are spread,
-# and that the backward's spread of a chunk's samples works within cache.
+# Bytes of one chunk's columns in the gather-form conv forward: small enough
+# that each chunk's GEMMs read its columns from cache, just after they are
+# spread.
 _CHUNK_BYTES = 2 ** 20
 
 
@@ -542,12 +542,11 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
     chunk reuses one chunk-sized buffer, with a tape or without, and each
     sample's GEMMs and their summation order are those of a whole-batch
     lowering. The tape keeps no columns: the backward spreads the whole
-    batch's `cols` again from `x`, which the tape holds anyway, a chunk of
-    samples at a time into one whole-batch buffer. It stacks the `kd`
-    depth-shifted copies of the output gradient into one matrix, which turns
-    the kernel gradient and the column gradient into one GEMM each, the
-    first over `cols`, which is freed before the second; the column gradient
-    is then folded onto the input's `cin` channels.
+    batch's `cols` again from `x`, which the tape holds anyway. It stacks
+    the `kd` depth-shifted copies of the output gradient into one matrix,
+    which turns the kernel gradient and the column gradient into one GEMM
+    each, the first over `cols`, which is freed before the second; the
+    column gradient is then folded onto the input's `cin` channels.
 
     The scatter form, 2-D only, multiplies first: one GEMM over the rows of
     every map, `(t·h·w, cin) @ (cin, kh·kw·cout)`, gives every tap's
@@ -665,9 +664,7 @@ def _conv(x: Tensor | MapWindows, w: Tensor, stride, padding, nsp: int) -> Tenso
                 gs[a, :, :, a:a + do] = gb
             gs = gs.reshape(kd * cout, batch * depth * npos)
             cols = np.zeros((cin, kh, kw, batch, depth, ho, wo), dtype=x5.dtype)
-            for s in range(0, batch, chunk):
-                _spread_taps(cols[:, :, :, s:s + chunk].transpose(1, 2, 0, 3, 4, 5, 6),
-                             x5[s:s + chunk].swapaxes(0, 1), taps)
+            _spread_taps(cols.transpose(1, 2, 0, 3, 4, 5, 6), x5.swapaxes(0, 1), taps)
             gw = (gs @ cols.reshape(rows, -1).T).reshape(kd, cout, cin, kh, kw)
             del cols
             gw = gw.transpose(1, 2, 0, 3, 4).reshape(w.shape)

@@ -286,17 +286,18 @@ def predict(model: LsafModel, patches: PatchSet) -> np.ndarray:
 
     The set may hold the whole scene or a strip of its rows, as `eval` and
     `map` pass it, already projected: `predict` reads no file and projects
-    nothing. Inference may convolve scene tiles once and share the results
-    between pixels: `plan_tiles` picks per tile by a FLOP count from layer
-    shapes, and the tiles lie on the scene's TILE grid, whatever the strip.
-    A shared tile is one forward over its `tensor.MapWindows`. Its valid
-    convolutions run once, and so does HSI block4's tap GEMM, whose products
-    each pixel's window then sums as if zero-padded on its own; the LiDAR
-    features are gathered per window. The pixels of all other tiles go
-    through plain per-patch batches of `BATCH`, pooled across tiles. The
-    logits agree with per-patch inference within the convolution tolerance
-    of `tensor.py`, not bit for bit, so a label can differ only at a
-    near-tie; repeated calls agree bit for bit.
+    nothing. Inference may convolve tiles of the set's rasters once and
+    share the results between pixels: `plan_tiles` picks per tile by a FLOP
+    count from layer shapes, and a strip's tiles are the scene's. A shared
+    tile is one forward over its `tensor.MapWindows`. Its valid convolutions
+    run once, and so does HSI block4's tap GEMM, whose products each pixel's
+    window then sums as if zero-padded on its own; the LiDAR features are
+    gathered per window. The pixels of all other tiles go through plain
+    per-patch batches of `BATCH`, pooled across tiles, a batch of fewer than
+    8 padded with repeats, so no batch changes a pixel's bytes. The logits
+    agree with per-patch inference within the convolution tolerance of
+    `tensor.py`, not bit for bit, so a label can differ only at a near-tie;
+    repeated calls agree bit for bit.
     """
     return predict_logits(model, patches).argmax(axis=1) + 1
 
@@ -310,16 +311,16 @@ def predict_logits(model: LsafModel, patches: PatchSet) -> np.ndarray:
         )
     dtype = T.default_dtype()
     out = np.empty((len(patches), model.config.num_classes))  # float64 holds either dtype
-    # Tiles lie on the scene's TILE grid; a strip's held rows end at the
-    # scene's last row or past every tile of its pixels.
-    _, held, width = patches.lidar.shape
-    shared, per_patch = plan_tiles(patches.pixels, patches.top + held, width,
-                                   model.tile_conv_flops)
+    shared, per_patch = plan_tiles(patches.pixels, *patches.lidar.shape[1:], model.tile_conv_flops)
     with T.no_grad():
         for start in range(0, len(per_patch), BATCH):
             idx = per_patch[start : start + BATCH]
-            hsi, lidar, _ = _batch_tensors(patches, idx, dtype)
-            out[idx] = model.forward(hsi, lidar, training=False).data
+            # OpenBLAS 0.3.31 gives a GEMM row other bytes in a product of 1
+            # row (any linear layer), 1-4 (the heads' 1600 inputs) or 1-2
+            # (3200) than in one of 5 rows or more: fewer than 8 run as 8.
+            rows = np.resize(idx, max(len(idx), 8))
+            hsi, lidar, _ = _batch_tensors(patches, rows, dtype)
+            out[idx] = model.forward(hsi, lidar, training=False).data[:len(idx)]
         for tile in shared:
             index = np.zeros((len(tile.members), 3), dtype=np.intp)
             index[:, 1:] = patches.pixels[tile.members] - (tile.row, tile.col)

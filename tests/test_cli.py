@@ -428,9 +428,9 @@ class TestTrain:
         scene as one strip, `eval` and `map` in strips of one TILE row, the
         least strip budget, each of which projects the rows it holds. The
         first strip, rows 0-10, holds rows 0-13, and the second, rows 11-19,
-        rows 8-19, so the halo rows 8-13 that both hold are projected twice.
-        A new model's `train` first projects the scene once more, unscaled
-        and whole, to fit the min-max constants."""
+        holds the TILE row above it too, rows 0-19, so rows 0-13 are read by
+        both. A new model's `train` first projects the scene once more,
+        unscaled and whole, to fit the min-max constants."""
         calls = []
 
         def counted(pca, hsi, scale=None, needed=None):
@@ -444,8 +444,8 @@ class TestTrain:
         for out, argv, want in [
                 ("run", ["train"], [(False, False, 20), (True, True, 20)]),
                 ("resumed", ["train", "--epochs", 3, "--resume", ckpt], [(True, True, 20)]),
-                ("eval", ["eval", "--checkpoint", ckpt], [(True, True, 14), (True, True, 12)]),
-                ("map", ["map", "--checkpoint", ckpt], [(True, True, 14), (True, True, 12)])]:
+                ("eval", ["eval", "--checkpoint", ckpt], [(True, True, 14), (True, True, 20)]),
+                ("map", ["map", "--checkpoint", ckpt], [(True, True, 14), (True, True, 20)])]:
             calls.clear()
             assert run(argv + ["--config", config_path, "--out", tmp_path / out]) == 0
             assert calls == want, argv
@@ -575,13 +575,13 @@ class TestPreprocessing:
         tracemalloc.start()
         try:
             config, pair, pre = cli._setup(args, str(ckpt))[:3]
-            patches = next(cli._strips(pair, pre, 7, cli._test_pixels(pair, config)))
+            lo, patches = next(cli._strips(pair, pre, 7, cli._test_pixels(pair, config)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             T.set_default_dtype(prev_dtype)
         # one strip of the test side of the split: 102 of each class's 128 pixels
-        assert patches.hsi.shape == (dims, height, width) and patches.top == 0
+        assert patches.hsi.shape == (dims, height, width) and lo == 0
         assert patches.hsi.dtype == np.float32 and len(patches) == 204
         assert peak <= 1.05 * kept
         assert peak < bands * height * width * 4
@@ -616,8 +616,8 @@ class TestSetupFreesTheProjection:
             made.append(weakref.ref(out.base if out.base is not None else out))
             return out
 
-        def extract_patches(pair, s, top=0, _fn=cli.extract_patches):
-            patches = _fn(pair, s, top)
+        def extract_patches(pair, s, _fn=cli.extract_patches):
+            patches = _fn(pair, s)
             assert patches.hsi.base is pair.hsi
             kept.append(weakref.ref(pair.hsi))
             return patches
@@ -946,7 +946,7 @@ def sparse_run(tmp_path):
 
 
 def strips_of(argv):
-    """For a command line, the patch sets that `cli._strips` gives it, one
+    """For a command line, the `(lo, set)` that `cli._strips` gives it, one
     per strip (`train`'s whole scene as one; `eval`'s of its test pixels,
     the others' of every labelled pixel), with `cli._setup`'s model and
     `pre.*` constants. The tensor dtype is restored afterwards, as `main`
@@ -965,7 +965,7 @@ def strips_of(argv):
 
 # The sparse scene's 30 rows in strips of one TILE row: the first row each
 # set holds, and the rows each predicts, for the commands that run strips.
-STRIP_TOPS = {"eval": [0, 8, 19], "map": [0, 8, 19], "resume": [0], "train": [0]}
+STRIP_TOPS = {"eval": [0, 0, 11], "map": [0, 0, 11], "resume": [0], "train": [0]}
 STRIP_ROWS = {"eval": [(0, 11), (11, 22), (22, 30)], "map": [(0, 11), (11, 22), (22, 30)],
               "resume": [(0, 30)], "train": [(0, 30)]}
 
@@ -977,10 +977,10 @@ class TestNeededPixels:
         """Every window's HSI and LiDAR bytes, and the logits of `predict` with
         its shared tile, equal those of a projection of every pixel, with
         stored constants and with a new model's fitted ones alike; each pixel
-        no window of a predicted pixel reads holds exactly 0.0. `eval` and
-        `map` run in strips of one TILE row, the least strip budget, and
-        `eval` predicts only its 104 test pixels. The projection runs in
-        blocks of 4 rows, the last one ragged."""
+        that no window of the strip's own predicted pixels reads holds
+        exactly 0.0. `eval` and `map` run in strips of one TILE row, the
+        least strip budget, and `eval` predicts only its 104 test pixels.
+        The projection runs in blocks of 4 rows, the last one ragged."""
         config, ckpt, labelled = sparse_run
         monkeypatch.setattr(data, "CHUNK_PIXELS", 4 * 40)
         monkeypatch.setattr(cli, "STRIP_BYTES", 0)
@@ -991,9 +991,9 @@ class TestNeededPixels:
                             lambda pca, hsi, scale=None, needed=None: transform(pca, hsi, scale))
         full, _, _ = strips_of(argv)
 
-        assert [p.top for p in strips] == [p.top for p in full] == STRIP_TOPS[command]
-        pixels = np.concatenate([p.pixels for p in strips])
-        assert np.array_equal(pixels, np.concatenate([p.pixels for p in full]))
+        assert [lo for lo, _ in strips] == [lo for lo, _ in full] == STRIP_TOPS[command]
+        pixels = np.concatenate([p.pixels + (lo, 0) for lo, p in strips])
+        assert np.array_equal(pixels, np.concatenate([p.pixels + (lo, 0) for lo, p in full]))
         assert len(pixels) == (104 if command == "eval" else 128)
         predicted = np.zeros(labelled.shape, dtype=bool)
         predicted[tuple(pixels.T)] = True
@@ -1004,16 +1004,18 @@ class TestNeededPixels:
         prev_dtype = T.default_dtype()
         T.set_default_dtype(np.float32)
         try:
-            for patches, whole in zip(strips, full):
+            for (lo, patches), (_, whole) in zip(strips, full):
                 every = np.arange(len(patches))
                 for got, want in zip(patches.cut(every), whole.cut(every)):
                     assert got.tobytes() == want.tobytes()
-                held = needed[patches.top:patches.top + patches.hsi.shape[1]]
+                own = np.zeros(patches.hsi.shape[1:], dtype=bool)
+                own[tuple(patches.pixels.T)] = True
+                held = data.window_pixels(own, 7)
                 scene, want = patches.hsi, whole.hsi
                 assert not held.all() and not scene[:, ~held].any()
                 assert scene[:, held].tobytes() == want[:, held].tobytes()
-                end = patches.top + patches.hsi.shape[1]
-                shared += train_mod.plan_tiles(patches.pixels, end, 40, model.tile_conv_flops)[0]
+                tiles = train_mod.plan_tiles(patches.pixels, *own.shape, model.tile_conv_flops)[0]
+                shared += [tile._replace(row=tile.row + lo) for tile in tiles]
                 got, want = (train_mod.predict_logits(model, p) for p in (patches, whole))
                 assert got.tobytes() == want.tobytes()
         finally:
@@ -1025,33 +1027,33 @@ class TestNeededPixels:
     def test_padded_scene_equals_padding_the_projection(self, sparse_run, tmp_path,
                                                         monkeypatch, command):
         """Each patch set's HSI and LiDAR hold the bytes of its rows of the
-        scaled float32 projection, masked to the pixels the windows of the
-        predicted pixels read, whether the constants come from a checkpoint
-        or a new model's fit, and the padded rows its windows read, the
-        `area` of its predicted rows, hold those of `np.pad(mode="reflect")`
-        over the whole projection: a halo row inside the scene, a mirrored
-        one at its top and bottom. `eval` and `map` run in strips of one TILE
-        row."""
+        scaled float32 projection, masked to the pixels the windows of its
+        own predicted pixels read, whether the constants come from a
+        checkpoint or a new model's fit, and the padded rows its windows
+        read, the `area` of its predicted rows, hold those of
+        `np.pad(mode="reflect")` over that whole projection: a row above or
+        below inside the scene, a mirrored one at its top and bottom. `eval`
+        and `map` run in strips of one TILE row."""
         config, ckpt, _ = sparse_run
         monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         strips, _, pre = strips_of(command_argv(command, ckpt)
                                    + ["--config", config, "--out", tmp_path / "out"])
         cube, lidar = (storage.read_raster(tmp_path / f"{name}.lsaf") for name in ("hsi", "lidar"))
-        predicted = np.zeros(cube.shape[1:], dtype=bool)
-        for patches in strips:
-            predicted[tuple(patches.pixels.T)] = True
         pca = data.PcaModel(*(pre[key].astype(np.float64) for key in cli._PRE_KEYS[:3]))
         hsi_scale = (pre["pre.norm.hsi_min"], pre["pre.norm.hsi_span"])
-        hsi = data.pca_transform(pca, cube, scale=hsi_scale,
-                                 needed=data.window_pixels(predicted, 7))
         lidar = data.rescale(lidar, pre["pre.norm.lidar_min"],
                              pre["pre.norm.lidar_span"]).astype(np.float32)
         half = 3
-        assert [p.top for p in strips] == STRIP_TOPS[command]
-        for patches, (first, stop) in zip(strips, STRIP_ROWS[command], strict=True):
-            assert first <= patches.pixels[:, 0].min() and patches.pixels[:, 0].max() < stop
-            held = slice(patches.top, min(stop + half, 30))
-            padded = patches.area(first, 0, stop - first, 40)
+        assert [lo for lo, _ in strips] == STRIP_TOPS[command]
+        for (lo, patches), (first, stop) in zip(strips, STRIP_ROWS[command], strict=True):
+            rows = patches.pixels[:, 0] + lo
+            assert first <= rows.min() and rows.max() < stop
+            predicted = np.zeros(cube.shape[1:], dtype=bool)
+            predicted[rows, patches.pixels[:, 1]] = True
+            hsi = data.pca_transform(pca, cube, scale=hsi_scale,
+                                     needed=data.window_pixels(predicted, 7))
+            held = slice(lo, min(stop + half, 30))
+            padded = patches.area(first - lo, 0, stop - first, 40)
             for kept, got, scene in zip((patches.hsi, patches.lidar), padded, (hsi, lidar)):
                 assert kept.dtype == np.float32 and kept.tobytes() == scene[:, held].tobytes()
                 want = np.pad(scene, ((0, 0), (half, half), (half, half)), mode="reflect")
@@ -1140,24 +1142,30 @@ def strip_run(tmp_path):
 
 def strips_and_one_strip(config, ckpt, tmp_path, monkeypatch):
     """`eval` and `map` of a checkpoint in strips of one TILE row, the least
-    strip budget, then as one strip. Per run: the first held row of each set
-    that `predict` runs, the bytes of every predicted pixel's logits per
-    command, as `predict` computes them, and the bytes of `metrics.csv` and
-    `map.ppm`."""
+    strip budget, then as one strip. Per run: the first held row `lo` of
+    each set that `predict` runs, the bytes of every predicted pixel's
+    logits per command and scene pixel, as `predict` computes them, and the
+    bytes of `metrics.csv` and `map.ppm`."""
     train_mod = importlib.import_module("lsaf.train")
     runs = []
     for budget in (0, 1 << 40):
         monkeypatch.setattr(cli, "STRIP_BYTES", budget)
         logits, tops = {}, []
+
+        def strips(*args, _fn=cli._strips):
+            for lo, patches in _fn(*args):
+                tops.append(lo)
+                yield lo, patches
+
         for command in ("eval", "map"):
             def predict_logits(model, patches, _fn=train_mod.predict_logits, _command=command):
-                tops.append(patches.top)
                 rows = _fn(model, patches)
-                logits.update(((_command,) + tuple(pixel), row.tobytes())
-                              for pixel, row in zip(patches.pixels.tolist(), rows))
+                logits.update(((_command, tops[-1] + row, col), logit.tobytes())
+                              for (row, col), logit in zip(patches.pixels.tolist(), rows))
                 return rows
 
             with monkeypatch.context() as patch:
+                patch.setattr(cli, "_strips", strips)
                 patch.setattr(train_mod, "predict_logits", predict_logits)
                 assert run([command, "--config", config, "--checkpoint", ckpt,
                             "--out", tmp_path / str(budget)]) == 0
@@ -1172,26 +1180,39 @@ class TestStrips:
         """`eval` and `map` in strips of one TILE row, the least strip
         budget, write the bytes of a run that projects the whole scene as one
         strip, and every strip's logits are those of that run. Their
-        predicted pixels lie in every halo row and every mirrored row."""
+        predicted pixels lie in every row within a window of a strip's edge
+        and every mirrored row."""
         config, ckpt, _ = strip_run
         (tops, logits, *files), (whole_tops, whole_logits, *whole_files) = \
             strips_and_one_strip(config, ckpt, tmp_path, monkeypatch)
-        assert tops == [0, 8, 19, 30] * 2 and whole_tops == [0, 0]
+        assert tops == [0, 0, 11, 22] * 2 and whole_tops == [0, 0]
         assert logits == whole_logits and files == whole_files
-        halo = set(range(8, 14)) | set(range(19, 25)) | set(range(30, 37)) | {0, 1, 2}
+        edges = set(range(8, 14)) | set(range(19, 25)) | set(range(30, 37)) | {0, 1, 2}
         for command in ("eval", "map"):
-            assert halo <= {row for name, row, _ in logits if name == command}
+            assert edges <= {row for name, row, _ in logits if name == command}
+
+    def test_paper_patch_strips_equal_one_strip(self, tmp_path, monkeypatch):
+        """At the paper's patch 11, pixel (35, 23) is the only pixel of its
+        strip's per-patch batch: its logits still have the one-strip run's
+        bytes, as do both output files."""
+        config, ckpt, labels = strip_scene(tmp_path, 11)
+        (tops, logits, *files), (whole_tops, whole_logits, *whole_files) = \
+            strips_and_one_strip(config, ckpt, tmp_path, monkeypatch)
+        assert tops == [0, 0, 11, 22] * 2 and whole_tops == [0, 0]
+        assert labels[35, 23] and ("map", 35, 23) in logits
+        assert logits == whole_logits and files == whole_files
 
     def test_strips_shorter_than_their_halo_equal_one_strip(self, tmp_path, monkeypatch):
-        """With patch 25 a strip of one TILE row is shorter than its 12 halo
-        rows: the second strip, rows 11-21, holds rows 0-33, which reach into
-        the fourth strip's, and the third, rows 22-32, holds rows 10-36.
-        `eval` and `map` still write the bytes of one strip, and every
-        strip's logits are that run's."""
+        """With patch 25 a strip holds the two TILE rows above it that its
+        12-row windows reach into, and 12 rows below: the second strip, rows
+        11-21, holds rows 0-33, which reach into the fourth strip's, the
+        third, rows 22-32, holds rows 0-36, and the fourth, rows 33-36, holds
+        rows 11-36. `eval` and `map` still write the bytes of one strip, and
+        every strip's logits are that run's."""
         config, ckpt, _ = strip_scene(tmp_path, 25)
         (tops, logits, *files), (whole_tops, whole_logits, *whole_files) = \
             strips_and_one_strip(config, ckpt, tmp_path, monkeypatch)
-        assert tops == [0, 0, 10, 21] * 2 and whole_tops == [0, 0]
+        assert tops == [0, 0, 0, 11] * 2 and whole_tops == [0, 0]
         assert logits == whole_logits and files == whole_files
 
     @pytest.mark.parametrize("command", ["eval", "map"])
@@ -1199,9 +1220,9 @@ class TestStrips:
             self, strip_run, tmp_path, monkeypatch, capsys, command):
         """With no labelled pixel in rows 11-21, the second strip is read,
         checked and projected like the others, but gives no patch set: the
-        four strips project the rows they hold, 0-13, 8-24, 19-35 and 30-36,
-        and `predict` runs the sets of the other three. A NaN in row 16
-        still exits 2 before any output is written."""
+        four strips project the rows they hold, 0-13, 0-24, 11-35 and 22-36,
+        and `predict` runs the sets of the other three, at `lo` 0, 11 and 22.
+        A NaN in row 16 still exits 2 before any output is written."""
         config, ckpt, labels = strip_run
         monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         labels[11:22] = 0
@@ -1212,15 +1233,16 @@ class TestStrips:
             calls.append(hsi.shape[1])
             return _fn(pca, hsi, *args, **kwargs)
 
-        def predict(model, patches, _fn=cli.predict):
-            tops.append(patches.top)
-            return _fn(model, patches)
+        def strips(*args, _fn=cli._strips):
+            for lo, patches in _fn(*args):
+                yield lo, patches
+                tops.append(lo)  # once `predict` has run the set
 
         monkeypatch.setattr(cli, "pca_transform", counted)
-        monkeypatch.setattr(cli, "predict", predict)
+        monkeypatch.setattr(cli, "_strips", strips)
         argv = [command, "--config", config, "--checkpoint", ckpt]
         assert run(argv + ["--out", tmp_path / "clean"]) == 0
-        assert calls == [14, 17, 17, 7] and tops == [0, 19, 30]
+        assert calls == [14, 25, 25, 15] and tops == [0, 11, 22]
         path = tmp_path / "hsi.lsaf"
         cube = storage.read_raster(path)
         cube[4, 16, 5] = np.nan
@@ -1230,12 +1252,83 @@ class TestStrips:
         out = tmp_path / "out"
         assert run(argv + ["--out", out]) == 2
         assert f"{path}: raster holds 1 non-finite value" in capsys.readouterr().err
-        assert calls == [14, 17] and not any(out.iterdir())
+        assert calls == [14, 25] and not any(out.iterdir())
+
+    def test_each_strip_projects_its_own_windows_on_the_scene_tiles(self, strip_run, tmp_path,
+                                                                   monkeypatch):
+        """`map` in strips of one TILE row, with no labelled pixel in rows
+        11-21 and rows 22-32 of columns 0-10 labelled whole, a shared tile.
+        Each strip's first held row `lo` is a multiple of TILE; each strip
+        reads every row it holds, and together they read every row of the
+        scene; each projects exactly the pixels within a window of its own
+        pixels, so the strip with nothing to predict projects none. Each
+        strip's tiles and per-patch pixels, shifted by `lo`, are those of the
+        run that holds the scene as one strip."""
+        config, ckpt, labels = strip_run
+        tile = cli.TILE
+        labels[11:22] = 0
+        labels[22:33, :tile] = np.arange(tile * tile).reshape(tile, tile) % 4 + 1
+        storage.write_labels(tmp_path / "labels.lsaf", labels)
+        train_mod = importlib.import_module("lsaf.train")
+        read, transform, plan = storage._read_rows, cli.pca_transform, train_mod.plan_tiles
+        height, width, half = 37, 24, 3
+        runs = []
+        for budget in (0, 1 << 40):
+            projections, los, tiles = [], [], []
+
+            def counted(pca, hsi, scale=None, needed=None):
+                reads = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(storage, "_read_rows",
+                                  lambda *args: reads.append(args[2:]) or read(*args))
+                    out = transform(pca, hsi, scale, needed)
+                projections.append((needed.copy(), reads))
+                return out
+
+            def strips(*args, _fn=cli._strips):
+                for lo, patches in _fn(*args):
+                    los.append(lo)
+                    yield lo, patches
+
+            def planned(pixels, *args):
+                shared, per_patch = plan(pixels, *args)
+                shift = np.array([los[-1], 0])
+                tiles.extend((t.row + los[-1], t.col, t.height, t.width,
+                              (pixels[t.members] + shift).tolist()) for t in shared)
+                tiles.extend(("patch", (pixels[i] + shift).tolist()) for i in per_patch)
+                return shared, per_patch
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "STRIP_BYTES", budget)
+                patch.setattr(cli, "pca_transform", counted)
+                patch.setattr(cli, "_strips", strips)
+                patch.setattr(train_mod, "plan_tiles", planned)
+                assert run(["map", "--config", config, "--checkpoint", ckpt,
+                            "--out", tmp_path / str(budget)]) == 0
+            runs.append((projections, los, sorted(tiles, key=str)))
+
+        (projections, los, tiles), (_, whole_los, whole_tiles) = runs
+        assert los == [0, 11, 22] and whole_los == [0]
+        assert tiles == whole_tiles and sum(len(t) == 5 for t in tiles) == 1
+        covered = np.zeros(height, dtype=bool)
+        for top, (needed, reads) in zip(range(0, height, tile), projections, strict=True):
+            lo, hi = reads[0][0], reads[-1][1]
+            assert lo % tile == 0 and lo <= top
+            assert [stop for _, stop in reads[:-1]] == [start for start, _ in reads[1:]]
+            covered[lo:hi] = True
+            want = np.zeros((height, width), dtype=bool)
+            for row, col in np.argwhere(labels[top:top + tile]):
+                row += top
+                want[max(row - half, 0):row + half + 1, max(col - half, 0):col + half + 1] = True
+            assert needed.shape == (hi - lo, width) and want.sum() == want[lo:hi].sum()
+            assert np.array_equal(needed, want[lo:hi])
+            assert needed.any() == (top != tile)
+        assert covered.all()
 
     def test_eval_holds_one_strip_not_the_scene(self, tmp_path, monkeypatch):
         """Under tracemalloc, `eval` of a 330×600 scene in 30 strips of one
         TILE row peaks, above what it holds once its test pixels are drawn,
-        within the scene's `needed` mask, one strip, one read block, one
+        within one strip with its label map and mask, one read block, one
         chunk's temporaries and the largest cost of one strip's `predict`,
         which runs batches of a few dozen patches. A projection of the whole
         scene alone is larger than all of those together."""
@@ -1277,10 +1370,12 @@ class TestStrips:
             mark("peak", tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        # `needed`, 1 byte a pixel; the copies that grow it are freed before the first strip
+        # a strip holds 11 rows, the TILE row above and 3 rows below; its
+        # 16-bit label map and its mask are 3 bytes a pixel of those rows
+        held = 25
         chunk = data.CHUNK_PIXELS * (bands * 4 + (bands + 3 * dims) * 8)
-        bound = height * width + marks["strip"] + data._READ_BYTES + chunk + marks["predict"]
-        assert marks["strip"] == 17 * width * (dims + 1) * 4  # 11 rows and 6 halo rows
+        bound = 3 * held * width + marks["strip"] + data._READ_BYTES + chunk + marks["predict"]
+        assert marks["strip"] == held * width * (dims + 1) * 4
         assert marks["peak"] - marks["base"] <= bound
         assert dims * height * width * 4 > bound
 

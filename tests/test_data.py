@@ -511,11 +511,11 @@ class TestExtractPatches:
 
     @pytest.mark.parametrize("s", [1, 3, 5, 7, 9])
     def test_strip_sets_cut_the_scene_windows(self, s):
-        """A 13×9 scene in strips of 4 rows, each held with s // 2 halo rows
-        above and below but at the scene's top and bottom: each strip's set,
-        in scene coordinates, cuts the windows that the whole scene's set
-        cuts for its pixels, and gives the same `area` of its rows, mirrored
-        at the scene's edges only."""
+        """A 13×9 scene in strips of 4 rows, each held with s // 2 rows above
+        and below but at the scene's top and bottom: each strip's set, whose
+        pixels are its own rows' shifted by its first held row `lo`, cuts the
+        windows that the whole scene's set cuts for them, and gives the same
+        `area` of its rows, mirrored at the scene's edges only."""
         pair = make_pair(seed=11, height=13, width=9)
         pair.labels[:] = 1
         whole = extract_patches(pair, s=s)
@@ -525,25 +525,14 @@ class TestExtractPatches:
             lo, hi = max(top - half, 0), min(stop + half, 13)
             own = np.zeros((hi - lo, 9), dtype=np.int64)
             own[top - lo:stop - lo] = pair.labels[top:stop]
-            strip = extract_patches(RasterPair(pair.hsi[:, lo:hi], pair.lidar[:, lo:hi], own),
-                                    s=s, top=lo)
+            strip = extract_patches(RasterPair(pair.hsi[:, lo:hi], pair.lidar[:, lo:hi], own), s=s)
             members = np.flatnonzero((whole.pixels[:, 0] >= top) & (whole.pixels[:, 0] < stop))
-            assert strip.top == lo and np.array_equal(strip.pixels, whole.pixels[members])
+            assert np.array_equal(strip.pixels + (lo, 0), whole.pixels[members])
             for got, want in zip(strip.cut(np.arange(len(strip))), whole.cut(members)):
                 assert got.tobytes() == want.tobytes()
-            for got, want in zip(strip.area(top, 0, stop - top, 9),
+            for got, want in zip(strip.area(top - lo, 0, stop - top, 9),
                                  whole.area(top, 0, stop - top, 9)):
                 assert got.tobytes() == want.tobytes()
-
-    def test_strip_set_refuses_a_window_above_its_first_row(self):
-        """Only the scene's own first row mirrors: a set whose held rows start
-        at scene row 5 refuses a pixel whose window reaches above it."""
-        hsi, lidar = np.zeros((3, 6, 5)), np.zeros((1, 6, 5))
-        PatchSet(hsi, lidar, np.array([1]), np.array([[7, 2]]), patch=5, top=5)
-        with pytest.raises(ShapeError, match="reaches above row 5"):
-            PatchSet(hsi, lidar, np.array([1]), np.array([[6, 2]]), patch=5, top=5)
-        with pytest.raises(ShapeError, match="rows 5-10"):
-            PatchSet(hsi, lidar, np.array([1]), np.array([[11, 2]]), patch=5, top=5)
 
     def test_streamed_pair_gives_the_in_memory_set(self, tmp_path):
         """A pair that `load_raster` streams from its files gives the set of

@@ -248,3 +248,22 @@ def test_per_patch_pixels_pool_across_tiles(dtype_switch):
     model.forward = counting_forward
     predict(model, patches)
     assert calls == [256, len(patches) - 256]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logits_independent_of_batch_composition(dtype, dtype_switch):
+    """A pixel's logits from `predict_logits` keep their bytes in a set of
+    1-8 per-patch pixels, as in the whole 36-pixel set: one pixel in each
+    tile of a 66×66 scene, so no tile is shared and each set is one batch."""
+    dtype_switch(dtype)
+    keep = np.zeros((6 * TILE, 6 * TILE), dtype=bool)
+    offsets = np.arange(36) * 5 % TILE
+    tiles = np.arange(6) * TILE
+    keep[tiles.repeat(6) + offsets, np.tile(tiles, 6) + offsets[::-1]] = True
+    model = LsafModel(ModelConfig(15, **PAPER), seed=12)
+    patches = scene_patches(6 * TILE, 6 * TILE, PAPER, seed=13, keep=keep)
+    assert len(patches) == 36 and tile_plan(model, patches)[0] == []
+    whole = predict_logits(model, patches)
+    for n in range(1, 9):
+        idx = np.arange(n) * 4 + n - 1
+        assert predict_logits(model, patches.take(idx)).tobytes() == whole[idx].tobytes(), n

@@ -28,7 +28,8 @@ package of this checkout, it runs:
 The lsaf commands write into sub-directories, and only their files are
 hashed; the recipe's own inputs (configs, the sparse label map) are not.
 The recipe prints every hash, then exits 1 if a strip run's outputs differ
-from those of the run that projects the whole scene.
+from those of the run that projects the whole scene, or if `eval/`'s
+`metrics.csv` differs from the one `train` wrote in `run1/`.
 
 The trained outputs depend on the BLAS build and the CPU, so compare hashes
 only between runs on the same machine.
@@ -136,6 +137,9 @@ def main() -> int:
         if got != want:
             print(f"{strips}/ differs from {', '.join(d + '/' for d in whole)}", file=sys.stderr)
             code = 1
+    if digests["eval/metrics.csv"] != digests["run1/metrics.csv"]:
+        print("eval/metrics.csv differs from run1/metrics.csv", file=sys.stderr)
+        code = 1
     return code
 
 
