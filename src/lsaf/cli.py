@@ -33,7 +33,6 @@ import numpy as np
 from . import storage
 from . import tensor as T
 from .data import (
-    PatchSet,
     PcaModel,
     RasterPair,
     check_patch_size,
@@ -55,7 +54,6 @@ from .train import (
     Adam,
     MetricsReport,
     TrainConfig,
-    confusion_matrix,
     evaluate,
     predict,
     render_report,
@@ -215,10 +213,11 @@ def _apply_preprocessing(pair: RasterPair, pre: dict, needed: np.ndarray) -> Ras
     return RasterPair(hsi=hsi, lidar=lidar.astype(np.float32), labels=pair.labels)
 
 
-# Bytes of the float32 projection of one strip's held rows that `eval` and
-# `map` hold at once: a strip is the most whole TILE rows that fit, one at
-# least. At the Houston 2013 size (1,905 columns, 30 PCA dimensions, patch
-# 11) that is 66 rows held as 82, 17.9 MiB, where the whole scene is 76 MiB.
+# Bytes of the float32 projection of one strip's held rows that `eval`,
+# `map` and `train`'s scoring hold at once: a strip is the most whole TILE
+# rows that fit, one at least. At the Houston 2013 size (1,905 columns, 30
+# PCA dimensions, patch 11) that is 66 rows held as 82, 17.9 MiB, where the
+# whole scene is 76 MiB.
 STRIP_BYTES = 18 << 20
 
 
@@ -228,7 +227,7 @@ def _strips(pair: RasterPair, pre: dict, patch: int, predicted: np.ndarray,
     a pixel the (H, W) label map `predicted` marks: the set of those pixels,
     in the coordinates of the strip's held rows, the first of which is scene
     row `lo`. By default a strip is as many whole TILE rows as `STRIP_BYTES`
-    allows; `train` asks for the whole scene, one strip.
+    allows; `train` asks for the whole scene, one strip, to train on.
 
     A strip holds the whole TILE rows above it that its windows reach into,
     and s // 2 rows below, so `lo` is a multiple of TILE and the strip's
@@ -398,11 +397,11 @@ def cmd_train(args) -> int:
     config, pair, pre, model, state = _setup(args, args.resume)
     out_dir = config["out"]
     checkpoint_path = os.path.join(out_dir, "checkpoint.lsfw")
-    # one strip: the whole scene, projected once
-    (_, patches), = _strips(pair, pre, config["patch"], pair.labels, rows=pair.height)
-    train_set, test_set = split(patches, config["train_fraction"], config["seed"])
-    log.info("scene %dx%d, %d classes, %d train / %d test patches",
-             pair.height, pair.width, pair.num_classes, len(train_set), len(test_set))
+    train_map, test_map = split(pair.labels, config["train_fraction"], config["seed"])
+    # one strip: the whole scene, projected once at the training pixels' windows
+    (_, train_set), = _strips(pair, pre, config["patch"], train_map, rows=pair.height)
+    log.info("scene %dx%d, %d classes, %d train / %d test patches", pair.height,
+             pair.width, pair.num_classes, len(train_set), np.count_nonzero(test_map))
     start_epoch = 0
     if state is not None:
         start_epoch = int(state["meta.epochs_trained"])
@@ -434,41 +433,34 @@ def cmd_train(args) -> int:
 
     _, losses = train(model, train_set, train_cfg, callbacks=callbacks,
                       optimizer=optimizer, start_epoch=start_epoch)
+    del train_set  # free the training strip before the test strips are projected
     save_checkpoint(train_cfg.epochs)
     write_trace_csv(os.path.join(out_dir, "trace.csv"), losses, start_epoch)
-
-    report = evaluate(model, test_set)
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), report)
-    print(render_report(report))
+    _score(model, pair, pre, config, test_map)
     print(f"checkpoint: {checkpoint_path}")
     return EXIT_OK
 
 
-def _test_pixels(pair: RasterPair, config: dict) -> np.ndarray:
-    """The (H, W) label map of the pixels that `eval` scores, 0 elsewhere:
-    the test side of the split of every labelled pixel, drawn in row-major
-    order as `train` draws it, before any row is projected. The set split
-    holds the scene's HSI reader, which no window reads."""
-    pixels = np.argwhere(pair.labels)
-    labelled = PatchSet(pair.hsi, pair.lidar, pair.labels[tuple(pixels.T)].astype(np.int64),
-                        pixels, config["patch"])
-    _, test = split(labelled, config["train_fraction"], config["seed"])
-    predicted = np.zeros_like(pair.labels)
-    predicted[tuple(test.pixels.T)] = test.labels
-    return predicted
+def _score(model: LsafModel, pair: RasterPair, pre: dict, config: dict,
+           test_map: np.ndarray) -> None:
+    """Write and print the metrics of `model` on the pixels of the label map
+    `test_map`, the test side of the split, which `train` and `eval` both
+    score this way: strip by strip, each strip's confusion matrix summed."""
+    k = model.config.num_classes
+    confusion = np.zeros((k, k), dtype=np.int64)
+    for _, patches in _strips(pair, pre, config["patch"], test_map):
+        confusion += evaluate(model, patches).confusion
+        del patches  # free the strip before the next is projected
+    report = MetricsReport(confusion)
+    write_metrics_csv(os.path.join(config["out"], "metrics.csv"), report)
+    print(render_report(report))
 
 
 def cmd_eval(args) -> int:
     # [:4] keeps no reference to the checkpoint state once the model holds it
     config, pair, pre, model = _setup(args, args.checkpoint)[:4]
-    k = model.config.num_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for _, patches in _strips(pair, pre, config["patch"], _test_pixels(pair, config)):
-        confusion += confusion_matrix(patches.labels, predict(model, patches), k)
-        del patches  # free the strip before the next is projected
-    report = MetricsReport(confusion)
-    write_metrics_csv(os.path.join(config["out"], "metrics.csv"), report)
-    print(render_report(report))
+    test_map = split(pair.labels, config["train_fraction"], config["seed"])[1]
+    _score(model, pair, pre, config, test_map)
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """Scene loading, PCA spectral reduction, min-max scaling, patch sets,
-splitting, and synthetic scene generation.
+the train/test split of a label map, and synthetic scene generation.
 
 Everything here is a pure function over numpy arrays; autodiff tensors only
 appear once patches reach the model, cut from the mirrored scene per batch.
@@ -193,6 +193,8 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
             keep = slice(None)  # a chunk of needed pixels only is projected whole
             if needed is not None and not needed[at].all():
                 keep = needed[at]
+                if not keep.any():
+                    continue
             chunk = _project(model, block[:, start:start + step][:, keep])
             out[:, at][:, keep] = (
                 chunk if scale is None else rescale(chunk, *scale, in_place=True))
@@ -242,8 +244,7 @@ class PatchSet:
     not repeated: the bytes of `np.pad(mode="reflect")` by s // 2, sliced at
     (row, col). So a strip gives the scene's windows only if it holds every
     row they read short of the scene's own top and bottom. `cut` and `area`
-    copy out the windows a batch or a tile needs; subsets made by `take` and
-    `split` share the rasters and copy only `labels` and `pixels`.
+    copy out the windows a batch or a tile needs.
     """
 
     hsi: np.ndarray  # (r, H, W)
@@ -269,9 +270,6 @@ class PatchSet:
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
-
-    def take(self, idx: np.ndarray) -> "PatchSet":
-        return PatchSet(self.hsi, self.lidar, self.labels[idx], self.pixels[idx], self.patch)
 
     def cut(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """C-contiguous (k, r, s, s) HSI and (k, 1, s, s) LiDAR patches of the
@@ -383,10 +381,16 @@ def split_indices(labels: np.ndarray, fraction: float, seed: int):
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
-def split(patches: PatchSet, fraction: float, seed: int):
-    """Split a PatchSet into stratified (train, test) subsets."""
-    train_idx, test_idx = split_indices(patches.labels, fraction, seed)
-    return patches.take(train_idx), patches.take(test_idx)
+def split(labels: np.ndarray, fraction: float, seed: int):
+    """Split the labelled pixels of an (H, W) label map into stratified
+    (train, test) label maps of its shape, 0 off their side: `split_indices`
+    of the labels in row-major pixel order."""
+    pixels = np.flatnonzero(labels)
+    values = np.ravel(labels)[pixels]
+    maps = np.zeros_like(labels), np.zeros_like(labels)
+    for side, idx in zip(maps, split_indices(values, fraction, seed)):
+        side.flat[pixels[idx]] = values[idx]
+    return maps
 
 
 # ----------------------------------------------------------------------

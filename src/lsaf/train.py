@@ -284,8 +284,8 @@ def plan_tiles(pixels: np.ndarray, height: int, width: int,
 def predict(model: LsafModel, patches: PatchSet) -> np.ndarray:
     """Predicted labels (1..K) for every patch, in the set's order.
 
-    The set may hold the whole scene or a strip of its rows, as `eval` and
-    `map` pass it, already projected: `predict` reads no file and projects
+    The set may hold the whole scene or a strip of its rows, as the
+    commands pass it, already projected: `predict` reads no file and projects
     nothing. Inference may convolve tiles of the set's rasters once and
     share the results between pixels: `plan_tiles` picks per tile by a FLOP
     count from layer shapes, and a strip's tiles are the scene's. A shared

@@ -68,15 +68,13 @@ def unit_scaled(raster):
 
 
 def prepared_scene(num_classes, size, bands, seed, pca_dims=13, patch=7, fraction=0.5):
-    """Synthetic scene through the real preprocessing chain, split in two."""
+    """Synthetic scene through the real preprocessing chain, as the patch
+    sets of its training and test maps."""
     pair = synth_generate(num_classes, size, size, bands, seed=seed)
     pca = pca_fit(pair.hsi, pca_dims)
-    scaled = RasterPair(
-        hsi=unit_scaled(pca_transform(pca, pair.hsi)),
-        lidar=unit_scaled(pair.lidar),
-        labels=pair.labels,
-    )
-    return split(extract_patches(scaled, s=patch), fraction, seed=seed)
+    hsi, lidar = unit_scaled(pca_transform(pca, pair.hsi)), unit_scaled(pair.lidar)
+    return tuple(extract_patches(RasterPair(hsi=hsi, lidar=lidar, labels=side), s=patch)
+                 for side in split(pair.labels, fraction, seed=seed))
 
 
 # ----------------------------------------------------------------------

@@ -423,13 +423,14 @@ class TestTrain:
         assert opt[0] == "opt.steps" and len(opt) == 1 + 2 * len(model.params())
 
     def test_each_command_projects_the_scene_once(self, config_path, tmp_path, monkeypatch):
-        """Every command projects the scene once, scaled and masked to the
-        pixels the windows read: `train` and `--resume` the whole 20-row
-        scene as one strip, `eval` and `map` in strips of one TILE row, the
-        least strip budget, each of which projects the rows it holds. The
-        first strip, rows 0-10, holds rows 0-13, and the second, rows 11-19,
-        holds the TILE row above it too, rows 0-19, so rows 0-13 are read by
-        both. A new model's `train` first projects the scene once more,
+        """Every command projects each of its strips once, scaled and masked
+        to the pixels the windows read: `eval` and `map` in strips of one
+        TILE row, the least strip budget, each of which projects the rows it
+        holds. The first strip, rows 0-10, holds rows 0-13, and the second,
+        rows 11-19, holds the TILE row above it too, rows 0-19, so rows 0-13
+        are read by both. `train` and `--resume` project the training map's
+        whole 20-row scene as one strip, then score the test map in `eval`'s
+        strips. A new model's `train` first projects the scene once more,
         unscaled and whole, to fit the min-max constants."""
         calls = []
 
@@ -442,8 +443,10 @@ class TestTrain:
         monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         ckpt = tmp_path / "run" / "checkpoint.lsfw"
         for out, argv, want in [
-                ("run", ["train"], [(False, False, 20), (True, True, 20)]),
-                ("resumed", ["train", "--epochs", 3, "--resume", ckpt], [(True, True, 20)]),
+                ("run", ["train"], [(False, False, 20), (True, True, 20), (True, True, 14),
+                                    (True, True, 20)]),
+                ("resumed", ["train", "--epochs", 3, "--resume", ckpt],
+                 [(True, True, 20), (True, True, 14), (True, True, 20)]),
                 ("eval", ["eval", "--checkpoint", ckpt], [(True, True, 14), (True, True, 20)]),
                 ("map", ["map", "--checkpoint", ckpt], [(True, True, 14), (True, True, 20)])]:
             calls.clear()
@@ -575,7 +578,8 @@ class TestPreprocessing:
         tracemalloc.start()
         try:
             config, pair, pre = cli._setup(args, str(ckpt))[:3]
-            lo, patches = next(cli._strips(pair, pre, 7, cli._test_pixels(pair, config)))
+            test_map = cli.split(pair.labels, config["train_fraction"], config["seed"])[1]
+            lo, patches = next(cli._strips(pair, pre, 7, test_map))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -590,7 +594,7 @@ class TestPreprocessing:
 class TestSetupFreesTheProjection:
     @pytest.mark.parametrize("command,strips,projections", [
         pytest.param(command, strips, projections, id=command)
-        for command, strips, projections in [("train", 1, 2), ("resume", 1, 1),
+        for command, strips, projections in [("train", 3, 4), ("resume", 3, 3),
                                              ("eval", 2, 2), ("map", 2, 2)]])
     def test_unpadded_projection_is_dead_once_the_model_runs(self, config_path, tmp_path,
                                                              monkeypatch, command, strips,
@@ -600,10 +604,11 @@ class TestSetupFreesTheProjection:
         array that `_apply_preprocessing` returned for it, every array that
         `pca_transform` wrote is freed or is that array (the float64
         projection that a new model's min-max constants are fitted on is
-        freed), and the strips before it are freed. `train` and `--resume` run the whole
-        20-row scene as one strip, after one projection more for a new
-        model's fit; `eval` and `map` run it in two strips of one TILE row,
-        the least strip budget, each with one projection."""
+        freed), and the strips before it are freed. `eval` and `map` run the
+        20-row scene in two strips of one TILE row, the least strip budget,
+        each with one projection. `train` and `--resume` train on the whole
+        scene as one strip, after one projection more for a new model's fit,
+        then score the test map in `eval`'s two strips."""
         ckpt = tmp_path / "run" / "checkpoint.lsfw"
         if command != "train":
             assert run(["train", "--config", config_path]) == 0
@@ -640,8 +645,9 @@ class TestSetupFreesTheProjection:
         out = tmp_path / "after"
         assert run(command_argv(command, ckpt) + ["--config", config_path, "--out", out]) == 0
         assert len(made) == projections and len(kept) == strips
-        # train and --resume: `train`, then `evaluate`'s predict; eval and map: a predict per strip
-        assert len(alive) == 2 and all(alive)
+        # train and --resume: `train`, then `evaluate`'s predict per test strip;
+        # eval and map: a predict per strip
+        assert len(alive) == (3 if command in ("train", "resume") else 2) and all(alive)
 
 
 class TestEval:
@@ -947,27 +953,33 @@ def sparse_run(tmp_path):
 
 def strips_of(argv):
     """For a command line, the `(lo, set)` that `cli._strips` gives it, one
-    per strip (`train`'s whole scene as one; `eval`'s of its test pixels,
-    the others' of every labelled pixel), with `cli._setup`'s model and
-    `pre.*` constants. The tensor dtype is restored afterwards, as `main`
-    does."""
+    per strip, with `cli._setup`'s model and `pre.*` constants: `map`'s of
+    every labelled pixel, `eval`'s of the test map, and `train`'s of the
+    training map as one whole-scene strip, then of the test map as `eval`'s.
+    The tensor dtype is restored afterwards, as `main` does."""
     args = cli.build_parser().parse_args([str(a) for a in argv])
     prev_dtype = T.default_dtype()
     try:
         config, pair, pre, model, _ = cli._setup(args, args.resume if args.command == "train"
                                                  else args.checkpoint)
-        predicted = cli._test_pixels(pair, config) if args.command == "eval" else pair.labels
-        rows = pair.height if args.command == "train" else None
-        return list(cli._strips(pair, pre, config["patch"], predicted, rows)), model, pre
+        train_map, test_map = cli.split(pair.labels, config["train_fraction"], config["seed"])
+        strips = list(cli._strips(pair, pre, config["patch"],
+                                  pair.labels if args.command == "map" else test_map))
+        if args.command == "train":
+            strips[:0] = cli._strips(pair, pre, config["patch"], train_map, pair.height)
+        return strips, model, pre
     finally:
         T.set_default_dtype(prev_dtype)
 
 
 # The sparse scene's 30 rows in strips of one TILE row: the first row each
-# set holds, and the rows each predicts, for the commands that run strips.
-STRIP_TOPS = {"eval": [0, 0, 11], "map": [0, 0, 11], "resume": [0], "train": [0]}
+# set holds, and the rows each predicts. `train` and `--resume` first train
+# on the whole scene as one strip.
+STRIP_TOPS = {"eval": [0, 0, 11], "map": [0, 0, 11], "resume": [0, 0, 0, 11],
+              "train": [0, 0, 0, 11]}
 STRIP_ROWS = {"eval": [(0, 11), (11, 22), (22, 30)], "map": [(0, 11), (11, 22), (22, 30)],
-              "resume": [(0, 30)], "train": [(0, 30)]}
+              "resume": [(0, 30), (0, 11), (11, 22), (22, 30)],
+              "train": [(0, 30), (0, 11), (11, 22), (22, 30)]}
 
 
 class TestNeededPixels:
@@ -979,8 +991,10 @@ class TestNeededPixels:
         stored constants and with a new model's fitted ones alike; each pixel
         that no window of the strip's own predicted pixels reads holds
         exactly 0.0. `eval` and `map` run in strips of one TILE row, the
-        least strip budget, and `eval` predicts only its 104 test pixels.
-        The projection runs in blocks of 4 rows, the last one ragged."""
+        least strip budget, and `eval` predicts only its 104 test pixels;
+        `train` trains on the other 24 as one strip, then predicts the 104
+        as `eval` does. The projection runs in blocks of 4 rows, the last one
+        ragged."""
         config, ckpt, labelled = sparse_run
         monkeypatch.setattr(data, "CHUNK_PIXELS", 4 * 40)
         monkeypatch.setattr(cli, "STRIP_BYTES", 0)
@@ -1033,7 +1047,8 @@ class TestNeededPixels:
         read, the `area` of its predicted rows, hold those of
         `np.pad(mode="reflect")` over that whole projection: a row above or
         below inside the scene, a mirrored one at its top and bottom. `eval`
-        and `map` run in strips of one TILE row."""
+        and `map` run in strips of one TILE row, and so do `train`'s test
+        strips after its whole-scene training strip."""
         config, ckpt, _ = sparse_run
         monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         strips, _, pre = strips_of(command_argv(command, ckpt)
@@ -1202,6 +1217,38 @@ class TestStrips:
         assert labels[35, 23] and ("map", 35, 23) in logits
         assert logits == whole_logits and files == whole_files
 
+    def test_train_scores_its_test_map_in_the_strips_of_eval(self, tmp_path, monkeypatch):
+        """At the paper geometry (patch 11, 30 PCA dimensions, hidden 128,
+        batch 128), in strips of one TILE row, `train` predicts its test map
+        a strip at a time, as three sets, and writes the `metrics.csv` that
+        `eval` of its checkpoint writes with the same seed and strip budget,
+        after predicting the same sets."""
+        scene = tmp_path / "scene"
+        assert run(["synth", "--classes", 4, "--height", 24, "--width", 24, "--bands", 32,
+                    "--seed", 5, "--out", scene]) == 0
+        config = tmp_path / "paper.json"
+        config.write_text(json.dumps({
+            **{name: str(scene / f"{name}.lsaf") for name in ("hsi", "lidar", "labels")},
+            "patch": 11, "pca_dims": 30, "batch": 128, "epochs": 1, "seed": 2}))
+        monkeypatch.setattr(cli, "STRIP_BYTES", 0)
+        train_mod = importlib.import_module("lsaf.train")
+        sets = {}
+
+        def predict(model, patches, _fn=train_mod.predict):
+            sets[command].append(patches.pixels.tolist())
+            return _fn(model, patches)
+
+        monkeypatch.setattr(train_mod, "predict", predict)
+        ckpt = tmp_path / "train" / "checkpoint.lsfw"
+        for command, argv in [("train", []), ("eval", ["--checkpoint", ckpt])]:
+            sets[command] = []
+            assert run([command, "--config", config, "--out", tmp_path / command] + argv) == 0
+        assert len(sets["train"]) == 3 and sets["train"] == sets["eval"]
+        labels = storage.read_labels(scene / "labels.lsaf")
+        assert sum(map(len, sets["train"])) == np.count_nonzero(cli.split(labels, 0.2, 2)[1])
+        assert ((tmp_path / "train" / "metrics.csv").read_bytes()
+                == (tmp_path / "eval" / "metrics.csv").read_bytes())
+
     def test_strips_shorter_than_their_halo_equal_one_strip(self, tmp_path, monkeypatch):
         """With patch 25 a strip holds the two TILE rows above it that its
         12-row windows reach into, and 12 rows below: the second strip, rows
@@ -1218,11 +1265,12 @@ class TestStrips:
     @pytest.mark.parametrize("command", ["eval", "map"])
     def test_strip_with_nothing_to_predict_is_read_and_gives_no_set(
             self, strip_run, tmp_path, monkeypatch, capsys, command):
-        """With no labelled pixel in rows 11-21, the second strip is read,
-        checked and projected like the others, but gives no patch set: the
-        four strips project the rows they hold, 0-13, 0-24, 11-35 and 22-36,
-        and `predict` runs the sets of the other three, at `lo` 0, 11 and 22.
-        A NaN in row 16 still exits 2 before any output is written."""
+        """With no labelled pixel in rows 11-21, the second strip is read and
+        checked like the others, but projects no pixel and gives no patch
+        set: the four strips pass the rows they hold, 0-13, 0-24, 11-35 and
+        22-36, to `pca_transform`, and `predict` runs the sets of the other
+        three, at `lo` 0, 11 and 22. A NaN in row 16 still exits 2 before any
+        output is written."""
         config, ckpt, labels = strip_run
         monkeypatch.setattr(cli, "STRIP_BYTES", 0)
         labels[11:22] = 0
@@ -1261,7 +1309,8 @@ class TestStrips:
         Each strip's first held row `lo` is a multiple of TILE; each strip
         reads every row it holds, and together they read every row of the
         scene; each projects exactly the pixels within a window of its own
-        pixels, so the strip with nothing to predict projects none. Each
+        pixels, so the strip with nothing to predict projects none and calls
+        `data._project` for none of its chunks, which the others call. Each
         strip's tiles and per-patch pixels, shifted by `lo`, are those of the
         run that holds the scene as one strip."""
         config, ckpt, labels = strip_run
@@ -1271,18 +1320,21 @@ class TestStrips:
         storage.write_labels(tmp_path / "labels.lsaf", labels)
         train_mod = importlib.import_module("lsaf.train")
         read, transform, plan = storage._read_rows, cli.pca_transform, train_mod.plan_tiles
+        project = data._project
         height, width, half = 37, 24, 3
         runs = []
         for budget in (0, 1 << 40):
             projections, los, tiles = [], [], []
 
             def counted(pca, hsi, scale=None, needed=None):
-                reads = []
+                reads, chunks = [], []
                 with monkeypatch.context() as patch:
                     patch.setattr(storage, "_read_rows",
                                   lambda *args: reads.append(args[2:]) or read(*args))
+                    patch.setattr(data, "_project",
+                                  lambda *args: chunks.append(args) or project(*args))
                     out = transform(pca, hsi, scale, needed)
-                projections.append((needed.copy(), reads))
+                projections.append((needed.copy(), reads, len(chunks)))
                 return out
 
             def strips(*args, _fn=cli._strips):
@@ -1311,7 +1363,8 @@ class TestStrips:
         assert los == [0, 11, 22] and whole_los == [0]
         assert tiles == whole_tiles and sum(len(t) == 5 for t in tiles) == 1
         covered = np.zeros(height, dtype=bool)
-        for top, (needed, reads) in zip(range(0, height, tile), projections, strict=True):
+        for top, (needed, reads, chunks) in zip(range(0, height, tile), projections,
+                                                strict=True):
             lo, hi = reads[0][0], reads[-1][1]
             assert lo % tile == 0 and lo <= top
             assert [stop for _, stop in reads[:-1]] == [start for start, _ in reads[1:]]
@@ -1322,7 +1375,7 @@ class TestStrips:
                 want[max(row - half, 0):row + half + 1, max(col - half, 0):col + half + 1] = True
             assert needed.shape == (hi - lo, width) and want.sum() == want[lo:hi].sum()
             assert np.array_equal(needed, want[lo:hi])
-            assert needed.any() == (top != tile)
+            assert needed.any() == (top != tile) == (chunks > 0)
         assert covered.all()
 
     def test_eval_holds_one_strip_not_the_scene(self, tmp_path, monkeypatch):
@@ -1346,10 +1399,9 @@ class TestStrips:
         def mark(key, value):
             marks[key] = max(marks[key], value)
 
-        def test_pixels(*args, _fn=cli._test_pixels):
-            predicted = _fn(*args)
+        def strips(*args, _fn=cli._strips):
             marks["base"] = tracemalloc.get_traced_memory()[0]
-            return predicted
+            return _fn(*args)
 
         def predict(model, patches, _fn=cli.predict):
             before, peak = tracemalloc.get_traced_memory()
@@ -1361,8 +1413,9 @@ class TestStrips:
             finally:
                 mark("predict", tracemalloc.get_traced_memory()[1] - before)
 
-        monkeypatch.setattr(cli, "_test_pixels", test_pixels)
-        monkeypatch.setattr(cli, "predict", predict)
+        monkeypatch.setattr(cli, "_strips", strips)
+        # `evaluate` looks `predict` up in `lsaf.train`
+        monkeypatch.setattr(importlib.import_module("lsaf.train"), "predict", predict)
         tracemalloc.start()
         try:
             assert run(["eval", "--config", config, "--checkpoint", ckpt,

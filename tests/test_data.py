@@ -484,16 +484,13 @@ class TestExtractPatches:
 
     def test_set_holds_the_padded_scene_once(self):
         """The set keeps the pair's own unpadded arrays; the padded scene is
-        only read, through `area` and `cut`, and subsets share the arrays."""
+        only read, through `area` and `cut`."""
         pair = make_pair(seed=6)
         out = extract_patches(pair, s=5)
         assert out.patch == 5
         assert out.hsi.base is pair.hsi and out.lidar is pair.lidar  # a view of the whole HSI
         want = np.pad(pair.hsi, ((0, 0), (2, 2), (2, 2)), mode="reflect")
         assert np.array_equal(out.area(0, 0, 8, 9)[0], want)
-        subset = out.take(np.array([2, 0]))
-        assert subset.hsi is out.hsi and subset.lidar is out.lidar
-        assert np.array_equal(subset.cut([0, 1])[0], out.cut([2, 0])[0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("s", range(1, 2 * 6, 2))
@@ -618,12 +615,23 @@ class TestSplit:
             with pytest.raises(ConfigError):
                 split_indices(self.labels(), frac, seed=0)
 
-    def test_patchset_split_carries_samples(self):
-        pair = synth_generate(3, 12, 12, 5, seed=9)
-        patches = extract_patches(pair, s=3)
-        train, test = split(patches, 0.2, seed=7)
-        assert len(train) + len(test) == len(patches)
-        assert set(np.unique(train.labels)) == set(np.unique(patches.labels))
+    def test_label_map_split_is_the_pinned_split_of_its_pixels(self):
+        """`split` of a label map gives a training and a test map of its
+        shape and dtype, disjoint, which together are the map: the labelled
+        pixels of `test_pinned_indices`, in row-major order among unlabelled
+        ones, land on the sides that `split_indices` pins for them."""
+        lab = np.array([2, 1, 3, 3, 1, 2, 2, 1, 3, 1, 2, 3, 1, 1, 2, 3, 2, 1, 3, 2, 1, 3, 2, 1])
+        labels = np.zeros((5, 8), dtype=np.uint16)
+        at = np.flatnonzero(np.arange(labels.size) % 5 != 2)[:lab.size]
+        labels.flat[at] = lab
+        train, test = split(labels, 0.2, seed=7)
+        for side in (train, test):
+            assert side.shape == labels.shape and side.dtype == labels.dtype
+        assert not np.logical_and(train, test).any()
+        assert np.array_equal(train + test, labels)
+        assert np.flatnonzero(train).tolist() == at[[1, 6, 10, 15, 23]].tolist()
+        assert np.flatnonzero(test).tolist() == at[[0, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 14,
+                                                    16, 17, 18, 19, 20, 21, 22]].tolist()
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lsaf import tensor as T
-from lsaf.data import extract_patches, split, synth_generate
+from lsaf.data import PatchSet, RasterPair, extract_patches, split, synth_generate
 from lsaf.errors import ConfigError, ContractError, NumericError
 from lsaf.model import LsafModel, ModelConfig
 from lsaf.tensor import Tensor
@@ -218,7 +218,8 @@ class TestTrainLoop:
 
     def test_empty_set_rejected(self):
         model = tiny_model(seed=6)
-        patches = tiny_patches(seed=6).take(np.array([], dtype=int))
+        whole = tiny_patches(seed=6)
+        patches = PatchSet(whole.hsi, whole.lidar, whole.labels[:0], whole.pixels[:0], whole.patch)
         with pytest.raises(ConfigError):
             train(model, patches, TrainConfig(epochs=1))
 
@@ -379,8 +380,9 @@ class TestMetrics:
 
     def test_evaluate_on_trained_model_is_consistent(self):
         model = tiny_model(seed=11)
-        patches = tiny_patches(seed=11)
-        train_set, test_set = split(patches, 0.5, seed=0)
+        pair = synth_generate(3, 10, 10, 13, seed=11)
+        train_set, test_set = (extract_patches(RasterPair(pair.hsi, pair.lidar, side), s=7)
+                               for side in split(pair.labels, 0.5, seed=0))
         train(model, train_set, TrainConfig(lr=1e-3, epochs=3, batch=32, seed=0))
         report = evaluate(model, test_set)
         preds = predict(model, test_set)

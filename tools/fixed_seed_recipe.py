@@ -8,12 +8,15 @@ as it was. In a temporary directory, at one BLAS thread, with the `lsaf`
 package of this checkout, it runs:
 - `synth`: a 24×24 scene of 4 classes and 48 bands, seed 0 (`scene/`);
 - `train`: 2 epochs, batch 64, seed 0, paper geometry (`run1/`);
+- the same `train` in strips of one TILE row, the least strip budget,
+  `cli.STRIP_BYTES` set to 0 (`train_strips/`): it trains on its training
+  map as one strip, then scores its test map in 3 strips of the 24 rows, and
+  its outputs must equal those of `run1/`;
 - `train --resume` from run1 to 3 epochs (`run2/`);
 - `train` in hsi mode, patch 7, 13 PCA dims, hidden width 16 (`hsi/`);
 - `eval` and `map` of run1's checkpoint (`eval/`, `map/`);
-- the same `eval` and `map` in strips of one TILE row, the least strip
-  budget, `cli.STRIP_BYTES` set to 0 (`strips/`): 3 strips of the 24 rows,
-  whose outputs must equal those of `eval/` and `map/`;
+- the same `eval` and `map` in strips of one TILE row (`strips/`), whose
+  outputs must equal those of `eval/` and `map/`;
 - `eval` and `map` of run1's checkpoint with most labels zeroed (`sparse/`):
   only pixels whose row and column are multiples of 3, in rows 0-12, keep
   their labels. That keeps corner pixel (0, 0) and at least 3 pixels of
@@ -75,12 +78,15 @@ def run(work: str) -> None:
                                pca_dims=13, hidden=16)
     run1 = os.path.join(work, "run1", "checkpoint.lsfw")
     _lsaf("train", "--config", config, "--out", os.path.join(work, "run1"))
+    _in_strips("train", "--config", config, "--out", os.path.join(work, "train_strips"))
     _lsaf("train", "--config", config, "--epochs", 3, "--resume", run1,
           "--out", os.path.join(work, "run2"))
     _lsaf("train", "--config", hsi_config, "--out", os.path.join(work, "hsi"))
     _lsaf("eval", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "eval"))
     _lsaf("map", "--config", config, "--checkpoint", run1, "--out", os.path.join(work, "map"))
-    _in_strips(config, run1, os.path.join(work, "strips"))
+    for command in ("eval", "map"):
+        _in_strips(command, "--config", config, "--checkpoint", run1,
+                   "--out", os.path.join(work, "strips"))
     labels = storage.read_labels(os.path.join(scene, "labels.lsaf"))
     sparse_labels = os.path.join(work, "sparse_labels.lsaf")
     sparse = np.zeros_like(labels)
@@ -91,23 +97,23 @@ def run(work: str) -> None:
     for command in ("eval", "map"):
         _lsaf(command, "--config", sparse_config, "--checkpoint", run1,
               "--out", os.path.join(work, "sparse"))
-    _in_strips(sparse_config, run1, os.path.join(work, "sparse_strips"))
+    for command in ("eval", "map"):
+        _in_strips(command, "--config", sparse_config, "--checkpoint", run1,
+                   "--out", os.path.join(work, "sparse_strips"))
     _lsaf("train", "--config", sparse_config, "--out", os.path.join(work, "sparse_train"))
 
 
-def _in_strips(config: str, checkpoint: str, out: str) -> None:
-    """`eval` and `map` of `checkpoint` in strips of one TILE row, the least
-    strip budget."""
+def _in_strips(*argv) -> None:
+    """An lsaf command in strips of one TILE row, the least strip budget."""
     budget, cli.STRIP_BYTES = cli.STRIP_BYTES, 0
     try:
-        for command in ("eval", "map"):
-            _lsaf(command, "--config", config, "--checkpoint", checkpoint, "--out", out)
+        _lsaf(*argv)
     finally:
         cli.STRIP_BYTES = budget
 
 
 # Each strip run, and the run of the whole scene whose outputs it must equal.
-_SAME = {"strips": ("eval", "map"), "sparse_strips": ("sparse",)}
+_SAME = {"strips": ("eval", "map"), "sparse_strips": ("sparse",), "train_strips": ("run1",)}
 
 
 def main() -> int:
