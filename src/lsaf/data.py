@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import storage
 from .errors import ConfigError, RegistrationError, ShapeError
@@ -168,9 +167,10 @@ def pca_transform(model: PcaModel, hsi: np.ndarray, scale=None,
     cube exists. `hsi` is read only through its `shape` and `hsi[:, top:stop]`,
     so a `storage.RasterRows` reader streams the cube from its file, and
     checks every row of it, needed or not. Each pixel's row of the projection
-    GEMM depends on that pixel alone, so the bytes equal a whole-cube
-    projection's whatever the block and chunk sizes, the row source or the
-    mask (`tests/test_data.py` pins this).
+    GEMM depends on that pixel alone, and a chunk of one pixel runs as two
+    rows, so the bytes equal a whole-cube projection's whatever the block
+    and chunk sizes, the row source or the mask (`tests/test_data.py` pins
+    this).
     """
     if hsi.shape[0] != model.bands:
         raise ShapeError(
@@ -205,7 +205,12 @@ def _project(model: PcaModel, hsi: np.ndarray) -> np.ndarray:
     """The float64 (r, ...) projection of a (bands, ...) block of pixels."""
     pixels = hsi.reshape(model.bands, -1).T.astype(np.float64)
     pixels -= model.mean
-    return (pixels @ model.components).T.reshape((model.dims,) + hsi.shape[1:])
+    # the BLAS gives a product of one row other bytes than a larger product
+    # gives that row, so a lone pixel is projected as two rows, the first kept
+    n = pixels.shape[0]
+    if n == 1:
+        pixels = np.repeat(pixels, 2, axis=0)
+    return (pixels @ model.components)[:n].T.reshape((model.dims,) + hsi.shape[1:])
 
 
 # ----------------------------------------------------------------------
@@ -273,28 +278,19 @@ class PatchSet:
 
     def cut(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """C-contiguous (k, r, s, s) HSI and (k, 1, s, s) LiDAR patches of the
-        k samples `idx` selects, in its order. A window that lies inside the
-        held rasters is copied as a block, in runs of s values; only a window
-        that crosses their edge is gathered at mirrored indices."""
+        k samples `idx` selects, in its order, each window gathered at its
+        mirrored rows and columns as `area` gathers a tile."""
         rows, cols = self.pixels[idx].T
-        s = self.patch
-        first, left = rows - s // 2, cols - s // 2
-        inside = ((first >= 0) & (first + s <= self.hsi.shape[1])
-                  & (left >= 0) & (left + s <= self.hsi.shape[2]))
-        edge = np.flatnonzero(~inside)
-        edge_rows, edge_cols = self._mirrored(rows[edge], 1, 1), self._mirrored(cols[edge], 1, 2)
-        batches = []
-        for raster in (self.hsi, self.lidar):
-            if inside.any():
-                # an edge sample takes the window at (0, 0) here, then its own below
-                windows = sliding_window_view(raster, (s, s), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
-                batch = windows[np.where(inside, first, 0), np.where(inside, left, 0)]
-            else:
-                batch = np.empty((len(rows), raster.shape[0], s, s), dtype=raster.dtype)
-            for i in range(s if edge.size else 0):  # a window row at a time
-                batch[edge, :, i] = raster[:, edge_rows[:, i, None], edge_cols].swapaxes(0, 1)
-            batches.append(batch)
-        return tuple(batches)
+        rows, cols = self._mirrored(rows, 1, 1), self._mirrored(cols, 1, 2)
+        batches = tuple(np.empty((len(rows), raster.shape[0], self.patch, self.patch),
+                                 dtype=raster.dtype) for raster in (self.hsi, self.lidar))
+        # 16 windows per gather keep its (r, 16, s, s) output in cache until
+        # it is copied into the batch; one gather of the whole batch does not
+        for start in range(0, len(rows), 16):
+            at = slice(start, start + 16)
+            for raster, batch in zip((self.hsi, self.lidar), batches):
+                batch[at] = raster[:, rows[at, :, None], cols[at, None]].swapaxes(0, 1)
+        return batches
 
     def area(self, row: int, col: int, height: int, width: int):
         """The (r, height + s - 1, width + s - 1) HSI and (1, ...) LiDAR

@@ -52,13 +52,7 @@ def write_raster(path: str | os.PathLike, cube: np.ndarray) -> None:
     cube = np.asarray(cube)
     if cube.ndim != 3:
         raise FormatError(f"{path}: raster cube must be (bands, H, W), got {cube.shape}")
-    data = np.ascontiguousarray(cube, dtype="<f4")
-    header = _RASTER_HEADER.pack(
-        RASTER_MAGIC, FORMAT_VERSION, *cube.shape, _TAG_F32
-    )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(data.tobytes())
+    _write_container(path, cube, _TAG_F32)
 
 
 def write_labels(path: str | os.PathLike, labels: np.ndarray) -> None:
@@ -66,15 +60,20 @@ def write_labels(path: str | os.PathLike, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise FormatError(f"{path}: label map must be (H, W), got {labels.shape}")
-    if labels.min() < 0 or labels.max() > np.iinfo(np.uint16).max:
+    _write_container(path, labels[None], _TAG_U16)
+
+
+def _write_container(path: str | os.PathLike, array: np.ndarray, tag: int) -> None:
+    """Write a `(bands, H, W)` array as a raster of `tag`'s dtype from the
+    array itself, refusing what `probe_raster` refuses and labels past 16 bits."""
+    if min(array.shape) < 1:
+        raise FormatError(f"{path}: degenerate dimensions {array.shape}")
+    if tag == _TAG_U16 and (array.min() < 0 or array.max() > np.iinfo(np.uint16).max):
         raise FormatError(f"{path}: label values outside the 16-bit unsigned range")
-    data = np.ascontiguousarray(labels, dtype="<u2")
-    header = _RASTER_HEADER.pack(
-        RASTER_MAGIC, FORMAT_VERSION, 1, labels.shape[0], labels.shape[1], _TAG_U16
-    )
+    payload = np.ascontiguousarray(array, dtype=_TAG_TO_DTYPE[tag])
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(data.tobytes())
+        f.write(_RASTER_HEADER.pack(RASTER_MAGIC, FORMAT_VERSION, *array.shape, tag))
+        f.write(payload)
 
 
 def probe_raster(path: str | os.PathLike) -> dict:
@@ -221,7 +220,7 @@ def write_checkpoint(path: str | os.PathLike, tensors: dict[str, np.ndarray]) ->
                 f.write(struct.pack("<B", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
                 f.write(struct.pack("<B", tag))
-                f.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+                f.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -297,7 +296,7 @@ def write_ppm(path: str | os.PathLike, rgb: np.ndarray) -> None:
     height, width = rgb.shape[:2]
     with open(path, "wb") as f:
         f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(rgb).tobytes())
+        f.write(np.ascontiguousarray(rgb))
 
 
 def read_ppm(path: str | os.PathLike) -> np.ndarray:

@@ -294,10 +294,11 @@ def predict(model: LsafModel, patches: PatchSet) -> np.ndarray:
     window then sums as if zero-padded on its own; the LiDAR features are
     gathered per window. The pixels of all other tiles go through plain
     per-patch batches of `BATCH`, pooled across tiles, a batch of fewer than
-    8 padded with repeats, so no batch changes a pixel's bytes. The logits
-    agree with per-patch inference within the convolution tolerance of
-    `tensor.py`, not bit for bit, so a label can differ only at a near-tie;
-    repeated calls agree bit for bit.
+    8 padded with repeats: at the paper geometry (patch 11, hidden width 128)
+    no batch changes a pixel's bytes, at others a small one still may. The
+    logits agree with per-patch inference within the convolution tolerance
+    of `tensor.py`, not bit for bit, so a label can differ only at a
+    near-tie; repeated calls agree bit for bit.
     """
     return predict_logits(model, patches).argmax(axis=1) + 1
 
@@ -315,9 +316,10 @@ def predict_logits(model: LsafModel, patches: PatchSet) -> np.ndarray:
     with T.no_grad():
         for start in range(0, len(per_patch), BATCH):
             idx = per_patch[start : start + BATCH]
-            # OpenBLAS 0.3.31 gives a GEMM row other bytes in a product of 1
-            # row (any linear layer), 1-4 (the heads' 1600 inputs) or 1-2
-            # (3200) than in one of 5 rows or more: fewer than 8 run as 8.
+            # OpenBLAS 0.3.31 gives a GEMM row other bytes in a small product:
+            # at the paper geometry, of 1 row (any linear layer), 1-4 (the
+            # heads' 1600 inputs) or 1-2 (3200), so fewer than 8 run as 8; at
+            # patch 9 products of up to 13 rows differ, at hidden 16 up to 39.
             rows = np.resize(idx, max(len(idx), 8))
             hsi, lidar, _ = _batch_tensors(patches, rows, dtype)
             out[idx] = model.forward(hsi, lidar, training=False).data[:len(idx)]

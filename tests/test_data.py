@@ -276,6 +276,29 @@ class TestPcaTransform:
             got = pca_transform(model, rows, scale=scale, needed=needed)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_one_pixel_projection_is_byte_identical(self, monkeypatch):
+        """A chunk with one pixel to project writes the bytes of the
+        projection of every pixel, in float64 and rescaled float32, though
+        the BLAS gives a one-row product other bytes than a larger one: masks
+        of one pixel, and a one-column cube in chunks of 7 rows, whose last
+        chunk holds its 50th pixel alone."""
+        r = rng(16)
+        cube = (r.normal(size=(144, 50, 23)) * r.uniform(0.5, 3.0, (144, 1, 1))).astype(np.float32)
+        model = pca_fit(cube, r=30)
+        lo, span = fit_minmax(pca_transform(model, cube))
+        for scale in (None, (lo, span)):
+            whole = pca_transform(model, cube, scale=scale)
+            for pixel in r.choice(50 * 23, 40, replace=False):
+                needed = np.zeros((50, 23), dtype=bool)
+                needed.flat[pixel] = True
+                want = np.where(needed, whole, 0)
+                got = pca_transform(model, cube, scale=scale, needed=needed)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(data, "CHUNK_PIXELS", 7)
+                got = pca_transform(model, cube[:, :, 5:6], scale=scale)
+            assert got.tobytes() == whole[:, :, 5:6].tobytes()
+
     # blocks of one 2-row chunk, of three chunks with the last block ragged,
     # and one block for the whole scene
     @pytest.mark.parametrize("budget,rows", [(1, 2), (3 * 2 * 144 * 23 * 4 + 99, 6),
@@ -465,6 +488,34 @@ class TestExtractPatches:
                     want = np.stack([padded[:, row:row + s, col:col + s]
                                      for row, col in out.pixels[order]])
                     assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    # batches around the 16 windows that `cut` gathers at once; rasters with
+    # windows inside them, and rasters shorter than s along one axis, where
+    # every window crosses an edge
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s,height,width", [
+        (7, 20, 24), (11, 30, 26), (11, 6, 40), (11, 30, 6), (25, 13, 30)])
+    @pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 40])
+    def test_cut_of_any_batch_is_the_reflect_padded_windows(self, k, s, height, width, dtype):
+        """A batch of k windows, the first five at the centre and across the
+        top, bottom, left and right edges, the rest drawn at random, in a
+        shuffled order: each patch holds the bytes of `np.pad(mode="reflect")`
+        sliced at its pixel, and both batches are C-contiguous."""
+        plain = make_pair(seed=s + height, height=height, width=width)
+        pair = RasterPair(plain.hsi.astype(dtype), plain.lidar.astype(dtype),
+                          np.ones((height, width), dtype=np.int64))
+        out = extract_patches(pair, s=s)
+        r = rng(k)
+        mid, centre = height // 2 * width, width // 2
+        first = [mid + centre, centre, (height - 1) * width + centre, mid, mid + width - 1]
+        idx = r.permutation(np.concatenate([first, r.integers(0, height * width, 40)])[:k])
+        half = s // 2
+        for raster, got in zip((pair.hsi, pair.lidar), out.cut(idx)):
+            padded = np.pad(raster, ((0, 0), (half, half), (half, half)), mode="reflect")
+            want = np.array([padded[:, row:row + s, col:col + s] for row, col in out.pixels[idx]],
+                            dtype=dtype).reshape(k, raster.shape[0], s, s)
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     # a 7×9 scene in tiles of 3×4: all four corners, with the last row and
     # column of tiles ragged, and an interior tile

@@ -85,6 +85,47 @@ def test_payload_is_held_once(tmp_path, kind):
     assert peak <= 1.1 * payload
 
 
+@pytest.mark.parametrize("write,shape", [
+    (storage.write_raster, (0, 3, 3)), (storage.write_raster, (2, 0, 3)),
+    (storage.write_raster, (2, 3, 0)), (storage.write_labels, (0, 3)),
+    (storage.write_labels, (3, 0))])
+def test_writers_refuse_what_the_reader_refuses(tmp_path, write, shape):
+    """A raster or label map with an empty dimension is a format error, as
+    `probe_raster` makes it on reading, and no file is written: the empty
+    label map no longer fails on its value range check."""
+    path = tmp_path / "empty.lsaf"
+    with pytest.raises(FormatError, match="degenerate dimensions"):
+        write(path, np.zeros(shape, dtype=np.float32))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", ["raster", "labels", "checkpoint", "ppm"])
+def test_writers_hold_no_copy_of_the_payload(tmp_path, kind):
+    """Each writer writes an array already in its file's dtype and layout
+    straight from the array, so writing 8 MiB peaks far below a payload."""
+    path = tmp_path / "w"
+    if kind == "raster":
+        payload = np.ones((32, 256, 256), dtype=np.float32)
+        write = lambda: storage.write_raster(path, payload)
+    elif kind == "labels":
+        payload = np.ones((2048, 2048), dtype=np.uint16)
+        write = lambda: storage.write_labels(path, payload)
+    elif kind == "checkpoint":
+        payload = np.ones((1024, 1024))
+        write = lambda: storage.write_checkpoint(path, {"w": payload})
+    else:
+        payload = np.ones((1024, 2731, 3), dtype=np.uint8)
+        write = lambda: storage.write_ppm(path, payload)
+    tracemalloc.start()
+    try:
+        write()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > payload.nbytes >= 8 << 20
+    assert peak < payload.nbytes / 64
+
+
 @pytest.mark.parametrize("kind", ["raster", "labels"])
 def test_short_payload_read_rejected(tmp_path, monkeypatch, kind):
     """A file that shrinks between the header check and the payload read is
